@@ -38,10 +38,8 @@ from .resum import (
 )
 from .specfun import (
     HypParams,
-    NearUnitExpansion,
     complex_gamma,
     gauss_2f1,
-    near_unit_expansion,
     near_unit_f0,
     rising_factorial,
 )

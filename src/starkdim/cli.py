@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -78,6 +79,8 @@ class RunConfig:
             raise OutOfRange(f"order must be at least 1, got {self.order}")
         if self.fields is not None:
             start, stop, count = self.fields
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise OutOfRange(f"fields must be finite, got {start}:{stop}")
             if count < 2:
                 raise OutOfRange(f"grid needs at least 2 points, got {count}")
             if start < 0.0:

@@ -510,21 +510,12 @@ def _logderiv_run(p, one, order, sign):
 # truncated power-series helpers (tuples of ring elements, length order+1)
 
 
-def _ser_mul(u, v, order, zero):
-    out = [zero] * (order + 1)
-    for i, ci in enumerate(u):
-        if i > order:
-            break
-        for j in range(0, order + 1 - i):
-            out[i + j] = out[i + j] + ci * v[j]
-    return tuple(out)
-
-
-def _ser_pow(s, exponent, order, one, zero):
-    out = (one,) + (zero,) * order
-    for _ in range(exponent):
-        out = _ser_mul(out, s, order, zero)
-    return out
+def _cauchy(u, v, k, zero):
+    """Coefficient k of the product of two truncated series."""
+    acc = zero
+    for i in range(k + 1):
+        acc = acc + u[i] * v[k - i]
+    return acc
 
 
 def _ser_inverse_unit(s, order, one, zero):
@@ -543,28 +534,29 @@ def _ser_inverse_unit(s, order, one, zero):
 def _beta_series(a_even, order, one):
     """Inverse-energy-scale series B(u) solving 1/B = 2 sum a_{2n} u^n B^-6n.
 
-    Fixed-point iteration; each pass resolves one more power of u, so
-    order+1 passes always reach the fixed point (checked via early exit on
-    exact repetition for the exact rings).
+    One incremental pass over y = 1/B, which obeys y = sum 2 a_{2n} u^n y^6n
+    with y_0 = 1.  The u^k coefficient of the right side involves only
+    y_0..y_{k-1}, so each order fixes y_k outright and then extends the
+    power tables y^2, y^3, y^6 and y^6n by one coefficient each; B is the
+    division-free reciprocal of y.
     """
     zero = one - one
-    beta = (one,) + (zero,) * order
-    for _ in range(order + 1):
-        inv = _ser_inverse_unit(beta, order, one, zero)
-        g = _ser_pow(inv, 6, order, one, zero)
-        rhs = [zero] * (order + 1)
-        gp = (one,) + (zero,) * order
-        for n in range(order + 1):
-            two_a = a_even[n] + a_even[n]
-            for m in range(order + 1 - n):
-                rhs[n + m] = rhs[n + m] + two_a * gp[m]
-            if n < order:
-                gp = _ser_mul(gp, g, order, zero)
-        new = _ser_inverse_unit(tuple(rhs), order, one, zero)
-        if new == beta:
-            break
-        beta = new
-    return beta
+    two_a = [a + a for a in a_even]
+    y, y2, y3, y6 = [one], [one], [one], [one]
+    powers = [None, y6]  # powers[n]: leading coefficients of y^6n
+    for k in range(1, order + 1):
+        if k > 1:
+            y2.append(_cauchy(y, y, k - 1, zero))
+            y3.append(_cauchy(y2, y, k - 1, zero))
+            y6.append(_cauchy(y3, y3, k - 1, zero))
+            for n in range(2, k):
+                powers[n].append(_cauchy(powers[n - 1], y6, k - n, zero))
+            powers.append([one])
+        acc = zero
+        for n in range(1, k + 1):
+            acc = acc + two_a[n] * powers[n][k - n]
+        y.append(acc)
+    return _ser_inverse_unit(tuple(y), order, one, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +564,13 @@ def _beta_series(a_even, order, one):
 
 
 def logderiv_step(k: int, previous, params: DimensionParams):
-    """Advance the channel log-derivative recursion to order ``k``.
+    """Channel log-derivative recursion at order ``k``.
 
     ``previous`` lists the earlier steps in order (either LogDerivSeries
-    values or (LogDerivSeries, a) pairs as returned here).  Returns
+    values or (LogDerivSeries, a) pairs as returned here) and is checked for
+    shape only: the step is read off the engine run to order ``k``.  Returns
     ``(LogDerivSeries, a_k)`` with a_k exact; the two independent routes to
-    a_k (origin regularity and weighted moments) are cross-checked on every
-    call.
+    a_k (origin regularity and weighted moments) are cross-checked there.
     """
     if not isinstance(k, int) or k < 0:
         raise OutOfRange("k must be a nonnegative integer")
@@ -587,23 +579,12 @@ def logderiv_step(k: int, previous, params: DimensionParams):
         raise OrderMismatch(
             f"previous must hold orders 0..{k - 1} to compute order {k}"
         )
-    alpha = Fraction(params.alpha)
     if k == 0:
+        alpha = Fraction(params.alpha)
         z0 = RationalPolynomial.constant(Fraction(1) / (1 - alpha))
         return LogDerivSeries(0, z0), Fraction(1, 2)
-    p = Fraction(params.p)
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = [e.poly.coefficients for e in entries[1:]]
-    src = _source(rows, k, one, zero, +1)
-    coeffs, a_origin = _solve_down(src, p, zero)
-    a_moment = _moment_route(src, p, zero)
-    if a_origin != a_moment:
-        raise NumericalError(
-            f"order {k}: origin and moment routes for the separation"
-            " coefficient disagree"
-        )
-    return LogDerivSeries(k, RationalPolynomial(tuple(coeffs))), a_origin
+    rows, a_vals = _logderiv_run(Fraction(params.p), Fraction(1), k, +1)
+    return LogDerivSeries(k, RationalPolynomial(rows[-1])), a_vals[-1]
 
 
 def separation_series(params: DimensionParams, order: int, sign: int) -> SeparationSeries:
@@ -640,7 +621,7 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
     a_even = [one / 2] + [a_vals[2 * n - 1] for n in range(1, order + 1)]
     beta = _beta_series(a_even, order, one)
     zero = one - one
-    beta_sq = _ser_mul(beta, beta, order, zero)
+    beta_sq = [_cauchy(beta, beta, n, zero) for n in range(order + 1)]
     sixteenth = one / 16
     e_coeffs = []
     scale = one
@@ -672,7 +653,8 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     a_even = [RationalPolynomial.constant(Fraction(1, 2))]
     a_even += [a_vals[2 * n - 1] for n in range(1, order + 1)]
     beta = _beta_series(a_even, order, one)
-    d = _ser_mul(beta, beta, order, RationalPolynomial.zero())
+    zero = RationalPolynomial.zero()
+    d = [_cauchy(beta, beta, n, zero) for n in range(order + 1)]
     p_squared = RationalPolynomial.monomial(2)
     half_shift = RationalPolynomial((Fraction(-1, 2), Fraction(1, 2)))
     polys = []

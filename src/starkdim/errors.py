@@ -59,10 +59,6 @@ class NonConvergent(NumericalError):
     """No evaluation region applies or a series failed to converge."""
 
 
-# name used by the resummation layer for the same condition
-EvaluationRegionError = NonConvergent
-
-
 # resummation / fitting
 
 class InvalidL(InputError):

@@ -194,6 +194,8 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
     field = float(field)
     if not field >= 0.0:
         raise OutOfRange("field must be nonnegative")
+    if not math.isfinite(field):
+        raise OutOfRange("field must be finite")
     if field == 0.0:
         return ResonancePoint(field=0.0, energy=complex(model.e0))
     energy = _model_energy(model, field, cut_side=-1)

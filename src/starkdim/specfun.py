@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import digamma as _digamma
-
 from .errors import (
     InvalidL,
     NonConvergent,
@@ -134,17 +132,6 @@ class HypParams:
         return gauss_2f1(self.h1, self.h2, self.c, self.w, cut_side=cut_side)
 
 
-@dataclass(frozen=True)
-class NearUnitExpansion:
-    """Taylor data of the analytic part around w = 1 (z = w - 1): the
-    coefficients of F0(z) up to the truncation order, and the leading power
-    l of the non-analytic companion piece."""
-
-    f0_coeffs: tuple
-    fl_leading_power: float
-    truncation_order: int
-
-
 def _check_f0_order(l: float, order: int) -> None:
     if not isinstance(order, int) or order < 0:
         raise OutOfRange("order must be a nonnegative integer")
@@ -152,23 +139,6 @@ def _check_f0_order(l: float, order: int) -> None:
         raise TruncationBeyondPole(
             f"order {order} runs past the coefficient pole at k = {int(l)}"
         )
-
-
-def near_unit_expansion(h1, h2, l, order: int) -> NearUnitExpansion:
-    """Coefficient view of :func:`near_unit_f0`."""
-    _check_f0_order(l, order)
-    h1 = complex(h1)
-    h2 = complex(h2)
-    l = float(l)
-    coeffs = []
-    term = complex_gamma(l)
-    coeffs.append(term)
-    for k in range(order):
-        term = term * (h1 + k) * (h2 + k) / ((k + 1) * (l - 1 - k))
-        coeffs.append(term)
-    return NearUnitExpansion(
-        f0_coeffs=tuple(coeffs), fl_leading_power=float(l), truncation_order=order
-    )
 
 
 def near_unit_f0(h1, h2, l, z, order: int) -> complex:
@@ -232,10 +202,6 @@ def _terminating_2f1(degree: int, a, b, c, w) -> complex:
     return total
 
 
-def _direct(a, b, c, w) -> complex:
-    return _series_2f1(a, b, c, w)
-
-
 def _pfaff(a, b, c, w) -> complex:
     return (1.0 - w) ** (-a) * _series_2f1(a, c - b, c, w / (w - 1.0))
 
@@ -264,22 +230,27 @@ def _inf_connection(a, b, c, w) -> complex:
 
 
 def _unit_log_positive(a, b, m: int, w) -> complex:
-    """Connection at w -> 1 when c - a - b is the integer m >= 1.
+    """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
 
-    Finite analytic head plus a logarithmic tail starting at (w-1)^m.
+    Finite analytic head of m terms, empty at m = 0, plus a logarithmic tail
+    starting at (w-1)^m.
     """
+    from scipy.special import digamma
+
     c = a + b + m
     xi = 1.0 - w
     v = w - 1.0
-    head = (
-        complex_gamma(c)
-        * _rgamma(a + m)
-        * _rgamma(b + m)
-        * near_unit_f0(a, b, float(m), v, m - 1)
-    )
+    head = complex(0.0)
+    if m:
+        head = (
+            complex_gamma(c)
+            * _rgamma(a + m)
+            * _rgamma(b + m)
+            * near_unit_f0(a, b, float(m), v, m - 1)
+        )
     log_xi = cmath.log(xi)
-    psi_a = complex(_digamma(complex(a + m)))
-    psi_b = complex(_digamma(complex(b + m)))
+    psi_a = complex(digamma(complex(a + m)))
+    psi_b = complex(digamma(complex(b + m)))
     psi_k = -_EULER_GAMMA
     psi_km = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
     coeff = complex(1.0 / math.factorial(m))
@@ -307,36 +278,6 @@ def _unit_log_positive(a, b, m: int, w) -> complex:
     return head + tail
 
 
-def _unit_log_zero(a, b, w) -> complex:
-    """Connection at w -> 1 when c - a - b = 0 (fully logarithmic)."""
-    xi = 1.0 - w
-    log_xi = cmath.log(xi)
-    psi_a = complex(_digamma(complex(a)))
-    psi_b = complex(_digamma(complex(b)))
-    psi_k = -_EULER_GAMMA
-    coeff = complex(1.0)
-    pow_xi = complex(1.0)
-    total = complex(0.0)
-    small = 0
-    for k in range(MAX_TERMS):
-        contrib = coeff * pow_xi * (2.0 * psi_k - psi_a - psi_b - log_xi)
-        total += contrib
-        if abs(contrib) <= SERIES_RTOL * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        coeff = coeff * (a + k) * (b + k) / ((k + 1) * (k + 1))
-        pow_xi = pow_xi * xi
-        psi_a += 1.0 / (a + k)
-        psi_b += 1.0 / (b + k)
-        psi_k += 1.0 / (k + 1)
-    else:
-        raise NonConvergent(f"logarithmic series exhausted {MAX_TERMS} terms")
-    return complex_gamma(a + b) * _rgamma(a) * _rgamma(b) * total
-
-
 def _unit_connection(a, b, c, w) -> complex:
     mu = c - a - b
     xi = 1.0 - w
@@ -345,8 +286,6 @@ def _unit_connection(a, b, c, w) -> complex:
         if m < 0:
             # Euler transformation flips the sign of the integer difference
             return xi ** mu * _unit_connection(c - a, c - b, c, w)
-        if m == 0:
-            return _unit_log_zero(a, b, w)
         return _unit_log_positive(a, b, m, w)
     t1 = (
         complex_gamma(c)
@@ -366,7 +305,7 @@ def _unit_connection(a, b, c, w) -> complex:
     return t1 + t2
 
 
-_REGIONS = (_direct, _pfaff, _unit_connection, _inf_connection)
+_REGIONS = (_series_2f1, _pfaff, _unit_connection, _inf_connection)
 
 # the reflection series may need many terms near its convergence edge
 _REFLECTION_MAX_TERMS = 4000

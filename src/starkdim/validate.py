@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .coeffs import EnergySeries
 from .errors import DomainError, IntegrationFailure, NotValid, OutOfRange
 from .resum import HypModel, resonance
@@ -66,6 +64,8 @@ def _integrand(model: HypModel, n: int):
 def _dispersion_integral(model: HypModel, n: int):
     """Moment integral with adaptive truncation; returns
     (value, upper cutoff in field units, quadrature node count)."""
+    from scipy.integrate import quad
+
     p = (model.alpha - 1.0) / 2.0
     # peak location of gamma(eps) * eps^{-2n-1} under the leading
     # low-field exponential exp(-b/eps) with linear prefactor

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationFailure, NoBarrier, NoReference
 
@@ -112,6 +111,8 @@ def _polish(y: float, f, fprime) -> float:
 
 def turning_points(p: float, field: float) -> tuple:
     """Both positive zeros of the barrier potential, inner first."""
+    from scipy.optimize import brentq
+
     p = _check_p(p)
     field = _check_field(field)
     f, fprime = _cubic(p, field)

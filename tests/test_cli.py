@@ -60,6 +60,13 @@ def test_malformed_fields_is_usage_error(capsys):
     assert code == 2
 
 
+def test_infinite_fields_is_input_error(capsys):
+    code, _, err = invoke(capsys, "sweep", "--alpha", "2",
+                          "--fields", "0:inf:11")
+    assert code == 2
+    assert "fields must be finite" in err
+
+
 def test_zero_start_rejected_for_barrier(capsys):
     code, _, err = invoke(capsys, "wkb", "--alpha", "3",
                           "--fields", "0:1:5")
@@ -274,3 +281,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "starkdim" in proc.stdout
+
+
+def test_cli_and_series_import_no_scipy():
+    code = (
+        "import sys\n"
+        "import starkdim.cli\n"
+        "starkdim.cli.build_parser()\n"
+        "starkdim.energy_series(3, 8)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -58,6 +58,32 @@ def test_known_energy_values_exact():
     assert energy_series(2, 1).e_coeffs[1] == Fraction(-21, 256)
 
 
+def _truncated_product(u, v):
+    return [sum(u[i] * v[k - i] for i in range(k + 1)) for k in range(len(u))]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(5, 2)])
+def test_beta_series_solves_its_defining_equation(alpha):
+    """y = 1/B satisfies y = sum 2 a_{2n} u^n y^6n through order 12."""
+    order = 12
+    beta = energy_series(alpha, order).beta_series
+    a = separation_series(unperturbed_params(alpha), 2 * order, +1).coefficients
+    assert beta[0] == 1
+    y = [Fraction(1)]
+    for k in range(1, order + 1):
+        y.append(-sum(beta[j] * y[k - j] for j in range(1, k + 1)))
+    y6 = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(6):
+        y6 = _truncated_product(y6, y)
+    rhs = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order  # y^6n
+    for n in range(order + 1):
+        for m in range(order + 1 - n):
+            rhs[n + m] += 2 * a[2 * n] * power[m]
+        power = _truncated_product(power, y6)
+    assert rhs == y
+
+
 def test_known_energy_values_float_mode():
     es = energy_series(3.0, 3)
     assert es.e_coeffs[1] == pytest.approx(-2.25, rel=1e-12)

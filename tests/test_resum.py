@@ -166,6 +166,11 @@ def test_sweep_grid_validation(models):
         resonance(model, -1.0)
 
 
+def test_infinite_field_is_input_error(models):
+    with pytest.raises(OutOfRange, match="finite"):
+        resonance(models[3.0], math.inf)
+
+
 # ---------------------------------------------------------------------------
 # tail analysis
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkdim import complex_gamma, gauss_2f1, near_unit_f0, rising_factorial
+from starkdim import specfun
 from starkdim.errors import (
     InvalidL,
     OnBranchCut,
@@ -17,7 +18,7 @@ from starkdim.errors import (
     PoleError,
     TruncationBeyondPole,
 )
-from starkdim.specfun import _rgamma, _series_2f1
+from starkdim.specfun import _rgamma, _series_2f1, _unit_log_positive
 
 mp.mp.dps = 30
 
@@ -181,6 +182,37 @@ def test_2f1_nonconjugate_real_params_on_cut():
                 float(mp.im(ref))
             )
     mp.mp.dps = 30
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 30])
+@pytest.mark.parametrize("upper", [(0.6, 0.8), (0.58 + 0.18j, 0.58 - 0.18j)])
+def test_log_connection_against_mpmath(monkeypatch, m, upper):
+    """Integer c - a - b = m >= 0 near w = 1 matches 40-digit mpmath,
+    off the cut and on both of its sides."""
+    a, b = upper
+    c = (a + b + m).real
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return _unit_log_positive(*args)
+
+    monkeypatch.setattr(specfun, "_unit_log_positive", spy)
+    points = [(1.0 + r * cmath.exp(1j * th), None)
+              for r in (0.1, 0.3, 0.45) for th in (0.7, 2.0, 3.1, -1.2)]
+    points += [(x, side) for x in (1.05, 1.25, 1.45) for side in (1, -1)]
+    worst = 0.0
+    for w, side in points:
+        w = complex(w)
+        assert abs(1 - w) < min(abs(w), abs(w / (w - 1)), abs(1 / w))
+        calls.clear()
+        got = gauss_2f1(a, b, c, w, cut_side=side)
+        assert calls == [m]
+        with mp.workdps(40):
+            z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), c, z))
+        worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-13
 
 
 @given(
