@@ -37,7 +37,6 @@ from .resum import (
     sweep,
 )
 from .specfun import (
-    HypParams,
     complex_gamma,
     gauss_2f1,
     near_unit_f0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,9 @@ from .errors import (
     NoIonization,
     NonlinearTail,
     NonPositiveSlope,
-    NumericalError,
     OutOfRange,
 )
-from .specfun import complex_gamma, gauss_2f1, rising_factorial
+from .specfun import complex_gamma, gauss_2f1, real_on_axis, rising_factorial
 
 DEFAULT_L = 30.0
 
@@ -52,7 +52,14 @@ STANDARD_SWEEP_RANGES = (
 
 @dataclass(frozen=True)
 class HypModel:
-    """Fitted continuation parameters plus the series context they encode."""
+    """Fitted continuation parameters plus the series context they encode.
+
+    The parameters come from a real series, so h3, h4, e0 and l are real
+    and h1, h2 are real or a conjugate pair; a model breaking this is
+    rejected with ``OutOfRange``.  Then 2F1(h1, h2; h1+h2+l; w) is real
+    below the cut and its two cut sides are complex conjugates
+    (DLMF 15.2.3), which is what lets :func:`resonance` evaluate one side.
+    """
 
     h1: complex
     h2: complex
@@ -63,8 +70,18 @@ class HypModel:
     alpha: float
 
     def __post_init__(self):
+        for name in ("h3", "h4"):
+            if complex(getattr(self, name)).imag != 0.0:
+                raise OutOfRange(f"model parameter {name} must be real")
+        for name in ("e0", "l"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise OutOfRange(f"model parameter {name} must be real")
         if not self.l > 4:
             raise InvalidL("branch power l must exceed 4")
+        if not real_on_axis(self.h1, self.h2, self.h1 + self.h2 + self.l):
+            raise OutOfRange(
+                "model parameters h1, h2 must be real or a conjugate pair"
+            )
 
 
 @dataclass(frozen=True)
@@ -129,7 +146,7 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     r = [(k + 1) * rho[k] * (l - k - 1) for k in range(3)]
     h3 = 0.5 * (r[0] - 2.0 * r[1] + r[2])
     scale = max(abs(x) for x in r)
-    if abs(h3) <= 1e-14 * max(scale, 1.0):
+    if abs(h3) <= 1e-14 * scale:
         raise DegenerateSeries("ratio system is singular (h3 ~ 0)")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
@@ -169,27 +186,13 @@ def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
     return worst
 
 
-def _model_energy(model: HypModel, field: float, cut_side: int) -> complex:
-    z = (field / 4.0) ** 2
-    w = model.h3 * z + 1.0
-    c = model.h1 + model.h2 + model.l
-    pref = (
-        complex_gamma(model.l + model.h1)
-        * complex_gamma(model.l + model.h2)
-        / complex_gamma(model.l + model.h1 + model.h2)
-    )
-    if w.imag == 0.0:
-        f = gauss_2f1(model.h1, model.h2, c, w.real, cut_side=cut_side)
-    else:
-        f = gauss_2f1(model.h1, model.h2, c, w)
-    return model.e0 * (1.0 + model.h4 * z * pref * f)
-
-
 def resonance(model: HypModel, field: float) -> ResonancePoint:
     """Complex resonance energy at one field strength (field >= 0).
 
-    Zero field returns e0 exactly.  On the cut the decaying side
-    (Im E <= 0) is selected automatically.
+    Zero field returns e0 exactly.  Otherwise the continuation is evaluated
+    once, on the lower side of the cut; the upper side is its complex
+    conjugate (the model is real, see :class:`HypModel`), so the decaying
+    branch is that value with Im E made nonpositive.
     """
     field = float(field)
     if not field >= 0.0:
@@ -198,17 +201,19 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
         raise OutOfRange("field must be finite")
     if field == 0.0:
         return ResonancePoint(field=0.0, energy=complex(model.e0))
-    energy = _model_energy(model, field, cut_side=-1)
-    if energy.imag > 0.0:
-        energy = _model_energy(model, field, cut_side=+1)
-    if energy.imag > 0.0:
-        if energy.imag <= 1e-15 * abs(energy):
-            energy = complex(energy.real, 0.0)
-        else:
-            raise NumericalError(
-                f"no decaying branch at field {field}: Im E = {energy.imag}"
-            )
-    return ResonancePoint(field=field, energy=energy)
+    z = (field / 4.0) ** 2
+    x = model.h3.real * z + 1.0
+    c = model.h1 + model.h2 + model.l
+    pref = (
+        complex_gamma(model.l + model.h1)
+        * complex_gamma(model.l + model.h2)
+        / complex_gamma(model.l + model.h1 + model.h2)
+    )
+    f = gauss_2f1(model.h1, model.h2, c, x, cut_side=-1)
+    energy = model.e0 * (1.0 + model.h4 * z * pref * f)
+    return ResonancePoint(
+        field=field, energy=complex(energy.real, -abs(energy.imag))
+    )
 
 
 def sweep(model: HypModel, fields) -> list:

@@ -2,8 +2,8 @@
 
 Provides a complex Gamma function, rising factorials, the principal-branch
 Gauss hypergeometric function 2F1 for complex parameters with the cut on
-[1, inf), and the near-unit-argument expansion whose truncated form the
-model fit consumes.
+[1, inf), and the truncated analytic part of 2F1 around w = 1 that heads
+the integer-difference connection formula there.
 
 The 2F1 evaluator picks among the defining series and the standard argument
 transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
-    InvalidL,
     NonConvergent,
     OnBranchCut,
     OutOfRange,
@@ -109,29 +107,6 @@ def rising_factorial(x, n: int):
 # near-unit-argument expansion
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Parameter bundle for one resummation-style 2F1 evaluation:
-    upper parameters h1, h2, branch power l (> 4), argument w; the third
-    hypergeometric parameter is c = h1 + h2 + l."""
-
-    h1: complex
-    h2: complex
-    l: float
-    w: complex
-
-    def __post_init__(self):
-        if not self.l > 4:
-            raise InvalidL("branch power l must exceed 4")
-
-    @property
-    def c(self) -> complex:
-        return complex(self.h1) + complex(self.h2) + self.l
-
-    def evaluate(self, cut_side=None) -> complex:
-        return gauss_2f1(self.h1, self.h2, self.c, self.w, cut_side=cut_side)
-
-
 def _check_f0_order(l: float, order: int) -> None:
     if not isinstance(order, int) or order < 0:
         raise OutOfRange("order must be a nonnegative integer")
@@ -146,9 +121,8 @@ def near_unit_f0(h1, h2, l, z, order: int) -> complex:
     sum_{k<=order} (h1)_k (h2)_k Gamma(l-k) z^k / k!.
 
     The companion non-analytic part starts at z^l and is therefore absent
-    from every Taylor order below l; this partial sum is what the model fit
-    matches.  For integer l the coefficients hit a Gamma pole at k = l, so
-    the truncation must stay below it.
+    from every Taylor order below l.  For integer l the coefficients hit a
+    Gamma pole at k = l, so the truncation must stay below it.
     """
     _check_f0_order(l, order)
     h1 = complex(h1)
@@ -340,17 +314,22 @@ def _reflection_series(a, b, c, x):
     return None
 
 
+def real_on_axis(a, b, c) -> bool:
+    """True when 2F1(a, b; c; x) is real for real x < 1: real c with the
+    upper parameters real or a conjugate pair.  The two sides of the cut
+    are then complex conjugates (Schwarz reflection, DLMF 15.2.3)."""
+    return c.imag == 0.0 and (
+        a == b.conjugate() or (a.imag == 0.0 and b.imag == 0.0)
+    )
+
+
 def _cut_imag_part(a, b, c, x):
     """Im 2F1(a, b; c; x + i0) on the cut, in closed form.
 
-    Applies when the function is real below the cut (real c with the
-    upper parameters real or a conjugate pair), so the two cut sides are
-    complex conjugates.  Returns None when inapplicable or when the
-    reflection series does not converge.
+    Applies when :func:`real_on_axis` holds.  Returns None when
+    inapplicable or when the reflection series does not converge.
     """
-    if c.imag != 0.0:
-        return None
-    if not (a == b.conjugate() or (a.imag == 0.0 and b.imag == 0.0)):
+    if not real_on_axis(a, b, c):
         return None
     mu = (c - a - b).real
     if _nonpositive_integer(complex(mu + 1.0)):
@@ -399,12 +378,17 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
             mu = c - a - b
             if mu.real <= 0:
                 raise NonConvergent("2F1 diverges at w = 1 for Re(c-a-b) <= 0")
-            return (
+            value = (
                 complex_gamma(c)
                 * complex_gamma(mu)
                 * _rgamma(c - a)
                 * _rgamma(c - b)
             )
+            # Im F on the cut goes as (x-1)^mu and vanishes here; a product
+            # of conjugate Gammas keeps only a rounding residue
+            if real_on_axis(a, b, c):
+                return complex(value.real, 0.0)
+            return value
         if x > 1.0:
             if cut_side not in (1, -1):
                 raise OnBranchCut(

@@ -145,7 +145,8 @@ def wkb_exponent(p: float, field: float) -> float:
     The integrand has inverse-square-root singularities at both turning
     points; the substitution y = mid + half*sin(theta) absorbs them, and
     Gauss-Legendre quadrature with doubling node counts converges the
-    result to 1e-10 absolute.
+    result to 1e-10, absolute below 1 and relative above (deep barriers
+    reach exponents of ~1e12).
     """
     p = _check_p(p)
     field = _check_field(field)
@@ -166,7 +167,7 @@ def wkb_exponent(p: float, field: float) -> float:
     prev = integral(_QUAD_NODE_COUNTS[0])
     for n in _QUAD_NODE_COUNTS[1:]:
         cur = integral(n)
-        if abs(cur - prev) <= _EXPONENT_ABS_TOL:
+        if abs(cur - prev) <= _EXPONENT_ABS_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise IntegrationFailure(

@@ -1,6 +1,7 @@
 """Continuation model: closed-form fit, resonance evaluation, tail fits."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkdim.resum
 from starkdim import (
+    STANDARD_SWEEP_RANGES,
     EnergySeries,
     HypModel,
     ResonancePoint,
@@ -92,6 +95,37 @@ def test_fit_validation():
         fit_model(broken)
 
 
+def test_fit_near_alpha_one():
+    """Coefficients of order 1e-14 and below still fit: the h3 ~ 0 test is
+    relative to the ratio scale."""
+    alpha = Fraction(1001, 1000)
+    model = standard_model(alpha)
+    assert fit_round_trip_residual(model, energy_series(alpha, 4)) <= 1e-10
+    assert resonance(model, 1e-9).gamma == 0.0
+
+
+_REAL_MODEL = dict(h1=0.45 - 0.21j, h2=0.45 + 0.21j, h3=complex(1200.0),
+                   h4=complex(3.7e-28), l=30.0, e0=-0.5, alpha=3.0)
+
+
+@pytest.mark.parametrize("change,name", (
+    (dict(h3=complex(1200.0, 1e-3)), "h3"),
+    (dict(h4=complex(3.7e-28, 1e-40)), "h4"),
+    (dict(e0=complex(-0.5, 0.0)), "e0"),
+    (dict(l=complex(30.0, 0.0)), "l"),
+    (dict(h1=0.45 - 0.21j, h2=0.45 + 0.22j), "h1, h2"),
+    (dict(h1=0.45 - 0.21j, h2=complex(0.9)), "h1, h2"),
+))
+def test_model_must_be_real(change, name):
+    with pytest.raises(OutOfRange, match=name):
+        HypModel(**{**_REAL_MODEL, **change})
+
+
+def test_real_models_accepted():
+    HypModel(**_REAL_MODEL)
+    HypModel(**{**_REAL_MODEL, "h1": complex(0.3), "h2": complex(0.8)})
+
+
 # ---------------------------------------------------------------------------
 # resonance evaluation
 
@@ -144,6 +178,30 @@ def test_weak_field_matches_perturbation_theory(models, series_map):
         quadratic = e[0] + e[1] * field**2
         quartic_scale = abs(e[2]) * field**4
         assert abs(pt.delta - quadratic) <= 10.0 * quartic_scale
+
+
+def test_one_2f1_evaluation_per_point(models, monkeypatch):
+    calls = []
+    original = starkdim.resum.gauss_2f1
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("cut_side"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(starkdim.resum, "gauss_2f1", counting)
+    for alpha, top in STANDARD_SWEEP_RANGES:
+        calls.clear()
+        grid = np.linspace(0.0, top, 101)
+        sweep(models[alpha], grid)
+        assert calls == [-1] * 100
+
+
+def test_rounded_unit_argument_has_no_decay():
+    """At alpha = 1.01 and weak field, 1 + h3 z rounds to exactly 1, where
+    the model's decay rate (~1e-515) underflows to 0."""
+    model = standard_model(1.01)
+    for field in (1e-4, 1e-3):
+        assert resonance(model, field).gamma == 0.0
 
 
 def test_decaying_branch_selected(models):

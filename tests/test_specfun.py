@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from starkdim import complex_gamma, gauss_2f1, near_unit_f0, rising_factorial
 from starkdim import specfun
 from starkdim.errors import (
-    InvalidL,
     OnBranchCut,
     OutOfRange,
     PoleError,
@@ -119,6 +118,8 @@ def test_2f1_special_values():
     assert gauss_2f1(1, 1, 2, 0.5) == pytest.approx(2 * math.log(2), abs=1e-12)
     # Gauss summation at w = 1
     assert gauss_2f1(0.5, 0.5, 2, 1) == pytest.approx(4 / math.pi, abs=1e-12)
+    # ... is exactly real for a conjugate pair (Im F on the cut ~ (w-1)^mu)
+    assert gauss_2f1(0.58 - 0.18j, 0.58 + 0.18j, 31.16, 1).imag == 0.0
     # terminating series is exact everywhere
     w = complex(5.0, 2.0)
     got = gauss_2f1(-3, 2.5, 1.7, w)
@@ -272,13 +273,3 @@ def test_near_unit_f0_truncation_guard():
     near_unit_f0(0.5, 0.5, 6.0, 0.1, 5)
     with pytest.raises(OutOfRange):
         near_unit_f0(0.5, 0.5, 6.0, 0.1, -1)
-
-
-def test_hyp_params_validation():
-    from starkdim import HypParams
-
-    with pytest.raises(InvalidL):
-        HypParams(h1=0.5, h2=0.5, l=3.0, w=0.5)
-    hp = HypParams(h1=0.5 + 0.1j, h2=0.5 - 0.1j, l=30.0, w=0.5)
-    assert hp.c == complex(1.0 + 30.0)
-    assert hp.evaluate() == gauss_2f1(hp.h1, hp.h2, hp.c, 0.5)

@@ -121,6 +121,13 @@ def test_exponent_approaches_keldysh_term(p, grid):
     assert gaps[-1] <= 0.1
 
 
+def test_deep_barrier_exponent_converges():
+    """An exponent near 7e11 converges under the relative tolerance and
+    sits on the 2/(3 p^3 field) term."""
+    value = wkb_exponent(0.01, 1e-6)
+    assert value == pytest.approx(keldysh_exponent(0.01) / 1e-6, rel=1e-6)
+
+
 def test_closed_form_is_exp_of_log_form():
     for p, field in BARRIER_CASES:
         log_t = landau_log_transmittance(p, field)
