@@ -36,7 +36,7 @@ from .errors import (
     NonPositiveSlope,
     OutOfRange,
 )
-from .specfun import complex_gamma, gauss_2f1, real_on_axis, rising_factorial
+from .specfun import complex_gamma, gauss_2f1_cut, real_on_axis, rising_factorial
 
 DEFAULT_L = 30.0
 
@@ -190,9 +190,9 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
     """Complex resonance energy at one field strength (field >= 0).
 
     Zero field returns e0 exactly.  Otherwise the continuation is evaluated
-    once, on the lower side of the cut; the upper side is its complex
-    conjugate (the model is real, see :class:`HypModel`), so the decaying
-    branch is that value with Im E made nonpositive.
+    once, at offset h3 z past w = 1 on the lower side of the cut; the upper
+    side is its conjugate (the model is real, see :class:`HypModel`), so
+    the decaying branch is that value with Im E made nonpositive.
     """
     field = float(field)
     if not field >= 0.0:
@@ -202,14 +202,13 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
     if field == 0.0:
         return ResonancePoint(field=0.0, energy=complex(model.e0))
     z = (field / 4.0) ** 2
-    x = model.h3.real * z + 1.0
     c = model.h1 + model.h2 + model.l
     pref = (
         complex_gamma(model.l + model.h1)
         * complex_gamma(model.l + model.h2)
         / complex_gamma(model.l + model.h1 + model.h2)
     )
-    f = gauss_2f1(model.h1, model.h2, c, x, cut_side=-1)
+    f = gauss_2f1_cut(model.h1, model.h2, c, model.h3.real * z, cut_side=-1)
     energy = model.e0 * (1.0 + model.h4 * z * pref * f)
     return ResonancePoint(
         field=field, energy=complex(energy.real, -abs(energy.imag))

@@ -11,6 +11,10 @@ parameter differences (third parameter minus the upper pair an integer; the
 upper parameters separated by an integer) are handled by dedicated
 logarithmic connection series or, as a last resort, by a symmetric
 parameter-perturbation average.
+
+On the cut, w = 1 + v, :func:`gauss_2f1_cut` takes v itself and routes Im F
+by x = 1 + v: the DLMF 15.2.3 discontinuity up to x = 11, where its series
+converges fast; the generic value's own imaginary part beyond, or on failure.
 """
 
 from __future__ import annotations
@@ -281,37 +285,21 @@ def _unit_connection(a, b, c, w) -> complex:
 
 _REGIONS = (_series_2f1, _pfaff, _unit_connection, _inf_connection)
 
-# the reflection series may need many terms near its convergence edge
-_REFLECTION_MAX_TERMS = 4000
+# Largest x = 1 + v at which Im F on the cut comes from the reflected series.
+# That series needs about 30 x terms: ~330 at x = 11, below MAX_TERMS, while
+# at x = 17 it already overruns.  From x - 1 = 10 on, the generic connection
+# value's own imaginary part is within 3e-14 relative of a 60-digit
+# DLMF 15.2.3 reference for the resonance family at alpha in [1.5, 20]; below
+# it that error grows fast (5e-9 at x - 1 = 2, up to 1e15 at x - 1 = 0.1).
+_REFLECTION_MAX_X = 11.0
 
 
-def _reflection_series(a, b, c, x):
-    """2F1(c-a, c-b; mu+1; 1-x) for real x > 1, with mu = c - a - b.
-
-    None when the series does not converge within the term budget (the
-    far regime where the caller's generic value is already accurate).
-    """
-    big_a = c - a
-    big_c = c - a - b + 1.0
-    # the Pfaff form: its argument stays in (0, 1) for every x > 1 and the
-    # prefactor absorbs the near-total cancellation the raw series suffers
-    # for moderate x
-    t = complex((x - 1.0) / x)
-    pa, pb = big_a, 1.0 - a
-    prefactor = complex(x) ** (-big_a)
-    term = complex(1.0)
-    total = complex(1.0)
-    small_streak = 0
-    for k in range(_REFLECTION_MAX_TERMS):
-        term *= (pa + k) * (pb + k) / ((big_c + k) * (k + 1.0)) * t
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return prefactor * total
-        else:
-            small_streak = 0
-    return None
+def _reflection_series(a, b, c, v) -> complex:
+    """2F1(c-a, c-b; mu+1; -v) for v = x - 1 > 0, mu = c - a - b, in the
+    Pfaff form x^(a-c) 2F1(c-a, 1-a; mu+1; v/x): its argument stays in
+    (0, 1) and the prefactor absorbs the cancellation of the raw series."""
+    x = 1.0 + v
+    return x ** (a - c) * _series_2f1(c - a, 1.0 - a, c - a - b + 1.0, v / x)
 
 
 def real_on_axis(a, b, c) -> bool:
@@ -323,23 +311,27 @@ def real_on_axis(a, b, c) -> bool:
     )
 
 
-def _cut_imag_part(a, b, c, x):
-    """Im 2F1(a, b; c; x + i0) on the cut, in closed form.
+def _cut_imag_part(a, b, c, v):
+    """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,
+    pi Gamma(c) v^mu 2F1(c-a, c-b; mu+1; -v) / (Gamma(a) Gamma(b) Gamma(mu+1)).
 
-    Applies when :func:`real_on_axis` holds.  Returns None when
-    inapplicable or when the reflection series does not converge.
+    Chosen from x = 1 + v before any term is summed: applies when
+    :func:`real_on_axis` holds and x <= _REFLECTION_MAX_X.  None otherwise,
+    or if the series raises ``NonConvergent``: the caller then keeps the
+    generic value's imaginary part.
     """
-    if not real_on_axis(a, b, c):
+    if 1.0 + v > _REFLECTION_MAX_X or not real_on_axis(a, b, c):
         return None
     mu = (c - a - b).real
     if _nonpositive_integer(complex(mu + 1.0)):
         return None
-    series = _reflection_series(a, b, c, x)
-    if series is None:
+    try:
+        series = _reflection_series(a, b, c, v)
+    except NonConvergent:
         return None
     scale = (
         math.pi
-        * (x - 1.0) ** mu
+        * v ** mu
         * complex_gamma(c)
         * _rgamma(mu + 1.0)
         / (complex_gamma(a) * complex_gamma(b))
@@ -352,10 +344,11 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
 
     The branch cut runs along [1, inf).  For real w > 1 the caller must pick
     a side: ``cut_side=+1`` evaluates the limit from Im w > 0, ``-1`` from
-    Im w < 0.  Values off the cut need no side.  Accuracy degrades when
-    c - a - b sits within about 1e-6 of a nonzero integer without being
-    within 1e-9 of it; the evaluation regions used by the resummation layer
-    never do that.
+    Im w < 0; :func:`gauss_2f1_cut` evaluates it at v = w - 1 and picks the
+    route for Im F there.  Values off the cut need no side.  Accuracy
+    degrades when c - a - b sits within about 1e-6 of a nonzero integer
+    without being within 1e-9 of it; the evaluation regions used by the
+    resummation layer never do that.
     """
     a = complex(a)
     b = complex(b)
@@ -366,10 +359,9 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     if (a.real, a.imag) > (b.real, b.imag):
         a, b = b, a
     # a polynomial case is exact for every argument, cut included
-    if _nonpositive_integer(b):
-        return _terminating_2f1(int(-b.real), a, b, c, w)
-    if _nonpositive_integer(a):
-        return _terminating_2f1(int(-a.real), a, b, c, w)
+    for p in (b, a):
+        if _nonpositive_integer(p):
+            return _terminating_2f1(int(-p.real), a, b, c, w)
     if w == 0:
         return complex(1.0)
     if w.imag == 0.0:
@@ -390,16 +382,7 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
                 return complex(value.real, 0.0)
             return value
         if x > 1.0:
-            if cut_side not in (1, -1):
-                raise OnBranchCut(
-                    "argument on the cut [1, inf): pass cut_side=+1 or -1"
-                )
-            w = complex(x, cut_side * _CUT_IMAG)
-            on_cut = True
-        else:
-            on_cut = False
-    else:
-        on_cut = False
+            return gauss_2f1_cut(a, b, c, x - 1.0, cut_side)
     candidates = sorted(
         (
             (abs(w), 0),
@@ -408,30 +391,47 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
             (abs(1.0 / w), 3),
         )
     )
-    value = None
     blocked = False
     for rho, region in candidates:
         if rho > _RHO_MAX:
             continue
         try:
-            value = _REGIONS[region](a, b, c, w)
-            break
+            return _REGIONS[region](a, b, c, w)
         except _Inapplicable:
             blocked = True
-    if value is None:
-        if not blocked:
-            raise NonConvergent(f"no series region applies at w = {w}")
-        # every usable region is parameter-degenerate: symmetric nudge of
-        # the upper parameters cancels the first-order perturbation error
-        d1, d2 = 4e-6, 3e-6
-        va = gauss_2f1(a + d1, b - d2, c, w)
-        vb = gauss_2f1(a - d1, b + d2, c, w)
-        value = 0.5 * (va + vb)
-    if on_cut:
-        # every connection formula builds Im F on the cut from cancelling
-        # O(|F|) complex pieces; the reflection formula gives it directly
-        # and keeps tiny imaginary parts at full relative accuracy
-        im = _cut_imag_part(a, b, c, w.real)
-        if im is not None:
-            value = complex(value.real, cut_side * im)
+    if not blocked:
+        raise NonConvergent(f"no series region applies at w = {w}")
+    # every usable region is parameter-degenerate: symmetric nudge of the
+    # upper parameters cancels the first-order perturbation error
+    d1, d2 = 4e-6, 3e-6
+    va = gauss_2f1(a + d1, b - d2, c, w)
+    vb = gauss_2f1(a - d1, b + d2, c, w)
+    return 0.5 * (va + vb)
+
+
+def gauss_2f1_cut(a, b, c, v, cut_side=None) -> complex:
+    """2F1(a, b; c; 1 + v) for real v, given by its offset from w = 1.
+
+    For v > 0 (the cut) ``cut_side`` picks the side as in :func:`gauss_2f1`.
+    The real part is the generic value at the rounded 1 + v.  Up to
+    x = 1 + v = 11 (a real function below the cut) the imaginary part is
+    the DLMF 15.2.3 discontinuity at v itself, so a tiny Im F keeps full
+    relative accuracy even where 1 + v rounds to 1; beyond, or if that
+    series does not converge, the generic value's imaginary part stands.
+    """
+    v = float(v)
+    x = 1.0 + v
+    a, b, c = complex(a), complex(b), complex(c)
+    if not v > 0.0 or _nonpositive_integer(a) or _nonpositive_integer(b):
+        return gauss_2f1(a, b, c, x)  # off the cut, or a polynomial: no cut
+    if cut_side not in (1, -1):
+        raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
+    if (a.real, a.imag) > (b.real, b.imag):
+        a, b = b, a
+    # every connection formula builds Im F on the cut from cancelling
+    # O(|F|) complex pieces; the reflection formula gives it directly
+    value = gauss_2f1(a, b, c, complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x)
+    im = _cut_imag_part(a, b, c, v)
+    if im is not None:
+        value = complex(value.real, cut_side * im)
     return value

@@ -1,0 +1,110 @@
+"""Differential test of Delta and Gamma against a 60-digit mpmath reference.
+
+The reference evaluates E(F) = e0 (1 + h4 z G 2F1(h1, h2; c; 1 + h3 z)),
+z = (F/4)^2, c = h1 + h2 + l, G = Gamma(l+h1) Gamma(l+h2) / Gamma(c), from
+the fitted model's parameters.  On the cut the imaginary part of 2F1 is the
+exact discontinuity, DLMF 15.2.3,
+
+    Im 2F1(a, b; c; x + i0) = pi Gamma(c) / (Gamma(a) Gamma(b) Gamma(mu+1))
+                              (x - 1)^mu 2F1(c-a, c-b; mu+1; 1-x),
+
+mu = c - a - b, valid because every fitted model is real (its cut sides are
+complex conjugates).  No i*eps nudge is used: a nudged argument is wrong by
+orders of magnitude once Gamma is tiny.  The decaying side, Im E <= 0, is
+the physical one.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from starkdim import STANDARD_SWEEP_RANGES, resonance, standard_model
+
+DIGITS = 60
+REL_TOL = 1e-12
+# below this the reference Gamma is too close to underflow to compare
+GAMMA_FLOOR = 1e-290
+
+
+def reference(model, field):
+    """(Delta, Gamma) at one nonzero field, to 60 digits."""
+    with mpmath.workdps(DIGITS):
+        h1 = mpmath.mpc(model.h1.real, model.h1.imag)
+        h2 = mpmath.mpc(model.h2.real, model.h2.imag)
+        h3 = mpmath.mpf(model.h3.real)
+        h4 = mpmath.mpf(model.h4.real)
+        l = mpmath.mpf(model.l)
+        z = (mpmath.mpf(field) / 4) ** 2
+        c = h1 + h2 + l
+        pref = mpmath.gamma(l + h1) * mpmath.gamma(l + h2) / mpmath.gamma(c)
+        x = 1 + h3 * z
+        re_f = mpmath.re(mpmath.hyp2f1(h1, h2, c, x))
+        im_f = mpmath.mpf(0)
+        if x > 1:
+            im_f = mpmath.re(
+                mpmath.pi * mpmath.gamma(c)
+                / (mpmath.gamma(h1) * mpmath.gamma(h2) * mpmath.gamma(l + 1))
+                * (x - 1) ** l
+                * mpmath.hyp2f1(c - h1, c - h2, l + 1, 1 - x))
+        energy = model.e0 * (1 + h4 * z * pref * mpmath.mpc(re_f, im_f))
+        return float(mpmath.re(energy)), float(2 * abs(mpmath.im(energy)))
+
+
+def field_at(model, x):
+    """Field whose continuation argument 1 + h3 (F/4)^2 equals x."""
+    return 4.0 * math.sqrt((x - 1.0) / model.h3.real)
+
+
+def assert_matches(model, fields):
+    for field in fields:
+        point = resonance(model, float(field))
+        delta, gamma = reference(model, float(field))
+        assert abs(point.delta - delta) <= REL_TOL * abs(delta), field
+        if gamma >= GAMMA_FLOOR:
+            assert abs(point.gamma - gamma) <= REL_TOL * gamma, field
+
+
+@pytest.mark.parametrize("alpha,top", STANDARD_SWEEP_RANGES)
+def test_standard_grid_subsample(models, alpha, top):
+    assert_matches(models[alpha], np.linspace(0.0, top, 101)[1::10])
+
+
+@pytest.mark.parametrize("alpha", [7.0, 20.0, 1.2])
+def test_log_grid(alpha):
+    assert_matches(standard_model(alpha), np.geomspace(1e-3, 1e3, 13))
+
+
+@pytest.mark.parametrize("l", [12.3, 60.0])
+def test_other_branch_powers(l):
+    """The generic value's imaginary part is least accurate just past the
+    route seam at x = 11 when l is large: 6.2e-13 at l = 60."""
+    model = standard_model(3.0, l=l)
+    seam = [field_at(model, x) for x in (10.5, 11.0, 11.5)]
+    assert_matches(model, list(np.linspace(0.05, 1.0, 10)) + seam)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1.5])
+def test_route_seam_and_old_budget_edge(models, alpha):
+    """Either side of x = 11, where the imaginary part switches from the
+    reflected series to the generic value, and x = 144, past which the
+    reflected series once ran out of terms."""
+    model = models[alpha]
+    xs = (10.5, 11.0, 11.5, 143.0, 144.0, 145.0)
+    assert_matches(model, [field_at(model, x) for x in xs])
+
+
+def test_rate_from_unrounded_offset():
+    """At alpha = 1.01, l = 4.5 (h3 ~ 1.5e-12) 1 + h3 z keeps only a few
+    significant digits of h3 z; Gamma still matches to full precision."""
+    assert_matches(standard_model(1.01, l=4.5), (0.104, 0.33, 3.3))
+
+
+def test_argument_below_cut():
+    """At alpha = 3, l = 4.5 the fit has h3 < 0: 1 + h3 z stays below the
+    cut, where the real model does not decay."""
+    model = standard_model(3.0, l=4.5)
+    assert model.h3.real < 0.0
+    assert_matches(model, (0.1, 1.0, 10.0))
+    assert all(resonance(model, f).gamma == 0.0 for f in (0.1, 1.0, 10.0))

@@ -182,13 +182,13 @@ def test_weak_field_matches_perturbation_theory(models, series_map):
 
 def test_one_2f1_evaluation_per_point(models, monkeypatch):
     calls = []
-    original = starkdim.resum.gauss_2f1
+    original = starkdim.resum.gauss_2f1_cut
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("cut_side"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(starkdim.resum, "gauss_2f1", counting)
+    monkeypatch.setattr(starkdim.resum, "gauss_2f1_cut", counting)
     for alpha, top in STANDARD_SWEEP_RANGES:
         calls.clear()
         grid = np.linspace(0.0, top, 101)

@@ -5,19 +5,28 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starkdim import complex_gamma, gauss_2f1, near_unit_f0, rising_factorial
+from starkdim import (
+    STANDARD_SWEEP_RANGES,
+    complex_gamma,
+    gauss_2f1,
+    near_unit_f0,
+    rising_factorial,
+    sweep,
+)
 from starkdim import specfun
 from starkdim.errors import (
+    NonConvergent,
     OnBranchCut,
     OutOfRange,
     PoleError,
     TruncationBeyondPole,
 )
-from starkdim.specfun import _rgamma, _series_2f1, _unit_log_positive
+from starkdim.specfun import _rgamma, _series_2f1, _unit_log_positive, gauss_2f1_cut
 
 mp.mp.dps = 30
 
@@ -135,6 +144,59 @@ def test_2f1_cut_requires_side():
         gauss_2f1(0.6, 0.8, 4.4, 2.5)
     # off the cut no side is needed
     gauss_2f1(0.6, 0.8, 4.4, 0.5)
+    with pytest.raises(OnBranchCut):
+        gauss_2f1_cut(0.6, 0.8, 4.4, 1.5)
+    assert gauss_2f1_cut(0.6, 0.8, 4.4, -0.5) == gauss_2f1(0.6, 0.8, 4.4, 0.5)
+
+
+def test_2f1_cut_offset_entry_point():
+    """gauss_2f1 on the cut is gauss_2f1_cut at v = w - 1; a polynomial
+    needs no side and stays real."""
+    h1 = 0.57715234937124937 - 0.17707420101201338j
+    c = 2 * h1.real + 30.0
+    for x in (1.3, 10.9, 11.2, 40.0):
+        for side in (1, -1):
+            assert gauss_2f1(h1, h1.conjugate(), c, x, cut_side=side) == (
+                gauss_2f1_cut(h1, h1.conjugate(), c, x - 1.0, cut_side=side)
+            )
+    assert gauss_2f1_cut(-3, 2.5, 1.7, 4.0, cut_side=1) == gauss_2f1(-3, 2.5, 1.7, 5.0)
+
+
+def test_reflected_series_only_below_seam(models, monkeypatch):
+    """Over the four standard grids the reflected series runs only where
+    x = 1 + v <= 11: 51 times in all."""
+    seen = []
+    original = specfun._reflection_series
+
+    def spy(a, b, c, v):
+        seen.append(1.0 + v)
+        return original(a, b, c, v)
+
+    monkeypatch.setattr(specfun, "_reflection_series", spy)
+    for alpha, top in STANDARD_SWEEP_RANGES:
+        sweep(models[alpha], np.linspace(0.0, top, 101))
+    assert len(seen) == 51
+    assert max(seen) <= 11.0
+
+
+def test_reflected_series_failure_keeps_generic_value(monkeypatch):
+    """If the reflected series does not converge, an on-cut value is the
+    generic one nudged to the chosen side, and nothing is raised."""
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise NonConvergent("forced")
+
+    monkeypatch.setattr(specfun, "_reflection_series", fail)
+    h1 = 0.57715234937124937 - 0.17707420101201338j
+    c = 2 * h1.real + 30.0
+    for x in (1.3, 5.0):
+        for side in (1, -1):
+            got = gauss_2f1(h1, h1.conjugate(), c, x, cut_side=side)
+            generic = gauss_2f1(h1, h1.conjugate(), c, complex(x, side * 1e-300))
+            assert got == generic
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("params", [(0.6, 0.8, 4.4),

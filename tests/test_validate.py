@@ -58,3 +58,21 @@ def test_moment_matches_series_directly(models, series_map):
     value = dispersion_coefficient(models[3.0], 2)
     exact = float(series_map[3.0].e_coeffs[2])
     assert value == pytest.approx(exact, rel=0.05)
+
+
+# relative errors of dispersion_report's moments n = 2, 3, 4 as measured at
+# the four standard dimensions; criterion 08 allows 0.05/0.05/0.10, so this
+# pin is what keeps a faster evaluation from quietly losing digits
+PINNED_ERRORS = {
+    3.0: (1.4e-12, 3.6e-12, 4.0e-12),
+    2.5: (6.5e-8, 4.9e-13, 6.2e-12),
+    2.0: (1.9e-6, 6.2e-11, 1.0e-11),
+    1.5: (1.06e-5, 7.9e-10, 2.4e-12),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PINNED_ERRORS))
+def test_dispersion_accuracy_pinned(models, series_map, alpha):
+    report = dispersion_report(models[alpha], series_map[alpha])
+    for e, pinned in zip(report.entries, PINNED_ERRORS[alpha]):
+        assert e.relative_error <= max(2.0 * pinned, 1e-9), e.n
