@@ -9,10 +9,15 @@ infinity fixes the channel separation coefficients a_k.  Composing the two
 channel series under the constraint that the separation constants sum to the
 inverse energy scale yields the even energy coefficients E_{2n}.
 
-Everything is exact: coefficients are rationals, or rational-coefficient
-polynomials in the symbolic mode.  Floating point enters only when the
-caller supplies a non-rational dimension, in which case the identical
-recursion runs in double precision.
+The recursion is division-free: it uses only +, - and * on the channel
+scale p = (alpha - 1)/2 and small integers, so every value it forms is an
+integer polynomial in p (an element of Z[p]).  The symbolic mode runs it on
+integer-coefficient polynomials in p.  At rational alpha, with p = P/q in
+lowest terms, each value is an integer over a power of q fixed by its place
+in the recursion, so the exact mode runs on plain ints that carry that one
+power-of-q denominator implicitly.  A float alpha runs the identical
+recursion in double precision.  Fraction and RationalPolynomial appear only
+at the API boundary, where the engine's ints become exact results.
 """
 
 from __future__ import annotations
@@ -64,22 +69,8 @@ class RationalPolynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> "RationalPolynomial":
-        return cls((Fraction(1),))
-
-    @classmethod
     def constant(cls, value) -> "RationalPolynomial":
         return cls((Fraction(value),))
-
-    @classmethod
-    def variable(cls) -> "RationalPolynomial":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def monomial(cls, power: int, coefficient=1) -> "RationalPolynomial":
-        if power < 0:
-            raise OutOfRange("monomial power must be nonnegative")
-        return cls((Fraction(0),) * power + (Fraction(coefficient),))
 
     @property
     def degree(self) -> int:
@@ -147,26 +138,11 @@ class RationalPolynomial:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise OutOfRange("polynomial power must be a nonnegative integer")
-        out = RationalPolynomial.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def evaluate(self, value):
         """Horner evaluation; exact for Rational input, float otherwise."""
         acc = Fraction(0) if isinstance(value, Rational) else 0.0
         for c in reversed(self.coefficients):
             acc = acc * value + c
-        return acc
-
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Substitute ``inner`` for the variable."""
-        acc = RationalPolynomial.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * inner + RationalPolynomial.constant(c)
         return acc
 
     def divide_exact(self, divisor: "RationalPolynomial") -> "RationalPolynomial":
@@ -421,32 +397,102 @@ def reference_factor_polynomial(n: int) -> RationalPolynomial:
 # ---------------------------------------------------------------------------
 # ring-generic recursion engine
 #
-# The helpers below run over any commutative ring given its multiplicative
-# identity: exact rationals, floats, or RationalPolynomial values in the
-# channel scale p.  Only +, -, * and small-integer mixing are used, so the
-# exact modes stay exact.
+# The helpers below use only +, - and * on ring elements and small ints.
+# The channel scale enters as p = P/q, with P a ring element and q an int,
+# so every value is an integer polynomial in p whose degree is bounded by
+# its place in the recursion.  Each value is carried times q to that bound,
+# which makes it an integer: the x^t coefficient of z_k times q^(4k-1-2t),
+# that of the order-k source term times q^(4k-2-2t), a_k times q^(4k), and
+# the u^n coefficients of y, B and B^2 times q^(8n).  These powers add along
+# every product the recursion forms, so all terms of a sum carry the same
+# power and nothing is ever rescaled; q itself appears only in the (t + 1)
+# factor of the solve and the (p + j) factors of the moment route.  Rings:
+#   - exact mode, rational alpha: Python ints, with P/q = p in lowest
+#     terms; the power of q is divided out once per value when results
+#     become Fractions;
+#   - symbolic mode: _IntPoly in p, with P = p and q = 1;
+#   - float mode: floats, with P = p and q = 1, which leaves exactly the
+#     floating-point operations of the plain recursion.
+
+
+class _IntPoly:
+    """Polynomial in p with int coefficients: the symbolic mode's ring.
+
+    Coefficients ascend by power with no trailing zeros, so that equality
+    is structural; an int on the right acts as a constant.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coefficients):
+        c = list(coefficients)
+        while c and not c[-1]:
+            c.pop()
+        self.c = c
+
+    def __add__(self, other):
+        a = self.c
+        b = other.c if isinstance(other, _IntPoly) else [other]
+        if len(a) < len(b):
+            a, b = b, a
+        out = a[:]
+        for i, x in enumerate(b):
+            out[i] += x
+        return _IntPoly(out)
+
+    def __neg__(self):
+        return _IntPoly([-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a = self.c
+        if not isinstance(other, _IntPoly):
+            return _IntPoly([x * other for x in a])
+        b = other.c
+        if not a or not b:
+            return _IntPoly(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _IntPoly(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, _IntPoly):
+            return NotImplemented
+        return self.c == other.c
 
 
 def _source(rows, k, one, zero, sign):
     """Inhomogeneous term of the order-k channel relation.
 
     rows[i-1] holds the coefficients of z_i.  The order-1 source is the bare
-    field term sign*x; higher orders carry minus the self-convolution of the
-    earlier corrections.
+    field term sign*x; higher orders carry minus the self-convolution
+    sum_{i=1}^{k-1} z_i z_{k-i}.  Its (i, k-i) and (k-i, i) products are
+    equal, so each unordered pair is convolved once and doubled, and the
+    middle square (even k) is added once.
     """
-    src = [zero] * (k + 1)
     if k == 1:
-        src[1] = one if sign > 0 else -one
-    for i in range(1, k):
-        zi = rows[i - 1]
+        return [zero, one if sign > 0 else -one]
+    acc = [zero] * (k + 1)
+    for i in range(1, (k + 1) // 2):
         zj = rows[k - i - 1]
+        for m, cm in enumerate(rows[i - 1]):
+            for n, cn in enumerate(zj, m):
+                acc[n] = acc[n] + cm * cn
+    acc = [s + s for s in acc]
+    if k % 2 == 0:
+        zi = rows[k // 2 - 1]
         for m, cm in enumerate(zi):
-            for n, cn in enumerate(zj):
-                src[m + n] = src[m + n] - cm * cn
-    return src
+            for n, cn in enumerate(zi, m):
+                acc[n] = acc[n] + cm * cn
+    return [-s for s in acc]
 
 
-def _solve_down(src, p, zero):
+def _solve_down(src, P, q, zero):
     """Unique polynomial solution of the order-k relation.
 
     Matching powers from the highest down determines every coefficient
@@ -455,13 +501,13 @@ def _solve_down(src, p, zero):
     """
     k = len(src) - 1
     c = [zero] * (k + 1)
-    c[k] = -(p * src[k])
+    c[k] = -(P * src[k])
     for t in range(k - 1, -1, -1):
-        c[t] = p * (c[t + 1] * (t + 1) + c[t + 1] * p - src[t])
-    return c, -(p * c[0])
+        c[t] = P * (c[t + 1] * ((t + 1) * q) + c[t + 1] * P - src[t])
+    return c, -(P * c[0])
 
 
-def _moment_route(src, p, zero):
+def _moment_route(src, P, q, zero):
     """Separation coefficient from the weighted-moment solvability condition.
 
     Each moment of x^j against the channel weight contributes
@@ -469,12 +515,12 @@ def _moment_route(src, p, zero):
     route independent of the coefficient solve above.
     """
     total = zero
-    power = p
-    rising = p
+    power = P
+    rising = P
     for j, s in enumerate(src):
         if j:
-            power = power * p
-            rising = rising * (p + j)
+            power = power * P
+            rising = rising * (P + j * q)
         total = total + s * power * rising
     return total
 
@@ -486,15 +532,16 @@ def _routes_agree(u, v) -> bool:
     return u == v
 
 
-def _logderiv_run(p, one, order, sign):
-    """z_1..z_order coefficient rows and a_1..a_order over the ring of p."""
+def _logderiv_run(P, q, one, order, sign):
+    """z_1..z_order coefficient rows and a_1..a_order over the ring of P,
+    carried with their powers of q (see above)."""
     zero = one - one
     rows = []
     a_vals = []
     for k in range(1, order + 1):
         src = _source(rows, k, one, zero, sign)
-        coeffs, a_origin = _solve_down(src, p, zero)
-        a_moment = _moment_route(src, p, zero)
+        coeffs, a_origin = _solve_down(src, P, q, zero)
+        a_moment = _moment_route(src, P, q, zero)
         if not _routes_agree(a_origin, a_moment):
             raise NumericalError(
                 f"order {k}: origin and moment routes for the separation"
@@ -531,17 +578,17 @@ def _ser_inverse_unit(s, order, one, zero):
     return tuple(inv)
 
 
-def _beta_series(a_even, order, one):
+def _beta_series(a_vals, order, one):
     """Inverse-energy-scale series B(u) solving 1/B = 2 sum a_{2n} u^n B^-6n.
 
-    One incremental pass over y = 1/B, which obeys y = sum 2 a_{2n} u^n y^6n
-    with y_0 = 1.  The u^k coefficient of the right side involves only
-    y_0..y_{k-1}, so each order fixes y_k outright and then extends the
-    power tables y^2, y^3, y^6 and y^6n by one coefficient each; B is the
-    division-free reciprocal of y.
+    ``a_vals`` holds a_1..a_{2 order}.  One incremental pass over y = 1/B,
+    which obeys y = sum 2 a_{2n} u^n y^6n with y_0 = 2 a_0 = 1.  The u^k
+    coefficient of the right side involves only y_0..y_{k-1}, so each order
+    fixes y_k outright and then extends the power tables y^2, y^3, y^6 and
+    y^6n by one coefficient each; B is the division-free reciprocal of y.
     """
     zero = one - one
-    two_a = [a + a for a in a_even]
+    two_a = [a + a for a in a_vals[1::2]]  # two_a[n-1] = 2 a_{2n}
     y, y2, y3, y6 = [one], [one], [one], [one]
     powers = [None, y6]  # powers[n]: leading coefficients of y^6n
     for k in range(1, order + 1):
@@ -554,9 +601,32 @@ def _beta_series(a_even, order, one):
             powers.append([one])
         acc = zero
         for n in range(1, k + 1):
-            acc = acc + two_a[n] * powers[n][k - n]
+            acc = acc + two_a[n - 1] * powers[n][k - n]
         y.append(acc)
     return _ser_inverse_unit(tuple(y), order, one, zero)
+
+
+def _exact_run(p: Fraction, order: int, sign: int):
+    """Exact-mode engine run at p = P/q: rows and a_k as Fractions."""
+    q = p.denominator
+    rows, a_vals = _logderiv_run(p.numerator, q, 1, order, sign)
+    rows = [
+        tuple(Fraction(c, q ** (4 * k - 1 - 2 * t)) for t, c in enumerate(row))
+        for k, row in enumerate(rows, 1)
+    ]
+    return rows, [Fraction(a, q ** (4 * k)) for k, a in enumerate(a_vals, 1)]
+
+
+def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
+    """f((alpha - 1)/2) / scale for int coefficients f (ascending in p)."""
+    m = len(f) - 1
+    acc = []  # 2^m f((alpha - 1)/2), built by Horner's rule in ints
+    for i in range(m, -1, -1):
+        acc = [0] + acc
+        for j in range(len(acc) - 1):
+            acc[j] -= acc[j + 1]
+        acc[0] += f[i] << (m - i)
+    return RationalPolynomial(tuple(Fraction(c, scale << m) for c in acc))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +653,7 @@ def logderiv_step(k: int, previous, params: DimensionParams):
         alpha = Fraction(params.alpha)
         z0 = RationalPolynomial.constant(Fraction(1) / (1 - alpha))
         return LogDerivSeries(0, z0), Fraction(1, 2)
-    rows, a_vals = _logderiv_run(Fraction(params.p), Fraction(1), k, +1)
+    rows, a_vals = _exact_run(Fraction(params.p), k, +1)
     return LogDerivSeries(k, RationalPolynomial(rows[-1])), a_vals[-1]
 
 
@@ -595,8 +665,7 @@ def separation_series(params: DimensionParams, order: int, sign: int) -> Separat
     if sign not in (1, -1):
         raise OutOfRange("sign must be +1 or -1")
     _validate_alpha(params.alpha)
-    p = Fraction(params.p)
-    _, a_vals = _logderiv_run(p, Fraction(1), order, sign)
+    _, a_vals = _exact_run(Fraction(params.p), order, sign)
     coeffs = (Fraction(1, 2),) + tuple(a_vals)
     return SeparationSeries(sign=sign, coefficients=coeffs)
 
@@ -604,30 +673,33 @@ def separation_series(params: DimensionParams, order: int, sign: int) -> Separat
 def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeries:
     """Even energy coefficients E_{2n} for n = 0..order at fixed dimension.
 
-    Rational ``alpha`` runs the recursion and composition exactly; float
-    ``alpha`` runs the identical algorithm in double precision.
+    Rational ``alpha`` runs the recursion on ints and returns Fractions;
+    float ``alpha`` runs the identical algorithm in double precision.
     """
     if not isinstance(order, int) or order < 1:
         raise OutOfRange("order must be an integer >= 1")
     if order > cap:
         raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
     params = unperturbed_params(alpha)
-    if _is_exact(params.alpha):
-        one = Fraction(1)
+    exact = _is_exact(params.alpha)
+    if exact:
+        P, q, one = params.p.numerator, params.p.denominator, 1
     else:
-        one = 1.0
-    p = params.p
-    _, a_vals = _logderiv_run(p, one, 2 * order, +1)
-    a_even = [one / 2] + [a_vals[2 * n - 1] for n in range(1, order + 1)]
-    beta = _beta_series(a_even, order, one)
-    zero = one - one
-    beta_sq = [_cauchy(beta, beta, n, zero) for n in range(order + 1)]
-    sixteenth = one / 16
-    e_coeffs = []
-    scale = one
-    for n in range(order + 1):
-        e_coeffs.append(params.e0 * beta_sq[n] * scale)
-        scale = scale * sixteenth
+        P, q, one = params.p, 1, 1.0
+    _, a_vals = _logderiv_run(P, q, one, 2 * order, +1)
+    beta = _beta_series(a_vals, order, one)
+    beta_sq = [_cauchy(beta, beta, n, one - one) for n in range(order + 1)]
+    if exact:
+        # beta_n and its square carry q^(8n); e0 = -q^2 / (2 P^2)
+        beta = tuple(Fraction(b, q ** (8 * n)) for n, b in enumerate(beta))
+        e_coeffs = [
+            Fraction(-s * q * q, 2 * P * P * 16 ** n * q ** (8 * n))
+            for n, s in enumerate(beta_sq)
+        ]
+    else:
+        e_coeffs = [
+            math.ldexp(params.e0 * s, -4 * n) for n, s in enumerate(beta_sq)
+        ]
     return EnergySeries(
         alpha=params.alpha,
         order=order,
@@ -639,26 +711,22 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
 def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> SymbolicEnergySeries:
     """E_{2n} for n = 1..order as exact polynomials in alpha.
 
-    The recursion runs over polynomials in the channel scale p; the overall
-    -1/(2 p^2) energy scale divides out exactly (every composed coefficient
-    carries at least p^2), and p = (alpha - 1)/2 is substituted at the end.
+    The recursion runs over integer polynomials in the channel scale p; the
+    overall -1/(2 p^2) energy scale divides out exactly (every composed
+    coefficient carries at least p^2), and p = (alpha - 1)/2 is substituted
+    at the end.
     """
     if not isinstance(order, int) or order < 1:
         raise OutOfRange("order must be an integer >= 1")
     if order > cap:
         raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
-    p = RationalPolynomial.variable()
-    one = RationalPolynomial.one()
-    _, a_vals = _logderiv_run(p, one, 2 * order, +1)
-    a_even = [RationalPolynomial.constant(Fraction(1, 2))]
-    a_even += [a_vals[2 * n - 1] for n in range(1, order + 1)]
-    beta = _beta_series(a_even, order, one)
-    zero = RationalPolynomial.zero()
-    d = [_cauchy(beta, beta, n, zero) for n in range(order + 1)]
-    p_squared = RationalPolynomial.monomial(2)
-    half_shift = RationalPolynomial((Fraction(-1, 2), Fraction(1, 2)))
+    one = _IntPoly((1,))
+    _, a_vals = _logderiv_run(_IntPoly((0, 1)), 1, one, 2 * order, +1)
+    beta = _beta_series(a_vals, order, one)
     polys = []
     for n in range(1, order + 1):
-        scaled = d[n] * Fraction(-1, 2 * 16 ** n)
-        polys.append(scaled.divide_exact(p_squared).compose(half_shift))
+        d = _cauchy(beta, beta, n, one - one).c
+        if any(d[:2]):
+            raise NumericalError(f"E_{2 * n} does not carry the factor p^2")
+        polys.append(_alpha_polynomial(d[2:], -2 * 16 ** n))
     return SymbolicEnergySeries(order=order, e_polys=tuple(polys))
