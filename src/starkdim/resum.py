@@ -129,7 +129,10 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     t_{k+1}/t_k * (k+1)(l-k-1) = h3 (P + k S + k^2) with S = h1 + h2 and
     P = h1 h2, so three consecutive ratios determine (h3, S, P) linearly;
     h1, h2 are the roots of x^2 - S x + P and h4 = t_0 / Gamma(l).  The
-    result is verified by re-expansion before it is returned.
+    result is verified by re-expansion before it is returned.  A fit with
+    h3 < 0 never reaches the cut (Gamma = 0 at every field), which happens
+    for l below about 4.45 at alpha = 1.01, 4.95 at 3 and 7.0 at 20; it
+    raises ``DegenerateSeries``.
     """
     if not l > 4:
         raise InvalidL("branch power l must exceed 4")
@@ -148,6 +151,10 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     scale = max(abs(x) for x in r)
     if abs(h3) <= 1e-14 * scale:
         raise DegenerateSeries("ratio system is singular (h3 ~ 0)")
+    if h3 < 0.0:
+        raise DegenerateSeries(
+            f"fit has no branch cut at positive field (alpha={series.alpha},"
+            f" l={l}): h3 = {h3:.6g} < 0")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
     root = cmath.sqrt(complex(s_sum * s_sum - 4.0 * prod))
@@ -186,13 +193,13 @@ def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
     return worst
 
 
-def resonance(model: HypModel, field: float) -> ResonancePoint:
-    """Complex resonance energy at one field strength (field >= 0).
+def lower_side_energy(model: HypModel, field: float) -> complex:
+    """Model energy E(field - i0) on the lower side of the cut (field >= 0),
+    Im E unfolded: 2 Im E is the model's signed discontinuity.
 
     Zero field returns e0 exactly.  Otherwise the continuation is evaluated
-    once, at offset h3 z past w = 1 on the lower side of the cut; the upper
-    side is its conjugate (the model is real, see :class:`HypModel`), so
-    the decaying branch is that value with Im E made nonpositive.
+    once, at offset h3 z past w = 1; the upper side is its conjugate (the
+    model is real, see :class:`HypModel`).
     """
     field = float(field)
     if not field >= 0.0:
@@ -200,7 +207,7 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
     if not math.isfinite(field):
         raise OutOfRange("field must be finite")
     if field == 0.0:
-        return ResonancePoint(field=0.0, energy=complex(model.e0))
+        return complex(model.e0)
     z = (field / 4.0) ** 2
     c = model.h1 + model.h2 + model.l
     pref = (
@@ -209,9 +216,21 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
         / complex_gamma(model.l + model.h1 + model.h2)
     )
     f = gauss_2f1_cut(model.h1, model.h2, c, model.h3.real * z, cut_side=-1)
-    energy = model.e0 * (1.0 + model.h4 * z * pref * f)
+    return model.e0 * (1.0 + model.h4 * z * pref * f)
+
+
+def resonance(model: HypModel, field: float) -> ResonancePoint:
+    """Complex resonance energy at one field strength (field >= 0): the
+    decaying branch, :func:`lower_side_energy` with Im E made nonpositive.
+
+    For a complex pair (h1, h2) the model's Im E changes sign at high field,
+    first near F = 65 at alpha = 5/2, 98 at 2, 490 at 3, 589 at 3/2 and
+    7.2e4 at 11/10 (none up to 1e7 at alpha = 7 or 20); beyond that point
+    Gamma is the folded value 2 |Im E|.
+    """
+    energy = lower_side_energy(model, field)
     return ResonancePoint(
-        field=field, energy=complex(energy.real, -abs(energy.imag))
+        field=float(field), energy=complex(energy.real, -abs(energy.imag))
     )
 
 

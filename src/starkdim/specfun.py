@@ -3,7 +3,8 @@
 Provides a complex Gamma function, rising factorials, the principal-branch
 Gauss hypergeometric function 2F1 for complex parameters with the cut on
 [1, inf), and the truncated analytic part of 2F1 around w = 1 that heads
-the integer-difference connection formula there.
+the integer-difference connection formula there, with the digamma function
+that formula needs (recurrence up to Re z >= 10, then DLMF 5.11.2).
 
 The 2F1 evaluator picks among the defining series and the standard argument
 transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
@@ -87,6 +88,30 @@ def complex_gamma(z) -> complex:
         acc += _LANCZOS_COEFFS[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+
+
+# B_2k / (2k), k = 1..7 (DLMF 24.2.1): the digamma series terms; at
+# |z| >= 10 the k = 8 term is below 2e-17 of the value
+_DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                   -691 / 32760, 1 / 12)
+
+
+def digamma(z) -> complex:
+    """Digamma function for complex argument: the recurrence
+    psi(z) = psi(z + 1) - 1/z up to Re z >= 10, then the asymptotic series
+    ln z - 1/(2z) - sum B_2k / (2k z^2k) (DLMF 5.11.2) through k = 7."""
+    z = complex(z)
+    if _nonpositive_integer(z):
+        raise PoleError(f"digamma pole at {z.real:g}")
+    shift = 0.0
+    while z.real < 10.0:
+        shift += 1.0 / z
+        z += 1.0
+    inv2 = 1.0 / (z * z)
+    series = 0.0
+    for coeff in reversed(_DIGAMMA_COEFFS):
+        series = (series + coeff) * inv2
+    return cmath.log(z) - 0.5 / z - series - shift
 
 
 def _rgamma(z) -> complex:
@@ -213,8 +238,6 @@ def _unit_log_positive(a, b, m: int, w) -> complex:
     Finite analytic head of m terms, empty at m = 0, plus a logarithmic tail
     starting at (w-1)^m.
     """
-    from scipy.special import digamma
-
     c = a + b + m
     xi = 1.0 - w
     v = w - 1.0
@@ -227,8 +250,8 @@ def _unit_log_positive(a, b, m: int, w) -> complex:
             * near_unit_f0(a, b, float(m), v, m - 1)
         )
     log_xi = cmath.log(xi)
-    psi_a = complex(digamma(complex(a + m)))
-    psi_b = complex(digamma(complex(b + m)))
+    psi_a = digamma(a + m)
+    psi_b = digamma(b + m)
     psi_k = -_EULER_GAMMA
     psi_km = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
     coeff = complex(1.0 / math.factorial(m))

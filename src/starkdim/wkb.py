@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationFailure, NoBarrier, NoReference
+from .errors import (DomainError, IntegrationFailure, NoBarrier,
+                     NonConvergent, NoReference)
 
 # Gamma values below this are too weak to anchor a calibration
 CALIBRATION_FLOOR = 1e-30
@@ -40,6 +41,10 @@ LANDAU_COMPARISON_RANGES = (
 _EXPONENT_ABS_TOL = 1e-10
 _QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
 _LEGENDRE_CACHE: dict = {}
+# a root step this small relative to the iterate ends the search; bisection
+# alone resolves any bracket of doubles in about 2100 steps
+_ROOT_RTOL = 4.0 * 2.0**-52
+_ROOT_MAX_STEPS = 2200
 
 
 def _check_p(p: float) -> float:
@@ -100,19 +105,33 @@ def _cubic(p: float, field: float):
     return f, fprime
 
 
-def _polish(y: float, f, fprime) -> float:
-    for _ in range(3):
+def _bracketed_root(f, fprime, lo: float, hi: float, y: float) -> float:
+    """Zero of f between lo and hi, where f changes sign, searched from y:
+    a Newton step when it stays inside the shrinking bracket and at most
+    halves the step before it, a bisection otherwise, until a step is
+    within a few ulp."""
+    lo_negative = f(lo) < 0.0
+    step = hi - lo
+    for _ in range(_ROOT_MAX_STEPS):
+        fy = f(y)
+        if (fy < 0.0) == lo_negative:
+            lo = y
+        else:
+            hi = y
         d = fprime(y)
-        if d == 0.0:
-            break
-        y -= f(y) / d
-    return y
+        new = y - fy / d if d != 0.0 else math.inf
+        if abs(new - y) <= _ROOT_RTOL * abs(y):
+            return new
+        if not (lo < new < hi and abs(new - y) <= 0.5 * abs(step)):
+            new = 0.5 * (lo + hi)
+        step, y = new - y, new
+        if abs(step) <= _ROOT_RTOL * abs(y):
+            return y
+    raise NonConvergent(f"turning point not resolved in [{lo}, {hi}]")
 
 
 def turning_points(p: float, field: float) -> tuple:
     """Both positive zeros of the barrier potential, inner first."""
-    from scipy.optimize import brentq
-
     p = _check_p(p)
     field = _check_field(field)
     f, fprime = _cubic(p, field)
@@ -125,12 +144,15 @@ def turning_points(p: float, field: float) -> tuple:
     if f(y_min) >= 0.0:
         raise NoBarrier(f"field {field} is above the over-barrier "
                         f"threshold for p={p}")
-    y1 = brentq(f, 0.0, y_min, xtol=1e-13)
     hi = 2.0 * y_min
     while f(hi) <= 0.0:
         hi *= 2.0
-    y2 = brentq(f, y_min, hi, xtol=1e-13)
-    return _polish(y1, f, fprime), _polish(y2, f, fprime)
+    # the zero-field root lies below y1 (f exceeds the field-free quadratic
+    # by field * y^3), and Newton descends monotonically onto y2 from hi,
+    # where f is convex and increasing
+    return (_bracketed_root(f, fprime, 0.0, y_min,
+                            zero_field_inner_turning_point(p)),
+            _bracketed_root(f, fprime, y_min, hi, hi))
 
 
 def _gauss_nodes(n: int):
@@ -150,7 +172,10 @@ def wkb_exponent(p: float, field: float) -> float:
     """
     p = _check_p(p)
     field = _check_field(field)
-    y1, y2 = turning_points(p, field)
+    return _exponent_between(p, field, *turning_points(p, field))
+
+
+def _exponent_between(p: float, field: float, y1: float, y2: float) -> float:
     # third (negative) root of the cubic from the root sum
     y3 = 1.0 / (field * p**2) - y1 - y2
     mid = 0.5 * (y1 + y2)
@@ -181,9 +206,12 @@ def wkb_transmittance(p: float, field: float) -> float:
 
 
 def barrier_model(p: float, field: float) -> BarrierModel:
+    p = _check_p(p)
+    field = _check_field(field)
     y1, y2 = turning_points(p, field)
-    return BarrierModel(p=float(p), field=float(field), y1=y1, y2=y2,
-                        transmittance=wkb_transmittance(p, field))
+    return BarrierModel(
+        p=p, field=field, y1=y1, y2=y2,
+        transmittance=math.exp(-_exponent_between(p, field, y1, y2)))
 
 
 def zero_field_inner_turning_point(p: float) -> float:

@@ -82,6 +82,15 @@ def test_unanchorable_calibration_is_numerical_error(capsys):
     assert "error:" in err
 
 
+def test_fit_without_cut_is_numerical_error(capsys):
+    # at l = 4.5 the alpha = 3 fit has h3 < 0: Gamma would be 0 everywhere
+    code, out, err = invoke(capsys, "sweep", "--alpha", "3",
+                            "--fields", "0:1:5", "--l", "4.5")
+    assert code == 3
+    assert out == ""
+    assert "alpha=3" in err and "l=4.5" in err and "h3 = -551.075" in err
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 
@@ -284,11 +293,24 @@ def test_module_entry_point():
 
 
 def test_cli_and_series_import_no_scipy():
+    commands = [
+        ["coeffs", "--alpha", "3"],
+        ["coeffs", "--alpha", "3", "--symbolic"],
+        ["fit", "--alpha", "3"],
+        ["sweep", "--alpha", "3", "--fields", "0:1:5"],
+        ["wkb", "--alpha", "3", "--fields", "0.05:0.3:6"],
+        ["dispersion", "--alpha", "3"],
+        ["reproduce", "--figure", "1"],
+        ["reproduce", "--figure", "2"],
+        ["reproduce", "--figure", "3"],
+    ]
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import starkdim.cli\n"
-        "starkdim.cli.build_parser()\n"
         "starkdim.energy_series(3, 8)\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert starkdim.cli.run(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],

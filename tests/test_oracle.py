@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from starkdim import STANDARD_SWEEP_RANGES, resonance, standard_model
+from starkdim import STANDARD_SWEEP_RANGES, HypModel, resonance, standard_model
 
 DIGITS = 60
 REL_TOL = 1e-12
@@ -102,9 +102,12 @@ def test_rate_from_unrounded_offset():
 
 
 def test_argument_below_cut():
-    """At alpha = 3, l = 4.5 the fit has h3 < 0: 1 + h3 z stays below the
-    cut, where the real model does not decay."""
-    model = standard_model(3.0, l=4.5)
+    """A model with h3 < 0 keeps 1 + h3 z below the cut, where the real
+    model does not decay.  ``fit_model`` refuses such a fit, so the model
+    is built by hand from the alpha = 3, l = 4.5 fit parameters."""
+    model = HypModel(h1=-11.535122715567084 + 0j, h2=0.21748630540541214 + 0j,
+                     h3=-551.0753754658326 + 0j, h4=6.189965716638242 + 0j,
+                     l=4.5, e0=-0.5, alpha=3.0)
     assert model.h3.real < 0.0
     assert_matches(model, (0.1, 1.0, 10.0))
     assert all(resonance(model, f).gamma == 0.0 for f in (0.1, 1.0, 10.0))

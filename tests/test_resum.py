@@ -104,6 +104,19 @@ def test_fit_near_alpha_one():
     assert resonance(model, 1e-9).gamma == 0.0
 
 
+@pytest.mark.parametrize("alpha", (1.5, 3, 20))
+def test_fit_without_cut_rejected(alpha):
+    """Below a threshold l*(alpha) the fit has h3 < 0: 1 + h3 z never
+    reaches the cut and every field would report Gamma = 0."""
+    with pytest.raises(DegenerateSeries) as info:
+        standard_model(alpha, l=4.5)
+    assert f"alpha={alpha}, l=4.5): h3 = -" in str(info.value)
+
+
+def test_fit_with_tiny_positive_h3_accepted():
+    assert 0.0 < standard_model(1.01, l=4.5).h3.real < 1e-11
+
+
 _REAL_MODEL = dict(h1=0.45 - 0.21j, h2=0.45 + 0.21j, h3=complex(1200.0),
                    h4=complex(3.7e-28), l=30.0, e0=-0.5, alpha=3.0)
 

@@ -88,6 +88,26 @@ def test_rising_factorial():
         rising_factorial(2.0, -1)
 
 
+def test_digamma_against_mpmath(models):
+    """40-digit oracle below Re z = 10 (recurrence), above it (asymptotic
+    series alone) and at the log connection's arguments h + 30 for the
+    standard models' upper parameters."""
+    rng = random.Random(5)
+    points = [complex(rng.uniform(-5, 60), rng.uniform(-20, 20))
+              for _ in range(500)]
+    points += [complex(x) for x in (0.5, 1.0, 2.0, 9.99, 10.0, -0.5, -4.5)]
+    points += [h + 30 for m in models.values() for h in (m.h1, m.h2)]
+    worst = 0.0
+    with mp.workdps(40):
+        for z in points:
+            ref = complex(mp.digamma(mp.mpc(z.real, z.imag)))
+            worst = max(worst, abs(specfun.digamma(z) - ref) / abs(ref))
+    assert worst <= 4e-15
+    for z in (0, -3):
+        with pytest.raises(PoleError):
+            specfun.digamma(z)
+
+
 # ---------------------------------------------------------------------------
 # 2F1 regions vs mpmath
 

@@ -1,15 +1,20 @@
 """Dispersion moments: the rate integral must reproduce the series."""
 
+from fractions import Fraction
+
 import pytest
 
+import starkdim.validate
 from starkdim import (
     DispersionEntry,
     DispersionReport,
     dispersion_coefficient,
     dispersion_report,
     energy_series,
+    fit_model,
 )
 from starkdim.errors import DomainError, NotValid, OutOfRange
+from starkdim.resum import lower_side_energy
 
 
 def entry(n, rel=0.01):
@@ -76,3 +81,28 @@ def test_dispersion_accuracy_pinned(models, series_map, alpha):
     report = dispersion_report(models[alpha], series_map[alpha])
     for e, pinned in zip(report.entries, PINNED_ERRORS[alpha]):
         assert e.relative_error <= max(2.0 * pinned, 1e-9), e.n
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(5, 2), Fraction(2),
+                                   Fraction(3, 2), Fraction(11, 10),
+                                   Fraction(101, 100), Fraction(6),
+                                   Fraction(20)],
+                         ids=lambda a: f"{float(a):g}")
+def test_dispersion_identity(monkeypatch, alpha):
+    """The moments of the signed discontinuity reproduce the exact series
+    to the integrator's 1e-10 tolerance, also where Im E changes sign at
+    high field (alpha <= 3), and node_count is every rate evaluation made."""
+    calls = []
+
+    def counting(model, field):
+        calls.append(field)
+        return lower_side_energy(model, field)
+
+    monkeypatch.setattr(starkdim.validate, "lower_side_energy", counting)
+    series = energy_series(alpha, 4)
+    report = dispersion_report(fit_model(series), series)
+    for e in report.entries:
+        assert e.relative_error <= 1e-10, e.n
+        assert e.node_count == len(calls) == len(set(calls))
+        assert e.upper_cutoff == max(calls)
+    assert len(calls) <= 250

@@ -3,7 +3,6 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,13 +44,22 @@ def test_potential_domain():
         barrier_potential(1.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("p,field", BARRIER_CASES)
+# deep barriers: the turning points lie 13 and 15 decades apart, and the
+# inner one nearly as far below the end y_min of its search bracket
+DEEP_BARRIER_CASES = ((0.01, 1e-6), (0.01, 1e-8))
+
+
+@pytest.mark.parametrize("p,field", BARRIER_CASES + DEEP_BARRIER_CASES)
 def test_turning_points_against_cubic_roots(p, field):
     """The turning points are the two positive roots of the numerator
-    cubic; numpy's eigenvalue root finder is the oracle."""
+    cubic; mpmath's polynomial root finder at 40 digits is the oracle."""
     y1, y2 = turning_points(p, field)
-    roots = np.roots([field, -1.0 / p**2, 2.0, p * (2.0 - p)])
-    pos = sorted(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
+    with mp.workdps(40):
+        pm, fm = mp.mpf(p), mp.mpf(field)
+        roots = mp.polyroots([fm, -1 / pm**2, 2, pm * (2 - pm)],
+                             maxsteps=200, extraprec=60)
+        pos = sorted(float(mp.re(r)) for r in roots
+                     if abs(mp.im(r)) < mp.mpf(10) ** -30 and mp.re(r) > 0)
     assert len(pos) == 2
     assert y1 == pytest.approx(pos[0], rel=1e-12)
     assert y2 == pytest.approx(pos[1], rel=1e-12)
