@@ -12,6 +12,11 @@ the cut for every positive field, the continuation acquires an imaginary
 part at all field strengths; its physical branch (decaying states) is the
 one with Im E <= 0.
 
+Everything in E(field) that does not depend on the field -- G, and the
+Gamma products, digammas and route checks of the 2F1 continuation (a
+``specfun.Hyp2F1``) -- is computed once per :class:`HypModel`, on its first
+evaluation, and kept on the model; each field point then only sums series.
+
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
 slopes across dimensions.
@@ -23,6 +28,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +40,10 @@ from .errors import (
     NoIonization,
     NonlinearTail,
     NonPositiveSlope,
+    NumericalError,
     OutOfRange,
 )
-from .specfun import complex_gamma, gauss_2f1_cut, real_on_axis, rising_factorial
+from .specfun import Hyp2F1, complex_gamma, real_on_axis, rising_factorial
 
 DEFAULT_L = 30.0
 
@@ -82,6 +89,18 @@ class HypModel:
             raise OutOfRange(
                 "model parameters h1, h2 must be real or a conjugate pair"
             )
+
+    @cached_property
+    def _continuation(self):
+        """(G, 2F1(h1, h2; h1+h2+l; .)) with every parameter-only constant
+        of the continuation computed: built on the first evaluation and
+        kept with the model, so each further field point only sums series."""
+        pref = (
+            complex_gamma(self.l + self.h1)
+            * complex_gamma(self.l + self.h2)
+            / complex_gamma(self.l + self.h1 + self.h2)
+        )
+        return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l).precompute()
 
 
 @dataclass(frozen=True)
@@ -199,7 +218,8 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
 
     Zero field returns e0 exactly.  Otherwise the continuation is evaluated
     once, at offset h3 z past w = 1; the upper side is its conjugate (the
-    model is real, see :class:`HypModel`).
+    model is real, see :class:`HypModel`).  A ``NumericalError`` names
+    alpha, the field and the 2F1 formula that failed.
     """
     field = float(field)
     if not field >= 0.0:
@@ -209,13 +229,11 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
     if field == 0.0:
         return complex(model.e0)
     z = (field / 4.0) ** 2
-    c = model.h1 + model.h2 + model.l
-    pref = (
-        complex_gamma(model.l + model.h1)
-        * complex_gamma(model.l + model.h2)
-        / complex_gamma(model.l + model.h1 + model.h2)
-    )
-    f = gauss_2f1_cut(model.h1, model.h2, c, model.h3.real * z, cut_side=-1)
+    pref, hyp = model._continuation
+    try:
+        f = hyp.cut(model.h3.real * z, cut_side=-1)
+    except NumericalError as exc:
+        raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})") from exc
     return model.e0 * (1.0 + model.h4 * z * pref * f)
 
 

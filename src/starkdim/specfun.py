@@ -16,15 +16,24 @@ parameter-perturbation average.
 On the cut, w = 1 + v, :func:`gauss_2f1_cut` takes v itself and routes Im F
 by x = 1 + v: the DLMF 15.2.3 discontinuity up to x = 11, where its series
 converges fast; the generic value's own imaginary part beyond, or on failure.
+
+All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
+keeps every parameter-only constant (Gamma products, digammas, route
+checks) after the first evaluation that needs it.  :func:`gauss_2f1` and
+:func:`gauss_2f1_cut` build one per call; a fitted resummation model keeps
+its own (``resum.HypModel``), so a field sweep computes those constants
+once.  A ``NumericalError`` from a series names the formula it came from.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 
 from .errors import (
     NonConvergent,
+    NumericalError,
     OnBranchCut,
     OutOfRange,
     ParameterPole,
@@ -154,11 +163,14 @@ def near_unit_f0(h1, h2, l, z, order: int) -> complex:
     Gamma pole at k = l, so the truncation must stay below it.
     """
     _check_f0_order(l, order)
-    h1 = complex(h1)
-    h2 = complex(h2)
     l = float(l)
-    z = complex(z)
-    term = complex_gamma(l)
+    return _f0_sum(complex(h1), complex(h2), l, complex(z), order,
+                   complex_gamma(l))
+
+
+def _f0_sum(h1, h2, l, z, order, gamma_l) -> complex:
+    """:func:`near_unit_f0` given its leading coefficient Gamma(l)."""
+    term = gamma_l
     total = term
     for k in range(order):
         term = term * (h1 + k) * (h2 + k) * z / ((k + 1) * (l - 1 - k))
@@ -205,109 +217,6 @@ def _terminating_2f1(degree: int, a, b, c, w) -> complex:
     return total
 
 
-def _pfaff(a, b, c, w) -> complex:
-    return (1.0 - w) ** (-a) * _series_2f1(a, c - b, c, w / (w - 1.0))
-
-
-def _inf_connection(a, b, c, w) -> complex:
-    if _near_integer(b - a, _NEAR_INT_AB):
-        raise _Inapplicable
-    iw = 1.0 / w
-    t1 = (
-        complex_gamma(c)
-        * complex_gamma(b - a)
-        * _rgamma(b)
-        * _rgamma(c - a)
-        * (-w) ** (-a)
-        * _series_2f1(a, a - c + 1.0, a - b + 1.0, iw)
-    )
-    t2 = (
-        complex_gamma(c)
-        * complex_gamma(a - b)
-        * _rgamma(a)
-        * _rgamma(c - b)
-        * (-w) ** (-b)
-        * _series_2f1(b, b - c + 1.0, b - a + 1.0, iw)
-    )
-    return t1 + t2
-
-
-def _unit_log_positive(a, b, m: int, w) -> complex:
-    """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
-
-    Finite analytic head of m terms, empty at m = 0, plus a logarithmic tail
-    starting at (w-1)^m.
-    """
-    c = a + b + m
-    xi = 1.0 - w
-    v = w - 1.0
-    head = complex(0.0)
-    if m:
-        head = (
-            complex_gamma(c)
-            * _rgamma(a + m)
-            * _rgamma(b + m)
-            * near_unit_f0(a, b, float(m), v, m - 1)
-        )
-    log_xi = cmath.log(xi)
-    psi_a = digamma(a + m)
-    psi_b = digamma(b + m)
-    psi_k = -_EULER_GAMMA
-    psi_km = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
-    coeff = complex(1.0 / math.factorial(m))
-    pow_xi = complex(1.0)
-    total = complex(0.0)
-    small = 0
-    for k in range(MAX_TERMS):
-        contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-        total += contrib
-        if abs(contrib) <= SERIES_RTOL * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
-        pow_xi = pow_xi * xi
-        psi_a += 1.0 / (a + m + k)
-        psi_b += 1.0 / (b + m + k)
-        psi_k += 1.0 / (k + 1)
-        psi_km += 1.0 / (k + m + 1)
-    else:
-        raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
-    tail = -complex_gamma(c) * _rgamma(a) * _rgamma(b) * v ** m * total
-    return head + tail
-
-
-def _unit_connection(a, b, c, w) -> complex:
-    mu = c - a - b
-    xi = 1.0 - w
-    if _near_integer(mu, _NEAR_INT_MU):
-        m = int(round(mu.real))
-        if m < 0:
-            # Euler transformation flips the sign of the integer difference
-            return xi ** mu * _unit_connection(c - a, c - b, c, w)
-        return _unit_log_positive(a, b, m, w)
-    t1 = (
-        complex_gamma(c)
-        * complex_gamma(mu)
-        * _rgamma(c - a)
-        * _rgamma(c - b)
-        * _series_2f1(a, b, 1.0 - mu, xi)
-    )
-    t2 = (
-        complex_gamma(c)
-        * complex_gamma(-mu)
-        * _rgamma(a)
-        * _rgamma(b)
-        * xi ** mu
-        * _series_2f1(c - a, c - b, 1.0 + mu, xi)
-    )
-    return t1 + t2
-
-
-_REGIONS = (_series_2f1, _pfaff, _unit_connection, _inf_connection)
-
 # Largest x = 1 + v at which Im F on the cut comes from the reflected series.
 # That series needs about 30 x terms: ~330 at x = 11, below MAX_TERMS, while
 # at x = 17 it already overruns.  From x - 1 = 10 on, the generic connection
@@ -334,32 +243,317 @@ def real_on_axis(a, b, c) -> bool:
     )
 
 
-def _cut_imag_part(a, b, c, v):
-    """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,
-    pi Gamma(c) v^mu 2F1(c-a, c-b; mu+1; -v) / (Gamma(a) Gamma(b) Gamma(mu+1)).
+class Hyp2F1:
+    """Principal-branch 2F1(a, b; c; .) at fixed parameters.
 
-    Chosen from x = 1 + v before any term is summed: applies when
-    :func:`real_on_axis` holds and x <= _REFLECTION_MAX_X.  None otherwise,
-    or if the series raises ``NonConvergent``: the caller then keeps the
-    generic value's imaginary part.
+    Calling an instance evaluates it at w (see :func:`gauss_2f1`);
+    :meth:`cut` evaluates it at w = 1 + v (see :func:`gauss_2f1_cut`).
+    Region choice is by smallest mapped modulus among the defining series
+    and the w/(w-1), 1-w and 1/w transformations.
+
+    What depends on (a, b, c) alone -- the Gamma products of the 1-w and 1/w
+    connections, the Gammas, digammas, harmonic sum and analytic head of the
+    logarithmic connection, the Gamma factors of the DLMF 15.2.3
+    discontinuity, and the checks that pick among these -- is computed on
+    the first evaluation that needs it and kept; :meth:`precompute` builds
+    all of it at once.  A kept product is always the left-most part of the
+    product the formula multiplies out, so every value is bit-identical to
+    computing it afresh.
     """
-    if 1.0 + v > _REFLECTION_MAX_X or not real_on_axis(a, b, c):
+
+    def __init__(self, a, b, c):
+        a, b, c = complex(a), complex(b), complex(c)
+        if _nonpositive_integer(c):
+            raise ParameterPole(f"third parameter {c} is a non-positive integer")
+        if (a.real, a.imag) > (b.real, b.imag):
+            a, b = b, a
+        self.a, self.b, self.c = a, b, c
+
+    # -- parameter-only constants ------------------------------------------
+
+    @cached_property
+    def _degree(self):
+        """Length of the terminating series when an upper parameter is a
+        non-positive integer (a polynomial has no cut), else None."""
+        for p in (self.b, self.a):
+            if _nonpositive_integer(p):
+                return int(-p.real)
         return None
-    mu = (c - a - b).real
-    if _nonpositive_integer(complex(mu + 1.0)):
+
+    @cached_property
+    def _mu(self) -> complex:
+        return self.c - self.a - self.b
+
+    @cached_property
+    def _gamma_c(self) -> complex:
+        return complex_gamma(self.c)
+
+    @cached_property
+    def _at_one(self):
+        """Gauss's sum 2F1(a, b; c; 1); None where it diverges."""
+        a, b, c, mu = self.a, self.b, self.c, self._mu
+        if mu.real <= 0:
+            return None
+        value = self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b)
+        # Im F on the cut goes as (x-1)^mu and vanishes here; a product
+        # of conjugate Gammas keeps only a rounding residue
+        if real_on_axis(a, b, c):
+            return complex(value.real, 0.0)
+        return value
+
+    @cached_property
+    def _inf_consts(self):
+        """Gamma prefixes of the two 1/w connection terms; None when b - a
+        is near an integer, where the formula is degenerate."""
+        a, b, c = self.a, self.b, self.c
+        if _near_integer(b - a, _NEAR_INT_AB):
+            return None
+        return (
+            self._gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
+            self._gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
+        )
+
+    @cached_property
+    def _log_m(self):
+        """c - a - b rounded to the integer m when within _NEAR_INT_MU of
+        it: the 1-w connection is then logarithmic.  None otherwise."""
+        if _near_integer(self._mu, _NEAR_INT_MU):
+            return int(round(self._mu.real))
         return None
-    try:
-        series = _reflection_series(a, b, c, v)
-    except NonConvergent:
-        return None
-    scale = (
-        math.pi
-        * v ** mu
-        * complex_gamma(c)
-        * _rgamma(mu + 1.0)
-        / (complex_gamma(a) * complex_gamma(b))
-    )
-    return (scale * series).real
+
+    @cached_property
+    def _unit_consts(self):
+        """Gamma prefixes of the two terms of the 1-w connection for
+        c - a - b away from an integer."""
+        a, b, c, mu = self.a, self.b, self.c, self._mu
+        return (
+            self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
+            self._gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
+        )
+
+    @cached_property
+    def _log_consts(self):
+        """Parameter-only parts of the logarithmic connection, m >= 0:
+        (head Gamma prefix, Gamma(m)) or None at m = 0, the tail's Gamma
+        prefix, psi(a+m), psi(b+m), psi(m+1) and 1/m!.  None when a + m or
+        b + m is so close to 0 that its digamma overflows."""
+        a, b, m = self.a, self.b, self._log_m
+        psi_a, psi_b = digamma(a + m), digamma(b + m)
+        if not (cmath.isfinite(psi_a) and cmath.isfinite(psi_b)):
+            return None
+        gamma_c = complex_gamma(a + b + m)
+        head = None
+        if m:
+            head = (gamma_c * _rgamma(a + m) * _rgamma(b + m),
+                    complex_gamma(float(m)))
+        return (
+            head,
+            -gamma_c * _rgamma(a) * _rgamma(b),
+            psi_a,
+            psi_b,
+            -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1)),
+            complex(1.0 / math.factorial(m)),
+        )
+
+    @cached_property
+    def _euler(self):
+        """2F1(c-a, c-b; c; .), whose 1-w connection serves a negative
+        integer c - a - b; its upper parameters stay in this order."""
+        euler = object.__new__(Hyp2F1)
+        euler.a, euler.b, euler.c = self.c - self.a, self.c - self.b, self.c
+        return euler
+
+    @cached_property
+    def _imag_consts(self):
+        """(mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b)) of the DLMF 15.2.3
+        discontinuity; None unless :func:`real_on_axis` holds and mu + 1 is
+        not a pole."""
+        a, b, c = self.a, self.b, self.c
+        if not real_on_axis(a, b, c):
+            return None
+        mu = self._mu.real
+        if _nonpositive_integer(complex(mu + 1.0)):
+            return None
+        return (mu, self._gamma_c, _rgamma(mu + 1.0),
+                complex_gamma(a) * complex_gamma(b))
+
+    @cached_property
+    def _nudged(self):
+        """The two parameter-perturbed functions averaged where every usable
+        region is degenerate."""
+        d1, d2 = 4e-6, 3e-6
+        return (Hyp2F1(self.a + d1, self.b - d2, self.c),
+                Hyp2F1(self.a - d1, self.b + d2, self.c))
+
+    def precompute(self) -> Hyp2F1:
+        """Build now every constant an evaluation could use, so that later
+        evaluations only sum series; returns the instance."""
+        if self._degree is None:
+            for name in ("_at_one", "_inf_consts", "_imag_consts"):
+                getattr(self, name)
+            m = self._log_m
+            if m is None:
+                getattr(self, "_unit_consts")
+            else:
+                getattr(self._euler if m < 0 else self, "_log_consts")
+        return self
+
+    # -- regions ------------------------------------------------------------
+
+    def _direct(self, w) -> complex:
+        return _series_2f1(self.a, self.b, self.c, w)
+
+    def _pfaff(self, w) -> complex:
+        a, b, c = self.a, self.b, self.c
+        return (1.0 - w) ** (-a) * _series_2f1(a, c - b, c, w / (w - 1.0))
+
+    def _inf(self, w) -> complex:
+        if self._inf_consts is None:
+            raise _Inapplicable
+        a, b, c = self.a, self.b, self.c
+        k1, k2 = self._inf_consts
+        iw = 1.0 / w
+        t1 = k1 * (-w) ** (-a) * _series_2f1(a, a - c + 1.0, a - b + 1.0, iw)
+        t2 = k2 * (-w) ** (-b) * _series_2f1(b, b - c + 1.0, b - a + 1.0, iw)
+        return t1 + t2
+
+    def _unit(self, w) -> complex:
+        a, b, c, mu = self.a, self.b, self.c, self._mu
+        xi = 1.0 - w
+        m = self._log_m
+        if m is not None:
+            if m < 0:
+                # Euler transformation flips the sign of the integer difference
+                return xi ** mu * self._euler._unit(w)
+            return self._log(w)
+        k1, k2 = self._unit_consts
+        t1 = k1 * _series_2f1(a, b, 1.0 - mu, xi)
+        t2 = k2 * xi ** mu * _series_2f1(c - a, c - b, 1.0 + mu, xi)
+        return t1 + t2
+
+    def _log(self, w) -> complex:
+        """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
+
+        Finite analytic head of m terms, empty at m = 0, plus a logarithmic
+        tail starting at (w-1)^m.
+        """
+        if self._log_consts is None:
+            raise _Inapplicable
+        a, b, m = self.a, self.b, self._log_m
+        head_consts, tail_pref, psi_a, psi_b, psi_km, coeff = self._log_consts
+        xi = 1.0 - w
+        v = w - 1.0
+        head = complex(0.0)
+        if m:
+            head_pref, gamma_m = head_consts
+            head = head_pref * _f0_sum(a, b, float(m), v, m - 1, gamma_m)
+        log_xi = cmath.log(xi)
+        psi_k = -_EULER_GAMMA
+        pow_xi = complex(1.0)
+        total = complex(0.0)
+        small = 0
+        for k in range(MAX_TERMS):
+            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+            total += contrib
+            if abs(contrib) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
+            coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
+            pow_xi = pow_xi * xi
+            psi_a += 1.0 / (a + m + k)
+            psi_b += 1.0 / (b + m + k)
+            psi_k += 1.0 / (k + 1)
+            psi_km += 1.0 / (k + m + 1)
+        else:
+            raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
+        return head + tail_pref * v ** m * total
+
+    # (method, formula named in error messages), indexed by region
+    _REGIONS = (("_direct", "defining series"), ("_pfaff", "w/(w-1) series"),
+                ("_unit", "1-w connection"), ("_inf", "1/w connection"))
+
+    # -- evaluation ---------------------------------------------------------
+
+    def __call__(self, w, cut_side=None) -> complex:
+        w = complex(w)
+        if self._degree is not None:
+            # a polynomial case is exact for every argument, cut included
+            return _terminating_2f1(self._degree, self.a, self.b, self.c, w)
+        if w == 0:
+            return complex(1.0)
+        if w.imag == 0.0:
+            x = w.real
+            if x == 1.0:
+                if self._at_one is None:
+                    raise NonConvergent("2F1 diverges at w = 1 for Re(c-a-b) <= 0")
+                return self._at_one
+            if x > 1.0:
+                return self.cut(x - 1.0, cut_side)
+        candidates = sorted(
+            (
+                (abs(w), 0),
+                (abs(w / (w - 1.0)), 1),
+                (abs(1.0 - w), 2),
+                (abs(1.0 / w), 3),
+            )
+        )
+        blocked = False
+        for rho, region in candidates:
+            if rho > _RHO_MAX:
+                continue
+            method, route = self._REGIONS[region]
+            try:
+                return getattr(self, method)(w)
+            except _Inapplicable:
+                blocked = True
+            except NumericalError as exc:
+                if method == "_unit" and self._log_m is not None:
+                    route = f"log connection (m={self._log_m})"
+                raise type(exc)(f"{exc} in the {route}") from exc
+        if not blocked:
+            raise NonConvergent(f"no series region applies at w = {w}")
+        # every usable region is parameter-degenerate: symmetric nudge of the
+        # upper parameters cancels the first-order perturbation error
+        fa, fb = self._nudged
+        return 0.5 * (fa(w) + fb(w))
+
+    def cut(self, v, cut_side=None) -> complex:
+        """Value at w = 1 + v for real v; see :func:`gauss_2f1_cut`."""
+        v = float(v)
+        x = 1.0 + v
+        if not v > 0.0 or self._degree is not None:
+            return self(x)  # off the cut, or a polynomial: no cut
+        if cut_side not in (1, -1):
+            raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
+        # every connection formula builds Im F on the cut from cancelling
+        # O(|F|) complex pieces; the reflection formula gives it directly
+        value = self(complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x)
+        im = self._cut_imag_part(v)
+        if im is not None:
+            value = complex(value.real, cut_side * im)
+        return value
+
+    def _cut_imag_part(self, v):
+        """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,
+        pi Gamma(c) v^mu 2F1(c-a, c-b; mu+1; -v) / (Gamma(a) Gamma(b) Gamma(mu+1)).
+
+        Chosen from x = 1 + v before any term is summed: applies when
+        :func:`real_on_axis` holds and x <= _REFLECTION_MAX_X.  None otherwise,
+        or if the series raises ``NonConvergent``: the caller then keeps the
+        generic value's imaginary part.
+        """
+        if 1.0 + v > _REFLECTION_MAX_X or self._imag_consts is None:
+            return None
+        mu, gamma_c, rgamma_mu1, gamma_ab = self._imag_consts
+        try:
+            series = _reflection_series(self.a, self.b, self.c, v)
+        except NonConvergent:
+            return None
+        scale = math.pi * v ** mu * gamma_c * rgamma_mu1 / gamma_ab
+        return (scale * series).real
 
 
 def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
@@ -371,65 +565,10 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     route for Im F there.  Values off the cut need no side.  Accuracy
     degrades when c - a - b sits within about 1e-6 of a nonzero integer
     without being within 1e-9 of it; the evaluation regions used by the
-    resummation layer never do that.
+    resummation layer never do that.  Repeated evaluation at one parameter
+    set should go through one :class:`Hyp2F1`.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    w = complex(w)
-    if _nonpositive_integer(c):
-        raise ParameterPole(f"third parameter {c} is a non-positive integer")
-    if (a.real, a.imag) > (b.real, b.imag):
-        a, b = b, a
-    # a polynomial case is exact for every argument, cut included
-    for p in (b, a):
-        if _nonpositive_integer(p):
-            return _terminating_2f1(int(-p.real), a, b, c, w)
-    if w == 0:
-        return complex(1.0)
-    if w.imag == 0.0:
-        x = w.real
-        if x == 1.0:
-            mu = c - a - b
-            if mu.real <= 0:
-                raise NonConvergent("2F1 diverges at w = 1 for Re(c-a-b) <= 0")
-            value = (
-                complex_gamma(c)
-                * complex_gamma(mu)
-                * _rgamma(c - a)
-                * _rgamma(c - b)
-            )
-            # Im F on the cut goes as (x-1)^mu and vanishes here; a product
-            # of conjugate Gammas keeps only a rounding residue
-            if real_on_axis(a, b, c):
-                return complex(value.real, 0.0)
-            return value
-        if x > 1.0:
-            return gauss_2f1_cut(a, b, c, x - 1.0, cut_side)
-    candidates = sorted(
-        (
-            (abs(w), 0),
-            (abs(w / (w - 1.0)), 1),
-            (abs(1.0 - w), 2),
-            (abs(1.0 / w), 3),
-        )
-    )
-    blocked = False
-    for rho, region in candidates:
-        if rho > _RHO_MAX:
-            continue
-        try:
-            return _REGIONS[region](a, b, c, w)
-        except _Inapplicable:
-            blocked = True
-    if not blocked:
-        raise NonConvergent(f"no series region applies at w = {w}")
-    # every usable region is parameter-degenerate: symmetric nudge of the
-    # upper parameters cancels the first-order perturbation error
-    d1, d2 = 4e-6, 3e-6
-    va = gauss_2f1(a + d1, b - d2, c, w)
-    vb = gauss_2f1(a - d1, b + d2, c, w)
-    return 0.5 * (va + vb)
+    return Hyp2F1(a, b, c)(w, cut_side)
 
 
 def gauss_2f1_cut(a, b, c, v, cut_side=None) -> complex:
@@ -442,19 +581,4 @@ def gauss_2f1_cut(a, b, c, v, cut_side=None) -> complex:
     relative accuracy even where 1 + v rounds to 1; beyond, or if that
     series does not converge, the generic value's imaginary part stands.
     """
-    v = float(v)
-    x = 1.0 + v
-    a, b, c = complex(a), complex(b), complex(c)
-    if not v > 0.0 or _nonpositive_integer(a) or _nonpositive_integer(b):
-        return gauss_2f1(a, b, c, x)  # off the cut, or a polynomial: no cut
-    if cut_side not in (1, -1):
-        raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
-    if (a.real, a.imag) > (b.real, b.imag):
-        a, b = b, a
-    # every connection formula builds Im F on the cut from cancelling
-    # O(|F|) complex pieces; the reflection formula gives it directly
-    value = gauss_2f1(a, b, c, complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x)
-    im = _cut_imag_part(a, b, c, v)
-    if im is not None:
-        value = complex(value.real, cut_side * im)
-    return value
+    return Hyp2F1(a, b, c).cut(v, cut_side)

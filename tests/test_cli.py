@@ -1,5 +1,6 @@
 """Command-line interface: parsing, formats, exit codes, atomic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from starkdim import energy_series, standard_model, symbolic_energy_series
+from starkdim import energy_series, specfun, standard_model, symbolic_energy_series
 from starkdim.cli import run
 
 
@@ -89,6 +90,18 @@ def test_fit_without_cut_is_numerical_error(capsys):
     assert code == 3
     assert out == ""
     assert "alpha=3" in err and "l=4.5" in err and "h3 = -551.075" in err
+
+
+def test_series_failure_is_numerical_error_with_context(capsys, monkeypatch):
+    # every series runs out of terms at once; the first nonzero field,
+    # F = 0.1, sits at x = 20.6 on the cut, in the 1/w region
+    monkeypatch.setattr(specfun, "MAX_TERMS", 0)
+    code, out, err = invoke(capsys, "sweep", "--alpha", "3",
+                            "--fields", "0:1:11")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: hypergeometric series exhausted 0 terms in the"
+                   " 1/w connection (alpha=3.0, field=0.1)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +252,31 @@ def test_repeated_json_output_is_identical(capsys):
     _, second, _ = invoke(capsys, "sweep", "--alpha", "3",
                           "--fields", "0:1:21", "--format", "json")
     assert first == second
+
+
+# sha256 of the output bytes, recorded before the 2F1 continuation constants
+# moved into a per-model object: a refactor of the numerics must keep them
+PINNED_DIGESTS = {
+    ("reproduce", "--figure", "1"):
+        "da8afd7827c215ef4018bb380af626ca31a60953cd812c221e02ff65a756213a",
+    ("reproduce", "--figure", "2"):
+        "427f23f5d90e0843ae949338962084356c3b519514e5a06449d34c758d64d51a",
+    ("reproduce", "--figure", "3"):
+        "8a4a9e1c224f4ebf628e325ac05e4e55e9292047d3ce11cb9a2c84a848032004",
+    ("sweep", "--alpha", "5/2", "--fields", "0:2:101"):
+        "7bd96d68cc2400b33ba0f416a305f1c11d8bf0956b44a8ddeaa535488d2ee7df",
+    ("wkb", "--alpha", "3", "--fields", "0.05:0.3:21"):
+        "28106e7bee3ff16a54b25921bcaf0fe7427bf19df63aea902aa5897ca18ebda4",
+    ("dispersion", "--alpha", "3/2", "--format", "json"):
+        "72262a2f3e18c82e537f6f71c91558d11c24de0695b2a971883da6756f017e55",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DIGESTS), ids="_".join)
+def test_output_bytes_pinned(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
 
 
 def test_output_file_written_atomically(tmp_path, capsys):

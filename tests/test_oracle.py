@@ -95,6 +95,19 @@ def test_route_seam_and_old_budget_edge(models, alpha):
     assert_matches(model, [field_at(model, x) for x in xs])
 
 
+# (alpha, F) drawn once: alpha uniform in [1.2, 20] and then (1, 1.2), F
+# log-uniform in [1e-3, 1e3] (numpy default_rng(7), rounded)
+SAMPLED_POINTS = [
+    (12.952, 241.7), (15.783, 0.02245), (6.843, 174.3), (1.299, 84.6),
+    (16.185, 0.6421), (6.897, 0.04683), (1.051, 0.4682), (1.1009, 2.094),
+]
+
+
+@pytest.mark.parametrize("alpha,field", SAMPLED_POINTS)
+def test_sampled_dimension_and_field(alpha, field):
+    assert_matches(standard_model(alpha), (field,))
+
+
 def test_rate_from_unrounded_offset():
     """At alpha = 1.01, l = 4.5 (h3 ~ 1.5e-12) 1 + h3 z keeps only a few
     significant digits of h3 z; Gamma still matches to full precision."""

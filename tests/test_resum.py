@@ -1,6 +1,8 @@
 """Continuation model: closed-form fit, resonance evaluation, tail fits."""
 
+import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkdim.resum
+from starkdim import specfun
 from starkdim import (
     STANDARD_SWEEP_RANGES,
     EnergySeries,
@@ -30,10 +33,12 @@ from starkdim.errors import (
     InsufficientData,
     InvalidL,
     NoIonization,
+    NonConvergent,
     NonlinearTail,
     NonPositiveSlope,
     OutOfRange,
 )
+from starkdim.specfun import Hyp2F1
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
 
@@ -195,18 +200,87 @@ def test_weak_field_matches_perturbation_theory(models, series_map):
 
 def test_one_2f1_evaluation_per_point(models, monkeypatch):
     calls = []
-    original = starkdim.resum.gauss_2f1_cut
+    original = Hyp2F1.cut
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(kwargs.get("cut_side"))
-        return original(*args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(starkdim.resum, "gauss_2f1_cut", counting)
+    monkeypatch.setattr(Hyp2F1, "cut", counting)
     for alpha, top in STANDARD_SWEEP_RANGES:
         calls.clear()
         grid = np.linspace(0.0, top, 101)
         sweep(models[alpha], grid)
         assert calls == [-1] * 100
+
+
+def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
+    """Gamma and digamma calls depend on the model alone: fresh copies of
+    the alpha = 3 model make as many for an 11-point sweep as for a
+    101-point one (130 and 1,325 Gamma calls when each point made its own)."""
+    counts = Counter()
+    for module, name in ((specfun, "complex_gamma"), (specfun, "digamma"),
+                         (starkdim.resum, "complex_gamma")):
+        def counting(z, original=getattr(module, name), name=name):
+            counts[name] += 1
+            return original(z)
+
+        monkeypatch.setattr(module, name, counting)
+    made = []
+    for n in (11, 101):
+        counts.clear()
+        model = dataclasses.replace(models[3.0])
+        sweep(model, np.linspace(0.0, 1.0, n))
+        made.append(dict(counts))
+    assert made[0] == made[1]
+    assert 0 < made[0]["complex_gamma"] < 40
+    assert made[0]["digamma"] == 2
+    counts.clear()
+    sweep(model, np.linspace(0.0, 1.0, 101))
+    assert not counts  # the model keeps what its first sweep built
+
+
+@pytest.mark.parametrize("x,route", [(1.05, "log connection (m=30)"),
+                                     (5.0, "1/w connection")])
+def test_series_failure_names_alpha_field_and_route(models, monkeypatch,
+                                                    x, route):
+    """A series that runs out of terms is reported with the model's alpha,
+    the field and the 2F1 formula it served; x = 1 + h3 (F/4)^2 picks it."""
+    model = models[3.0]
+    field = 4.0 * math.sqrt((x - 1.0) / model.h3.real)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 0)
+    with pytest.raises(NonConvergent) as info:
+        resonance(model, field)
+    message = str(info.value)
+    assert f"in the {route}" in message
+    assert f"alpha=3.0, field={field}" in message
+
+
+@given(alpha=st.floats(1.2, 20.0), log_field=st.floats(-3.0, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_rate_finite_and_positive(alpha, log_field):
+    """Every alpha in [1.2, 20] decays at every F in [1e-3, 1e3].  Gamma is
+    not monotone in F: at alpha = 3/2 it dips between F = 281.8 and 316.2."""
+    point = resonance(standard_model(alpha), 10.0 ** log_field)
+    assert math.isfinite(point.delta)
+    assert math.isfinite(point.gamma) and point.gamma > 0.0
+
+
+@given(alpha=st.floats(1.0, 1.2, exclude_min=True, exclude_max=True),
+       log_field=st.floats(-3.0, 3.0))
+@settings(max_examples=20, deadline=None)
+def test_rate_finite_near_unit_dimension(alpha, log_field):
+    """Towards alpha = 1 the weak-field rate underflows: to exactly 0 at
+    F = 1e-3 for alpha <= 1.1 (4.4e-316 at alpha = 1.12).  At alpha = 1 +
+    2^-52 the series itself degenerates, which the fit reports."""
+    try:
+        model = standard_model(alpha)
+    except DegenerateSeries as exc:
+        assert "vanishing series coefficient" in str(exc)
+        return
+    point = resonance(model, 10.0 ** log_field)
+    assert math.isfinite(point.delta)
+    assert math.isfinite(point.gamma) and point.gamma >= 0.0
 
 
 def test_rounded_unit_argument_has_no_decay():

@@ -26,7 +26,7 @@ from starkdim.errors import (
     PoleError,
     TruncationBeyondPole,
 )
-from starkdim.specfun import _rgamma, _series_2f1, _unit_log_positive, gauss_2f1_cut
+from starkdim.specfun import Hyp2F1, _rgamma, _series_2f1, gauss_2f1_cut
 
 mp.mp.dps = 30
 
@@ -275,12 +275,13 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
     a, b = upper
     c = (a + b + m).real
     calls = []
+    original = Hyp2F1._log
 
-    def spy(*args):
-        calls.append(args[2])
-        return _unit_log_positive(*args)
+    def spy(self, w):
+        calls.append(self._log_m)
+        return original(self, w)
 
-    monkeypatch.setattr(specfun, "_unit_log_positive", spy)
+    monkeypatch.setattr(Hyp2F1, "_log", spy)
     points = [(1.0 + r * cmath.exp(1j * th), None)
               for r in (0.1, 0.3, 0.45) for th in (0.7, 2.0, 3.1, -1.2)]
     points += [(x, side) for x in (1.05, 1.25, 1.45) for side in (1, -1)]
@@ -312,6 +313,16 @@ def test_euler_transformation_property(ar, ai, br, bi, cr, ci, r, th):
     lhs = gauss_2f1(a, b, c, w)
     rhs = (1 - w) ** (c - a - b) * gauss_2f1(c - a, c - b, c, w)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1e-30)
+
+
+def test_log_connection_steps_aside_for_subnormal_parameter():
+    """At c - a - b = 0 with b subnormal, psi(b) overflows and the
+    logarithmic connection does not apply; the next region does."""
+    b = 2.2250738585e-313
+    for w in (0.75, complex(0.8, 0.3)):
+        got = gauss_2f1(1.0, b, 1.0, w)
+        assert got == gauss_2f1(b, 1.0, 1.0, w)
+        assert abs(got - 1.0) <= 1e-15  # (1 - w)^(-b)
 
 
 @given(
