@@ -39,7 +39,6 @@ from .resum import (
 from .specfun import (
     complex_gamma,
     gauss_2f1,
-    near_unit_f0,
     rising_factorial,
 )
 from .validate import (

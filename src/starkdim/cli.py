@@ -22,8 +22,6 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .coeffs import energy_series, symbolic_energy_series
 from .errors import InputError, InvalidDimension, InvalidL, NumericalError, OutOfRange
@@ -48,6 +46,18 @@ from .wkb import (
 )
 
 GRID_POINTS = 101
+
+
+def _linear_grid(start: float, stop: float, count: int) -> list:
+    """``count`` evenly spaced points start + k*step, the last exactly stop."""
+    step = (stop - start) / (count - 1)
+    return [start + k * step for k in range(count - 1)] + [stop]
+
+
+def _log_grid(lo: float, hi: float, count: int) -> list:
+    """``count`` points evenly spaced in log10, with both ends exact."""
+    inner = _linear_grid(math.log10(lo), math.log10(hi), count)[1:-1]
+    return [lo] + [10.0 ** u for u in inner] + [hi]
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def _cmd_fit(cfg: RunConfig):
 def _cmd_sweep(cfg: RunConfig):
     start, stop, count = cfg.fields
     model = standard_model(cfg.alpha, 4, cfg.l)
-    points = sweep(model, np.linspace(start, stop, count))
+    points = sweep(model, _linear_grid(start, stop, count))
     columns = ("field", "delta", "gamma")
     rows = [(pt.field, pt.delta, pt.gamma) for pt in points]
     return columns, rows, {}
@@ -242,7 +252,7 @@ def _cmd_wkb(cfg: RunConfig):
         raise OutOfRange("barrier analysis needs strictly positive fields")
     p = (float(cfg.alpha) - 1.0) / 2.0
     model = standard_model(cfg.alpha, 4, cfg.l)
-    points = sweep(model, np.linspace(start, stop, count))
+    points = sweep(model, _linear_grid(start, stop, count))
     calibrated = landau_calibrated_rate(p, [pt.field for pt in points], points)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
                "gamma_landau_calibrated")
@@ -276,7 +286,7 @@ def _cmd_dispersion(cfg: RunConfig):
 
 def _figure_one():
     model = standard_model(3.0)
-    points = sweep(model, np.linspace(0.0, 1.0, GRID_POINTS))
+    points = sweep(model, _linear_grid(0.0, 1.0, GRID_POINTS))
     columns = ("field", "delta", "gamma")
     rows = [(pt.field, pt.delta, pt.gamma) for pt in points]
     return columns, rows, {"alpha": 3.0}
@@ -289,7 +299,7 @@ def _figure_two():
     slopes = []
     for alpha, top in STANDARD_SWEEP_RANGES:
         points = sweep(standard_model(alpha),
-                       np.linspace(0.0, top, GRID_POINTS))
+                       _linear_grid(0.0, top, GRID_POINTS))
         rows.extend((alpha, pt.field, pt.delta, pt.gamma) for pt in points)
         fit = linear_tail_fit(points)
         cases.append({
@@ -312,7 +322,7 @@ def _figure_three():
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
         points = sweep(standard_model(alpha),
-                       np.geomspace(lo, hi, GRID_POINTS))
+                       _log_grid(lo, hi, GRID_POINTS))
         calibrated = landau_calibrated_rate(
             p, [pt.field for pt in points], points)
         rows.extend(

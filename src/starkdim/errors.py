@@ -51,10 +51,6 @@ class OnBranchCut(InputError):
     """Argument lies exactly on the branch cut and no side was specified."""
 
 
-class TruncationBeyondPole(InputError):
-    """Partial sum requested past the first pole of its coefficients."""
-
-
 class NonConvergent(NumericalError):
     """No evaluation region applies or a series failed to converge."""
 

@@ -30,8 +30,6 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .coeffs import EnergySeries, energy_series
 from .errors import (
     DegenerateSeries,
@@ -293,27 +291,35 @@ _R2_PREFERRED = 0.99
 _R2_MINIMUM = 0.95
 
 
+def _line_fit(x, y):
+    """Least-squares (slope, intercept) of y against x from centred sums."""
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [a - mx for a in x]
+    slope = (math.fsum(d * (b - my) for d, b in zip(dx, y))
+             / math.fsum(d * d for d in dx))
+    return slope, my - slope * mx
+
+
 def _fit_window(points, fraction: float):
     lo = points[-1].field - fraction * (points[-1].field - points[0].field)
     sel = [pt for pt in points if pt.field >= lo and pt.gamma > 0.0]
-    if len(sel) < 8:
+    if len(sel) < 8 or sel[0].field == sel[-1].field:
         return None
-    x = np.array([pt.field for pt in sel])
-    y = np.array([pt.gamma for pt in sel])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    total = y - y.mean()
-    ss_tot = float(total @ total)
+    x = [pt.field for pt in sel]
+    y = [pt.gamma for pt in sel]
+    slope, intercept = _line_fit(x, y)
+    mean = math.fsum(y) / len(y)
+    ss_tot = math.fsum((b - mean) ** 2 for b in y)
     if ss_tot == 0.0:
         return None
-    r2 = 1.0 - float(resid @ resid) / ss_tot
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
     return LinearTailFit(
         window_fraction=fraction,
-        field_lo=float(sel[0].field),
-        field_hi=float(sel[-1].field),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
+        field_lo=x[0],
+        field_hi=x[-1],
+        slope=slope,
+        intercept=intercept,
+        r_squared=1.0 - ss_res / ss_tot,
         n_points=len(sel),
     )
 
@@ -368,10 +374,8 @@ def slope_exponent(pairs) -> float:
         raise OutOfRange("channel scale p must be positive")
     if any(s <= 0.0 for _, s in data):
         raise NonPositiveSlope("tail slopes must be positive")
-    x = np.log([p for p, _ in data])
-    y = np.log([s for _, s in data])
-    exponent, _ = np.polyfit(x, y, 1)
-    return float(exponent)
+    return _line_fit([math.log(p) for p, _ in data],
+                     [math.log(s) for _, s in data])[0]
 
 
 def standard_model(alpha, order: int = 4, l: float = DEFAULT_L) -> HypModel:

@@ -9,15 +9,14 @@ the fold adds a reflected stretch that the identity does not contain, and a
 kink.  In u = ln F the integrand G(e^u) e^(-2nu) is smooth and decays at
 both ends, so the trapezoid rule converges geometrically in the step
 (Trefethen and Weideman, SIAM Rev. 56, 2014).  All moments share one window
-and one grid, and each halving of the step adds only the midpoints.
+and one grid, each halving of the step adds only the midpoints, and each
+moment is one ``math.fsum`` over the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .coeffs import EnergySeries
 from .errors import DomainError, IntegrationFailure, NotValid, OutOfRange
@@ -61,19 +60,20 @@ class DispersionReport:
 
 
 def _dispersion_moments(model: HypModel, ns):
-    """Moment integrals for every n in ``ns``; returns (values, upper cutoff
-    in field units, number of rate evaluations)."""
-    two_n = 2.0 * np.array(ns, dtype=float)
+    """Moment integrals for every n in ``ns``; returns (list of values, upper
+    cutoff in field units, number of rate evaluations)."""
+    two_n = [2.0 * n for n in ns]
     us, rates = [], []
 
     def sample(u):
         """Record G(e^u); return |integrand| of every moment at u."""
         us.append(u)
         rates.append(2.0 * lower_side_energy(model, math.exp(u)).imag)
-        return np.abs(rates[-1] * np.exp(-two_n * u))
+        return [abs(rates[-1] * math.exp(-t * u)) for t in two_n]
 
     def moments(step):
-        return step * np.exp(-np.outer(two_n, us)) @ rates
+        return [step * math.fsum(math.exp(-t * u) * r
+                                 for u, r in zip(us, rates)) for t in two_n]
 
     # start at b/3, b = 2/(3 p^3): the peak of the n = 2 integrand in u,
     # which goes as F^-3 exp(-b/F) at low field
@@ -84,8 +84,8 @@ def _dispersion_moments(model: HypModel, ns):
             f"rate vanishes at its expected peak (alpha={model.alpha})")
     for down in range(1, _MAX_SCAN + 1):
         g = sample(u0 - down * _SCAN_STEP)
-        peak = np.maximum(peak, g)
-        if np.all(g <= _LOWER_FLOOR * peak):
+        peak = [max(a, b) for a, b in zip(peak, g)]
+        if all(a <= _LOWER_FLOOR * b for a, b in zip(g, peak)):
             break
     else:
         raise IntegrationFailure(f"no lower cutoff (alpha={model.alpha})")
@@ -95,8 +95,8 @@ def _dispersion_moments(model: HypModel, ns):
         u = u0 + up * _SCAN_STEP
         sample(u)
         slope = max(slope, 2.0 * abs(rates[-1]) * math.exp(-u))
-        tail = slope * np.exp((1.0 - two_n) * u) / (two_n - 1.0)
-        if np.all(tail < _TAIL_REL * np.abs(moments(_SCAN_STEP))):
+        if all(slope * math.exp((1.0 - t) * u) / (t - 1.0) < _TAIL_REL * abs(m)
+               for t, m in zip(two_n, moments(_SCAN_STEP))):
             break
     else:
         raise IntegrationFailure(f"no upper cutoff (alpha={model.alpha})")
@@ -104,12 +104,14 @@ def _dispersion_moments(model: HypModel, ns):
     step, count, total = _SCAN_STEP, down + up, moments(_SCAN_STEP)
     for _ in range(_MAX_HALVINGS):
         step *= 0.5
-        for u in us[down] + step * np.arange(1, 2 * count, 2):
-            sample(u)
+        for k in range(1, 2 * count, 2):
+            sample(us[down] + step * k)
         count *= 2
         refined = moments(step)
-        if np.all(np.abs(refined - total) <= _TAIL_REL * np.abs(refined)):
-            return -refined / math.pi, math.exp(us[down + up]), len(us)
+        if all(abs(r - t) <= _TAIL_REL * abs(r)
+               for r, t in zip(refined, total)):
+            return ([-r / math.pi for r in refined], math.exp(us[down + up]),
+                    len(us))
         total = refined
     raise IntegrationFailure(
         f"trapezoid sums not settled after {_MAX_HALVINGS} halvings"
@@ -121,7 +123,7 @@ def dispersion_coefficient(model: HypModel, n: int) -> float:
     -(1/pi) * integral of G(F) / F^(2n+1) over all F > 0."""
     if int(n) != n or n < 2:
         raise NotValid(f"the moment integral is only valid for n >= 2, got {n}")
-    return float(_dispersion_moments(model, (int(n),))[0][0])
+    return _dispersion_moments(model, (int(n),))[0][0]
 
 
 def dispersion_report(model: HypModel, series: EnergySeries) -> DispersionReport:
@@ -136,7 +138,7 @@ def dispersion_report(model: HypModel, series: EnergySeries) -> DispersionReport
             f"(alpha={float(series.alpha)}) describe different dimensions")
     values, cutoff, nodes = _dispersion_moments(model, (2, 3, 4))
     entries = []
-    for n, value in zip((2, 3, 4), values.tolist()):
+    for n, value in zip((2, 3, 4), values):
         exact = float(series.e_coeffs[n])
         entries.append(DispersionEntry(
             n=n, series_value=exact, integral_value=value,

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (DomainError, IntegrationFailure, NoBarrier,
                      NonConvergent, NoReference)
 
@@ -155,9 +153,37 @@ def turning_points(p: float, field: float) -> tuple:
             _bracketed_root(f, fprime, y_min, hi, hi))
 
 
-def _gauss_nodes(n: int):
+def _gauss_nodes(n: int) -> list:
+    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs in
+    ascending node order: Newton on the three-term recurrence for P_n from
+    Tricomi's estimate of each root, mirrored about 0."""
+    rule = [(0.0, 0.0)] * n
+    coeffs = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+    for i in range((n + 1) // 2):
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(
+            math.pi * (4 * i + 3) / (4 * n + 2))
+        for _ in range(10):
+            p0, p1 = 1.0, x
+            for a, b in coeffs:
+                p0, p1 = p1, a * x * p1 - b * p0
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+            # a step of an ulp or two: the weight's P_n' is converged too
+            if abs(dx) <= 4e-16 * abs(x):
+                break
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        rule[i], rule[n - 1 - i] = (-x, w), (x, w)
+    return rule
+
+
+def _sine_rule(n: int) -> list:
+    """The n-point Gauss-Legendre rule in theta = pi x / 2, as
+    (sin theta, w cos^2 theta) pairs; computed once per n."""
     if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        _LEGENDRE_CACHE[n] = [
+            (math.sin(0.5 * math.pi * x), w * math.cos(0.5 * math.pi * x) ** 2)
+            for x, w in _gauss_nodes(n)]
     return _LEGENDRE_CACHE[n]
 
 
@@ -168,7 +194,8 @@ def wkb_exponent(p: float, field: float) -> float:
     points; the substitution y = mid + half*sin(theta) absorbs them, and
     Gauss-Legendre quadrature with doubling node counts converges the
     result to 1e-10, absolute below 1 and relative above (deep barriers
-    reach exponents of ~1e12).
+    reach exponents of ~1e12).  Each rule is computed once
+    (:func:`_sine_rule`), and its terms are summed with ``math.fsum``.
     """
     p = _check_p(p)
     field = _check_field(field)
@@ -183,11 +210,9 @@ def _exponent_between(p: float, field: float, y1: float, y2: float) -> float:
     scale = math.sqrt(field) * half**2
 
     def integral(n: int) -> float:
-        x, w = _gauss_nodes(n)
-        theta = 0.5 * math.pi * x
-        y = mid + half * np.sin(theta)
-        vals = np.cos(theta) ** 2 * np.sqrt(y - y3) / y
-        return scale * 0.5 * math.pi * float(w @ vals)
+        return scale * 0.5 * math.pi * math.fsum(
+            [c * math.sqrt((y := mid + half * s) - y3) / y
+             for s, c in _sine_rule(n)])
 
     prev = integral(_QUAD_NODE_COUNTS[0])
     for n in _QUAD_NODE_COUNTS[1:]:

@@ -347,6 +347,9 @@ def test_tail_fit_rejects_oscillation():
 def test_tail_fit_needs_points():
     with pytest.raises(InsufficientData):
         linear_tail_fit(fake_points([1.0], [1.0]))
+    # every point at one field leaves no line to fit
+    with pytest.raises(InsufficientData):
+        linear_tail_fit(fake_points([1.0] * 10, range(1, 11)))
 
 
 def test_slope_exponent_validation():
@@ -356,6 +359,29 @@ def test_slope_exponent_validation():
         slope_exponent([(1.0, 1.0), (0.75, 0.5), (0.5, -0.4)])
     with pytest.raises(OutOfRange):
         slope_exponent([(1.0, 1.0), (-0.75, 0.5), (0.5, 0.4)])
+
+
+def test_line_fits_match_numpy_polyfit(standard_sweeps):
+    """The four figure-2 tail windows and the slope exponent across them
+    agree with numpy.polyfit to 1e-13 and come back as plain floats."""
+    pairs = []
+    for alpha in ALPHAS:
+        fit = linear_tail_fit(standard_sweeps[alpha])
+        window = [pt for pt in standard_sweeps[alpha]
+                  if pt.field >= fit.field_lo and pt.gamma > 0.0]
+        assert len(window) == fit.n_points
+        ref = np.polyfit([pt.field for pt in window],
+                         [pt.gamma for pt in window], 1)
+        assert {type(v) for v in (fit.slope, fit.intercept, fit.r_squared,
+                                  fit.field_lo, fit.field_hi)} == {float}
+        assert fit.slope == pytest.approx(ref[0], rel=1e-13)
+        assert fit.intercept == pytest.approx(ref[1], rel=1e-13)
+        pairs.append(((alpha - 1.0) / 2.0, fit.slope))
+    exponent = slope_exponent(pairs)
+    ref = np.polyfit(np.log([p for p, _ in pairs]),
+                     np.log([s for _, s in pairs]), 1)[0]
+    assert type(exponent) is float
+    assert exponent == pytest.approx(ref, rel=1e-13)
 
 
 def test_slope_exponent_exact_power_law():

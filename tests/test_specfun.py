@@ -14,7 +14,6 @@ from starkdim import (
     STANDARD_SWEEP_RANGES,
     complex_gamma,
     gauss_2f1,
-    near_unit_f0,
     rising_factorial,
     sweep,
 )
@@ -24,9 +23,8 @@ from starkdim.errors import (
     OnBranchCut,
     OutOfRange,
     PoleError,
-    TruncationBeyondPole,
 )
-from starkdim.specfun import Hyp2F1, _rgamma, _series_2f1, gauss_2f1_cut
+from starkdim.specfun import Hyp2F1, gauss_2f1_cut
 
 mp.mp.dps = 30
 
@@ -299,6 +297,35 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
     assert worst <= 1e-13
 
 
+def test_nudge_fallback_accuracy(monkeypatch):
+    """Integer b - a with only the 1/w region in reach takes the
+    parameter-nudge average; against 40-digit mpmath it keeps the accuracy
+    the gauss_2f1 docstring states."""
+    calls = []
+    original = Hyp2F1.__dict__["_nudged"].func
+
+    def spy(self):
+        calls.append((self.a, self.b))
+        return original(self)
+
+    monkeypatch.setattr(Hyp2F1, "_nudged", property(spy))
+    errors = []
+    for a in (0.35, -0.6 + 0.5j, 2.2 + 0.3j):
+        for d in range(4):
+            for c, w in ((0.8, cmath.rect(2.1, 0.6)),
+                         (3.1, cmath.rect(1.9, -1.1))):
+                calls.clear()
+                got = gauss_2f1(a, a + d, c, w)
+                assert len(calls) == 1
+                with mp.workdps(40):
+                    ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(a + d), c,
+                                            mp.mpc(w)))
+                errors.append(abs(got - ref) / abs(ref))
+    errors.sort()
+    assert errors[len(errors) // 2] <= 1e-6
+    assert errors[-1] <= 1.1e-4
+
+
 @given(
     ar=st.floats(-2, 2), ai=st.floats(-2, 2),
     br=st.floats(-2, 2), bi=st.floats(-2, 2),
@@ -333,36 +360,3 @@ def test_log_connection_steps_aside_for_subnormal_parameter():
 def test_parameter_symmetry_property(ar, br, cr, r, th):
     w = cmath.rect(r, th)
     assert gauss_2f1(ar, br, cr, w) == gauss_2f1(br, ar, cr, w)
-
-
-# ---------------------------------------------------------------------------
-# near-unit analytic part
-
-
-def test_near_unit_f0_consistency_noninteger_power():
-    """Analytic part plus the standard companion term reconstructs 2F1 for
-    non-integer branch power."""
-    h1, h2 = 0.58 + 0.18j, 0.58 - 0.18j
-    for l in (29.5, 12.25):
-        c = h1 + h2 + l
-        for z in (complex(0.2, 0.05), complex(-0.25, 0.1), complex(0.28, -0.2)):
-            lhs = (
-                complex_gamma(c) * _rgamma(c - h1) * _rgamma(c - h2)
-                * near_unit_f0(h1, h2, l, z, 60)
-            )
-            tail = (
-                complex_gamma(c) * complex_gamma(-l)
-                * _rgamma(h1) * _rgamma(h2)
-                * (-z) ** l
-                * _series_2f1(c - h1, c - h2, 1.0 + l, complex(-z))
-            )
-            ref = ref2f1(h1, h2, c, 1 + z)
-            assert abs(lhs + tail - ref) <= 1e-9 * abs(ref)
-
-
-def test_near_unit_f0_truncation_guard():
-    with pytest.raises(TruncationBeyondPole):
-        near_unit_f0(0.5, 0.5, 6.0, 0.1, 6)
-    near_unit_f0(0.5, 0.5, 6.0, 0.1, 5)
-    with pytest.raises(OutOfRange):
-        near_unit_f0(0.5, 0.5, 6.0, 0.1, -1)

@@ -3,11 +3,14 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starkdim import wkb
 from starkdim import (
+    LANDAU_COMPARISON_RANGES,
     BarrierModel,
     ResonancePoint,
     barrier_model,
@@ -134,6 +137,68 @@ def test_deep_barrier_exponent_converges():
     sits on the 2/(3 p^3 field) term."""
     value = wkb_exponent(0.01, 1e-6)
     assert value == pytest.approx(keldysh_exponent(0.01) / 1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 64, 128, 256))
+def test_gauss_legendre_rule_against_mpmath(n):
+    """Nodes within an ulp of the roots of P_n and weights within 1e-12
+    relative, both from mpmath's own P_n at 40 digits; the nodes also agree
+    with numpy's to an ulp."""
+    rule = wkb._gauss_nodes(n)
+    assert [x for x, _ in rule] == sorted(-x for x, _ in rule)
+    assert max(abs(x - y) for (x, _), y in
+               zip(rule, np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
+    with mp.workdps(40):
+        def dp(x):
+            return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
+
+        for x, w in rule[n // 2:]:
+            root = mp.mpf(x) - mp.legendre(n, x) / dp(mp.mpf(x))
+            weight = 2 / ((1 - root**2) * dp(root) ** 2)
+            assert abs(x - root) <= 1.2e-16
+            assert abs(w - weight) <= 1e-12 * weight
+
+
+def _leggauss_exponent(p, field):
+    """The barrier exponent on numpy's Gauss-Legendre nodes in array
+    arithmetic, with the package's node counts and stop rule: (value, n)."""
+    y1, y2 = turning_points(p, field)
+    y3 = 1.0 / (field * p**2) - y1 - y2
+    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
+    prev = None
+    for n in wkb._QUAD_NODE_COUNTS:
+        x, w = np.polynomial.legendre.leggauss(n)
+        y = mid + half * np.sin(0.5 * np.pi * x)
+        vals = np.cos(0.5 * np.pi * x) ** 2 * np.sqrt(y - y3) / y
+        cur = math.sqrt(field) * half**2 * 0.5 * math.pi * float(w @ vals)
+        if prev is not None and abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
+            return cur, n
+        prev = cur
+    raise AssertionError("reference quadrature did not converge")
+
+
+def test_exponent_matches_numpy_nodes(monkeypatch):
+    """On the four rate-comparison grids and at three deep barriers the
+    exponent stops at the same node count as with numpy's nodes and moves
+    by less than 1e-13 relative."""
+    cases = [((alpha - 1.0) / 2.0, f) for alpha, lo, hi in LANDAU_COMPARISON_RANGES
+             for f in np.geomspace(lo, hi, 101).tolist()]
+    cases += [(0.01, 1e-6), (0.01, 1e-8), (0.25, 1e-5)]
+    counts = []
+    original = wkb._sine_rule
+    monkeypatch.setattr(wkb, "_sine_rule",
+                        lambda n: counts.append(n) or original(n))
+    checked = 0
+    for p, field in cases:
+        try:
+            ref, n = _leggauss_exponent(p, field)
+        except NoBarrier:
+            continue
+        counts.clear()
+        assert wkb_exponent(p, field) == pytest.approx(ref, rel=1e-13)
+        assert counts[-1] == n <= 512
+        checked += 1
+    assert checked == 243  # the rest are over the barrier
 
 
 def test_closed_form_is_exp_of_log_form():
