@@ -19,12 +19,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .coeffs import energy_series, symbolic_energy_series
-from .errors import InputError, InvalidDimension, InvalidL, NumericalError, OutOfRange
+from .errors import InputError, NumericalError, OutOfRange
 from .resum import (
     DEFAULT_L,
     STANDARD_SWEEP_RANGES,
@@ -60,67 +59,46 @@ def _log_grid(lo: float, hi: float, count: int) -> list:
     return [lo] + [10.0 ** u for u in inner] + [hi]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one CLI run.
-
-    ``alpha`` is kept exact (a Fraction) so that coefficient generation can
-    run in rational arithmetic; numeric code converts on use.
-    """
-
-    subcommand: str
-    alpha: object = Fraction(3)
-    order: int = 4
-    l: float = DEFAULT_L
-    fields: tuple | None = None
-    symbolic: bool = False
-    figure: int | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise InvalidDimension(
-                f"dimension must exceed 1 strictly, got {self.alpha}"
-            )
-        if not self.l > 4.0:
-            raise InvalidL(f"branch power l must exceed 4, got {self.l}")
-        if self.order < 1:
-            raise OutOfRange(f"order must be at least 1, got {self.order}")
-        if self.fields is not None:
-            start, stop, count = self.fields
-            if not (math.isfinite(start) and math.isfinite(stop)):
-                raise OutOfRange(f"fields must be finite, got {start}:{stop}")
-            if count < 2:
-                raise OutOfRange(f"grid needs at least 2 points, got {count}")
-            if start < 0.0:
-                raise OutOfRange(f"fields must be nonnegative, got {start}")
-            if not stop > start:
-                raise OutOfRange(
-                    f"grid end must exceed start, got {start}:{stop}"
-                )
+def _bounded_arg(parse, accept, requirement: str):
+    """Argument type that parses the text, then requires ``accept(value)``:
+    argparse reports a bad value with its usage line (exit code 2)."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a real number: {text!r}") from exc
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    return convert
 
 
-def _alpha_arg(text: str) -> Fraction:
-    # accepts decimals and exact fractions such as 5/2
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
+# alpha stays exact (a Fraction) so that coefficient generation runs in
+# rational arithmetic; it accepts decimals and fractions such as 5/2
+_alpha_arg = _bounded_arg(Fraction, lambda alpha: alpha > 1,
+                          "dimension must exceed 1 strictly")
+_l_arg = _bounded_arg(float, lambda l: 4.0 < l < math.inf,
+                      "branch power l must be finite and exceed 4")
 
 
 def _fields_arg(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected START:STOP:COUNT, got {text!r}"
-        )
     try:
-        return (float(parts[0]), float(parts[1]), int(parts[2]))
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected START:STOP:COUNT, got {text!r}"
-        ) from exc
+            f"expected START:STOP:COUNT, got {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(
+            f"fields must be finite, got {start}:{stop}")
+    if not 0.0 <= start < stop:
+        raise argparse.ArgumentTypeError(
+            f"fields need 0 <= start < stop, got {start}:{stop}")
+    if count < 2:
+        raise argparse.ArgumentTypeError(
+            f"grid needs at least 2 points, got {count}")
+    return start, stop, count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fields=False):
         p.add_argument("--alpha", type=_alpha_arg, required=True,
                        metavar="A", help="dimension, alpha > 1 (e.g. 3, 5/2)")
-        p.add_argument("--l", type=float, default=DEFAULT_L, metavar="L",
+        p.add_argument("--l", type=_l_arg, default=DEFAULT_L, metavar="L",
                        help="branch power of the continuation (default 30)")
         if fields:
             p.add_argument("--fields", type=_fields_arg, required=True,
@@ -179,52 +157,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", type=int, choices=(1, 2, 3), required=True,
                    help="figure number")
     add_output(p)
+    # fixed multi-case datasets; always JSON
+    p.set_defaults(fmt="json")
 
     return parser
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    if ns.subcommand == "reproduce":
-        # fixed multi-case datasets; always JSON
-        return RunConfig(subcommand="reproduce", figure=ns.figure,
-                         output=ns.output, fmt="json")
-    return RunConfig(
-        subcommand=ns.subcommand,
-        alpha=ns.alpha,
-        order=getattr(ns, "order", 4),
-        l=ns.l,
-        fields=getattr(ns, "fields", None),
-        symbolic=getattr(ns, "symbolic", False),
-        output=ns.output,
-        fmt=ns.fmt,
-    )
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (columns, rows, extra_meta)
 
 
-def _cmd_coeffs(cfg: RunConfig):
-    if cfg.symbolic:
-        table = symbolic_energy_series(cfg.order)
+def _cmd_coeffs(ns: argparse.Namespace):
+    if ns.symbolic:
+        table = symbolic_energy_series(ns.order)
         columns = ("n", "factor_polynomial")
         rows = [
             (2 * k, table.factor_polynomial(k).to_string("alpha"))
-            for k in range(1, cfg.order + 1)
+            for k in range(1, ns.order + 1)
         ]
         return columns, rows, {}
-    series = energy_series(cfg.alpha, cfg.order)
+    series = energy_series(ns.alpha, ns.order)
     columns = ("n", "energy_coefficient", "exact_value")
-    rows = [
-        (2 * k, float(series.e_coeffs[k]), str(series.e_coeffs[k]))
-        for k in range(cfg.order + 1)
-    ]
+    rows = []
+    for k, exact in enumerate(series.e_coeffs):
+        try:
+            rows.append((2 * k, float(exact), str(exact)))
+        except OverflowError:
+            raise NumericalError(
+                f"energy coefficient n={2 * k} overflows a float"
+                f" (alpha={ns.alpha})") from None
     return columns, rows, {}
 
 
-def _cmd_fit(cfg: RunConfig):
-    series = energy_series(cfg.alpha, 4)
-    model = fit_model(series, cfg.l)
+def _cmd_fit(ns: argparse.Namespace):
+    series = energy_series(ns.alpha, 4)
+    model = fit_model(series, ns.l)
     residual = fit_round_trip_residual(model, series)
     columns = ("parameter", "real", "imag")
     rows = [
@@ -237,21 +204,21 @@ def _cmd_fit(cfg: RunConfig):
     return columns, rows, {}
 
 
-def _cmd_sweep(cfg: RunConfig):
-    start, stop, count = cfg.fields
-    model = standard_model(cfg.alpha, 4, cfg.l)
+def _cmd_sweep(ns: argparse.Namespace):
+    start, stop, count = ns.fields
+    model = standard_model(ns.alpha, ns.l)
     points = sweep(model, _linear_grid(start, stop, count))
     columns = ("field", "delta", "gamma")
     rows = [(pt.field, pt.delta, pt.gamma) for pt in points]
     return columns, rows, {}
 
 
-def _cmd_wkb(cfg: RunConfig):
-    start, stop, count = cfg.fields
+def _cmd_wkb(ns: argparse.Namespace):
+    start, stop, count = ns.fields
     if start <= 0.0:
         raise OutOfRange("barrier analysis needs strictly positive fields")
-    p = (float(cfg.alpha) - 1.0) / 2.0
-    model = standard_model(cfg.alpha, 4, cfg.l)
+    p = (float(ns.alpha) - 1.0) / 2.0
+    model = standard_model(ns.alpha, ns.l)
     points = sweep(model, _linear_grid(start, stop, count))
     calibrated = landau_calibrated_rate(p, [pt.field for pt in points], points)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
@@ -270,9 +237,9 @@ def _cmd_wkb(cfg: RunConfig):
     return columns, rows, extra
 
 
-def _cmd_dispersion(cfg: RunConfig):
-    series = energy_series(cfg.alpha, 4)
-    model = fit_model(series, cfg.l)
+def _cmd_dispersion(ns: argparse.Namespace):
+    series = energy_series(ns.alpha, 4)
+    model = fit_model(series, ns.l)
     report = dispersion_report(model, series)
     columns = ("n", "series_value", "integral_value", "relative_error",
                "upper_cutoff", "node_count")
@@ -336,10 +303,10 @@ def _figure_three():
     return columns, rows, {"cases": cases}
 
 
-def _cmd_reproduce(cfg: RunConfig):
-    maker = {1: _figure_one, 2: _figure_two, 3: _figure_three}[cfg.figure]
+def _cmd_reproduce(ns: argparse.Namespace):
+    maker = {1: _figure_one, 2: _figure_two, 3: _figure_three}[ns.figure]
     columns, rows, extra = maker()
-    return columns, rows, {"figure": cfg.figure, **extra}
+    return columns, rows, {"figure": ns.figure, **extra}
 
 
 _HANDLERS = {
@@ -370,16 +337,16 @@ def _render_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(cfg: RunConfig, columns, rows, extra) -> str:
-    meta = {"command": cfg.subcommand, "version": __version__}
-    if cfg.subcommand != "reproduce":
-        meta["alpha"] = float(cfg.alpha)
-        meta["l"] = cfg.l
-    if cfg.subcommand == "coeffs":
-        meta["order"] = cfg.order
-        meta["symbolic"] = cfg.symbolic
-    if cfg.fields is not None:
-        start, stop, count = cfg.fields
+def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
+    meta = {"command": ns.subcommand, "version": __version__}
+    if ns.subcommand != "reproduce":
+        meta["alpha"] = float(ns.alpha)
+        meta["l"] = ns.l
+    if ns.subcommand == "coeffs":
+        meta["order"] = ns.order
+        meta["symbolic"] = ns.symbolic
+    if getattr(ns, "fields", None) is not None:
+        start, stop, count = ns.fields
         meta["fields"] = {"start": start, "stop": stop, "count": count}
     meta.update(extra)
     document = {"meta": meta, "data": [dict(zip(columns, row)) for row in rows]}
@@ -413,14 +380,13 @@ def run(argv=None) -> int:
         # argparse handles --help/--version (0) and usage errors (2)
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _config_from_namespace(ns)
-        columns, rows, extra = _HANDLERS[cfg.subcommand](cfg)
-        if cfg.fmt == "csv":
+        columns, rows, extra = _HANDLERS[ns.subcommand](ns)
+        if ns.fmt == "csv":
             text = _render_csv(columns, rows)
         else:
-            text = _render_json(cfg, columns, rows, extra)
-        if cfg.output:
-            _write_atomic(cfg.output, text)
+            text = _render_json(ns, columns, rows, extra)
+        if ns.output:
+            _write_atomic(ns.output, text)
         else:
             sys.stdout.write(text)
     except InputError as exc:

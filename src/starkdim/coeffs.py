@@ -44,13 +44,14 @@ def _is_exact(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic
+# exact polynomial values
 
 
 @dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
+    A result value: polynomial arithmetic runs on the engine's integer ring.
     Coefficients are stored ascending by power; trailing zeros are stripped
     so that equality is structural.  The zero polynomial has an empty
     coefficient tuple and degree -1.
@@ -68,10 +69,6 @@ class RationalPolynomial:
     def zero(cls) -> "RationalPolynomial":
         return cls(())
 
-    @classmethod
-    def constant(cls, value) -> "RationalPolynomial":
-        return cls((Fraction(value),))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -79,94 +76,12 @@ class RationalPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalPolynomial):
-            return other
-        if isinstance(other, Rational):
-            return RationalPolynomial.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            q = Fraction(other)
-            return RationalPolynomial(tuple(c * q for c in self.coefficients))
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return RationalPolynomial(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Rational):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def evaluate(self, value):
         """Horner evaluation; exact for Rational input, float otherwise."""
         acc = Fraction(0) if isinstance(value, Rational) else 0.0
         for c in reversed(self.coefficients):
             acc = acc * value + c
         return acc
-
-    def divide_exact(self, divisor: "RationalPolynomial") -> "RationalPolynomial":
-        """Polynomial quotient, requiring a zero remainder."""
-        if not divisor:
-            raise ValueError("division by the zero polynomial")
-        rem = list(self.coefficients)
-        dcoeffs = divisor.coefficients
-        dlead = dcoeffs[-1]
-        ddeg = len(dcoeffs) - 1
-        if len(rem) < len(dcoeffs):
-            if any(rem):
-                raise ValueError("polynomial division is not exact")
-            return RationalPolynomial(())
-        quot = [Fraction(0)] * (len(rem) - ddeg)
-        for top in range(len(rem) - 1, ddeg - 1, -1):
-            f = rem[top] / dlead
-            quot[top - ddeg] = f
-            if f:
-                for j, dc in enumerate(dcoeffs):
-                    rem[top - ddeg + j] -= f * dc
-        if any(rem):
-            raise ValueError("polynomial division is not exact")
-        return RationalPolynomial(tuple(quot))
 
     def to_string(self, variable: str = "x") -> str:
         if not self.coefficients:
@@ -356,17 +271,29 @@ class SymbolicEnergySeries:
 
         Removes the common factor: E_{2n} = -(alpha + 1)
         ((alpha - 1)/4)^(6n-2) * factor(alpha).  The division is exact by
-        construction; failure would indicate an engine defect.
+        construction; a nonzero remainder is an engine defect and raises
+        ``NumericalError``.
         """
-        poly = self.energy_polynomial(n) * Fraction(-(4 ** (6 * n - 2)))
-        out = poly.divide_exact(RationalPolynomial((Fraction(1), Fraction(1))))
-        minus_one = RationalPolynomial((Fraction(-1), Fraction(1)))
-        for _ in range(6 * n - 2):
-            out = out.divide_exact(minus_one)
-        return out
+        scale = -(4 ** (6 * n - 2))
+        coeffs = [c * scale for c in self.energy_polynomial(n).coefficients]
+        for root in [-1] + [1] * (6 * n - 2):
+            coeffs, remainder = _divide_linear(coeffs, root)
+            if remainder:
+                factor = "alpha + 1" if root < 0 else "alpha - 1"
+                raise NumericalError(f"E_{2 * n} is not divisible by {factor}")
+        return RationalPolynomial(tuple(coeffs))
 
     def evaluate(self, n: int, alpha):
         return self.energy_polynomial(n).evaluate(alpha)
+
+
+def _divide_linear(coeffs, root):
+    """(quotient, remainder) of the ascending ``coeffs`` by (x - root), by
+    synthetic division."""
+    out = list(coeffs)
+    for k in range(len(out) - 2, -1, -1):
+        out[k] += root * out[k + 1]
+    return out[1:], (out[0] if out else 0)
 
 
 _REFERENCE_FACTORS = {
@@ -650,8 +577,7 @@ def logderiv_step(k: int, previous, params: DimensionParams):
             f"previous must hold orders 0..{k - 1} to compute order {k}"
         )
     if k == 0:
-        alpha = Fraction(params.alpha)
-        z0 = RationalPolynomial.constant(Fraction(1) / (1 - alpha))
+        z0 = RationalPolynomial((1 / (1 - Fraction(params.alpha)),))
         return LogDerivSeries(0, z0), Fraction(1, 2)
     rows, a_vals = _exact_run(Fraction(params.p), k, +1)
     return LogDerivSeries(k, RationalPolynomial(rows[-1])), a_vals[-1]

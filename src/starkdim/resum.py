@@ -93,11 +93,20 @@ class HypModel:
         """(G, 2F1(h1, h2; h1+h2+l; .)) with every parameter-only constant
         of the continuation computed: built on the first evaluation and
         kept with the model, so each further field point only sums series."""
-        pref = (
-            complex_gamma(self.l + self.h1)
-            * complex_gamma(self.l + self.h2)
-            / complex_gamma(self.l + self.h1 + self.h2)
-        )
+        context = f"(alpha={self.alpha}, l={self.l})"
+        try:
+            pref = (
+                complex_gamma(self.l + self.h1)
+                * complex_gamma(self.l + self.h2)
+                / complex_gamma(self.l + self.h1 + self.h2)
+            )
+        except NumericalError as exc:
+            raise type(exc)(f"{exc} {context}") from exc
+        if not cmath.isfinite(pref):
+            # the product of the two upper Gammas overflows first, from
+            # l = 99 at alpha = 3, 2 and 3/2
+            raise NumericalError(
+                f"continuation prefactor G = {pref} is not finite {context}")
         return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l).precompute()
 
 
@@ -155,7 +164,12 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
         raise InvalidL("branch power l must exceed 4")
     if series.order < 4:
         raise InsufficientData("fit needs series coefficients through order 4")
-    e = [float(x) for x in series.e_coeffs[:5]]
+    try:
+        e = [float(x) for x in series.e_coeffs[:5]]
+    except OverflowError:
+        raise DegenerateSeries(
+            f"series coefficients overflow a float (alpha={series.alpha})"
+        ) from None
     e0 = e[0]
     if e0 == 0:
         raise DegenerateSeries("zero leading coefficient")
@@ -217,7 +231,8 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
     Zero field returns e0 exactly.  Otherwise the continuation is evaluated
     once, at offset h3 z past w = 1; the upper side is its conjugate (the
     model is real, see :class:`HypModel`).  A ``NumericalError`` names
-    alpha, the field and the 2F1 formula that failed.
+    alpha, the field and the 2F1 formula that failed, or that the offset
+    overflows a float (from F ~ 3.03e152 at alpha = 3).
     """
     field = float(field)
     if not field >= 0.0:
@@ -226,10 +241,18 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
         raise OutOfRange("field must be finite")
     if field == 0.0:
         return complex(model.e0)
-    z = (field / 4.0) ** 2
+    try:
+        z = (field / 4.0) ** 2
+    except OverflowError:
+        z = math.inf
+    v = model.h3.real * z
+    if not math.isfinite(v):
+        raise NumericalError(
+            "offset h3 (field/4)^2 past the branch point overflows a float"
+            f" (alpha={model.alpha}, field={field})")
     pref, hyp = model._continuation
     try:
-        f = hyp.cut(model.h3.real * z, cut_side=-1)
+        f = hyp.cut(v, cut_side=-1)
     except NumericalError as exc:
         raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})") from exc
     return model.e0 * (1.0 + model.h4 * z * pref * f)
@@ -378,6 +401,6 @@ def slope_exponent(pairs) -> float:
                      [math.log(s) for _, s in data])[0]
 
 
-def standard_model(alpha, order: int = 4, l: float = DEFAULT_L) -> HypModel:
+def standard_model(alpha, l: float = DEFAULT_L) -> HypModel:
     """Exact series at ``alpha`` fitted to the default continuation model."""
-    return fit_model(energy_series(alpha, order), l)
+    return fit_model(energy_series(alpha, 4), l)

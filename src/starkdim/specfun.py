@@ -83,7 +83,8 @@ def complex_gamma(z) -> complex:
     """Gamma function for complex argument.
 
     Lanczos approximation on Re z >= 1/2, reflection elsewhere; relative
-    accuracy ~1e-13 for |z| <= 100 away from the poles.
+    accuracy ~1e-13 for |z| <= 100 away from the poles.  From Re z ~ 143 an
+    intermediate power overflows and ``NumericalError`` is raised.
     """
     z = complex(z)
     if _nonpositive_integer(z):
@@ -95,7 +96,11 @@ def complex_gamma(z) -> complex:
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        # t^(z - 1/2) overflows from Re z ~ 143, before exp(-t) scales it
+        raise NumericalError(f"gamma overflows a float at z = {z}") from None
 
 
 # B_2k / (2k), k = 1..7 (DLMF 24.2.1): the digamma series terms; at

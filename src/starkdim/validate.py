@@ -121,7 +121,7 @@ def _dispersion_moments(model: HypModel, ns):
 def dispersion_coefficient(model: HypModel, n: int) -> float:
     """Coefficient of field^(2n) recovered from the rate integral
     -(1/pi) * integral of G(F) / F^(2n+1) over all F > 0."""
-    if int(n) != n or n < 2:
+    if not (n >= 2 and math.isfinite(n) and int(n) == n):
         raise NotValid(f"the moment integral is only valid for n >= 2, got {n}")
     return _dispersion_moments(model, (int(n),))[0][0]
 

@@ -60,6 +60,42 @@ def test_dimension_bound_is_input_error(capsys):
     assert "error:" in err
 
 
+# a bad value is reported by argparse: usage line, then the argument
+BAD_VALUES = {
+    ("coeffs", "--alpha", "1"):
+        "argument --alpha: dimension must exceed 1 strictly, got 1",
+    ("fit", "--alpha", "3", "--l", "4"):
+        "argument --l: branch power l must be finite and exceed 4, got 4",
+    ("fit", "--alpha", "3", "--l", "inf"):
+        "argument --l: branch power l must be finite and exceed 4, got inf",
+    ("fit", "--alpha", "3", "--l", "four"):
+        "argument --l: not a real number: 'four'",
+    ("sweep", "--alpha", "3", "--fields", "0:1:1"):
+        "argument --fields: grid needs at least 2 points, got 1",
+    ("sweep", "--alpha", "3", "--fields=-1:1:3"):
+        "argument --fields: fields need 0 <= start < stop, got -1.0:1.0",
+    ("sweep", "--alpha", "3", "--fields", "1:1:3"):
+        "argument --fields: fields need 0 <= start < stop, got 1.0:1.0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BAD_VALUES), ids="_".join)
+def test_bad_value_is_reported_by_argparse(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: starkdim {argv[0]} ")
+    assert err.endswith(f"starkdim {argv[0]}: error: {BAD_VALUES[argv]}\n")
+
+
+def test_order_below_one_is_input_error(capsys):
+    code, out, err = invoke(capsys, "coeffs", "--alpha", "3", "--order", "0",
+                            "--symbolic")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be an integer >= 1\n"
+
+
 def test_malformed_fields_is_usage_error(capsys):
     code, _, _ = invoke(capsys, "sweep", "--alpha", "3", "--fields", "0:1")
     assert code == 2
@@ -106,6 +142,34 @@ def test_series_failure_is_numerical_error_with_context(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: hypergeometric series exhausted 0 terms in the"
                    " 1/w connection (alpha=3.0, field=0.1)\n")
+
+
+# valid input past the float range: one error line that names the input and
+# exit code 3, never a traceback or a NaN row
+FLOAT_RANGE_LIMITS = {
+    ("sweep", "--alpha", "3", "--l", "99", "--fields", "0:1:3"):
+        "G = (nan+nanj) is not finite (alpha=3.0, l=99.0)",
+    ("wkb", "--alpha", "3", "--l", "99", "--fields", "0.1:0.3:3"):
+        "(alpha=3.0, l=99.0)",
+    ("dispersion", "--alpha", "3", "--l", "99"): "(alpha=3.0, l=99.0)",
+    ("fit", "--alpha", "3", "--l", "200"): "z = (200+0j)",
+    ("fit", "--alpha", "1e11"): "alpha=100000000000",
+    ("dispersion", "--alpha", "1e11"): "alpha=100000000000",
+    ("sweep", "--alpha", "1e11", "--fields", "0:1:3"): "alpha=100000000000",
+    ("coeffs", "--alpha", "1e11"):
+        "n=8 overflows a float (alpha=100000000000)",
+    ("sweep", "--alpha", "3", "--fields", "0:1e200:3"):
+        "(alpha=3.0, field=5e+199)",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FLOAT_RANGE_LIMITS), ids="_".join)
+def test_float_range_limit_is_numerical_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3
+    assert "nan" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert FLOAT_RANGE_LIMITS[argv] in err
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,26 @@ def test_factor_polynomials_match_reference():
         assert sym.factor_polynomial(n) == reference_factor_polynomial(n)
 
 
+@pytest.mark.parametrize(
+    "alpha", [Fraction(3), Fraction(5, 2), Fraction(-7, 3)], ids=str)
+def test_factor_polynomial_restores_energy(alpha):
+    """E_2n = -(alpha + 1) ((alpha - 1)/4)^(6n-2) factor(alpha), exactly."""
+    sym = symbolic_energy_series(8)
+    for n in range(1, 9):
+        factor = sym.factor_polynomial(n)
+        assert factor.degree == 2 * n - 1
+        assert sym.evaluate(n, alpha) == (
+            -(alpha + 1) * ((alpha - 1) / 4) ** (6 * n - 2)
+            * factor.evaluate(alpha))
+
+
+def test_factor_polynomial_remainder_is_engine_defect():
+    broken = coeffs.SymbolicEnergySeries(
+        order=1, e_polys=(RationalPolynomial((1, 0, 1)),))
+    with pytest.raises(NumericalError, match="not divisible"):
+        broken.factor_polynomial(1)
+
+
 def test_degeneracy_at_unit_dimension():
     sym = symbolic_energy_series(4)
     for n in range(1, 5):
@@ -199,6 +219,19 @@ def test_polynomial_string_round_trip():
     poly = RationalPolynomial((Fraction(3), Fraction(2)))
     assert poly.to_string("alpha") == "2*alpha + 3"
     assert RationalPolynomial.zero().to_string() == "0"
+
+
+def test_rational_polynomial_is_a_value():
+    """Coefficients, evaluation and printing only: polynomial arithmetic
+    runs on the engine's integer ring."""
+    poly = RationalPolynomial((1, Fraction(-1, 2), 0, 0))
+    assert poly.coefficients == (Fraction(1), Fraction(-1, 2))
+    assert poly.degree == 1 and poly and not RationalPolynomial.zero()
+    assert poly.evaluate(Fraction(4)) == -1 and poly.evaluate(4.0) == -1.0
+    with pytest.raises(TypeError):
+        poly + poly
+    with pytest.raises(TypeError):
+        poly * 2
 
 
 def _sha256(value) -> str:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from starkdim.errors import (
     NonConvergent,
     NonlinearTail,
     NonPositiveSlope,
+    NumericalError,
     OutOfRange,
 )
 from starkdim.specfun import Hyp2F1
@@ -116,6 +118,25 @@ def test_fit_without_cut_rejected(alpha):
     with pytest.raises(DegenerateSeries) as info:
         standard_model(alpha, l=4.5)
     assert f"alpha={alpha}, l=4.5): h3 = -" in str(info.value)
+
+
+def test_float_range_limits_raise_numerical_errors():
+    """Valid input past the float range raises, naming the input, instead
+    of a traceback or NaN: the Gamma prefactor G of the continuation
+    (finite at l = 98, NaN from l = 99 at alpha = 3), series coefficients
+    beyond the float range (alpha = 1e11), and h3 z past the branch point
+    (from F ~ 3.03e152 at alpha = 3)."""
+    assert math.isfinite(resonance(standard_model(3.0, l=98.0), 1.0).gamma)
+    with pytest.raises(NumericalError, match=r"alpha=3.0, l=99.0"):
+        resonance(standard_model(3.0, l=99.0), 1.0)
+    with pytest.raises(DegenerateSeries, match="alpha=100000000000"):
+        standard_model(Fraction(10 ** 11))
+    model = standard_model(3.0)
+    assert math.isfinite(resonance(model, 3e152).gamma)
+    for field in (1e154, 1e200):
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"(alpha=3.0, field={field})")):
+            resonance(model, field)
 
 
 def test_fit_with_tiny_positive_h3_accepted():

@@ -20,6 +20,7 @@ from starkdim import (
 from starkdim import specfun
 from starkdim.errors import (
     NonConvergent,
+    NumericalError,
     OnBranchCut,
     OutOfRange,
     PoleError,
@@ -56,6 +57,15 @@ def test_gamma_known_values():
     assert complex_gamma(3.5) == pytest.approx(
         15 * math.sqrt(math.pi) / 8, rel=1e-13
     )
+
+
+def test_gamma_overflow_raises():
+    """Gamma(142) = 141! is about 1.9e243; from Re z ~ 143 the Lanczos
+    power t^(z - 1/2) overflows before exp(-t) scales it back."""
+    assert complex_gamma(142.0).real == pytest.approx(
+        float(mp.factorial(141)), rel=1e-12)
+    with pytest.raises(NumericalError, match=r"z = \(200\+0j\)"):
+        complex_gamma(200.0)
 
 
 def test_gamma_poles_raise():

@@ -28,6 +28,9 @@ def test_moment_index_validation(models):
         dispersion_coefficient(models[3.0], 1)
     with pytest.raises(NotValid):
         dispersion_coefficient(models[3.0], 2.5)
+    for n in (float("inf"), float("nan")):
+        with pytest.raises(NotValid):
+            dispersion_coefficient(models[3.0], n)
 
 
 def test_report_input_validation(models, series_map):
