@@ -9,14 +9,11 @@ from .coeffs import (
     DEFAULT_ORDER_CAP,
     DimensionParams,
     EnergySeries,
-    LogDerivSeries,
     RationalPolynomial,
-    SeparationSeries,
     SymbolicEnergySeries,
+    channel_series,
     energy_series,
-    logderiv_step,
     reference_factor_polynomial,
-    separation_series,
     symbolic_energy_series,
     unperturbed_params,
 )

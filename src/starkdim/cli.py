@@ -22,7 +22,7 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .coeffs import energy_series, symbolic_energy_series
+from .coeffs import energy_series, format_alpha, symbolic_energy_series
 from .errors import InputError, NumericalError, OutOfRange
 from .resum import (
     DEFAULT_L,
@@ -185,7 +185,7 @@ def _cmd_coeffs(ns: argparse.Namespace):
         except OverflowError:
             raise NumericalError(
                 f"energy coefficient n={2 * k} overflows a float"
-                f" (alpha={ns.alpha})") from None
+                f" (alpha={format_alpha(ns.alpha)})") from None
     return columns, rows, {}
 
 
@@ -217,8 +217,8 @@ def _cmd_wkb(ns: argparse.Namespace):
     start, stop, count = ns.fields
     if start <= 0.0:
         raise OutOfRange("barrier analysis needs strictly positive fields")
-    p = (float(ns.alpha) - 1.0) / 2.0
     model = standard_model(ns.alpha, ns.l)
+    p = (float(ns.alpha) - 1.0) / 2.0
     points = sweep(model, _linear_grid(start, stop, count))
     calibrated = landau_calibrated_rate(p, [pt.field for pt in points], points)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",

@@ -2,11 +2,11 @@
 non-integer dimension alpha > 1.
 
 The separated problem splits into two one-dimensional channels that differ
-only by the sign of the field term.  Expanding the logarithmic derivative of
-a channel solution order by order in the scaled field gives a linear
-recursion for polynomial corrections z_k(x); regularity at the origin and at
-infinity fixes the channel separation coefficients a_k.  Composing the two
-channel series under the constraint that the separation constants sum to the
+only by the sign of the field term, so one channel's coefficients give both.
+Expanding the logarithmic derivative of its solution in the scaled field gives
+a linear recursion for polynomial corrections z_k(x); regularity at the origin
+and at infinity fixes the separation coefficients a_k (:func:`channel_series`).
+Composing the two channels so that their separation constants sum to the
 inverse energy scale yields the even energy coefficients E_{2n}.
 
 The recursion is division-free: it uses only +, - and * on the channel
@@ -140,6 +140,22 @@ def _validate_alpha(alpha) -> None:
         )
 
 
+def format_alpha(alpha) -> str:
+    """alpha for an error message: its own text up to 20 characters, else 6
+    significant digits taken in Decimal, as alpha may lie past the float
+    range or the int-to-str digit limit."""
+    try:
+        if len(text := str(alpha)) <= 20:
+            return text
+    except ValueError:
+        pass
+    from decimal import Context
+
+    value, context = Fraction(alpha), Context(prec=6)
+    return format(context.divide(value.numerator, value.denominator)
+                  .normalize(context), "g")
+
+
 def unperturbed_params(alpha) -> DimensionParams:
     """Ground-state parameters for dimension ``alpha`` (strictly > 1).
 
@@ -158,63 +174,7 @@ def unperturbed_params(alpha) -> DimensionParams:
 
 
 # ---------------------------------------------------------------------------
-# channel recursion containers
-
-
-@dataclass(frozen=True)
-class LogDerivSeries:
-    """One order of the channel log-derivative expansion: z_k(x).
-
-    z_0 is the constant 1/(1 - alpha); every later z_k is a polynomial of
-    degree exactly k, which is verified on construction.
-    """
-
-    order: int
-    poly: RationalPolynomial
-
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 0:
-            raise OutOfRange("order must be a nonnegative integer")
-        if self.poly.degree != self.order:
-            raise OrderMismatch(
-                f"z_{self.order} must have degree {self.order},"
-                f" got degree {self.poly.degree}"
-            )
-
-
-@dataclass(frozen=True)
-class SeparationSeries:
-    """Separation-constant expansion of one channel in the scaled field.
-
-    ``sign`` +1 selects the channel whose field term enters with a plus
-    sign, -1 the mirrored channel; the two coefficient sequences differ
-    term-by-term by (-1)^n.  ``beta1``/``beta2`` give both channel series
-    regardless of which sign was computed.
-    """
-
-    sign: int
-    coefficients: tuple
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise OutOfRange("sign must be +1 or -1")
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-
-    @property
-    def beta1(self) -> tuple:
-        if self.sign == 1:
-            return self.coefficients
-        return _alternate_signs(self.coefficients)
-
-    @property
-    def beta2(self) -> tuple:
-        if self.sign == -1:
-            return self.coefficients
-        return _alternate_signs(self.coefficients)
-
-
-def _alternate_signs(coeffs: tuple) -> tuple:
-    return tuple(c if n % 2 == 0 else -c for n, c in enumerate(coeffs))
+# result containers
 
 
 @dataclass(frozen=True)
@@ -393,17 +353,17 @@ class _IntPoly:
         return self.c == other.c
 
 
-def _source(rows, k, one, zero, sign):
+def _source(rows, k, one, zero):
     """Inhomogeneous term of the order-k channel relation.
 
     rows[i-1] holds the coefficients of z_i.  The order-1 source is the bare
-    field term sign*x; higher orders carry minus the self-convolution
+    field term x; higher orders carry minus the self-convolution
     sum_{i=1}^{k-1} z_i z_{k-i}.  Its (i, k-i) and (k-i, i) products are
     equal, so each unordered pair is convolved once and doubled, and the
     middle square (even k) is added once.
     """
     if k == 1:
-        return [zero, one if sign > 0 else -one]
+        return [zero, one]
     acc = [zero] * (k + 1)
     for i in range(1, (k + 1) // 2):
         zj = rows[k - i - 1]
@@ -459,14 +419,14 @@ def _routes_agree(u, v) -> bool:
     return u == v
 
 
-def _logderiv_run(P, q, one, order, sign):
+def _logderiv_run(P, q, one, order):
     """z_1..z_order coefficient rows and a_1..a_order over the ring of P,
     carried with their powers of q (see above)."""
     zero = one - one
     rows = []
     a_vals = []
     for k in range(1, order + 1):
-        src = _source(rows, k, one, zero, sign)
+        src = _source(rows, k, one, zero)
         coeffs, a_origin = _solve_down(src, P, q, zero)
         a_moment = _moment_route(src, P, q, zero)
         if not _routes_agree(a_origin, a_moment):
@@ -533,17 +493,6 @@ def _beta_series(a_vals, order, one):
     return _ser_inverse_unit(tuple(y), order, one, zero)
 
 
-def _exact_run(p: Fraction, order: int, sign: int):
-    """Exact-mode engine run at p = P/q: rows and a_k as Fractions."""
-    q = p.denominator
-    rows, a_vals = _logderiv_run(p.numerator, q, 1, order, sign)
-    rows = [
-        tuple(Fraction(c, q ** (4 * k - 1 - 2 * t)) for t, c in enumerate(row))
-        for k, row in enumerate(rows, 1)
-    ]
-    return rows, [Fraction(a, q ** (4 * k)) for k, a in enumerate(a_vals, 1)]
-
-
 def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
     """f((alpha - 1)/2) / scale for int coefficients f (ascending in p)."""
     m = len(f) - 1
@@ -560,40 +509,23 @@ def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
 # public operations
 
 
-def logderiv_step(k: int, previous, params: DimensionParams):
-    """Channel log-derivative recursion at order ``k``.
-
-    ``previous`` lists the earlier steps in order (either LogDerivSeries
-    values or (LogDerivSeries, a) pairs as returned here) and is checked for
-    shape only: the step is read off the engine run to order ``k``.  Returns
-    ``(LogDerivSeries, a_k)`` with a_k exact; the two independent routes to
-    a_k (origin regularity and weighted moments) are cross-checked there.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise OutOfRange("k must be a nonnegative integer")
-    entries = [e[0] if isinstance(e, tuple) else e for e in previous]
-    if len(entries) != k or any(e.order != i for i, e in enumerate(entries)):
-        raise OrderMismatch(
-            f"previous must hold orders 0..{k - 1} to compute order {k}"
-        )
-    if k == 0:
-        z0 = RationalPolynomial((1 / (1 - Fraction(params.alpha)),))
-        return LogDerivSeries(0, z0), Fraction(1, 2)
-    rows, a_vals = _exact_run(Fraction(params.p), k, +1)
-    return LogDerivSeries(k, RationalPolynomial(rows[-1])), a_vals[-1]
-
-
-def separation_series(params: DimensionParams, order: int, sign: int) -> SeparationSeries:
-    """Channel separation-constant coefficients a_0..a_order (or the
-    mirrored channel's for sign = -1), always exact rationals."""
+def channel_series(alpha, order: int):
+    """``(polys, a)``: z_0..z_order as RationalPolynomials (z_0 = 1/(1 - alpha),
+    z_k of degree k) and a_0..a_order as Fractions (a_0 = 1/2), exact from one
+    engine run, a float alpha taken at its exact binary value.  Each a_k is
+    cross-checked between its origin and moment routes."""
     if not isinstance(order, int) or order < 0:
         raise OutOfRange("order must be a nonnegative integer")
-    if sign not in (1, -1):
-        raise OutOfRange("sign must be +1 or -1")
-    _validate_alpha(params.alpha)
-    _, a_vals = _exact_run(Fraction(params.p), order, sign)
-    coeffs = (Fraction(1, 2),) + tuple(a_vals)
-    return SeparationSeries(sign=sign, coefficients=coeffs)
+    _validate_alpha(alpha)
+    p = (Fraction(alpha) - 1) / 2
+    q = p.denominator
+    rows, a_vals = _logderiv_run(p.numerator, q, 1, order)
+    polys = [(-1 / (2 * p),)] + [  # z_0 = 1/(1 - alpha) = -1/(2p)
+        [Fraction(c, q ** (4 * k - 1 - 2 * t)) for t, c in enumerate(row)]
+        for k, row in enumerate(rows, 1)]
+    a = [Fraction(1, 2)] + [
+        Fraction(v, q ** (4 * k)) for k, v in enumerate(a_vals, 1)]
+    return tuple(map(RationalPolynomial, polys)), tuple(a)
 
 
 def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeries:
@@ -612,7 +544,7 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
         P, q, one = params.p.numerator, params.p.denominator, 1
     else:
         P, q, one = params.p, 1, 1.0
-    _, a_vals = _logderiv_run(P, q, one, 2 * order, +1)
+    _, a_vals = _logderiv_run(P, q, one, 2 * order)
     beta = _beta_series(a_vals, order, one)
     beta_sq = [_cauchy(beta, beta, n, one - one) for n in range(order + 1)]
     if exact:
@@ -647,7 +579,7 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     if order > cap:
         raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
     one = _IntPoly((1,))
-    _, a_vals = _logderiv_run(_IntPoly((0, 1)), 1, one, 2 * order, +1)
+    _, a_vals = _logderiv_run(_IntPoly((0, 1)), 1, one, 2 * order)
     beta = _beta_series(a_vals, order, one)
     polys = []
     for n in range(1, order + 1):

@@ -26,7 +26,7 @@ class InvalidDimension(InputError):
 
 
 class OrderMismatch(InputError):
-    """Recursion history does not match the requested order."""
+    """A series result does not match its order."""
 
 
 class OrderTooLarge(InputError):

@@ -30,7 +30,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coeffs import EnergySeries, energy_series
+from .coeffs import EnergySeries, energy_series, format_alpha
 from .errors import (
     DegenerateSeries,
     InsufficientData,
@@ -167,9 +167,8 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     try:
         e = [float(x) for x in series.e_coeffs[:5]]
     except OverflowError:
-        raise DegenerateSeries(
-            f"series coefficients overflow a float (alpha={series.alpha})"
-        ) from None
+        raise DegenerateSeries("series coefficients overflow a float"
+                               f" (alpha={format_alpha(series.alpha)})") from None
     e0 = e[0]
     if e0 == 0:
         raise DegenerateSeries("zero leading coefficient")
@@ -184,8 +183,8 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
         raise DegenerateSeries("ratio system is singular (h3 ~ 0)")
     if h3 < 0.0:
         raise DegenerateSeries(
-            f"fit has no branch cut at positive field (alpha={series.alpha},"
-            f" l={l}): h3 = {h3:.6g} < 0")
+            "fit has no branch cut at positive field"
+            f" (alpha={format_alpha(series.alpha)}, l={l}): h3 = {h3:.6g} < 0")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
     root = cmath.sqrt(complex(s_sum * s_sum - 4.0 * prod))
@@ -203,25 +202,21 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
         e0=e0,
         alpha=float(series.alpha),
     )
-    back = model_coefficients(model, 4)
-    for k in range(4):
-        if abs(back[k] - e[k + 1]) > 1e-10 * abs(e[k + 1]):
-            raise DegenerateSeries(
-                f"fit round-trip failed at order {2 * (k + 1)}:"
-                f" {back[k]} vs {e[k + 1]}"
-            )
+    residual = fit_round_trip_residual(model, series)
+    if not residual <= 1e-10:
+        raise DegenerateSeries(
+            f"fit round-trip residual {residual:.3g} exceeds 1e-10"
+            f" (alpha={format_alpha(series.alpha)}, l={l})")
     return model
 
 
 def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
     """Largest relative mismatch between the model's re-expansion and the
-    series coefficients E_2..E_8."""
+    series coefficients E_2..E_8; NaN if any mismatch is NaN."""
     back = model_coefficients(model, 4)
-    worst = 0.0
-    for k in range(4):
-        target = float(series.e_coeffs[k + 1])
-        worst = max(worst, abs(back[k] - target) / abs(target))
-    return worst
+    errors = [abs(b - float(e)) / abs(float(e))
+              for b, e in zip(back, series.e_coeffs[1:5])]
+    return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
 def lower_side_energy(model: HypModel, field: float) -> complex:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from starkdim import (LANDAU_COMPARISON_RANGES, energy_series, specfun,
                       standard_model, symbolic_energy_series)
 from starkdim.cli import _linear_grid, _log_grid, run
+from starkdim.coeffs import format_alpha
 
 
 def invoke(capsys, *argv):
@@ -158,6 +160,12 @@ FLOAT_RANGE_LIMITS = {
     ("sweep", "--alpha", "1e11", "--fields", "0:1:3"): "alpha=100000000000",
     ("coeffs", "--alpha", "1e11"):
         "n=8 overflows a float (alpha=100000000000)",
+    # an alpha longer than 20 characters prints to 6 significant digits
+    ("coeffs", "--alpha", "1e400", "--order", "2"):
+        "n=2 overflows a float (alpha=1e+400)",
+    ("fit", "--alpha", "1e400"): "overflow a float (alpha=1e+400)",
+    ("wkb", "--alpha", "1e400", "--fields", "0.1:0.3:3"):
+        "overflow a float (alpha=1e+400)",
     ("sweep", "--alpha", "3", "--fields", "0:1e200:3"):
         "(alpha=3.0, field=5e+199)",
 }
@@ -169,7 +177,22 @@ def test_float_range_limit_is_numerical_error(capsys, argv):
     assert code == 3
     assert "nan" not in out
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 120
     assert FLOAT_RANGE_LIMITS[argv] in err
+
+
+def test_error_messages_shorten_long_alpha():
+    """alpha prints as given up to 20 characters, else to 6 digits."""
+    cases = [
+        (Fraction(10 ** 11), "100000000000"),
+        (Fraction(5, 2), "5/2"),
+        (3.0, "3.0"),
+        (Fraction(123456789012345678901234), "1.23457e+23"),
+        (Fraction(10 ** 30) + Fraction(1, 3), "1e+30"),
+        (Fraction(10 ** 400), "1e+400"),
+        (Fraction(10 ** 5000), "1e+5000"),  # past the int-to-str digit limit
+    ]
+    assert [format_alpha(alpha) for alpha, _ in cases] == [t for _, t in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +459,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "starkdim" in proc.stdout
+
+
+def _readme_commands():
+    """argv lists of the ``starkdim`` lines in README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("starkdim ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    """Every documented command line runs, so the docs cannot go stale."""
+    commands = _readme_commands()
+    assert commands
+    for k, argv in enumerate(commands):
+        if "--output" not in argv:
+            argv += ["--output", f"command{k}.out"]
+        i = argv.index("--output") + 1
+        target = argv[i] = str(tmp_path / argv[i])
+        code, _, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert os.path.getsize(target) > 0
 
 
 def test_cli_and_series_import_no_scipy_or_numpy():

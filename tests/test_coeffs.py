@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkdim import (
+    channel_series,
     energy_series,
-    logderiv_step,
     reference_factor_polynomial,
-    separation_series,
     symbolic_energy_series,
     unperturbed_params,
 )
@@ -28,16 +27,13 @@ from starkdim.errors import (
 
 def test_logderiv_first_orders_alpha3():
     """Hand-checked first recursion steps at alpha = 3 (channel scale 1)."""
-    pm = unperturbed_params(3)
-    hist = []
-    for k in range(4):
-        step, a = logderiv_step(k, hist, pm)
-        hist.append((step, a))
-    assert hist[1][1] == 2
-    assert hist[1][0].poly.coefficients == (Fraction(-2), Fraction(-1))
-    assert hist[2][1] == -18
-    assert hist[2][0].poly.coefficients == (Fraction(18), Fraction(7), Fraction(1))
-    assert hist[3][1] == 356
+    polys, a = channel_series(3, 3)
+    assert polys[0].coefficients == (Fraction(-1, 2),) and a[0] == Fraction(1, 2)
+    assert a[1] == 2
+    assert polys[1].coefficients == (Fraction(-2), Fraction(-1))
+    assert a[2] == -18
+    assert polys[2].coefficients == (Fraction(18), Fraction(7), Fraction(1))
+    assert a[3] == 356
 
 
 @pytest.mark.parametrize(
@@ -47,34 +43,51 @@ def test_logderiv_rows_solve_channel_relation(alpha):
     """Rows at a non-integer channel scale satisfy the order-k relation
     c_t = p ((t + 1 + p) c_{t+1} - s_t), a_k = -p c_0, checked in Fractions,
     where s is x at order 1 and minus the sum of z_i z_{k-i} after it."""
-    pm = unperturbed_params(alpha)
-    p = pm.p
-    hist = [logderiv_step(0, [], pm)]
+    p = unperturbed_params(alpha).p
+    polys, a = channel_series(alpha, 6)
+    assert [z.degree for z in polys] == list(range(7))
     for k in range(1, 7):
-        hist.append(logderiv_step(k, hist, pm))
         s = [Fraction(0)] * (k + 1)
         if k == 1:
             s[1] = Fraction(1)
         for i in range(1, k):
-            for m, cm in enumerate(hist[i][0].poly.coefficients):
-                for n, cn in enumerate(hist[k - i][0].poly.coefficients):
+            for m, cm in enumerate(polys[i].coefficients):
+                for n, cn in enumerate(polys[k - i].coefficients):
                     s[m + n] -= cm * cn
-        c = list(hist[k][0].poly.coefficients) + [Fraction(0)]
+        c = list(polys[k].coefficients) + [Fraction(0)]
         for t in range(k + 1):
             assert c[t] == p * ((t + 1 + p) * c[t + 1] - s[t])
-        assert hist[k][1] == -p * c[0]
+        assert a[k] == -p * c[0]
 
 
-def test_separation_series_mirror_symmetry():
-    """The mirrored channel flips the sign of every odd coefficient."""
-    pm = unperturbed_params(Fraction(5, 2))
-    up = separation_series(pm, 5, +1)
-    down = separation_series(pm, 5, -1)
-    assert down.coefficients == tuple(
-        c if n % 2 == 0 else -c for n, c in enumerate(up.coefficients)
+def test_channel_series_is_one_engine_run(monkeypatch):
+    """Every order comes from a single run of the recursion engine."""
+    runs = []
+    engine = coeffs._logderiv_run
+    monkeypatch.setattr(
+        coeffs, "_logderiv_run", lambda *args: runs.append(args) or engine(*args)
     )
-    assert up.beta2 == down.coefficients
-    assert down.beta1 == up.coefficients
+    polys, a = channel_series(Fraction(5, 2), 8)
+    assert len(runs) == 1 and len(polys) == len(a) == 9
+
+
+def test_channel_series_takes_a_float_at_its_binary_value():
+    assert channel_series(2.5, 5) == channel_series(Fraction(5, 2), 5)
+    polys, a = channel_series(1.1, 3)
+    assert (polys, a) == channel_series(Fraction(1.1), 3)
+    assert polys[0].coefficients == (1 / (1 - Fraction(1.1)),)
+    assert all(isinstance(x, Fraction) for x in a)
+
+
+def test_channel_series_validation():
+    assert channel_series(3, 0) == (
+        (RationalPolynomial((Fraction(-1, 2),)),), (Fraction(1, 2),))
+    with pytest.raises(OutOfRange):
+        channel_series(3, -1)
+    with pytest.raises(InvalidDimension):
+        channel_series(1, 2)
+    with pytest.raises(InvalidDimension):
+        channel_series(float("nan"), 2)
 
 
 def test_known_energy_values_exact():
@@ -95,7 +108,7 @@ def test_beta_series_solves_its_defining_equation(alpha):
     """y = 1/B satisfies y = sum 2 a_{2n} u^n y^6n through order 12."""
     order = 12
     beta = energy_series(alpha, order).beta_series
-    a = separation_series(unperturbed_params(alpha), 2 * order, +1).coefficients
+    a = channel_series(alpha, 2 * order)[1]
     assert beta[0] == 1
     y = [Fraction(1)]
     for k in range(1, order + 1):
@@ -286,7 +299,7 @@ def test_symbolic_series_pinned_bit_for_bit():
     [
         lambda: energy_series(Fraction(5, 2), 3),
         lambda: symbolic_energy_series(2),
-        lambda: separation_series(unperturbed_params(3), 2, +1),
+        lambda: channel_series(3, 2),
     ],
     ids=["exact", "symbolic", "separation"],
 )

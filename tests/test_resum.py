@@ -139,6 +139,19 @@ def test_float_range_limits_raise_numerical_errors():
             resonance(model, field)
 
 
+def test_nan_round_trip_fails_the_fit(monkeypatch):
+    """A NaN in the re-expansion is a failed round trip, wherever it sits."""
+    series = energy_series(3, 4)
+    model = fit_model(series)
+    back = model_coefficients(model, 4)
+    back[1] = complex(math.nan)
+    monkeypatch.setattr(starkdim.resum, "model_coefficients",
+                        lambda model, count: back)
+    assert math.isnan(fit_round_trip_residual(model, series))
+    with pytest.raises(DegenerateSeries, match="round-trip residual nan"):
+        fit_model(series)
+
+
 def test_fit_with_tiny_positive_h3_accepted():
     assert 0.0 < standard_model(1.01, l=4.5).h3.real < 1e-11
 
@@ -285,6 +298,17 @@ def test_rate_finite_and_positive(alpha, log_field):
     point = resonance(standard_model(alpha), 10.0 ** log_field)
     assert math.isfinite(point.delta)
     assert math.isfinite(point.gamma) and point.gamma > 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha", (1.2, Fraction(3, 2), 2, 2.1, Fraction(5, 2), 3, 7, 20), ids=str)
+def test_rate_monotone_below_first_dip(alpha):
+    """Gamma never decreases on a log grid of F from 1e-3 to 20.  The first
+    decrease comes later, near F = 25.1 (alpha = 5/2), 35.5 (2.1), 43.7 (2),
+    158 (3) and 295 (3/2); none up to 1e3 at alpha = 1.2, 5, 7 and 20."""
+    fields = [10.0 ** (-3.0 + k * math.log10(2e4) / 200) for k in range(201)]
+    gammas = [pt.gamma for pt in sweep(standard_model(alpha), fields)]
+    assert all(b >= a for a, b in zip(gammas, gammas[1:]))
 
 
 @given(alpha=st.floats(1.0, 1.2, exclude_min=True, exclude_max=True),
