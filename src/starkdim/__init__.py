@@ -33,11 +33,7 @@ from .resum import (
     standard_model,
     sweep,
 )
-from .specfun import (
-    complex_gamma,
-    gauss_2f1,
-    rising_factorial,
-)
+from .specfun import complex_gamma, gauss_2f1
 from .validate import (
     DispersionEntry,
     DispersionReport,

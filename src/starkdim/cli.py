@@ -183,9 +183,13 @@ def _cmd_coeffs(ns: argparse.Namespace):
         try:
             rows.append((2 * k, float(exact), str(exact)))
         except OverflowError:
-            raise NumericalError(
-                f"energy coefficient n={2 * k} overflows a float"
-                f" (alpha={format_alpha(ns.alpha)})") from None
+            problem = "overflows a float"
+        except ValueError:  # past Python's int-to-str digit limit
+            problem = "has too many digits to print exactly"
+        else:
+            continue
+        raise NumericalError(f"energy coefficient n={2 * k} {problem}"
+                             f" (alpha={format_alpha(ns.alpha)})")
     return columns, rows, {}
 
 

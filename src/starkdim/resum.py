@@ -14,8 +14,9 @@ one with Im E <= 0.
 
 Everything in E(field) that does not depend on the field -- G, and the
 Gamma products, digammas and route checks of the 2F1 continuation (a
-``specfun.Hyp2F1``) -- is computed once per :class:`HypModel`, on its first
-evaluation, and kept on the model; each field point then only sums series.
+``specfun.Hyp2F1``) -- is computed once per :class:`HypModel`, by the first
+field point that needs it, and kept on the model; later points only sum
+series.
 
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
@@ -41,7 +42,7 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .specfun import Hyp2F1, complex_gamma, real_on_axis, rising_factorial
+from .specfun import Hyp2F1, complex_gamma, real_on_axis, taylor_terms
 
 DEFAULT_L = 30.0
 
@@ -90,9 +91,9 @@ class HypModel:
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .)) with every parameter-only constant
-        of the continuation computed: built on the first evaluation and
-        kept with the model, so each further field point only sums series."""
+        """(G, 2F1(h1, h2; h1+h2+l; .)), built on the first evaluation and
+        kept with the model; the 2F1 keeps each parameter-only constant once
+        a field point has needed it, so further points only sum series."""
         context = f"(alpha={self.alpha}, l={self.l})"
         try:
             pref = (
@@ -106,8 +107,9 @@ class HypModel:
             # the product of the two upper Gammas overflows first, from
             # l = 99 at alpha = 3, 2 and 3/2
             raise NumericalError(
-                f"continuation prefactor G = {pref} is not finite {context}")
-        return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l).precompute()
+                "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
+                f" overflows a float {context}")
+        return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l)
 
 
 @dataclass(frozen=True)
@@ -131,21 +133,12 @@ class ResonancePoint:
 def model_coefficients(model: HypModel, count: int = 4):
     """Even-order energy coefficients implied by the model.
 
-    Returns [E_2, E_4, ...] (length ``count``) from the Taylor data of the
-    analytic part of the continuation; used for fit round-trips.
+    Returns [E_2, E_4, ...] (length ``count``) from the continuation's
+    Taylor terms h4 (h1)_k (h2)_k Gamma(l-k) h3^k / k!; for fit round-trips.
     """
-    out = []
-    for k in range(count):
-        tk = (
-            model.h4
-            * model.h3 ** k
-            * rising_factorial(model.h1, k)
-            * rising_factorial(model.h2, k)
-            * complex_gamma(model.l - k)
-            / math.factorial(k)
-        )
-        out.append(model.e0 * tk / 16.0 ** (k + 1))
-    return out
+    terms = taylor_terms(model.h1, model.h2, model.l, model.h3, count,
+                         model.h4 * complex_gamma(model.l))
+    return [model.e0 * tk / 16.0 ** (k + 1) for k, tk in enumerate(terms)]
 
 
 def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:

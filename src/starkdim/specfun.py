@@ -1,10 +1,9 @@
 """Complex special functions for the resummation layer.
 
-Provides a complex Gamma function, rising factorials, the principal-branch
-Gauss hypergeometric function 2F1 for complex parameters with the cut on
-[1, inf), and the truncated analytic part of 2F1 around w = 1 that heads
-the integer-difference connection formula there, with the digamma function
-that formula needs (recurrence up to Re z >= 10, then DLMF 5.11.2).
+Provides a complex Gamma function, the principal-branch Gauss hypergeometric
+function 2F1 for complex parameters with the cut on [1, inf), the Taylor
+terms that head its integer-difference connection at w = 1, and the digamma
+function that connection needs (recurrence to Re z >= 10, then DLMF 5.11.2).
 
 The 2F1 evaluator picks among the defining series and the standard argument
 transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
@@ -13,16 +12,13 @@ upper parameters separated by an integer) are handled by dedicated
 logarithmic connection series or, as a last resort, by a symmetric
 parameter-perturbation average.
 
-On the cut, w = 1 + v, :func:`gauss_2f1_cut` takes v itself and routes Im F
-by x = 1 + v: the DLMF 15.2.3 discontinuity up to x = 11, where its series
-converges fast; the generic value's own imaginary part beyond, or on failure.
-
 All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
 keeps every parameter-only constant (Gamma products, digammas, route
-checks) after the first evaluation that needs it.  :func:`gauss_2f1` and
-:func:`gauss_2f1_cut` build one per call; a fitted resummation model keeps
-its own (``resum.HypModel``), so a field sweep computes those constants
-once.  A ``NumericalError`` from a series names the formula it came from.
+checks) after the first evaluation that needs it; :meth:`Hyp2F1.cut` is
+its on-cut entry point.  :func:`gauss_2f1` builds one per call; a fitted
+resummation model keeps its own (``resum.HypModel``), so a field sweep
+computes those constants once.  A ``NumericalError`` from a series names
+the formula it came from.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from .errors import (
     NonConvergent,
     NumericalError,
     OnBranchCut,
-    OutOfRange,
     ParameterPole,
     PoleError,
 )
@@ -128,37 +123,27 @@ def digamma(z) -> complex:
 
 
 def _rgamma(z) -> complex:
-    """Reciprocal Gamma, zero at the poles."""
+    """Reciprocal Gamma, zero at the poles; sin(pi z) Gamma(1-z) / pi where
+    Gamma(z) itself is not finite (z next to a pole, e.g. subnormal)."""
     z = complex(z)
     if _nonpositive_integer(z):
         return complex(0.0)
-    return 1.0 / complex_gamma(z)
+    gamma = complex_gamma(z)
+    if cmath.isfinite(gamma):
+        return 1.0 / gamma
+    return cmath.sin(math.pi * z) * complex_gamma(1.0 - z) / math.pi
 
 
-def rising_factorial(x, n: int):
-    """Product x (x+1) ... (x+n-1); preserves the input's arithmetic type."""
-    if not isinstance(n, int) or n < 0:
-        raise OutOfRange("rising factorial length must be a nonnegative integer")
-    out = x * 0 + 1
-    for k in range(n):
-        out = out * (x + k)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# near-unit-argument expansion
-
-
-def _f0_sum(h1, h2, l, z, order, gamma_l) -> complex:
-    """Truncated analytic part around w = 1,
-    sum_{k<=order} (h1)_k (h2)_k Gamma(l-k) z^k / k!, given Gamma(l); the
-    truncation stays below the coefficient pole at k = l for integer l."""
-    term = gamma_l
-    total = term
-    for k in range(order):
-        term = term * (h1 + k) * (h2 + k) * z / ((k + 1) * (l - 1 - k))
-        total += term
-    return total
+def taylor_terms(h1, h2, l, z, count, first) -> list:
+    """Terms k < count of sum (h1)_k (h2)_k Gamma(l-k) z^k / k! times
+    ``first`` / Gamma(l), each from the last by its ratio: the resummation
+    model's Taylor series and the head of the log connection at w = 1,
+    where count <= l stays below the coefficient pole at k = l."""
+    terms = [first]
+    for k in range(count - 1):
+        terms.append(terms[-1] * (h1 + k) * (h2 + k) * z
+                     / ((k + 1) * (l - 1 - k)))
+    return terms[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +215,7 @@ class Hyp2F1:
     """Principal-branch 2F1(a, b; c; .) at fixed parameters.
 
     Calling an instance evaluates it at w (see :func:`gauss_2f1`);
-    :meth:`cut` evaluates it at w = 1 + v (see :func:`gauss_2f1_cut`).
+    :meth:`cut` evaluates it at w = 1 + v.
     Region choice is by smallest mapped modulus among the defining series
     and the w/(w-1), 1-w and 1/w transformations.
 
@@ -238,10 +223,9 @@ class Hyp2F1:
     connections, the Gammas, digammas, harmonic sum and analytic head of the
     logarithmic connection, the Gamma factors of the DLMF 15.2.3
     discontinuity, and the checks that pick among these -- is computed on
-    the first evaluation that needs it and kept; :meth:`precompute` builds
-    all of it at once.  A kept product is always the left-most part of the
-    product the formula multiplies out, so every value is bit-identical to
-    computing it afresh.
+    the first evaluation that needs it and kept.  A kept product is always
+    the left-most part of the product the formula multiplies out, so every
+    value is bit-identical to computing it afresh.
     """
 
     def __init__(self, a, b, c):
@@ -368,19 +352,6 @@ class Hyp2F1:
         return (Hyp2F1(self.a + d1, self.b - d2, self.c),
                 Hyp2F1(self.a - d1, self.b + d2, self.c))
 
-    def precompute(self) -> Hyp2F1:
-        """Build now every constant an evaluation could use, so that later
-        evaluations only sum series; returns the instance."""
-        if self._degree is None:
-            for name in ("_at_one", "_inf_consts", "_imag_consts"):
-                getattr(self, name)
-            m = self._log_m
-            if m is None:
-                getattr(self, "_unit_consts")
-            else:
-                getattr(self._euler if m < 0 else self, "_log_consts")
-        return self
-
     # -- regions ------------------------------------------------------------
 
     def _direct(self, w) -> complex:
@@ -429,7 +400,7 @@ class Hyp2F1:
         head = complex(0.0)
         if m:
             head_pref, gamma_m = head_consts
-            head = head_pref * _f0_sum(a, b, float(m), v, m - 1, gamma_m)
+            head = head_pref * sum(taylor_terms(a, b, float(m), v, m, gamma_m))
         log_xi = cmath.log(xi)
         psi_k = -_EULER_GAMMA
         pow_xi = complex(1.0)
@@ -504,7 +475,13 @@ class Hyp2F1:
         return 0.5 * (fa(w) + fb(w))
 
     def cut(self, v, cut_side=None) -> complex:
-        """Value at w = 1 + v for real v; see :func:`gauss_2f1_cut`."""
+        """2F1(a, b; c; 1 + v) for real v; on the cut, v > 0, ``cut_side``
+        picks the side as in :func:`gauss_2f1`.  Re F is the generic value
+        at the rounded 1 + v.  Up to x = 1 + v = 11 (a real function below
+        the cut) Im F is the DLMF 15.2.3 discontinuity at v itself, so a tiny
+        Im F keeps full relative accuracy even where 1 + v rounds to 1;
+        beyond, or if that series does not converge, the generic value's
+        imaginary part stands."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
@@ -544,7 +521,7 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
 
     The branch cut runs along [1, inf).  For real w > 1 the caller must pick
     a side: ``cut_side=+1`` evaluates the limit from Im w > 0, ``-1`` from
-    Im w < 0; :func:`gauss_2f1_cut` evaluates it at v = w - 1 and picks the
+    Im w < 0; :meth:`Hyp2F1.cut` evaluates it at v = w - 1 and picks the
     route for Im F there.  Values off the cut need no side.  Accuracy
     degrades when c - a - b sits within about 1e-6 of a nonzero integer
     without being within 1e-9 of it; the evaluation regions used by the
@@ -558,15 +535,3 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     """
     return Hyp2F1(a, b, c)(w, cut_side)
 
-
-def gauss_2f1_cut(a, b, c, v, cut_side=None) -> complex:
-    """2F1(a, b; c; 1 + v) for real v, given by its offset from w = 1.
-
-    For v > 0 (the cut) ``cut_side`` picks the side as in :func:`gauss_2f1`.
-    The real part is the generic value at the rounded 1 + v.  Up to
-    x = 1 + v = 11 (a real function below the cut) the imaginary part is
-    the DLMF 15.2.3 discontinuity at v itself, so a tiny Im F keeps full
-    relative accuracy even where 1 + v rounds to 1; beyond, or if that
-    series does not converge, the generic value's imaginary part stands.
-    """
-    return Hyp2F1(a, b, c).cut(v, cut_side)

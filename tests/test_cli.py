@@ -150,7 +150,8 @@ def test_series_failure_is_numerical_error_with_context(capsys, monkeypatch):
 # exit code 3, never a traceback or a NaN row
 FLOAT_RANGE_LIMITS = {
     ("sweep", "--alpha", "3", "--l", "99", "--fields", "0:1:3"):
-        "G = (nan+nanj) is not finite (alpha=3.0, l=99.0)",
+        "Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2) overflows a float"
+        " (alpha=3.0, l=99.0)",
     ("wkb", "--alpha", "3", "--l", "99", "--fields", "0.1:0.3:3"):
         "(alpha=3.0, l=99.0)",
     ("dispersion", "--alpha", "3", "--l", "99"): "(alpha=3.0, l=99.0)",
@@ -163,6 +164,8 @@ FLOAT_RANGE_LIMITS = {
     # an alpha longer than 20 characters prints to 6 significant digits
     ("coeffs", "--alpha", "1e400", "--order", "2"):
         "n=2 overflows a float (alpha=1e+400)",
+    ("coeffs", "--alpha", "1e2200", "--order", "1"):
+        "n=0 has too many digits to print exactly (alpha=1e+2200)",
     ("fit", "--alpha", "1e400"): "overflow a float (alpha=1e+400)",
     ("wkb", "--alpha", "1e400", "--fields", "0.1:0.3:3"):
         "overflow a float (alpha=1e+400)",
@@ -481,6 +484,18 @@ def test_readme_commands_run(tmp_path, capsys):
         code, _, err = invoke(capsys, *argv)
         assert code == 0, (argv, err)
         assert os.path.getsize(target) > 0
+
+
+def test_readme_library_block_runs(tmp_path):
+    """README's ``python`` example under "Library" runs against ``src``,
+    so a deleted or renamed public name cannot leave it stale."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text().split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_and_series_import_no_scipy_or_numpy():

@@ -108,6 +108,41 @@ def test_sampled_dimension_and_field(alpha, field):
     assert_matches(standard_model(alpha), (field,))
 
 
+# (alpha, l, v) where the 2F1 route switches, v = h3 (F/4)^2 near 0.618:
+# below it the m = l log connection, above it the 1/w connection; each v is
+# the worst one for Delta found on a scan at that alpha and l
+REGION_SEAM_POINTS = [
+    (3.0, 45.0, 0.68), (3.0, 60.0, 0.62), (3.0, 90.0, 0.64),
+    (2.0, 60.0, 0.62), (1.5, 60.0, 0.64), (5.0, 30.0, 0.64),
+    (10.0, 30.0, 0.72), (20.0, 30.0, 0.60),
+]
+
+
+def seam_point(alpha, l, v):
+    """(model, reference Delta, reference Gamma, resonance) at
+    F = 4 sqrt(v / h3)."""
+    model = standard_model(alpha, l=l)
+    field = 4.0 * math.sqrt(v / model.h3.real)
+    return (model, *reference(model, field), resonance(model, field))
+
+
+@pytest.mark.parametrize("alpha,l,v", REGION_SEAM_POINTS)
+def test_gamma_at_region_seam(alpha, l, v):
+    """Gamma comes from the DLMF 15.2.3 reflected series there, not from the
+    switching routes: within 4e-14 at every point."""
+    _, _, gamma, point = seam_point(alpha, l, v)
+    assert abs(point.gamma - gamma) <= REL_TOL * gamma
+
+
+@pytest.mark.xfail(strict=True, reason="both 2F1 routes lose digits of Re F"
+                   " near v = 0.618; the loss grows with l and alpha")
+@pytest.mark.parametrize("alpha,l,v", REGION_SEAM_POINTS)
+def test_delta_at_region_seam(alpha, l, v):
+    """Delta is off by 6e-12 (alpha = 5) to 3.6e-2 (alpha = 3, l = 90)."""
+    _, delta, _, point = seam_point(alpha, l, v)
+    assert abs(point.delta - delta) <= REL_TOL * abs(delta)
+
+
 def test_rate_from_unrounded_offset():
     """At alpha = 1.01, l = 4.5 (h3 ~ 1.5e-12) 1 + h3 z keeps only a few
     significant digits of h3 z; Gamma still matches to full precision."""
