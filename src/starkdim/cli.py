@@ -14,6 +14,7 @@ floats are serialized with a fixed formatting rule.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -101,7 +102,10 @@ def _fields_arg(text: str) -> tuple:
     return start, stop, count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later :func:`run` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="starkdim",
         description="Stark resonances of hydrogen-like atoms in dimension "

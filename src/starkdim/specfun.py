@@ -14,11 +14,17 @@ parameter-perturbation average.
 
 All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
 keeps every parameter-only constant (Gamma products, digammas, route
-checks) after the first evaluation that needs it; :meth:`Hyp2F1.cut` is
-its on-cut entry point.  :func:`gauss_2f1` builds one per call; a fitted
-resummation model keeps its own (``resum.HypModel``), so a field sweep
-computes those constants once.  A ``NumericalError`` from a series names
-the formula it came from.
+checks) after the first evaluation that needs it, and with each series it
+sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
+tail's coefficients and digamma sums), grown to the longest sum so far.
+For a conjugate pair b = conj(a) with real c, the 1/w connection on the
+real axis sums one of its two series and conjugates it for the other.  The
+floating-point operations on the argument are the same either way, so no
+value depends on what the instance summed before.  :meth:`Hyp2F1.cut` is
+the on-cut entry point.  :func:`gauss_2f1` builds an instance per call; a
+fitted resummation model keeps its own (``resum.HypModel``), so a field
+sweep computes those constants and term values once.  A ``NumericalError``
+from a series names the formula it came from.
 """
 
 from __future__ import annotations
@@ -158,22 +164,90 @@ def _near_integer(z: complex, tol: float) -> bool:
     return abs(z - round(z.real)) <= tol
 
 
-def _series_2f1(a, b, c, w) -> complex:
-    """Defining series with term recurrence; requires |w| in the accepted
-    region (or termination), else errors out after MAX_TERMS."""
-    term = complex(1.0)
-    total = complex(1.0)
-    small = 0
-    for k in range(MAX_TERMS):
-        term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NonConvergent(f"hypergeometric series exhausted {MAX_TERMS} terms")
+class _Series:
+    """The defining series of 2F1(a, b; c; .), each term from the last by
+    its ratio, term * (a + k) * (b + k) * w / ((c + k) (k + 1)).
+
+    The parameter-only values of that ratio are kept, one row per k, in a
+    list that grows to the longest sum so far; the operations on w are the
+    same whatever was summed before, so a value never depends on call
+    order.  A sum needs |w| in the accepted region (or termination), else
+    it errors out after MAX_TERMS.
+    """
+
+    __slots__ = ("a", "b", "c", "rows")
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+        self.rows = []
+
+    def __call__(self, w) -> complex:
+        rows = self.rows
+        term = complex(1.0)
+        total = complex(1.0)
+        small = 0
+        for k in range(MAX_TERMS):
+            if k == len(rows):
+                rows.append((self.a + k, self.b + k, (self.c + k) * (k + 1)))
+            ak, bk, dk = rows[k]
+            term = term * ak * bk * w / dk
+            total += term
+            if abs(term) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+        raise NonConvergent(f"hypergeometric series exhausted {MAX_TERMS} terms")
+
+
+class _LogTail:
+    """The logarithmic tail of the connection at w = 1 for integer
+    c - a - b = m >= 0 (DLMF 15.8.10): the sum over k of
+    c_k xi^k (log xi - psi(k+1) - psi(k+m+1) + psi(a+m+k) + psi(b+m+k)),
+    c_k = (a+m)_k (b+m)_k / (k! (k+m)!), at xi = 1 - w.
+
+    Everything but the powers of xi depends on the parameters alone.  The
+    rows (c_k, psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k)), each advanced
+    from the last by the term ratio and the digamma recurrence, are kept
+    and grow to the longest sum so far.
+    """
+
+    __slots__ = ("am", "bm", "m", "rows")
+
+    def __init__(self, a, b, m, psi_a, psi_b):
+        self.am, self.bm, self.m = a + m, b + m, m
+        psi_km = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
+        self.rows = [(complex(1.0 / math.factorial(m)), -_EULER_GAMMA, psi_km,
+                      psi_a, psi_b)]
+
+    def _advance(self, k):
+        coeff, psi_k, psi_km, psi_a, psi_b = self.rows[k]
+        am, bm, m = self.am + k, self.bm + k, self.m
+        self.rows.append((coeff * am * bm / ((k + 1) * (k + m + 1)),
+                          psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
+                          psi_a + 1.0 / am, psi_b + 1.0 / bm))
+
+    def __call__(self, xi) -> complex:
+        rows = self.rows
+        log_xi = cmath.log(xi)
+        pow_xi = complex(1.0)
+        total = complex(0.0)
+        small = 0
+        for k in range(MAX_TERMS):
+            if k == len(rows):
+                self._advance(k - 1)
+            coeff, psi_k, psi_km, psi_a, psi_b = rows[k]
+            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+            total += contrib
+            if abs(contrib) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+            pow_xi = pow_xi * xi
+        raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
 
 
 def _terminating_2f1(degree: int, a, b, c, w) -> complex:
@@ -194,12 +268,13 @@ def _terminating_2f1(degree: int, a, b, c, w) -> complex:
 _REFLECTION_MAX_X = 11.0
 
 
-def _reflection_series(a, b, c, v) -> complex:
+def _reflection_series(series, a, c, v) -> complex:
     """2F1(c-a, c-b; mu+1; -v) for v = x - 1 > 0, mu = c - a - b, in the
-    Pfaff form x^(a-c) 2F1(c-a, 1-a; mu+1; v/x): its argument stays in
-    (0, 1) and the prefactor absorbs the cancellation of the raw series."""
+    Pfaff form x^(a-c) 2F1(c-a, 1-a; mu+1; v/x), with ``series`` the
+    2F1(c-a, 1-a; mu+1; .) sum: its argument stays in (0, 1) and the
+    prefactor absorbs the cancellation of the raw series."""
     x = 1.0 + v
-    return x ** (a - c) * _series_2f1(c - a, 1.0 - a, c - a - b + 1.0, v / x)
+    return x ** (a - c) * series(v / x)
 
 
 def real_on_axis(a, b, c) -> bool:
@@ -223,9 +298,18 @@ class Hyp2F1:
     connections, the Gammas, digammas, harmonic sum and analytic head of the
     logarithmic connection, the Gamma factors of the DLMF 15.2.3
     discontinuity, and the checks that pick among these -- is computed on
-    the first evaluation that needs it and kept.  A kept product is always
-    the left-most part of the product the formula multiplies out, so every
-    value is bit-identical to computing it afresh.
+    the first evaluation that needs it and kept.  So are the per-term
+    parameter values of every series the instance sums (the defining and
+    w/(w-1) series, the 1/w and non-integer 1-w pairs, the reflected
+    series; see :class:`_Series` and :class:`_LogTail`), as lists that grow
+    to the longest sum so far and go with the instance.  A kept product is
+    always the left-most part of the product the formula multiplies out, so
+    every value is bit-identical to computing it afresh.
+
+    For b = conj(a) and real c the second 1/w series has the conjugate
+    parameters of the first, so on the real axis (the cut's i0 nudge
+    included) it is the first one's conjugate and is not summed; real
+    pairs and complex w off the axis sum both.
     """
 
     def __init__(self, a, b, c):
@@ -302,8 +386,8 @@ class Hyp2F1:
     def _log_consts(self):
         """Parameter-only parts of the logarithmic connection, m >= 0:
         (head Gamma prefix, Gamma(m)) or None at m = 0, the tail's Gamma
-        prefix, psi(a+m), psi(b+m), psi(m+1) and 1/m!.  None when a + m or
-        b + m is so close to 0 that its digamma overflows."""
+        prefix and the tail itself (a :class:`_LogTail`).  None when a + m
+        or b + m is so close to 0 that its digamma overflows."""
         a, b, m = self.a, self.b, self._log_m
         psi_a, psi_b = digamma(a + m), digamma(b + m)
         if not (cmath.isfinite(psi_a) and cmath.isfinite(psi_b)):
@@ -313,14 +397,8 @@ class Hyp2F1:
         if m:
             head = (gamma_c * _rgamma(a + m) * _rgamma(b + m),
                     complex_gamma(float(m)))
-        return (
-            head,
-            -gamma_c * _rgamma(a) * _rgamma(b),
-            psi_a,
-            psi_b,
-            -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1)),
-            complex(1.0 / math.factorial(m)),
-        )
+        return (head, -gamma_c * _rgamma(a) * _rgamma(b),
+                _LogTail(a, b, m, psi_a, psi_b))
 
     @cached_property
     def _euler(self):
@@ -345,6 +423,37 @@ class Hyp2F1:
                 complex_gamma(a) * complex_gamma(b))
 
     @cached_property
+    def _conjugate_pair(self) -> bool:
+        """b = conj(a) with real c: on the real axis the second 1/w series
+        is then the conjugate of the first."""
+        return self.b == self.a.conjugate() and self.c.imag == 0.0
+
+    # -- series, each keeping its parameter-only term values ---------------
+
+    @cached_property
+    def _direct_series(self):
+        return _Series(self.a, self.b, self.c)
+
+    @cached_property
+    def _pfaff_series(self):
+        return _Series(self.a, self.c - self.b, self.c)
+
+    @cached_property
+    def _inf_series(self):
+        a, b, c = self.a, self.b, self.c
+        return (_Series(a, a - c + 1.0, a - b + 1.0),
+                _Series(b, b - c + 1.0, b - a + 1.0))
+
+    @cached_property
+    def _unit_series(self):
+        a, b, c, mu = self.a, self.b, self.c, self._mu
+        return _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu)
+
+    @cached_property
+    def _reflected_series(self):
+        return _Series(self.c - self.a, 1.0 - self.a, self._mu + 1.0)
+
+    @cached_property
     def _nudged(self):
         """The two parameter-perturbed functions averaged where every usable
         region is degenerate."""
@@ -355,24 +464,29 @@ class Hyp2F1:
     # -- regions ------------------------------------------------------------
 
     def _direct(self, w) -> complex:
-        return _series_2f1(self.a, self.b, self.c, w)
+        return self._direct_series(w)
 
     def _pfaff(self, w) -> complex:
-        a, b, c = self.a, self.b, self.c
-        return (1.0 - w) ** (-a) * _series_2f1(a, c - b, c, w / (w - 1.0))
+        return (1.0 - w) ** (-self.a) * self._pfaff_series(w / (w - 1.0))
 
     def _inf(self, w) -> complex:
         if self._inf_consts is None:
             raise _Inapplicable
-        a, b, c = self.a, self.b, self.c
+        a, b = self.a, self.b
         k1, k2 = self._inf_consts
+        series_a, series_b = self._inf_series
         iw = 1.0 / w
-        t1 = k1 * (-w) ** (-a) * _series_2f1(a, a - c + 1.0, a - b + 1.0, iw)
-        t2 = k2 * (-w) ** (-b) * _series_2f1(b, b - c + 1.0, b - a + 1.0, iw)
-        return t1 + t2
+        f_a = series_a(iw)
+        if self._conjugate_pair and abs(w.imag) <= _CUT_IMAG:
+            # the second series has the conjugate parameters: at a real
+            # argument, or the cut's nudge of one, it is the conjugate sum
+            f_b = f_a.conjugate()
+        else:
+            f_b = series_b(iw)
+        return k1 * (-w) ** (-a) * f_a + k2 * (-w) ** (-b) * f_b
 
     def _unit(self, w) -> complex:
-        a, b, c, mu = self.a, self.b, self.c, self._mu
+        mu = self._mu
         xi = 1.0 - w
         m = self._log_m
         if m is not None:
@@ -381,9 +495,8 @@ class Hyp2F1:
                 return xi ** mu * self._euler._unit(w)
             return self._log(w)
         k1, k2 = self._unit_consts
-        t1 = k1 * _series_2f1(a, b, 1.0 - mu, xi)
-        t2 = k2 * xi ** mu * _series_2f1(c - a, c - b, 1.0 + mu, xi)
-        return t1 + t2
+        series_1, series_2 = self._unit_series
+        return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
 
     def _log(self, w) -> complex:
         """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
@@ -394,36 +507,13 @@ class Hyp2F1:
         if self._log_consts is None:
             raise _Inapplicable
         a, b, m = self.a, self.b, self._log_m
-        head_consts, tail_pref, psi_a, psi_b, psi_km, coeff = self._log_consts
-        xi = 1.0 - w
+        head_consts, tail_pref, tail = self._log_consts
         v = w - 1.0
         head = complex(0.0)
         if m:
             head_pref, gamma_m = head_consts
             head = head_pref * sum(taylor_terms(a, b, float(m), v, m, gamma_m))
-        log_xi = cmath.log(xi)
-        psi_k = -_EULER_GAMMA
-        pow_xi = complex(1.0)
-        total = complex(0.0)
-        small = 0
-        for k in range(MAX_TERMS):
-            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-            total += contrib
-            if abs(contrib) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-            coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
-            pow_xi = pow_xi * xi
-            psi_a += 1.0 / (a + m + k)
-            psi_b += 1.0 / (b + m + k)
-            psi_k += 1.0 / (k + 1)
-            psi_km += 1.0 / (k + m + 1)
-        else:
-            raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
-        return head + tail_pref * v ** m * total
+        return head + tail_pref * v ** m * tail(1.0 - w)
 
     # (method, formula named in error messages), indexed by region
     _REGIONS = (("_direct", "defining series"), ("_pfaff", "w/(w-1) series"),
@@ -509,7 +599,8 @@ class Hyp2F1:
             return None
         mu, gamma_c, rgamma_mu1, gamma_ab = self._imag_consts
         try:
-            series = _reflection_series(self.a, self.b, self.c, v)
+            series = _reflection_series(self._reflected_series, self.a,
+                                        self.c, v)
         except NonConvergent:
             return None
         scale = math.pi * v ** mu * gamma_c * rgamma_mu1 / gamma_ab
@@ -531,7 +622,8 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     40-digit mpmath, on 1,000 random such calls (b - a in {0, 1, 2, 3},
     1.15 <= |w| <= 4), its relative error has median 7e-8 and worst 1.1e-4.
     Repeated evaluation at one parameter set should go through one
-    :class:`Hyp2F1`.
+    :class:`Hyp2F1`, which keeps the parameter-only constants and per-term
+    values that this call computes and discards.
     """
     return Hyp2F1(a, b, c)(w, cut_side)
 

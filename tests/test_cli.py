@@ -15,7 +15,7 @@ import pytest
 
 from starkdim import (LANDAU_COMPARISON_RANGES, energy_series, specfun,
                       standard_model, symbolic_energy_series)
-from starkdim.cli import _linear_grid, _log_grid, run
+from starkdim.cli import _linear_grid, _log_grid, build_parser, run
 from starkdim.coeffs import format_alpha
 
 
@@ -390,6 +390,9 @@ def test_repeated_json_output_is_identical(capsys):
 # into a per-model object.  The other four were re-pinned when grids, line
 # fits, moment sums and Gauss-Legendre nodes moved to plain floats, after a
 # number-by-number comparison (largest drift per column in CHANGES.md).
+# The alpha = 5 sweep, recorded before the 1/w connection summed one series
+# per conjugate pair, has a real pair (h1, h2): it keeps both series, and its
+# grid reaches the log connection, the reflected series and x > 11.
 PINNED_DIGESTS = {
     ("reproduce", "--figure", "1"):
         "da8afd7827c215ef4018bb380af626ca31a60953cd812c221e02ff65a756213a",
@@ -403,6 +406,8 @@ PINNED_DIGESTS = {
         "ef70cf07ee85a003608a2f0e760aa53266baa05c53812a0ff73c90243f5843d4",
     ("dispersion", "--alpha", "3/2", "--format", "json"):
         "9e57be1e384a6e3c0cb25a20535bdf0bee77c4cff5823c058fe04c34bcdc4218",
+    ("sweep", "--alpha", "5", "--fields", "0:0.05:101"):
+        "6edcf681b2bf68431a23920d4fa4b57175142db4d536563208528c3655e853e2",
 }
 
 
@@ -411,6 +416,19 @@ def test_output_bytes_pinned(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+def test_one_parser_serves_every_run(capsys):
+    """The parser is built once per process; a usage error, --help and
+    --version leave it fit for the next run."""
+    assert build_parser() is build_parser()
+    assert invoke(capsys, "sweep", "--alpha", "3")[0] == 2
+    argv = ("sweep", "--alpha", "5/2", "--fields", "0:2:101")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+    for flag in ("--help", "--version", "--help", "--version"):
+        assert invoke(capsys, flag)[0] == 0
 
 
 def test_output_file_written_atomically(tmp_path, capsys):

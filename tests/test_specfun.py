@@ -1,8 +1,10 @@
 """Complex Gamma and Gauss 2F1 against mpmath oracles and exact identities."""
 
 import cmath
+import functools
 import math
 import random
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -14,9 +16,11 @@ from starkdim import (
     STANDARD_SWEEP_RANGES,
     complex_gamma,
     gauss_2f1,
+    standard_model,
     sweep,
 )
 from starkdim import specfun
+from starkdim.cli import run
 from starkdim.errors import (
     NonConvergent,
     NumericalError,
@@ -195,9 +199,9 @@ def test_reflected_series_only_below_seam(models, monkeypatch):
     seen = []
     original = specfun._reflection_series
 
-    def spy(a, b, c, v):
+    def spy(series, a, c, v):
         seen.append(1.0 + v)
-        return original(a, b, c, v)
+        return original(series, a, c, v)
 
     monkeypatch.setattr(specfun, "_reflection_series", spy)
     for alpha, top in STANDARD_SWEEP_RANGES:
@@ -224,6 +228,243 @@ def test_reflected_series_failure_keeps_generic_value(monkeypatch):
             generic = gauss_2f1(h1, h1.conjugate(), c, complex(x, side * 1e-300))
             assert got == generic
     assert len(calls) == 4
+
+
+def bits(z):
+    """The exact floats of a complex value, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def plain_series(a, b, c, w):
+    """The defining series, each term's parameter values formed afresh."""
+    term = total = complex(1.0)
+    small = 0
+    for k in range(specfun.MAX_TERMS):
+        term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
+        total += term
+        if abs(term) <= specfun.SERIES_RTOL * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise NonConvergent("reference series did not converge")
+
+
+def two_sum_inf(hyp, w):
+    """The 1/w connection (DLMF 15.8.2) with both of its series summed."""
+    a, b, c = hyp.a, hyp.b, hyp.c
+    k1, k2 = hyp._inf_consts
+    iw = 1.0 / w
+    return (k1 * (-w) ** (-a) * plain_series(a, a - c + 1.0, a - b + 1.0, iw)
+            + k2 * (-w) ** (-b) * plain_series(b, b - c + 1.0, b - a + 1.0, iw))
+
+
+CONJUGATE_PAIRS = [
+    (0.57715234937124937 - 0.17707420101201338j, 30.0),  # alpha = 3
+    (0.42 - 0.33j, 30.0),
+    (1.3 - 2.1j, 1.8),
+    (-0.7 + 0.45j, 4.25),
+]
+
+
+def counting_series(monkeypatch):
+    """Count every series sum of every Hyp2F1 (patched on the class)."""
+    calls = []
+    original = specfun._Series.__call__
+
+    def spy(self, w):
+        calls.append(self)
+        return original(self, w)
+
+    monkeypatch.setattr(specfun._Series, "__call__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("h, l", CONJUGATE_PAIRS)
+def test_conjugate_pair_sums_one_inf_series(monkeypatch, h, l):
+    """For b = conj(a) and real c the 1/w connection on the cut sums one
+    series and takes its conjugate for the other: bit for bit the two-sum
+    formula, on both sides, where Im F comes from the reflected series
+    (x <= 11) and beyond.  Off the axis both series are summed, and at
+    |w| >= 5 the value is within 1e-12 of mpmath (nearer the region seam see
+    test_inf_connection_near_seam_off_axis)."""
+    a, b, c = h, h.conjugate(), 2.0 * h.real + l
+    hyp = Hyp2F1(a, b, c)
+    calls = counting_series(monkeypatch)
+    for x in (1.7, 2.5, 10.5, 11.5, 40.0, 2000.0):
+        for side in (1, -1):
+            w = complex(x, side * 1e-300)
+            expected = two_sum_inf(hyp, w)
+            calls.clear()
+            assert bits(hyp(w)) == bits(expected)
+            assert len(calls) == 1
+            cut = Hyp2F1(a, b, c).cut(x - 1.0, cut_side=side)
+            assert bits(cut.real) == bits(expected.real)
+            if x > specfun._REFLECTION_MAX_X:
+                assert bits(cut) == bits(expected)
+    worst = 0.0
+    for r in (2.0, 5.0, 60.0):
+        for th in (0.6, 1.4, 2.6, -0.9, -2.9):
+            w = cmath.rect(r, th)
+            calls.clear()
+            got = hyp(w)
+            assert len(calls) == 2
+            assert bits(got) == bits(two_sum_inf(hyp, w))
+            if r >= 5.0:
+                with mp.workdps(40):
+                    ref = ref2f1(a, b, c, w)
+                worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the 1/w connection cancels near the"
+                   " region seam for c ~ 31 (ROADMAP item 1)")
+@pytest.mark.parametrize("h, l", CONJUGATE_PAIRS[:2])
+def test_inf_connection_near_seam_off_axis(h, l):
+    """Off the axis at |w| = 2 and 3 the resonance family's 1/w value is
+    1e-12 to 3e-10 from 40-digit mpmath: the digits the connection loses
+    near the seam, with both series summed."""
+    a, b, c = h, h.conjugate(), 2.0 * h.real + l
+    worst = 0.0
+    for r in (2.0, 3.0):
+        for th in (0.6, 1.4, 2.6, -0.9, -2.9):
+            w = cmath.rect(r, th)
+            with mp.workdps(40):
+                ref = ref2f1(a, b, c, w)
+            worst = max(worst, abs(gauss_2f1(a, b, c, w) - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+def test_real_pair_sums_both_inf_series(monkeypatch):
+    """A real pair (h1, h2 at alpha = 5) has no conjugate shortcut: the
+    1/w connection on the cut sums two series, bit for bit the formula."""
+    hyp = Hyp2F1(0.3876868947518969, 1.328219013045754, 31.716)
+    calls = counting_series(monkeypatch)
+    for x in (2.5, 40.0):
+        for side in (1, -1):
+            w = complex(x, side * 1e-300)
+            calls.clear()
+            assert bits(hyp(w)) == bits(two_sum_inf(hyp, w))
+            assert len(calls) == 2
+
+
+@functools.cache
+def continuation(alpha):
+    return standard_model(alpha)._continuation[1]
+
+
+@given(
+    logs=st.lists(st.floats(-3, 3), min_size=1, max_size=10),
+    sides=st.lists(st.sampled_from((1, -1)), min_size=10, max_size=10),
+    alpha=st.sampled_from((3, 5)),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_kept_terms_carry_no_state(logs, sides, alpha, order):
+    """One Hyp2F1 (a model's kept continuation, reused across examples)
+    gives the same bits as a fresh instance per point, in any order: on
+    the cut in the log region, at x <= 11 and x > 11 of the 1/w region,
+    off the axis, and around a one-shot gauss_2f1 call."""
+    shared = continuation(alpha)
+    a, b, c = shared.a, shared.b, shared.c
+    points = [(10.0 ** u, side) for u, side in zip(logs, sides)]
+    points += [(0.3, 1), (4.0, -1), (50.0, 1)]
+    calls = [lambda f, v=v, side=side: f.cut(v, cut_side=side)
+             for v, side in points]
+    calls += [lambda f, w=w: f(w)
+              for w in (complex(3.0, 2.0), complex(-4.0, 0.5), -7.0,
+                        complex(0.3, 0.2), complex(1.2, -0.4))]
+    calls.append(lambda f: gauss_2f1(a, b, c, 2.5, cut_side=-1))
+    order.shuffle(calls)
+    for call in calls:
+        assert bits(call(shared)) == bits(call(Hyp2F1(a, b, c)))
+
+
+def plain_log_tail(a, b, m, xi):
+    """The log tail of DLMF 15.8.10, its coefficient and digamma sums
+    advanced afresh in every call."""
+    psi_a, psi_b = specfun.digamma(a + m), specfun.digamma(b + m)
+    psi_k = -specfun._EULER_GAMMA
+    psi_km = -specfun._EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
+    coeff = complex(1.0 / math.factorial(m))
+    log_xi = cmath.log(xi)
+    pow_xi = complex(1.0)
+    total = complex(0.0)
+    small = 0
+    for k in range(specfun.MAX_TERMS):
+        contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+        total += contrib
+        if abs(contrib) <= specfun.SERIES_RTOL * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+        coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
+        pow_xi = pow_xi * xi
+        psi_a += 1.0 / (a + m + k)
+        psi_b += 1.0 / (b + m + k)
+        psi_k += 1.0 / (k + 1)
+        psi_km += 1.0 / (k + m + 1)
+    raise NonConvergent("reference log tail did not converge")
+
+
+@given(
+    ar=st.floats(-2, 2), ai=st.floats(-2, 2), br=st.floats(-2, 2),
+    m=st.sampled_from((0, 1, 2, 30)),
+    points=st.lists(st.tuples(st.floats(0.01, 0.85), st.floats(-3.1, 3.1)),
+                    min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_kept_series_match_plain_loops(ar, ai, br, m, points):
+    """One _Series and one _LogTail, summed at a list of points in turn,
+    give the bits, or the error, of the loops that form every term's
+    values afresh."""
+
+    def outcome(call, *args):
+        try:
+            return bits(call(*args))
+        except (ZeroDivisionError, NonConvergent) as exc:
+            return type(exc)
+
+    a, b = complex(ar, ai), complex(br, -ai)
+    series = specfun._Series(a, b, a + b + 1.5)
+    try:
+        tail = specfun._LogTail(a, b, m, specfun.digamma(a + m),
+                                specfun.digamma(b + m))
+    except PoleError:
+        tail = None
+    for r, th in points:
+        w = cmath.rect(r, th)
+        assert outcome(series, w) == outcome(plain_series, a, b, a + b + 1.5, w)
+        if tail is not None:
+            assert outcome(tail, w) == outcome(plain_log_tail, a, b, m, w)
+
+
+def test_reproduce_figure_one_series_work(capsys, monkeypatch):
+    """The series sums of ``reproduce --figure 1`` (alpha = 3, a conjugate
+    pair): 99 points on the 1/w route with one series each, 7 reflected
+    series (x <= 11) and 1 log tail.  Summing the second 1/w series again
+    would double the first count."""
+    hyp = continuation(3)
+    kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
+             hyp._mu + 1.0: "reflected"}
+    calls = counting_series(monkeypatch)
+    tails = []
+    original_tail = specfun._LogTail.__call__
+
+    def tail_spy(self, xi):
+        tails.append(xi)
+        return original_tail(self, xi)
+
+    monkeypatch.setattr(specfun._LogTail, "__call__", tail_spy)
+    assert run(["reproduce", "--figure", "1"]) == 0
+    capsys.readouterr()
+    assert Counter(kinds.get(series.c, "other") for series in calls) == {
+        "1/w": 99, "reflected": 7}
+    assert len(tails) == 1
 
 
 @pytest.mark.parametrize("params", [(0.6, 0.8, 4.4),
