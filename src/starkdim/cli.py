@@ -23,7 +23,8 @@ import tempfile
 from fractions import Fraction
 
 from . import __version__
-from .coeffs import energy_series, format_alpha, symbolic_energy_series
+from .coeffs import (DEFAULT_ORDER_CAP, energy_series, format_alpha,
+                     symbolic_energy_series)
 from .errors import InputError, NumericalError, OutOfRange
 from .resum import (
     DEFAULT_L,
@@ -60,15 +61,15 @@ def _log_grid(lo: float, hi: float, count: int) -> list:
     return [lo] + [10.0 ** u for u in inner] + [hi]
 
 
-def _bounded_arg(parse, accept, requirement: str):
-    """Argument type that parses the text, then requires ``accept(value)``:
+def _bounded_arg(parse, accept, requirement: str, kind="a real number"):
+    """Argument type that parses ``kind`` text, then requires accept(value):
     argparse reports a bad value with its usage line (exit code 2)."""
     def convert(text: str):
         try:
             value = parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(
-                f"not a real number: {text!r}") from exc
+                f"not {kind}: {text!r}") from exc
         if not accept(value):
             raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
         return value
@@ -81,6 +82,9 @@ _alpha_arg = _bounded_arg(Fraction, lambda alpha: alpha > 1,
                           "dimension must exceed 1 strictly")
 _l_arg = _bounded_arg(float, lambda l: 4.0 < l < math.inf,
                       "branch power l must be finite and exceed 4")
+_order_arg = _bounded_arg(int, lambda n: 1 <= n <= DEFAULT_ORDER_CAP,
+                          f"order must lie in 1..{DEFAULT_ORDER_CAP}",
+                          "an integer")
 
 
 def _fields_arg(text: str) -> tuple:
@@ -136,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_output(p)
 
     p = sub.add_parser("coeffs", help="weak-field energy coefficients")
-    p.add_argument("--order", type=int, default=4, metavar="N",
+    p.add_argument("--order", type=_order_arg, default=4, metavar="N",
                    help="highest coefficient order (default 4)")
     p.add_argument("--symbolic", action="store_true",
                    help="emit the exact factor polynomials in the dimension "

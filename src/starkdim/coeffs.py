@@ -12,12 +12,13 @@ inverse energy scale yields the even energy coefficients E_{2n}.
 The recursion is division-free: it uses only +, - and * on the channel
 scale p = (alpha - 1)/2 and small integers, so every value it forms is an
 integer polynomial in p (an element of Z[p]).  The symbolic mode runs it on
-integer-coefficient polynomials in p.  At rational alpha, with p = P/q in
-lowest terms, each value is an integer over a power of q fixed by its place
-in the recursion, so the exact mode runs on plain ints that carry that one
-power-of-q denominator implicitly.  A float alpha runs the identical
-recursion in double precision.  Fraction and RationalPolynomial appear only
-at the API boundary, where the engine's ints become exact results.
+plain ints at p = 2^W, with W proven wider than every coefficient it reads,
+and takes each polynomial off the base-2^W digits of its value.  At rational
+alpha, with p = P/q in lowest terms, each value is an integer over a power of
+q fixed by its place in the recursion, so the exact mode runs on plain ints
+that carry that one power-of-q denominator implicitly.  A float alpha runs
+the identical recursion in double precision.  Fraction and RationalPolynomial
+appear only at the API boundary, where the engine's ints become exact results.
 """
 
 from __future__ import annotations
@@ -297,60 +298,10 @@ def reference_factor_polynomial(n: int) -> RationalPolynomial:
 #   - exact mode, rational alpha: Python ints, with P/q = p in lowest
 #     terms; the power of q is divided out once per value when results
 #     become Fractions;
-#   - symbolic mode: _IntPoly in p, with P = p and q = 1;
+#   - symbolic mode: Python ints, with P = 2^W and q = 1: each polynomial
+#     in p evaluated at p = 2^W (see the packed evaluation below);
 #   - float mode: floats, with P = p and q = 1, which leaves exactly the
 #     floating-point operations of the plain recursion.
-
-
-class _IntPoly:
-    """Polynomial in p with int coefficients: the symbolic mode's ring.
-
-    Coefficients ascend by power with no trailing zeros, so that equality
-    is structural; an int on the right acts as a constant.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coefficients):
-        c = list(coefficients)
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
-
-    def __add__(self, other):
-        a = self.c
-        b = other.c if isinstance(other, _IntPoly) else [other]
-        if len(a) < len(b):
-            a, b = b, a
-        out = a[:]
-        for i, x in enumerate(b):
-            out[i] += x
-        return _IntPoly(out)
-
-    def __neg__(self):
-        return _IntPoly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        a = self.c
-        if not isinstance(other, _IntPoly):
-            return _IntPoly([x * other for x in a])
-        b = other.c
-        if not a or not b:
-            return _IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _IntPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, _IntPoly):
-            return NotImplemented
-        return self.c == other.c
 
 
 def _source(rows, k, one, zero):
@@ -465,17 +416,11 @@ def _ser_inverse_unit(s, order, one, zero):
     return tuple(inv)
 
 
-def _beta_series(a_vals, order, one):
-    """Inverse-energy-scale series B(u) solving 1/B = 2 sum a_{2n} u^n B^-6n.
-
-    ``a_vals`` holds a_1..a_{2 order}.  One incremental pass over y = 1/B,
-    which obeys y = sum 2 a_{2n} u^n y^6n with y_0 = 2 a_0 = 1.  The u^k
-    coefficient of the right side involves only y_0..y_{k-1}, so each order
-    fixes y_k outright and then extends the power tables y^2, y^3, y^6 and
-    y^6n by one coefficient each; B is the division-free reciprocal of y.
-    """
+def _y_series(two_a, order, one):
+    """y = 1/B solving y = sum two_a[n-1] u^n y^6n, y_0 = 1, in one pass:
+    the u^k coefficient of the right side involves only y_0..y_{k-1}, so each
+    order fixes y_k and extends the tables y^2, y^3, y^6 and y^6n by one."""
     zero = one - one
-    two_a = [a + a for a in a_vals[1::2]]  # two_a[n-1] = 2 a_{2n}
     y, y2, y3, y6 = [one], [one], [one], [one]
     powers = [None, y6]  # powers[n]: leading coefficients of y^6n
     for k in range(1, order + 1):
@@ -490,7 +435,14 @@ def _beta_series(a_vals, order, one):
         for n in range(1, k + 1):
             acc = acc + two_a[n - 1] * powers[n][k - n]
         y.append(acc)
-    return _ser_inverse_unit(tuple(y), order, one, zero)
+    return y
+
+
+def _beta_series(a_vals, order, one):
+    """Inverse-energy-scale series B(u) solving 1/B = 2 sum a_{2n} u^n B^-6n
+    (``a_vals`` holds a_1..a_{2 order}): the reciprocal of y = 1/B."""
+    y = _y_series([a + a for a in a_vals[1::2]], order, one)
+    return _ser_inverse_unit(tuple(y), order, one, one - one)
 
 
 def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
@@ -503,6 +455,48 @@ def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
             acc[j] -= acc[j + 1]
         acc[0] += f[i] << (m - i)
     return RationalPolynomial(tuple(Fraction(c, scale << m) for c in acc))
+
+
+# packed symbolic evaluation
+#
+# p -> 2^W maps Z[p] into the ints and keeps +, - and *, so the integer
+# engine run at P = 2^W, q = 1 forms each symbolic value exactly as one int;
+# d_n = [B^2]_n, of degree 8n in p, is read back as 8n + 1 signed base-2^W
+# digits once every coefficient is below 2^(W-1) in magnitude.  The bound:
+#   Sign lemma: at P = p, q = 1, the p-coefficients of z_k have sign (-1)^k
+#   and those of a_k sign (-1)^(k+1).  By induction: the order-1 source is
+#   x, and for k >= 2 the source -sum z_i z_{k-i} has sign (-1)^(k+1);
+#   _solve_down's c_k = -p src_k, c_t = p ((t+1) c_{t+1} + p c_{t+1} - src_t)
+#   and a_k = -p c_0 add terms of one sign.  So ||a_k|| (the sum of
+#   |coefficients|) is |a_k(1)|, from a scalar run at p = 1 (alpha = 3).
+#   Majorant: ||f + g|| <= ||f|| + ||g|| and ||fg|| <= ||f|| ||g||, so the y
+#   pass fed 2|a_2n(1)| gives y^_k >= ||y_k||; as B_k = -sum y_j B_{k-j},
+#   the reciprocal of 1 - sum y^_j u^j has B^_k >= ||B_k||, and
+#   [B^^2]_n >= ||d_n|| >= every |coefficient| of d_n.
+
+
+def _packing_width(order):
+    """Digit width W of the packed symbolic run at ``order``: every
+    p-coefficient of d_1..d_order and of a_1..a_{2 order} lies below
+    2^(W-2) in magnitude, by the bound above."""
+    _, a_unit = _logderiv_run(1, 1, 1, 2 * order)
+    y = _y_series([2 * abs(a) for a in a_unit[1::2]], order, 1)
+    beta = _ser_inverse_unit((1, *(-c for c in y[1:])), order, 1, 0)
+    top = max(_cauchy(beta, beta, n, 0) for n in range(order + 1))
+    return max(top, *map(abs, a_unit)).bit_length() + 2
+
+
+def _unpack(value, width, count):
+    """Signed base-2^width digits c_0..c_{count-1}, each |c| < 2^(width-1),
+    of ``value``; a remainder past them is an engine defect."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(count):
+        digits.append(c := ((value + half) & mask) - half)
+        value = (value - c) >> width
+    if value:
+        raise NumericalError(f"packed value exceeds {count} digits")
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +563,21 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
 def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> SymbolicEnergySeries:
     """E_{2n} for n = 1..order as exact polynomials in alpha.
 
-    The recursion runs over integer polynomials in the channel scale p; the
-    overall -1/(2 p^2) energy scale divides out exactly (every composed
-    coefficient carries at least p^2), and p = (alpha - 1)/2 is substituted
-    at the end.
+    The recursion runs over integer polynomials in the channel scale p,
+    evaluated at p = 2^W so that each is one int; the overall -1/(2 p^2)
+    energy scale divides out exactly (every composed coefficient carries at
+    least p^2), and p = (alpha - 1)/2 is substituted at the end.
     """
     if not isinstance(order, int) or order < 1:
         raise OutOfRange("order must be an integer >= 1")
     if order > cap:
         raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
-    one = _IntPoly((1,))
-    _, a_vals = _logderiv_run(_IntPoly((0, 1)), 1, one, 2 * order)
-    beta = _beta_series(a_vals, order, one)
+    width = _packing_width(order)
+    _, a_vals = _logderiv_run(1 << width, 1, 1, 2 * order)
+    beta = _beta_series(a_vals, order, 1)
     polys = []
     for n in range(1, order + 1):
-        d = _cauchy(beta, beta, n, one - one).c
+        d = _unpack(_cauchy(beta, beta, n, 0), width, 8 * n + 1)
         if any(d[:2]):
             raise NumericalError(f"E_{2 * n} does not carry the factor p^2")
         polys.append(_alpha_polynomial(d[2:], -2 * 16 ** n))

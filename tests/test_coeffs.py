@@ -288,6 +288,39 @@ def test_exact_series_pinned_bit_for_bit(alpha):
     assert digests == _ORDER20_PINS[alpha]
 
 
+# the same digests for float energy_series(x, 20), recorded before the symbolic
+# mode moved onto the integer engine: the float ring's operations are pinned
+_FLOAT_ORDER20_PINS = {
+    77 / 64: (
+        "d9cc0fcd9af07b740912407a0003849071b7b8f5423377f7874108ed0bb4fda0",
+        "8261b707373701f25ff358502578d2dd0209c525f375bb6f7337787d18ed0849",
+    ),
+    2.5: (
+        "b283acde8546b9bbc07183e99d36c402bc8080b98b6e1d5a87d4a55a2dc2370d",
+        "d88995ac80a919be783bf1b2d27400305185edcab5f89adeadafc0d15d4f3077",
+    ),
+    3.0: (
+        "08b8e968a42b982adc35176fa67c61fdd6b27d66b81095e8a99a29dda71ee310",
+        "78589b481bb350250a163fcc2623beca945820b35909390e66470d1e790ae914",
+    ),
+    4.28125: (
+        "f694003dfc5d70746fe7bf4cd3d87d490c6a5ebce4ff78e26b8c2d11f9006175",
+        "58899927de5c45023299499de2249eef8094db93e39bc3818fe05711baaec24d",
+    ),
+    6.0: (
+        "dae21eb3abf47d584864912aad353853ddbe2ca19424826cf3ee5a43588ea189",
+        "819e77697b44cae64101d1c49da400e03bec62b0889b363638eb2c7318ca3b26",
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", list(_FLOAT_ORDER20_PINS), ids=str)
+def test_float_series_pinned_bit_for_bit(alpha):
+    es = energy_series(alpha, 20)
+    digests = (_sha256(es.e_coeffs), _sha256(es.beta_series))
+    assert digests == _FLOAT_ORDER20_PINS[alpha]
+
+
 def test_symbolic_series_pinned_bit_for_bit():
     assert _sha256(symbolic_energy_series(8).e_polys) == (
         "fe08d858592d0567ff178fbe263fcd73f8e663b6e0476a358b947628a97dfdae"
@@ -323,3 +356,57 @@ def test_symbolic_order10_matches_exact_series(alpha):
     es = energy_series(alpha, 10)
     for n in range(1, 11):
         assert sym.evaluate(n, alpha) == es.e_coeffs[n]
+
+
+# packed symbolic evaluation: the digit width comes from a proven bound
+
+
+def test_sign_lemma_in_packed_run():
+    """a_k's p-coefficients all have sign (-1)^(k+1), so their absolute sum
+    is |a_k(1)|, the value at alpha = 3 that the width bound reads."""
+    order = 12
+    width = coeffs._packing_width(order)
+    _, packed = coeffs._logderiv_run(1 << width, 1, 1, 2 * order)
+    _, at_one = coeffs._logderiv_run(1, 1, 1, 2 * order)
+    for k, (value, scalar) in enumerate(zip(packed, at_one), 1):
+        digits = coeffs._unpack(value, width, 4 * k + 1)
+        assert all((-1) ** (k + 1) * c >= 0 for c in digits), k
+        assert sum(map(abs, digits)) == abs(scalar), k
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_packed_digits_stay_inside_width(monkeypatch, order):
+    """Every coefficient of d_n read off at the computed width lies below
+    2^(W-2): two bits of headroom over the read-off's 2^(W-1)."""
+    unpack, seen = coeffs._unpack, []
+
+    def spy(value, width, count):
+        digits = unpack(value, width, count)
+        seen.append(count)
+        assert all(abs(c) < 1 << (width - 2) for c in digits)
+        return digits
+
+    monkeypatch.setattr(coeffs, "_unpack", spy)
+    symbolic_energy_series(order)
+    assert seen == [8 * n + 1 for n in range(1, order + 1)]
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(9, 7), Fraction(7, 2), Fraction(31, 5)], ids=str)
+def test_symbolic_order12_matches_exact_series(alpha):
+    sym = symbolic_energy_series(12)
+    es = energy_series(alpha, 12)
+    assert [sym.evaluate(n, alpha) for n in range(1, 13)] == list(es.e_coeffs[1:])
+
+
+def test_packed_remainder_is_engine_defect(monkeypatch):
+    """A value with more digits than the read-off expects raises, rather
+    than yielding a silently truncated table.  (A width only a little too
+    small can carry into the middle digits and leave no remainder, which
+    is why the width comes from a proven bound.)"""
+    assert coeffs._unpack(-5 + (3 << 8), 8, 2) == [-5, 3]
+    with pytest.raises(NumericalError, match="digits"):
+        coeffs._unpack(1 << 16, 8, 2)
+    monkeypatch.setattr(coeffs, "_packing_width", lambda order: 4)
+    with pytest.raises(NumericalError, match="exceeds 9 digits"):
+        symbolic_energy_series(4)
