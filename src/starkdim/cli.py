@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import __version__
 from .coeffs import (DEFAULT_ORDER_CAP, energy_series, format_alpha,
                      symbolic_energy_series)
-from .errors import InputError, NumericalError, OutOfRange
+from .errors import InputError, NoBarrier, NumericalError, OutOfRange
 from .resum import (
     DEFAULT_L,
     STANDARD_SWEEP_RANGES,
@@ -36,7 +34,6 @@ from .resum import (
     standard_model,
     sweep,
 )
-from .errors import NoBarrier
 from .validate import dispersion_report
 from .wkb import (
     LANDAU_COMPARISON_RANGES,
@@ -350,6 +347,8 @@ def _render_csv(columns, rows) -> str:
 
 
 def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
+    import json  # CSV, the default format, needs no json
+
     meta = {"command": ns.subcommand, "version": __version__}
     if ns.subcommand != "reproduce":
         meta["alpha"] = float(ns.alpha)
@@ -366,6 +365,8 @@ def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile  # only for --output, not for stdout
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starkdim-")
     try:

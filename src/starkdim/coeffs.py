@@ -24,10 +24,10 @@ appear only at the API boundary, where the engine's ints become exact results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._record import Record
 from .errors import (
     InvalidDimension,
     NumericalError,
@@ -48,8 +48,7 @@ def _is_exact(value) -> bool:
 # exact polynomial values
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     A result value: polynomial arithmetic runs on the engine's integer ring.
@@ -58,13 +57,11 @@ class RationalPolynomial:
     coefficient tuple and degree -1.
     """
 
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__["coefficients"] = coeffs
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -109,8 +106,7 @@ class RationalPolynomial:
 # dimension parameters
 
 
-@dataclass(frozen=True)
-class DimensionParams:
+class DimensionParams(Record):
     """Dimension parameter and derived ground-state quantities.
 
     p = (alpha - 1)/2 sets the effective Coulomb scale; e0 = -1/(2 p^2) is
@@ -118,15 +114,12 @@ class DimensionParams:
     potential, in the natural units of the problem.
     """
 
-    alpha: object
-    p: object
-    e0: object
-    ip: object
-
-    def __post_init__(self):
-        _validate_alpha(self.alpha)
-        if not (self.p > 0 and self.e0 < 0):
+    def __init__(self, alpha, p, e0, ip):
+        _validate_alpha(alpha)
+        if not (p > 0 and e0 < 0):
             raise InvalidDimension("inconsistent derived parameters")
+        d = self.__dict__
+        d["alpha"], d["p"], d["e0"], d["ip"] = alpha, p, e0, ip
 
 
 def _validate_alpha(alpha) -> None:
@@ -178,8 +171,7 @@ def unperturbed_params(alpha) -> DimensionParams:
 # result containers
 
 
-@dataclass(frozen=True)
-class EnergySeries:
+class EnergySeries(Record):
     """Even energy coefficients E_{2n} for n = 0..order.
 
     ``e_coeffs[n]`` multiplies the 2n-th power of the field.  ``beta_series``
@@ -189,22 +181,19 @@ class EnergySeries:
     series, so that externally constructed series remain representable.
     """
 
-    alpha: object
-    order: int
-    e_coeffs: tuple
-    beta_series: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "e_coeffs", tuple(self.e_coeffs))
-        object.__setattr__(self, "beta_series", tuple(self.beta_series))
-        if len(self.e_coeffs) != self.order + 1:
+    def __init__(self, alpha, order: int, e_coeffs: tuple,
+                 beta_series: tuple = ()):
+        e_coeffs, beta_series = tuple(e_coeffs), tuple(beta_series)
+        if len(e_coeffs) != order + 1:
             raise OrderMismatch(
-                f"expected {self.order + 1} coefficients, got {len(self.e_coeffs)}"
+                f"expected {order + 1} coefficients, got {len(e_coeffs)}"
             )
+        d = self.__dict__
+        d["alpha"], d["order"], d["e_coeffs"], d["beta_series"] = (
+            alpha, order, e_coeffs, beta_series)
 
 
-@dataclass(frozen=True)
-class SymbolicEnergySeries:
+class SymbolicEnergySeries(Record):
     """Energy coefficients as exact polynomials in the dimension alpha.
 
     ``e_polys[n-1]`` is E_{2n} for n = 1..order.  The zeroth coefficient
@@ -212,15 +201,14 @@ class SymbolicEnergySeries:
     use :func:`unperturbed_params` for it.
     """
 
-    order: int
-    e_polys: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "e_polys", tuple(self.e_polys))
-        if len(self.e_polys) != self.order:
+    def __init__(self, order: int, e_polys: tuple):
+        e_polys = tuple(e_polys)
+        if len(e_polys) != order:
             raise OrderMismatch(
-                f"expected {self.order} polynomials, got {len(self.e_polys)}"
+                f"expected {order} polynomials, got {len(e_polys)}"
             )
+        d = self.__dict__
+        d["order"], d["e_polys"] = order, e_polys
 
     def energy_polynomial(self, n: int) -> RationalPolynomial:
         if not isinstance(n, int) or not 1 <= n <= self.order:

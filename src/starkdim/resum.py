@@ -28,9 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .coeffs import EnergySeries, energy_series, format_alpha
 from .errors import (
     DegenerateSeries,
@@ -56,8 +56,7 @@ STANDARD_SWEEP_RANGES = (
 )
 
 
-@dataclass(frozen=True)
-class HypModel:
+class HypModel(Record):
     """Fitted continuation parameters plus the series context they encode.
 
     The parameters come from a real series, so h3, h4, e0 and l are real
@@ -67,27 +66,23 @@ class HypModel:
     (DLMF 15.2.3), which is what lets :func:`resonance` evaluate one side.
     """
 
-    h1: complex
-    h2: complex
-    h3: complex
-    h4: complex
-    l: float
-    e0: float
-    alpha: float
-
-    def __post_init__(self):
-        for name in ("h3", "h4"):
-            if complex(getattr(self, name)).imag != 0.0:
+    def __init__(self, h1: complex, h2: complex, h3: complex, h4: complex,
+                 l: float, e0: float, alpha: float):
+        for name, value in (("h3", h3), ("h4", h4)):
+            if complex(value).imag != 0.0:
                 raise OutOfRange(f"model parameter {name} must be real")
-        for name in ("e0", "l"):
-            if not isinstance(getattr(self, name), numbers.Real):
+        for name, value in (("e0", e0), ("l", l)):
+            if not isinstance(value, numbers.Real):
                 raise OutOfRange(f"model parameter {name} must be real")
-        if not self.l > 4:
+        if not l > 4:
             raise InvalidL("branch power l must exceed 4")
-        if not real_on_axis(self.h1, self.h2, self.h1 + self.h2 + self.l):
+        if not real_on_axis(h1, h2, h1 + h2 + l):
             raise OutOfRange(
                 "model parameters h1, h2 must be real or a conjugate pair"
             )
+        d = self.__dict__
+        d["h1"], d["h2"], d["h3"], d["h4"] = h1, h2, h3, h4
+        d["l"], d["e0"], d["alpha"] = l, e0, alpha
 
     @cached_property
     def _continuation(self):
@@ -112,12 +107,12 @@ class HypModel:
         return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l)
 
 
-@dataclass(frozen=True)
-class ResonancePoint:
+class ResonancePoint(Record):
     """Complex resonance energy at one field strength."""
 
-    field: float
-    energy: complex
+    def __init__(self, field: float, energy: complex):
+        d = self.__dict__
+        d["field"], d["energy"] = field, energy
 
     @property
     def delta(self) -> float:
@@ -278,17 +273,17 @@ def sweep(model: HypModel, fields) -> list:
 # derived quantities
 
 
-@dataclass(frozen=True)
-class LinearTailFit:
+class LinearTailFit(Record):
     """Linear fit of the decay rate over a trailing window of the sweep."""
 
-    window_fraction: float
-    field_lo: float
-    field_hi: float
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
+    def __init__(self, window_fraction: float, field_lo: float,
+                 field_hi: float, slope: float, intercept: float,
+                 r_squared: float, n_points: int):
+        d = self.__dict__
+        d["window_fraction"], d["field_lo"], d["field_hi"] = (
+            window_fraction, field_lo, field_hi)
+        d["slope"], d["intercept"], d["r_squared"], d["n_points"] = (
+            slope, intercept, r_squared, n_points)
 
     @property
     def critical_field(self) -> float:

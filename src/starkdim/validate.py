@@ -10,14 +10,14 @@ kink.  In u = ln F the integrand G(e^u) e^(-2nu) is smooth and decays at
 both ends, so the trapezoid rule converges geometrically in the step
 (Trefethen and Weideman, SIAM Rev. 56, 2014).  All moments share one window
 and one grid, each halving of the step adds only the midpoints, and each
-moment is one ``math.fsum`` over the grid.
+moment is one ``math.fsum`` over its integrand values, kept per node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .coeffs import EnergySeries
 from .errors import DomainError, IntegrationFailure, NotValid, OutOfRange
 from .resum import HypModel, lower_side_energy
@@ -32,58 +32,63 @@ _MAX_SCAN = 4000
 _MAX_HALVINGS = 6
 
 
-@dataclass(frozen=True)
-class DispersionEntry:
+class DispersionEntry(Record):
     """One moment comparison: series value against rate integral.  All
     entries of a report share one grid: ``upper_cutoff`` is its end in field
     units and ``node_count`` its rate evaluations, cutoff scans included."""
 
-    n: int
-    series_value: float
-    integral_value: float
-    relative_error: float
-    upper_cutoff: float
-    node_count: int
+    def __init__(self, n: int, series_value: float, integral_value: float,
+                 relative_error: float, upper_cutoff: float, node_count: int):
+        d = self.__dict__
+        d["n"], d["series_value"], d["integral_value"] = (
+            n, series_value, integral_value)
+        d["relative_error"], d["upper_cutoff"], d["node_count"] = (
+            relative_error, upper_cutoff, node_count)
 
 
-@dataclass(frozen=True)
-class DispersionReport:
+class DispersionReport(Record):
     """Moment comparisons for n = 2..4 with integration metadata."""
 
-    alpha: float
-    entries: tuple
-
-    def __post_init__(self):
-        ns = {entry.n for entry in self.entries}
+    def __init__(self, alpha: float, entries: tuple):
+        ns = {entry.n for entry in entries}
         if not {2, 3, 4} <= ns:
             raise ValueError(f"report must cover n = 2..4, got {sorted(ns)}")
+        d = self.__dict__
+        d["alpha"], d["entries"] = alpha, entries
 
 
 def _dispersion_moments(model: HypModel, ns):
     """Moment integrals for every n in ``ns``; returns (list of values, upper
     cutoff in field units, number of rate evaluations)."""
     two_n = [2.0 * n for n in ns]
-    us, rates = [], []
+    # us holds the nodes; columns[i] the integrand of moment ns[i] there
+    us, columns = [], [[] for _ in ns]
 
     def sample(u):
-        """Record G(e^u); return |integrand| of every moment at u."""
+        """Record the node u and every moment's integrand G(e^u) e^(-2nu);
+        return G(e^u)."""
         us.append(u)
-        rates.append(2.0 * lower_side_energy(model, math.exp(u)).imag)
-        return [abs(rates[-1] * math.exp(-t * u)) for t in two_n]
+        rate = 2.0 * lower_side_energy(model, math.exp(u)).imag
+        for t, column in zip(two_n, columns):
+            column.append(math.exp(-t * u) * rate)
+        return rate
+
+    def latest():
+        return [abs(column[-1]) for column in columns]
 
     def moments(step):
-        return [step * math.fsum(math.exp(-t * u) * r
-                                 for u, r in zip(us, rates)) for t in two_n]
+        return [step * math.fsum(column) for column in columns]
 
     # start at b/3, b = 2/(3 p^3): the peak of the n = 2 integrand in u,
     # which goes as F^-3 exp(-b/F) at low field
     u0 = math.log(2.0 / (9.0 * ((model.alpha - 1.0) / 2.0) ** 3))
-    peak = sample(u0)
-    if rates[0] <= 0.0:
+    if sample(u0) <= 0.0:
         raise IntegrationFailure(
             f"rate vanishes at its expected peak (alpha={model.alpha})")
+    peak = latest()
     for down in range(1, _MAX_SCAN + 1):
-        g = sample(u0 - down * _SCAN_STEP)
+        sample(u0 - down * _SCAN_STEP)
+        g = latest()
         peak = [max(a, b) for a, b in zip(peak, g)]
         if all(a <= _LOWER_FLOOR * b for a, b in zip(g, peak)):
             break
@@ -93,8 +98,7 @@ def _dispersion_moments(model: HypModel, ns):
     slope = 0.0
     for up in range(1, _MAX_SCAN + 1):
         u = u0 + up * _SCAN_STEP
-        sample(u)
-        slope = max(slope, 2.0 * abs(rates[-1]) * math.exp(-u))
+        slope = max(slope, 2.0 * abs(sample(u)) * math.exp(-u))
         if all(slope * math.exp((1.0 - t) * u) / (t - 1.0) < _TAIL_REL * abs(m)
                for t, m in zip(two_n, moments(_SCAN_STEP))):
             break

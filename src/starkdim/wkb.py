@@ -16,9 +16,9 @@ T = exp(-2 * integral of sqrt(U) between the turning points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import (DomainError, IntegrationFailure, NoBarrier,
                      NonConvergent, NoReference)
 
@@ -59,25 +59,22 @@ def _check_field(field: float) -> float:
     return field
 
 
-@dataclass(frozen=True)
-class BarrierModel:
+class BarrierModel(Record):
     """Turning points and transmittance of the ionization barrier."""
 
-    p: float
-    field: float
-    y1: float
-    y2: float
-    transmittance: float
-
-    def __post_init__(self):
-        _check_p(self.p)
-        _check_field(self.field)
-        if not 0.0 < self.y1 < self.y2:
+    def __init__(self, p: float, field: float, y1: float, y2: float,
+                 transmittance: float):
+        _check_p(p)
+        _check_field(field)
+        if not 0.0 < y1 < y2:
             raise ValueError(f"turning points must satisfy 0 < y1 < y2, "
-                             f"got ({self.y1}, {self.y2})")
+                             f"got ({y1}, {y2})")
         # deep barriers underflow exp() to 0.0, so 0 is admitted
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance out of [0, 1]: {self.transmittance}")
+        if not 0.0 <= transmittance <= 1.0:
+            raise ValueError(f"transmittance out of [0, 1]: {transmittance}")
+        d = self.__dict__
+        d["p"], d["field"], d["y1"], d["y2"], d["transmittance"] = (
+            p, field, y1, y2, transmittance)
 
 
 def barrier_potential(p: float, field: float, y: float) -> float:

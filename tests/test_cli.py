@@ -545,3 +545,28 @@ def test_cli_and_series_import_no_scipy_or_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"] * (len(commands) + 1)
+
+
+def test_import_path_stays_light(tmp_path):
+    """``import starkdim.cli`` plus the parser, in an interpreter without
+    site-packages, loads none of dataclasses, inspect, typing, json or
+    tempfile: each costs milliseconds in every fresh CLI process.  JSON and
+    ``--output`` still work once asked for."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    target = tmp_path / "figure1.json"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import starkdim.cli\n"
+        "starkdim.cli.build_parser()\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'json',\n"
+        "                         'tempfile') if m in sys.modules))\n"
+        "sys.exit(starkdim.cli.run(['reproduce', '--figure', '1',\n"
+        f"                            '--output', {str(target)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[("reproduce", "--figure", "1")]

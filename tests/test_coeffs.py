@@ -1,6 +1,7 @@
 """Exact series engine: recursion steps, known values, symbolic polynomials."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -410,3 +411,26 @@ def test_packed_remainder_is_engine_defect(monkeypatch):
     monkeypatch.setattr(coeffs, "_packing_width", lambda order: 4)
     with pytest.raises(NumericalError, match="exceeds 9 digits"):
         symbolic_energy_series(4)
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(3, 2), Fraction(5, 2), Fraction(3), Fraction(7, 2)],
+    ids=str)
+def test_large_order_ratio_extrapolates_to_one(alpha):
+    """The rate goes as exp(-b/F) at weak field, b = 2/(3 p^3), so the
+    series diverges as E_{2n+2}/E_{2n} ~ 2n(2n+1)/b^2 (1 + c/n + ...).  The
+    ratio r_n = E_{2n+2}/E_{2n} b^2/(2n(2n+1)) from exact coefficients to
+    order 30, Richardson-extrapolated to fourth order in 1/n over
+    n = 25..29 (Bender and Orszag, section 8.1), gives 1 + 3e-6 at
+    alpha = 3/2 up to 1 + 2e-5 at 7/2.  The scale b comes from the
+    barrier, not from the engine, so a wrong power of q or a dropped
+    source term shows here."""
+    e = energy_series(alpha, 30, cap=30).e_coeffs
+    b = Fraction(2) / (3 * ((alpha - 1) / 2) ** 3)
+    m, first = 4, 25
+    extrapolated = sum(
+        e[n + 1] / e[n] * b * b / (2 * n * (2 * n + 1))
+        * Fraction((-1) ** (k + m) * n ** m,
+                   math.factorial(k) * math.factorial(m - k))
+        for k, n in enumerate(range(first, first + m + 1)))
+    assert abs(extrapolated - 1) <= Fraction(1, 10_000)

@@ -1,6 +1,5 @@
 """Continuation model: closed-form fit, resonance evaluation, tail fits."""
 
-import dataclasses
 import math
 import re
 from collections import Counter
@@ -265,7 +264,8 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     made = []
     for n in (101, 1001):
         counts.clear()
-        model = dataclasses.replace(models[3.0])
+        m = models[3.0]
+        model = HypModel(m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
         sweep(model, np.linspace(0.0, 1.0, n))
         made.append(dict(counts))
     assert made[0] == made[1]
