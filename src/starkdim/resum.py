@@ -104,7 +104,9 @@ class HypModel(Record):
             raise NumericalError(
                 "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
                 f" overflows a float {context}")
-        return pref, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l)
+        # G is real for real or conjugate h1, h2; kept as a float, Im E
+        # takes no part of Re F (see lower_side_rate)
+        return pref.real, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l)
 
 
 class ResonancePoint(Record):
@@ -207,23 +209,18 @@ def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
     return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
-def lower_side_energy(model: HypModel, field: float) -> complex:
-    """Model energy E(field - i0) on the lower side of the cut (field >= 0),
-    Im E unfolded: 2 Im E is the model's signed discontinuity.
-
-    Zero field returns e0 exactly.  Otherwise the continuation is evaluated
-    once, at offset h3 z past w = 1; the upper side is its conjugate (the
-    model is real, see :class:`HypModel`).  A ``NumericalError`` names
-    alpha, the field and the 2F1 formula that failed, or that the offset
-    overflows a float (from F ~ 3.03e152 at alpha = 3).
-    """
+def _lower_side(model: HypModel, field: float, evaluate):
+    """What :func:`lower_side_energy` and :func:`lower_side_rate` share: the
+    field checks, and ``evaluate``(hyp, v, cut_side=-1) on the model's 2F1
+    at v = h3 z with the error context.  Returns (z, G, that value), or
+    None at zero field."""
     field = float(field)
     if not field >= 0.0:
         raise OutOfRange("field must be nonnegative")
     if not math.isfinite(field):
         raise OutOfRange("field must be finite")
     if field == 0.0:
-        return complex(model.e0)
+        return None
     try:
         z = (field / 4.0) ** 2
     except OverflowError:
@@ -235,10 +232,43 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
             f" (alpha={model.alpha}, field={field})")
     pref, hyp = model._continuation
     try:
-        f = hyp.cut(v, cut_side=-1)
+        f = evaluate(hyp, v, cut_side=-1)
     except NumericalError as exc:
         raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})") from exc
+    return z, pref, f
+
+
+def lower_side_energy(model: HypModel, field: float) -> complex:
+    """Model energy E(field - i0) on the lower side of the cut (field >= 0),
+    Im E unfolded: 2 Im E is the model's signed discontinuity.
+
+    Zero field returns e0 exactly.  Otherwise the continuation is evaluated
+    once, at offset h3 z past w = 1; the upper side is its conjugate (the
+    model is real, see :class:`HypModel`).  A ``NumericalError`` names
+    alpha, the field and the 2F1 formula that failed, or that the offset
+    overflows a float (from F ~ 3.03e152 at alpha = 3).
+    """
+    point = _lower_side(model, field, Hyp2F1.cut)
+    if point is None:
+        return complex(model.e0)
+    z, pref, f = point
     return model.e0 * (1.0 + model.h4 * z * pref * f)
+
+
+def lower_side_rate(model: HypModel, field: float) -> float:
+    """The signed discontinuity 2 Im E(field - i0), bit for bit
+    ``2.0 * lower_side_energy(model, field).imag``, with the same errors.
+
+    h4 and G are real, so Im E = e0 (h4 z G) Im F and Re F is never formed:
+    up to x = 1 + h3 z = 11 only the reflected series for Im F is summed
+    (:meth:`specfun.Hyp2F1.cut_imag`).  The closing ``+ 0.0`` gives a rate
+    that underflows to zero the sign the complex product gives it.
+    """
+    point = _lower_side(model, field, Hyp2F1.cut_imag)
+    if point is None:
+        return 0.0
+    z, pref, im = point
+    return 2.0 * (model.e0 * ((model.h4 * z * pref).real * im)) + 0.0
 
 
 def resonance(model: HypModel, field: float) -> ResonancePoint:

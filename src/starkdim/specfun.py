@@ -21,7 +21,10 @@ For a conjugate pair b = conj(a) with real c, the 1/w connection on the
 real axis sums one of its two series and conjugates it for the other.  The
 floating-point operations on the argument are the same either way, so no
 value depends on what the instance summed before.  :meth:`Hyp2F1.cut` is
-the on-cut entry point.  :func:`gauss_2f1` builds an instance per call; a
+the on-cut entry point; :meth:`Hyp2F1.cut_imag` returns its imaginary part
+alone, bit for bit, and up to x = 1 + v = 11 sums only the DLMF 15.2.3
+reflected series for it, never the connection value whose real part a
+rate discards.  :func:`gauss_2f1` builds an instance per call; a
 fitted resummation model keeps its own (``resum.HypModel``), so a field
 sweep computes those constants and term values once.  A ``NumericalError``
 from a series names the formula it came from.
@@ -571,7 +574,7 @@ class Hyp2F1:
         the cut) Im F is the DLMF 15.2.3 discontinuity at v itself, so a tiny
         Im F keeps full relative accuracy even where 1 + v rounds to 1;
         beyond, or if that series does not converge, the generic value's
-        imaginary part stands."""
+        imaginary part stands.  :meth:`cut_imag` gives Im F alone."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
@@ -585,6 +588,21 @@ class Hyp2F1:
         if im is not None:
             value = complex(value.real, cut_side * im)
         return value
+
+    def cut_imag(self, v, cut_side=None) -> float:
+        """The imaginary part of :meth:`cut`, bit for bit.  Where the
+        DLMF 15.2.3 discontinuity gives it (x = 1 + v <= 11 on the cut of a
+        function real below it), only that series is summed; elsewhere it is
+        the imaginary part of the generic value, and the series is not
+        summed a second time."""
+        v = float(v)
+        if not (v > 0.0 and self._degree is None and cut_side in (1, -1)):
+            return self.cut(v, cut_side).imag  # no cut, or OnBranchCut
+        im = self._cut_imag_part(v)
+        if im is None:
+            x = 1.0 + v
+            return self(complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x).imag
+        return cut_side * im
 
     def _cut_imag_part(self, v):
         """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,

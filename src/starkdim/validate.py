@@ -11,6 +11,10 @@ both ends, so the trapezoid rule converges geometrically in the step
 (Trefethen and Weideman, SIAM Rev. 56, 2014).  All moments share one window
 and one grid, each halving of the step adds only the midpoints, and each
 moment is one ``math.fsum`` over its integrand values, kept per node.
+
+Each node evaluates G alone (``resum.lower_side_rate``), never Re E: up to
+x = 1 + h3 (F/4)^2 = 11 it sums only the DLMF 15.2.3 reflected series for
+Im 2F1, and beyond it the 1/w connection, whose imaginary part stands.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from ._record import Record
 from .coeffs import EnergySeries
 from .errors import DomainError, IntegrationFailure, NotValid, OutOfRange
-from .resum import HypModel, lower_side_energy
+from .resum import HypModel, lower_side_rate
 
 # integrand is negligible below this fraction of its peak
 _LOWER_FLOOR = 1e-25
@@ -68,7 +72,7 @@ def _dispersion_moments(model: HypModel, ns):
         """Record the node u and every moment's integrand G(e^u) e^(-2nu);
         return G(e^u)."""
         us.append(u)
-        rate = 2.0 * lower_side_energy(model, math.exp(u)).imag
+        rate = lower_side_rate(model, math.exp(u))
         for t, column in zip(two_n, columns):
             column.append(math.exp(-t * u) * rate)
         return rate

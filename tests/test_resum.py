@@ -39,6 +39,7 @@ from starkdim.errors import (
     NumericalError,
     OutOfRange,
 )
+from starkdim.resum import lower_side_energy, lower_side_rate
 from starkdim.specfun import Hyp2F1
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
@@ -361,6 +362,68 @@ def test_sweep_grid_validation(models):
 def test_infinite_field_is_input_error(models):
     with pytest.raises(OutOfRange, match="finite"):
         resonance(models[3.0], math.inf)
+
+
+def signed_rate(model, field):
+    """The model's signed discontinuity from the complex energy."""
+    return 2.0 * lower_side_energy(model, field).imag
+
+
+@given(alpha=st.floats(1.01, 20.0), log_v=st.floats(-3.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_rate_only_entry_matches_energy(alpha, log_v):
+    """lower_side_rate is 2 Im lower_side_energy bit for bit, with the
+    offset v = h3 (F/4)^2 log-uniform on [1e-3, 1e3] at every alpha."""
+    model = standard_model(alpha)
+    field = 4.0 * math.sqrt(10.0 ** log_v / model.h3.real)
+    assert lower_side_rate(model, field).hex() == signed_rate(model, field).hex()
+
+
+@pytest.mark.parametrize("alpha", (3.0, 5.0, 1.01, 20.0))
+def test_rate_only_entry_at_reflection_switch(alpha):
+    """At v = 10 and its float neighbours (x = 1 + v = 11 is where the
+    reflected series hands over to the generic value) and at zero field
+    both entries give the same bits.  The fitted model with h3 set to v
+    puts F = 4 (z = 1) exactly at offset v."""
+    base = standard_model(alpha)
+    for v in (math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 11.0)):
+        model = HypModel(base.h1, base.h2, complex(v), base.h4, base.l,
+                         base.e0, base.alpha)
+        assert lower_side_rate(model, 4.0).hex() == (
+            signed_rate(model, 4.0).hex())
+    assert lower_side_rate(base, 0.0).hex() == signed_rate(base, 0.0).hex()
+
+
+@pytest.mark.parametrize("field", (-1.0, math.nan, math.inf, 3.1e152))
+def test_rate_only_entry_raises_like_energy(models, field):
+    """Both entries share the field checks and the error context."""
+    model = models[3.0]
+    with pytest.raises((OutOfRange, NumericalError)) as energy_error:
+        lower_side_energy(model, field)
+    with pytest.raises((OutOfRange, NumericalError)) as rate_error:
+        lower_side_rate(model, field)
+    assert type(rate_error.value) is type(energy_error.value)
+    assert str(rate_error.value) == str(energy_error.value)
+
+
+def test_rate_only_entry_skips_the_log_connection(models, monkeypatch):
+    """Below x = 11 the rate sums no connection formula: a log-region field
+    (x = 1.3) makes no generic 2F1 evaluation, a 1/w-region one (x = 40)
+    makes one."""
+    model = models[3.0]
+    calls = []
+    generic = Hyp2F1.__call__
+
+    def spy(self, *args):
+        calls.append(args)
+        return generic(self, *args)
+
+    monkeypatch.setattr(Hyp2F1, "__call__", spy)
+    for x, expected in ((1.3, 0), (40.0, 1)):
+        field = 4.0 * math.sqrt((x - 1.0) / model.h3.real)
+        calls.clear()
+        lower_side_rate(model, field)
+        assert len(calls) == expected
 
 
 # ---------------------------------------------------------------------------

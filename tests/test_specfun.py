@@ -175,14 +175,18 @@ def test_2f1_cut_requires_side():
         gauss_2f1(0.6, 0.8, 4.4, 2.5)
     # off the cut no side is needed
     gauss_2f1(0.6, 0.8, 4.4, 0.5)
-    with pytest.raises(OnBranchCut):
-        Hyp2F1(0.6, 0.8, 4.4).cut(1.5)
-    assert Hyp2F1(0.6, 0.8, 4.4).cut(-0.5) == gauss_2f1(0.6, 0.8, 4.4, 0.5)
+    hyp = Hyp2F1(0.6, 0.8, 4.4)
+    for side in (None, 0, 2, -2):
+        for method in (hyp.cut, hyp.cut_imag):
+            with pytest.raises(OnBranchCut):
+                method(1.5, side)
+    assert hyp.cut(-0.5) == gauss_2f1(0.6, 0.8, 4.4, 0.5)
+    assert hyp.cut_imag(-0.5) == gauss_2f1(0.6, 0.8, 4.4, 0.5).imag
 
 
 def test_2f1_cut_offset_entry_point():
     """gauss_2f1 on the cut is Hyp2F1.cut at v = w - 1; a polynomial
-    needs no side and stays real."""
+    needs no side and stays real, and cut_imag is its imaginary part."""
     h1 = 0.57715234937124937 - 0.17707420101201338j
     c = 2 * h1.real + 30.0
     for x in (1.3, 10.9, 11.2, 40.0):
@@ -190,7 +194,11 @@ def test_2f1_cut_offset_entry_point():
             assert gauss_2f1(h1, h1.conjugate(), c, x, cut_side=side) == (
                 Hyp2F1(h1, h1.conjugate(), c).cut(x - 1.0, cut_side=side)
             )
-    assert Hyp2F1(-3, 2.5, 1.7).cut(4.0, cut_side=1) == gauss_2f1(-3, 2.5, 1.7, 5.0)
+    poly = Hyp2F1(-3, 2.5, 1.7)
+    assert poly.cut(4.0, cut_side=1) == gauss_2f1(-3, 2.5, 1.7, 5.0)
+    for v in (4.0, -0.5):
+        for side in (None, 1, -1):
+            assert bits(poly.cut_imag(v, side)) == bits(poly.cut(v, side).imag)
 
 
 def test_reflected_series_only_below_seam(models, monkeypatch):
@@ -228,6 +236,68 @@ def test_reflected_series_failure_keeps_generic_value(monkeypatch):
             generic = gauss_2f1(h1, h1.conjugate(), c, complex(x, side * 1e-300))
             assert got == generic
     assert len(calls) == 4
+
+
+CONJUGATE_H1 = 0.57715234937124937 - 0.17707420101201338j
+
+
+@pytest.mark.parametrize("params", [
+    (CONJUGATE_H1, CONJUGATE_H1.conjugate(), 2 * CONJUGATE_H1.real + 30.0),
+    (0.3876868947518969, 1.328219013045754, 31.716),
+], ids=["conjugate pair (alpha=3)", "real pair (alpha=5)"])
+def test_cut_imag_is_im_of_cut(monkeypatch, params):
+    """Hyp2F1.cut_imag(v, s) is cut(v, s).imag bit for bit on both sides,
+    across x = 11 (v = 10 and its float neighbours) and off the cut.  On
+    the cut up to x = 11 it never evaluates the generic value."""
+    hyp = Hyp2F1(*params)
+    calls = []
+    generic = Hyp2F1.__call__
+
+    def spy(self, *args):
+        calls.append(args)
+        return generic(self, *args)
+
+    monkeypatch.setattr(Hyp2F1, "__call__", spy)
+    below = (1e-3, 0.3, 0.618, 0.7, 5.0, math.nextafter(10.0, 0.0), 10.0)
+    above = (math.nextafter(10.0, math.inf), 10.5, 40.0, 1e3)
+    for v in below + above:
+        for side in (1, -1):
+            calls.clear()
+            got = hyp.cut_imag(v, side)
+            assert len(calls) == (v in above)
+            assert got.hex() == hyp.cut(v, side).imag.hex()
+    for v in (0.0, -0.5, -5.0):
+        for side in (None, 1, -1):
+            assert bits(hyp.cut_imag(v, side)) == bits(hyp.cut(v, side).imag)
+
+
+def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
+    """With too few terms for the reflected series (but enough for the 1/w
+    connection), cut_imag keeps the generic value's imaginary part, as cut
+    does, and sums the reflected series once per call."""
+    outcomes = []
+    original = specfun._reflection_series
+
+    def spy(*args):
+        try:
+            value = original(*args)
+        except NonConvergent:
+            outcomes.append("failed")
+            raise
+        outcomes.append("summed")
+        return value
+
+    monkeypatch.setattr(specfun, "_reflection_series", spy)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 60)
+    hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
+                 2 * CONJUGATE_H1.real + 30.0)
+    for v in (2.0, 6.0, 9.5):
+        for side in (1, -1):
+            outcomes.clear()
+            got = hyp.cut_imag(v, side)
+            assert outcomes == ["failed"]
+            assert got.hex() == hyp.cut(v, side).imag.hex()
+            assert got.hex() == hyp(complex(1.0 + v, side * 1e-300)).imag.hex()
 
 
 def bits(z):

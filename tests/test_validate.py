@@ -14,7 +14,7 @@ from starkdim import (
     fit_model,
 )
 from starkdim.errors import DomainError, NotValid, OutOfRange
-from starkdim.resum import lower_side_energy
+from starkdim.resum import lower_side_rate
 
 
 def entry(n, rel=0.01):
@@ -99,9 +99,9 @@ def test_dispersion_identity(monkeypatch, alpha):
 
     def counting(model, field):
         calls.append(field)
-        return lower_side_energy(model, field)
+        return lower_side_rate(model, field)
 
-    monkeypatch.setattr(starkdim.validate, "lower_side_energy", counting)
+    monkeypatch.setattr(starkdim.validate, "lower_side_rate", counting)
     series = energy_series(alpha, 4)
     report = dispersion_report(fit_model(series), series)
     for e in report.entries:
