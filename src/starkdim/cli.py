@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .coeffs import (DEFAULT_ORDER_CAP, energy_series, format_alpha,
@@ -30,12 +31,14 @@ from .resum import (
     fit_model,
     fit_round_trip_residual,
     linear_tail_fit,
+    lower_side_rate,
     slope_exponent,
     standard_model,
     sweep,
 )
 from .validate import dispersion_report
 from .wkb import (
+    CALIBRATION_FLOOR,
     LANDAU_COMPARISON_RANGES,
     barrier_model,
     landau_calibrated_rate,
@@ -222,27 +225,39 @@ def _cmd_sweep(ns: argparse.Namespace):
     return columns, rows, {}
 
 
+def _rate_point(model, field):
+    """The field and its rate Gamma = |2 Im E|, all that the Landau
+    calibration reads: Re E is never formed (``resum.lower_side_rate``)."""
+    return SimpleNamespace(field=field, gamma=abs(lower_side_rate(model, field)))
+
+
 def _cmd_wkb(ns: argparse.Namespace):
     start, stop, count = ns.fields
     if start <= 0.0:
         raise OutOfRange("barrier analysis needs strictly positive fields")
     model = standard_model(ns.alpha, ns.l)
     p = (float(ns.alpha) - 1.0) / 2.0
-    points = sweep(model, _linear_grid(start, stop, count))
-    calibrated = landau_calibrated_rate(p, [pt.field for pt in points], points)
+    fields = _linear_grid(start, stop, count)
+    # the calibration point is the lowest field with Gamma above the floor:
+    # walk the ascending grid up to it, and evaluate no rate beyond
+    walked = []
+    for field in fields:
+        walked.append(_rate_point(model, field))
+        if walked[-1].gamma > CALIBRATION_FLOOR:
+            break
+    calibrated = landau_calibrated_rate(p, fields, walked)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
                "gamma_landau_calibrated")
     rows = []
-    for pt, (_, rate) in zip(points, calibrated):
+    for field, (_, rate) in zip(fields, calibrated):
         try:
-            bar = barrier_model(p, pt.field)
+            bar = barrier_model(p, field)
             y1, y2, t_num = bar.y1, bar.y2, bar.transmittance
         except NoBarrier:
             # over-barrier field: geometry and tunneling factor undefined
             y1 = y2 = t_num = None
-        rows.append((pt.field, y1, y2, t_num,
-                     landau_closed_form(p, pt.field), rate))
-    extra = {"calibration_field": pick_calibration_reference(points).field}
+        rows.append((field, y1, y2, t_num, landau_closed_form(p, field), rate))
+    extra = {"calibration_field": walked[-1].field}
     return columns, rows, extra
 
 
@@ -297,8 +312,9 @@ def _figure_three():
     cases = []
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
-        points = sweep(standard_model(alpha),
-                       _log_grid(lo, hi, GRID_POINTS))
+        model = standard_model(alpha)
+        points = [_rate_point(model, field)
+                  for field in _log_grid(lo, hi, GRID_POINTS)]
         calibrated = landau_calibrated_rate(
             p, [pt.field for pt in points], points)
         rows.extend(

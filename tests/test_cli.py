@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starkdim import (LANDAU_COMPARISON_RANGES, energy_series, specfun,
-                      standard_model, symbolic_energy_series)
+from starkdim import (CALIBRATION_FLOOR, LANDAU_COMPARISON_RANGES,
+                      energy_series, pick_calibration_reference, specfun,
+                      standard_model, sweep, symbolic_energy_series)
 from starkdim.cli import _linear_grid, _log_grid, build_parser, run
 from starkdim.coeffs import format_alpha
 
@@ -321,6 +322,46 @@ def test_wkb_csv_blank_cells(capsys):
         assert len(cells) == 6
         assert cells[1] == cells[2] == cells[3] == ""
         assert float(cells[4]) > 0.0
+
+
+def test_wkb_reads_no_rate_past_its_calibration_point(capsys):
+    """wkb evaluates Gamma only up to its calibration point, the first grid
+    field with Gamma above the floor.  At F = 5e153 the continuation's
+    offset h3 (F/4)^2 overflows a float, which once made this grid exit 3;
+    that rate is never formed, and the over-barrier rows are blank."""
+    code, out, err = invoke(capsys, "wkb", "--alpha", "3",
+                            "--fields", "0.1:1e154:3", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["meta"]["calibration_field"] == 0.1
+    first, *above = doc["data"]
+    assert [r["field"] for r in above] == [5e153, 1e154]
+    assert 0.0 < first["y1"] < first["y2"]
+    for r in above:
+        assert r["y1"] is r["y2"] is r["t_numeric"] is None
+        assert 0.0 < r["gamma_landau_calibrated"] < r["t_closed"]
+    # the same field through the full complex energy still overflows
+    code, _, err = invoke(capsys, "sweep", "--alpha", "3",
+                          "--fields", "0.1:1e154:3")
+    assert code == 3 and "overflows a float" in err
+
+
+@pytest.mark.parametrize("alpha,fields", [
+    ("3", "0.004:0.3:75"), ("5/2", "0.05:1.2:12"), ("3/2", "1:30:7"),
+])
+def test_wkb_calibration_point_is_the_sweeps(capsys, alpha, fields):
+    """The grid walk stops where pick_calibration_reference, over the
+    whole sweep, would pick: the lowest field with Gamma above the floor
+    (on the first grid the lowest fields fall below it)."""
+    code, out, _ = invoke(capsys, "wkb", "--alpha", alpha, "--fields", fields,
+                          "--format", "json")
+    assert code == 0
+    start, stop, count = fields.split(":")
+    grid = _linear_grid(float(start), float(stop), int(count))
+    points = sweep(standard_model(Fraction(alpha)), grid)
+    picked = pick_calibration_reference(points).field
+    assert json.loads(out)["meta"]["calibration_field"] == picked
+    assert (alpha != "3") or points[0].gamma <= CALIBRATION_FLOOR < picked
 
 
 def test_dispersion_csv(capsys):
