@@ -427,28 +427,28 @@ def test_repeated_json_output_is_identical(capsys):
 
 
 # sha256 of the output bytes: a refactor of the numerics must keep them.
-# Figure 1 and the sweep date from before the 2F1 continuation constants moved
-# into a per-model object.  The other four were re-pinned when grids, line
-# fits, moment sums and Gauss-Legendre nodes moved to plain floats, after a
-# number-by-number comparison (largest drift per column in CHANGES.md).
-# The alpha = 5 sweep, recorded before the 1/w connection summed one series
-# per conjugate pair, has a real pair (h1, h2): it keeps both series, and its
-# grid reaches the log connection, the reflected series and x > 11.
+# All seven were re-pinned together when the reflected series behind Gamma
+# (2 < x <= 11) moved to anchored Taylor expansions, after a number-by-number
+# comparison with the earlier bytes and a 60-digit oracle: Delta and every
+# field unchanged, Gamma within 2e-15 relative (largest change per column in
+# CHANGES.md).  The alpha = 5 sweep has a real pair (h1, h2): it keeps both
+# 1/w series, and its grid reaches the log connection, the reflected series
+# and x > 11.
 PINNED_DIGESTS = {
     ("reproduce", "--figure", "1"):
-        "da8afd7827c215ef4018bb380af626ca31a60953cd812c221e02ff65a756213a",
+        "e71caf60573e4226a85875694b698bb5dbe0adcc108df67a521dd178fed5033a",
     ("reproduce", "--figure", "2"):
-        "4bad070fc3ceb4903b63e528e3fc0867ae22e8708c8fc511869983c8dd0bc7fc",
+        "c9563ee180180e30021b135ef3f23027e4473c97a7bcbb84871092e53464ea13",
     ("reproduce", "--figure", "3"):
-        "75c00703b4dd7245c56549ffedf4db25632dbbef0cd62c3028499975abde910c",
+        "30c48bb472253a1dab4faca111d03d6c5197045bbe708bd81b58ede2d739eb56",
     ("sweep", "--alpha", "5/2", "--fields", "0:2:101"):
-        "7bd96d68cc2400b33ba0f416a305f1c11d8bf0956b44a8ddeaa535488d2ee7df",
+        "eb293eba2eded54b9bd9b4f20d1fd2d9bcd4997d42d8a71ce8f7ab6a91d5f0e7",
     ("wkb", "--alpha", "3", "--fields", "0.05:0.3:21"):
-        "ef70cf07ee85a003608a2f0e760aa53266baa05c53812a0ff73c90243f5843d4",
+        "d8fb2716c4c959b621d0a71705e3b4d06fcb5af4ba21235676e9053141f5837c",
     ("dispersion", "--alpha", "3/2", "--format", "json"):
-        "9e57be1e384a6e3c0cb25a20535bdf0bee77c4cff5823c058fe04c34bcdc4218",
+        "455bb86a67eee399cdbebb025f6cd7b86d78eaae809259463c33d7f6b8faaf3d",
     ("sweep", "--alpha", "5", "--fields", "0:0.05:101"):
-        "6edcf681b2bf68431a23920d4fa4b57175142db4d536563208528c3655e853e2",
+        "16c7c81e9927c43a06894aa529d97ac5767a1cf0809df3ce6dd8986df70cec73",
 }
 
 

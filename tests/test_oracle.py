@@ -15,12 +15,23 @@ the physical one.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from starkdim import STANDARD_SWEEP_RANGES, HypModel, resonance, standard_model
+from starkdim import (
+    STANDARD_SWEEP_RANGES,
+    HypModel,
+    energy_series,
+    fit_model,
+    model_coefficients,
+    resonance,
+    specfun,
+    standard_model,
+)
+from starkdim.resum import lower_side_rate
 
 DIGITS = 60
 REL_TOL = 1e-12
@@ -28,28 +39,48 @@ REL_TOL = 1e-12
 GAMMA_FLOOR = 1e-290
 
 
+def exact_im_f(h1, h2, l, x):
+    """Im 2F1(h1, h2; c; x + i0) by DLMF 15.2.3 at the working precision;
+    0 for x <= 1."""
+    if x <= 1:
+        return mpmath.mpf(0)
+    c = h1 + h2 + l
+    return mpmath.re(
+        mpmath.pi * mpmath.gamma(c)
+        / (mpmath.gamma(h1) * mpmath.gamma(h2) * mpmath.gamma(l + 1))
+        * (x - 1) ** l
+        * mpmath.hyp2f1(c - h1, c - h2, l + 1, 1 - x))
+
+
+def _model_terms(model, field):
+    """(h1, h2, l, x, e0 h4 z G) as mpmath numbers, at the working
+    precision."""
+    h1 = mpmath.mpc(model.h1.real, model.h1.imag)
+    h2 = mpmath.mpc(model.h2.real, model.h2.imag)
+    l = mpmath.mpf(model.l)
+    z = (mpmath.mpf(field) / 4) ** 2
+    # G is real for real or conjugate h1, h2
+    pref = mpmath.re(mpmath.gamma(l + h1) * mpmath.gamma(l + h2)
+                     / mpmath.gamma(h1 + h2 + l))
+    scale = model.e0 * mpmath.mpf(model.h4.real) * z * pref
+    return h1, h2, l, 1 + mpmath.mpf(model.h3.real) * z, scale
+
+
 def reference(model, field):
     """(Delta, Gamma) at one nonzero field, to 60 digits."""
     with mpmath.workdps(DIGITS):
-        h1 = mpmath.mpc(model.h1.real, model.h1.imag)
-        h2 = mpmath.mpc(model.h2.real, model.h2.imag)
-        h3 = mpmath.mpf(model.h3.real)
-        h4 = mpmath.mpf(model.h4.real)
-        l = mpmath.mpf(model.l)
-        z = (mpmath.mpf(field) / 4) ** 2
-        c = h1 + h2 + l
-        pref = mpmath.gamma(l + h1) * mpmath.gamma(l + h2) / mpmath.gamma(c)
-        x = 1 + h3 * z
-        re_f = mpmath.re(mpmath.hyp2f1(h1, h2, c, x))
-        im_f = mpmath.mpf(0)
-        if x > 1:
-            im_f = mpmath.re(
-                mpmath.pi * mpmath.gamma(c)
-                / (mpmath.gamma(h1) * mpmath.gamma(h2) * mpmath.gamma(l + 1))
-                * (x - 1) ** l
-                * mpmath.hyp2f1(c - h1, c - h2, l + 1, 1 - x))
-        energy = model.e0 * (1 + h4 * z * pref * mpmath.mpc(re_f, im_f))
+        h1, h2, l, x, scale = _model_terms(model, field)
+        re_f = mpmath.re(mpmath.hyp2f1(h1, h2, h1 + h2 + l, x))
+        energy = model.e0 + scale * mpmath.mpc(re_f, exact_im_f(h1, h2, l, x))
         return float(mpmath.re(energy)), float(2 * abs(mpmath.im(energy)))
+
+
+def reference_rate(model, field):
+    """The signed discontinuity 2 Im E(F - i0), what ``lower_side_rate``
+    returns, to 60 digits: Im F alone, from DLMF 15.2.3."""
+    with mpmath.workdps(DIGITS):
+        h1, h2, l, x, scale = _model_terms(model, field)
+        return float(-2 * scale * exact_im_f(h1, h2, l, x))
 
 
 def field_at(model, x):
@@ -159,3 +190,72 @@ def test_argument_below_cut():
     assert model.h3.real < 0.0
     assert_matches(model, (0.1, 1.0, 10.0))
     assert all(resonance(model, f).gamma == 0.0 for f in (0.1, 1.0, 10.0))
+
+
+# offsets v = x - 1 over the reflected series' route up to x = 11: the
+# defining series at z = v/x <= 1/2 (v <= 1), then each anchor's stretch
+# z_j <= z < z_(j+1), z_j = 1/2, 2/3, 7/9, 0.852, 0.901 (v = 1, 2, 3.5,
+# 5.75, 9.125), anchors themselves included; v = 10 itself can round past
+# x = 11 on the way through F
+ANCHOR_OFFSETS = (0.3, 0.9, 1.0, 1.2, 1.9, 2.0, 2.7, 3.5, 4.6, 5.75, 7.4,
+                  9.2, 9.9)
+
+
+def anchor_index(v):
+    """-1 on the defining series, else the index j of the anchor that
+    serves z = v / (1 + v)."""
+    z = v / (1.0 + v)
+    if z <= specfun._anchor(0):
+        return -1
+    j = 0
+    while specfun._anchor(j + 1) <= z:
+        j += 1
+    return j
+
+
+def test_anchor_offsets_cover_every_stretch():
+    assert sorted({anchor_index(v) for v in ANCHOR_OFFSETS}) == [-1, 0, 1, 2,
+                                                                3, 4]
+    assert anchor_index(9.9) == 4 and anchor_index(1.0) == -1
+
+
+@pytest.mark.parametrize("l", [12.3, 30.0, 60.0, 90.0])
+@pytest.mark.parametrize("alpha", [3.0, 5.0, 10.0, 20.0])
+def test_rate_across_reflected_anchors(alpha, l):
+    """The signed rate against the exact DLMF 15.2.3 discontinuity at every
+    stretch of the reflected route, including large l, where the first
+    anchor's Taylor series runs to about 140 coefficients."""
+    model = standard_model(alpha, l=l)
+    for v in ANCHOR_OFFSETS:
+        field = field_at(model, 1.0 + v)
+        assert 1.0 + model.h3.real * (field / 4.0) ** 2 <= 11.0
+        ref = reference_rate(model, field)
+        assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref), v
+
+
+# Percent by which the model's own E_10..E_20 (model_coefficients) fall
+# short of the exact series.  The continuation reproduces E_2..E_8 by
+# construction; past them its coefficients grow more slowly than the true
+# series, whose large-order ratio is set by b = 2/(3 p^3).
+SHORTFALL_PERCENT = {
+    Fraction(3): (-1.08, -4.24, -9.94, -17.94, -27.51, -37.72),
+    Fraction(5, 2): (-1.87, -6.65, -14.44, -24.53, -35.80, -47.07),
+    Fraction(2): (-2.74, -9.21, -19.03, -30.95, -43.46, -55.28),
+    Fraction(3, 2): (-3.70, -11.89, -23.60, -37.02, -50.35, -62.31),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SHORTFALL_PERCENT), ids=str)
+def test_model_shortfall_past_e8(alpha):
+    """E_2..E_8 agree to 1e-13; E_10..E_20 fall short within 0.01 percent
+    points of the table above."""
+    series = energy_series(alpha, 10)
+    model = fit_model(series)
+    exact = [float(e) for e in series.e_coeffs[1:]]
+    implied = [e.real for e in model_coefficients(model, 10)]
+    for got, want in zip(implied[:4], exact[:4]):
+        assert abs(got - want) <= 1e-13 * abs(want)
+    shortfall = [100.0 * (got / want - 1.0)
+                 for got, want in zip(implied[4:], exact[4:])]
+    for got, band in zip(shortfall, SHORTFALL_PERCENT[alpha]):
+        assert abs(got - band) <= 0.01

@@ -41,6 +41,7 @@ from starkdim.errors import (
 )
 from starkdim.resum import lower_side_energy, lower_side_rate
 from starkdim.specfun import Hyp2F1
+from test_oracle import reference_rate
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
 
@@ -377,6 +378,19 @@ def test_rate_only_entry_matches_energy(alpha, log_v):
     model = standard_model(alpha)
     field = 4.0 * math.sqrt(10.0 ** log_v / model.h3.real)
     assert lower_side_rate(model, field).hex() == signed_rate(model, field).hex()
+
+
+@given(alpha=st.floats(1.2, 20.0), log_v=st.floats(-3.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_rate_matches_exact_discontinuity(alpha, log_v):
+    """lower_side_rate within 1e-12 of the 60-digit DLMF 15.2.3 oracle
+    (``test_oracle.reference_rate``) with v = h3 (F/4)^2 log-uniform on
+    [1e-3, 10]: the reflected route, defining series and anchored Taylor
+    steps alike."""
+    model = standard_model(alpha)
+    field = 4.0 * math.sqrt(10.0 ** log_v / model.h3.real)
+    ref = reference_rate(model, field)
+    assert abs(lower_side_rate(model, field) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("alpha", (3.0, 5.0, 1.01, 20.0))

@@ -274,7 +274,9 @@ def test_cut_imag_is_im_of_cut(monkeypatch, params):
 def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
     """With too few terms for the reflected series (but enough for the 1/w
     connection), cut_imag keeps the generic value's imaginary part, as cut
-    does, and sums the reflected series once per call."""
+    does, and sums the reflected series once per call.  At 40 terms the
+    defining series at the first anchor, z = 1/2, runs out (it needs 48
+    at l = 30), so every point above it fails."""
     outcomes = []
     original = specfun._reflection_series
 
@@ -288,7 +290,7 @@ def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
         return value
 
     monkeypatch.setattr(specfun, "_reflection_series", spy)
-    monkeypatch.setattr(specfun, "MAX_TERMS", 60)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 40)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)
     for v in (2.0, 6.0, 9.5):
@@ -320,6 +322,23 @@ def plain_series(a, b, c, w):
         else:
             small = 0
     raise NonConvergent("reference series did not converge")
+
+
+def test_reflected_series_is_the_defining_one_up_to_x_2():
+    """Up to z = v/x = 1/2 (x = 1 + v <= 2) the reflected series is the
+    defining series summed as before, bit for bit, and builds no anchor;
+    just above it the first anchor serves."""
+    for params in ((CONJUGATE_H1, CONJUGATE_H1.conjugate(),
+                    2 * CONJUGATE_H1.real + 30.0),
+                   (0.3876868947518969, 1.328219013045754, 31.716)):
+        reflected = Hyp2F1(*params)._reflected_series
+        a, b, c = reflected.a, reflected.b, reflected.c
+        for v in (1e-3, 0.3, 0.7, math.nextafter(1.0, 0.0), 1.0):
+            z = v / (1.0 + v)
+            assert bits(reflected(z)) == bits(plain_series(a, b, c, z))
+        assert reflected.anchors == []
+        reflected(math.nextafter(0.5, 1.0))
+        assert len(reflected.anchors) == 1
 
 
 def two_sum_inf(hyp, w):
@@ -517,10 +536,13 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     """The series sums of ``reproduce --figure 1`` (alpha = 3, a conjugate
     pair): 99 points on the 1/w route with one series each, 7 reflected
     series (x <= 11) and 1 log tail.  Summing the second 1/w series again
-    would double the first count."""
+    would double the first count.  Of the reflected series, the two at
+    z = v/x <= 1/2 sum the defining series; the five above step from the
+    anchors z = 1/2 .. 0.901, built once, whose first one takes S and S'
+    from one defining-series sum each."""
     hyp = continuation(3)
     kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
-             hyp._mu + 1.0: "reflected"}
+             hyp._mu + 1.0: "reflected", hyp._mu + 2.0: "reflected slope"}
     calls = counting_series(monkeypatch)
     tails = []
     original_tail = specfun._LogTail.__call__
@@ -529,11 +551,23 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
         tails.append(xi)
         return original_tail(self, xi)
 
+    reflected = []
+    original_reflected = specfun._AnchoredSeries.__call__
+
+    def reflected_spy(self, z):
+        reflected.append((self, z))
+        return original_reflected(self, z)
+
     monkeypatch.setattr(specfun._LogTail, "__call__", tail_spy)
+    monkeypatch.setattr(specfun._AnchoredSeries, "__call__", reflected_spy)
     assert run(["reproduce", "--figure", "1"]) == 0
     capsys.readouterr()
     assert Counter(kinds.get(series.c, "other") for series in calls) == {
-        "1/w": 99, "reflected": 7}
+        "1/w": 99, "reflected": 3, "reflected slope": 1}
+    assert len(reflected) == 7
+    assert sum(z <= 0.5 for _, z in reflected) == 2
+    assert len({id(series) for series, _ in reflected}) == 1
+    assert len(reflected[0][0].anchors) == 5
     assert len(tails) == 1
 
 

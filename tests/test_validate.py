@@ -1,10 +1,13 @@
 """Dispersion moments: the rate integral must reproduce the series."""
 
+import copy
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import starkdim.validate
+from starkdim import specfun
 from starkdim import (
     DispersionEntry,
     DispersionReport,
@@ -109,3 +112,78 @@ def test_dispersion_identity(monkeypatch, alpha):
         assert e.node_count == len(calls) == len(set(calls))
         assert e.upper_cutoff == max(calls)
     assert len(calls) <= 250
+
+
+def test_reflected_route_work_per_report(monkeypatch):
+    """The reflected series behind Im F up to x = 11, in one
+    dispersion_report at alpha = 3: its terms, counted as the anchors' kept
+    Taylor coefficients plus every term summed (the defining series at
+    z <= 1/2 and for the first anchor included), stay at most 1,500 over 38
+    evaluations.  One Pfaff series at z = v/x took 3,021 terms there."""
+    series = energy_series(Fraction(3), 4)
+    model = fit_model(series)
+    hyp = model._continuation[1]
+    route = {hyp._mu + 1.0, hyp._mu + 2.0}  # S and S' = (AB/C) 2F1(A+1, ...)
+    summed, evaluations = [], []
+    series_sum = specfun._Series.__call__
+    taylor_sum = specfun._Taylor.__call__
+    reflected = specfun._AnchoredSeries.__call__
+
+    def count_series(self, w):
+        if self.c in route:
+            fresh = specfun._Series(self.a, self.b, self.c)
+            series_sum(fresh, w)
+            summed.append(len(fresh.rows))
+        return series_sum(self, w)
+
+    def count_taylor(self, h, derivative=0):
+        fresh = copy.copy(self)
+        fresh.coeffs = self.coeffs[:2]
+        taylor_sum(fresh, h, derivative)
+        summed.append(len(fresh.coeffs) - derivative)
+        return taylor_sum(self, h, derivative)
+
+    def count_evaluations(self, z):
+        evaluations.append(z)
+        return reflected(self, z)
+
+    monkeypatch.setattr(specfun._Series, "__call__", count_series)
+    monkeypatch.setattr(specfun._Taylor, "__call__", count_taylor)
+    monkeypatch.setattr(specfun._AnchoredSeries, "__call__", count_evaluations)
+    dispersion_report(model, series)
+    kept = sum(len(t.coeffs) for t in hyp._reflected_series.anchors)
+    assert len(evaluations) == 38
+    assert kept + sum(summed) <= 1500
+    assert sum(summed) <= 40 * len(evaluations)
+
+
+# sha256 of repr(dispersion_report(fit_model(s), s)), s = energy_series(alpha,
+# 4): a change to the numerics of the rate path moves these
+REPORT_DIGESTS = {
+    Fraction(3):
+        "9fca4d2b285a7853ca1bea2da967719c0ccbc4164d57702df8e038db3d2f60df",
+    Fraction(5, 2):
+        "383c9cdf2986e3bd4c7aa5015c4dd8782018d54a415044078f43f30a92302e80",
+    Fraction(2):
+        "3e9e7bd8b992aa40eb17632bfcfe4a6ba3cc1bfe9791ffd32b8063fe1b3bbe0a",
+    Fraction(3, 2):
+        "1bd2ab4629761bac15ac2c84005f80fe2e82373606b9d9e19697bb49d0dff5a2",
+    Fraction(7, 3):
+        "0c86b795dd4f455f95f8905e8223024c315f173e96f44213fbee3727587ef3e1",
+    Fraction(11, 5):
+        "65ae64b935152deec9ce7f7993608382df989f3fa7ca26fae181e409d01fb1e9",
+    Fraction(101, 100):
+        "6cfbf87f28f9100fea8bba5b35ca421b036e0cbf9c4afe57e3d368b8dbee2892",
+    Fraction(6):
+        "26edf677d55d5ee69867b97ef97e7a8a5c2a3c27af68c038bdf1f4488ac30241",
+    Fraction(20):
+        "bcc84bd7d6142276a719f4dc984f9cbb01c643ebf3ad07ac530bd9757cef2996",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(REPORT_DIGESTS), ids=str)
+def test_report_digest_pinned(alpha):
+    series = energy_series(alpha, 4)
+    report = dispersion_report(fit_model(series), series)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        REPORT_DIGESTS[alpha])
