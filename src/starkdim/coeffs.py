@@ -264,7 +264,11 @@ _REFERENCE_FACTORS = {
 
 def reference_factor_polynomial(n: int) -> RationalPolynomial:
     """Known scaled coefficient polynomials for n = 1..4 (ascending powers
-    of alpha), kept as an independent cross-check of the series engine."""
+    of alpha), kept as an independent cross-check of the series engine.
+
+    Public because it is reference data, not a second computation: the
+    tests and the benchmark's ``series`` check compare the symbolic
+    engine's output with it."""
     if n not in _REFERENCE_FACTORS:
         raise OutOfRange("reference data covers n = 1..4 only")
     return RationalPolynomial(tuple(Fraction(c) for c in _REFERENCE_FACTORS[n]))

@@ -350,7 +350,7 @@ class _AnchoredSeries:
         self.anchors = []
 
     def _expansion(self, j) -> _Taylor:
-        anchors = self.anchors
+        a, b, c, anchors = self.a, self.b, self.c, self.anchors
         while len(anchors) <= j:
             k = len(anchors)
             z0 = _anchor(k)
@@ -359,10 +359,9 @@ class _AnchoredSeries:
                 h = z0 - _anchor(k - 1)
                 s0, s1 = prev(h), prev(h, 1)
             else:
-                a, b, c = self.a, self.b, self.c
                 s0 = self.series(z0)
                 s1 = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0)(z0)
-            anchors.append(_Taylor(self.a, self.b, self.c, z0, s0, s1))
+            anchors.append(_Taylor(a, b, c, z0, s0, s1))
         return anchors[j]
 
     def __call__(self, z) -> complex:
@@ -377,8 +376,9 @@ class _AnchoredSeries:
 # Largest x = 1 + v at which Im F on the cut comes from the reflected series.
 # From x - 1 = 10 on, the generic connection value's own imaginary part is
 # within 3e-14 relative of a 60-digit DLMF 15.2.3 reference for the resonance
-# family at alpha in [1.5, 20]; below it that error grows fast (5e-9 at
-# x - 1 = 2, up to 1e15 at x - 1 = 0.1).
+# family at alpha in [1.5, 20] and l = 30; below it that error grows fast
+# (5e-9 at x - 1 = 2, up to 1e15 at x - 1 = 0.1).  It grows with l: just
+# past x = 11 it is 3e-13 at l = 60 and 3e-10 at l = 90.
 _REFLECTION_MAX_X = 11.0
 
 

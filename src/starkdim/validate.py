@@ -128,7 +128,11 @@ def _dispersion_moments(model: HypModel, ns):
 
 def dispersion_coefficient(model: HypModel, n: int) -> float:
     """Coefficient of field^(2n) recovered from the rate integral
-    -(1/pi) * integral of G(F) / F^(2n+1) over all F > 0."""
+    -(1/pi) * integral of G(F) / F^(2n+1) over all F > 0.
+
+    Public as the one-moment form of the dispersion identity, for any
+    n >= 2: :func:`dispersion_report` (and the CLI) covers n = 2..4 only.
+    Both run the same integrator, so this adds no second code path."""
     if not (n >= 2 and math.isfinite(n) and int(n) == n):
         raise NotValid(f"the moment integral is only valid for n >= 2, got {n}")
     return _dispersion_moments(model, (int(n),))[0][0]

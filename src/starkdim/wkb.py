@@ -223,7 +223,10 @@ def _exponent_between(p: float, field: float, y1: float, y2: float) -> float:
 
 
 def wkb_transmittance(p: float, field: float) -> float:
-    """Numeric barrier transmittance; underflows to 0.0 for deep barriers."""
+    """Numeric barrier transmittance; underflows to 0.0 for deep barriers.
+
+    Public as the one-number form of :func:`barrier_model`, which gives the
+    same value with the turning points: for callers that want T alone."""
     return math.exp(-wkb_exponent(p, field))
 
 
@@ -258,7 +261,12 @@ def landau_closed_form(p: float, field: float) -> float:
 
 def keldysh_exponent(p: float) -> float:
     """Universal tunneling exponent coefficient from the ionization
-    potential 1/(2 p^2); algebraically equal to 2/(3 p^3)."""
+    potential 1/(2 p^2); algebraically equal to 2/(3 p^3).
+
+    Public as the weak-field reference of :func:`wkb_exponent`, which tends
+    to keldysh_exponent(p) / field: the semiclassical acceptance check
+    compares the two.  The same b = 2/(3 p^3) sets the series' large-order
+    ratio and the dispersion integrand's peak."""
     p = _check_p(p)
     ip = 1.0 / (2.0 * p**2)
     return 2.0 * (2.0 * ip) ** 1.5 / 3.0
