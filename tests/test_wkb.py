@@ -25,7 +25,8 @@ from starkdim import (
     wkb_transmittance,
     zero_field_inner_turning_point,
 )
-from starkdim.errors import DomainError, NoBarrier, NoReference
+from starkdim.errors import (DomainError, IntegrationFailure, NoBarrier,
+                             NoReference)
 
 BARRIER_CASES = ((1.0, 0.05), (1.0, 0.004), (0.5, 0.01), (0.25, 0.05),
                  (0.75, 0.02))
@@ -139,66 +140,72 @@ def test_deep_barrier_exponent_converges():
     assert value == pytest.approx(keldysh_exponent(0.01) / 1e-6, rel=1e-6)
 
 
-@pytest.mark.parametrize("n", (1, 2, 5, 64, 128, 256))
-def test_gauss_legendre_rule_against_mpmath(n):
-    """Nodes within an ulp of the roots of P_n and weights within 1e-12
-    relative, both from mpmath's own P_n at 40 digits; the nodes also agree
-    with numpy's to an ulp."""
-    rule = wkb._gauss_nodes(n)
-    assert [x for x, _ in rule] == sorted(-x for x, _ in rule)
-    assert max(abs(x - y) for (x, _), y in
-               zip(rule, np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
+def _has_barrier(p, field):
+    try:
+        turning_points(p, field)
+    except NoBarrier:
+        return False
+    return True
+
+
+# (p, field) on the four rate-comparison grids, every tenth field, and the
+# 240 of their fields below the over-barrier threshold
+COMPARISON_GRID = [((alpha - 1.0) / 2.0, field)
+                   for alpha, lo, hi in LANDAU_COMPARISON_RANGES
+                   for field in np.geomspace(lo, hi, 101).tolist()]
+GRID_SAMPLE = [case for case in COMPARISON_GRID[::10] if _has_barrier(*case)]
+COMPARISON_BARRIERS = [case for case in COMPARISON_GRID if _has_barrier(*case)]
+# deep barriers, where y1 sits 8 to 15 decades below y2
+DEEP_EXPONENT_CASES = ((0.02, 1e-5), (0.01, 1e-6), (0.01, 1e-8), (0.25, 1e-5))
+
+
+def _barrier_integral(p, field, y1, y2):
+    """2 * integral of sqrt(U) between the given turning points, to 40
+    digits, in the factored form the package integrates: sqrt(field (y - y1)
+    (y2 - y) (y - y3)) / y, y3 from the root sum.  Splitting the range at
+    y1 * 2 * 8^k lets mpmath's own tanh-sinh rule resolve the 1/y scale."""
     with mp.workdps(40):
-        def dp(x):
-            return n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1)
-
-        for x, w in rule[n // 2:]:
-            root = mp.mpf(x) - mp.legendre(n, x) / dp(mp.mpf(x))
-            weight = 2 / ((1 - root**2) * dp(root) ** 2)
-            assert abs(x - root) <= 1.2e-16
-            assert abs(w - weight) <= 1e-12 * weight
-
-
-def _leggauss_exponent(p, field):
-    """The barrier exponent on numpy's Gauss-Legendre nodes in array
-    arithmetic, with the package's node counts and stop rule: (value, n)."""
-    y1, y2 = turning_points(p, field)
-    y3 = 1.0 / (field * p**2) - y1 - y2
-    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
-    prev = None
-    for n in wkb._QUAD_NODE_COUNTS:
-        x, w = np.polynomial.legendre.leggauss(n)
-        y = mid + half * np.sin(0.5 * np.pi * x)
-        vals = np.cos(0.5 * np.pi * x) ** 2 * np.sqrt(y - y3) / y
-        cur = math.sqrt(field) * half**2 * 0.5 * math.pi * float(w @ vals)
-        if prev is not None and abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
-            return cur, n
-        prev = cur
-    raise AssertionError("reference quadrature did not converge")
+        fm, y1, y2 = mp.mpf(field), mp.mpf(y1), mp.mpf(y2)
+        y3 = 1 / (fm * mp.mpf(p) ** 2) - y1 - y2
+        cuts = [y1]
+        while 16 * cuts[-1] < y2:
+            cuts.append(8 * cuts[-1] if len(cuts) > 1 else 2 * y1)
+        cuts += [(cuts[-1] + y2) / 2, y2]
+        return mp.quad(lambda y: mp.sqrt(fm * (y - y1) * (y2 - y) * (y - y3))
+                       / y, cuts)
 
 
-def test_exponent_matches_numpy_nodes(monkeypatch):
-    """On the four rate-comparison grids and at three deep barriers the
-    exponent stops at the same node count as with numpy's nodes and moves
-    by less than 1e-13 relative."""
-    cases = [((alpha - 1.0) / 2.0, f) for alpha, lo, hi in LANDAU_COMPARISON_RANGES
-             for f in np.geomspace(lo, hi, 101).tolist()]
-    cases += [(0.01, 1e-6), (0.01, 1e-8), (0.25, 1e-5)]
-    counts = []
-    original = wkb._sine_rule
-    monkeypatch.setattr(wkb, "_sine_rule",
-                        lambda n: counts.append(n) or original(n))
-    checked = 0
-    for p, field in cases:
-        try:
-            ref, n = _leggauss_exponent(p, field)
-        except NoBarrier:
-            continue
-        counts.clear()
-        assert wkb_exponent(p, field) == pytest.approx(ref, rel=1e-13)
-        assert counts[-1] == n <= 512
-        checked += 1
-    assert checked == 243  # the rest are over the barrier
+@pytest.mark.parametrize("p,field,rel", [
+    *((p, f, 1e-12) for p, f in DEEP_EXPONENT_CASES),
+    *((p, f, 2e-15) for p, f in GRID_SAMPLE)])
+def test_exponent_against_40_digit_integral(p, field, rel):
+    """The quadrature against mpmath between the same turning points: deep
+    barriers within 1e-12 (2e-13 at p = 0.02, field = 1e-5) and every tenth
+    field of the comparison grids within 2e-15."""
+    ref = _barrier_integral(p, field, *turning_points(p, field))
+    assert abs(wkb_exponent(p, field) - ref) <= rel * ref
+
+
+def test_exponent_work_on_comparison_grids(monkeypatch):
+    """Every barrier of the four comparison grids converges by the fourth
+    level of the rule: at most 13 + 12 + 26 + 52 = 103 integrand
+    evaluations."""
+    levels = []
+    original = wkb._level
+    monkeypatch.setattr(wkb, "_level", lambda n: levels.append(n) or original(n))
+    assert len(COMPARISON_BARRIERS) == 240
+    for p, field in COMPARISON_BARRIERS:
+        levels.clear()
+        wkb_exponent(p, field)
+        assert sum(len(original(n)) for n in levels) <= 103, (p, field)
+
+
+def test_exponent_failure_names_the_barrier(monkeypatch):
+    """With the rule cut to its first level no two levels can agree, so the
+    integral raises IntegrationFailure naming p and the field."""
+    monkeypatch.setattr(wkb, "_MAX_HALVINGS", 0)
+    with pytest.raises(IntegrationFailure, match=r"p=1\.0, field=0\.05"):
+        wkb_exponent(1.0, 0.05)
 
 
 def test_closed_form_is_exp_of_log_form():
