@@ -15,7 +15,8 @@ import pytest
 
 from starkdim import (CALIBRATION_FLOOR, LANDAU_COMPARISON_RANGES,
                       energy_series, pick_calibration_reference, specfun,
-                      standard_model, sweep, symbolic_energy_series)
+                      standard_model, sweep, symbolic_energy_series,
+                      validate, wkb)
 from starkdim.cli import _linear_grid, _log_grid, build_parser, run
 from starkdim.coeffs import format_alpha
 
@@ -145,6 +146,22 @@ def test_series_failure_is_numerical_error_with_context(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: hypergeometric series exhausted 0 terms in the"
                    " 1/w connection (alpha=3.0, field=0.1)\n")
+
+
+@pytest.mark.parametrize("argv,module,message", [
+    (("dispersion", "--alpha", "3"), validate,
+     "trapezoid sums not settled after 0 halvings (alpha=3.0)"),
+    (("wkb", "--alpha", "3", "--fields", "0.05:0.3:6"), wkb,
+     "barrier integral did not converge to 1e-10 at p=1.0, field=0.05"),
+], ids=("dispersion", "wkb"))
+def test_integration_failure_is_numerical_error(capsys, monkeypatch, argv,
+                                                module, message):
+    # each integrator stops after its first level, before two can agree
+    monkeypatch.setattr(module, "_MAX_HALVINGS", 0)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # valid input past the float range: one error line that names the input and

@@ -233,6 +233,60 @@ def test_rate_across_reflected_anchors(alpha, l):
         assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref), v
 
 
+# (alpha, l) whose Delta misses 1e-12 somewhere on ANCHOR_OFFSETS: the seam
+# defect of the 2F1 routes for Re F, worst at v = 0.9
+DELTA_OFF_AT_ANCHORS = {(5.0, 30.0), (10.0, 30.0), (20.0, 30.0)} | {
+    (alpha, l) for alpha in (3.0, 5.0, 10.0, 20.0) for l in (60.0, 90.0)}
+
+
+@pytest.mark.parametrize("alpha,l", [
+    pytest.param(alpha, l, marks=pytest.mark.xfail(
+        strict=True, reason="both 2F1 routes lose digits of Re F near the"
+        " seam: Delta is off by 1.2e-12 (alpha = 5, l = 30) up to 3.6"
+        " relative; at alpha = 20, l = 90, v = 0.9 (F = 5.8e-6) it is"
+        " +0.0144 where the reference gives -0.00556, a sign flip")
+        if (alpha, l) in DELTA_OFF_AT_ANCHORS else ())
+    for alpha in (3.0, 5.0, 10.0, 20.0) for l in (12.3, 30.0, 60.0, 90.0)])
+def test_delta_across_reflected_anchors(alpha, l):
+    """Delta on the grid of test_rate_across_reflected_anchors: within 1e-12
+    at l = 12.3 and at alpha = 3, l = 30 (worst 1.1e-13)."""
+    model = standard_model(alpha, l=l)
+    for v in ANCHOR_OFFSETS:
+        field = field_at(model, 1.0 + v)
+        delta, _ = reference(model, field)
+        assert abs(resonance(model, field).delta - delta) <= REL_TOL * abs(
+            delta), v
+
+
+# x = 1 + h3 (F/4)^2 past _REFLECTION_MAX_X = 11, where the rate is the
+# imaginary part of the 1/w connection
+PAST_REFLECTION_XS = (11.0001, 11.5, 13.0, 17.0, 30.0)
+
+
+@pytest.mark.parametrize("l", [30.0, 60.0])
+@pytest.mark.parametrize("alpha", [3.0, 5.0, 20.0])
+def test_rate_past_reflected_route(alpha, l):
+    """Within 1e-12 of the exact discontinuity (worst 4.6e-13, alpha = 5,
+    l = 60, x = 11.0001)."""
+    model = standard_model(alpha, l=l)
+    for x in PAST_REFLECTION_XS:
+        field = field_at(model, x)
+        ref = reference_rate(model, field)
+        assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref), x
+
+
+@pytest.mark.xfail(strict=True, reason="_REFLECTION_MAX_X = 11 hands the rate"
+                   " to the 1/w connection, whose Im F at l = 90 just past it"
+                   " is off by 2.5e-11 to 3.0e-10")
+@pytest.mark.parametrize("x", PAST_REFLECTION_XS[:2])
+@pytest.mark.parametrize("alpha", [3.0, 5.0, 20.0])
+def test_rate_just_past_reflected_route_at_l90(alpha, x):
+    model = standard_model(alpha, l=90.0)
+    field = field_at(model, x)
+    ref = reference_rate(model, field)
+    assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref)
+
+
 # Percent by which the model's own E_10..E_20 (model_coefficients) fall
 # short of the exact series.  The continuation reproduces E_2..E_8 by
 # construction; past them its coefficients grow more slowly than the true

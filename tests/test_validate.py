@@ -16,7 +16,8 @@ from starkdim import (
     energy_series,
     fit_model,
 )
-from starkdim.errors import DomainError, NotValid, OutOfRange
+from starkdim.errors import (DomainError, IntegrationFailure, NotValid,
+                             OutOfRange)
 from starkdim.resum import lower_side_rate
 
 
@@ -112,6 +113,32 @@ def test_dispersion_identity(monkeypatch, alpha):
         assert e.node_count == len(calls) == len(set(calls))
         assert e.upper_cutoff == max(calls)
     assert len(calls) <= 250
+
+
+# every IntegrationFailure of the moment integrator, each forced at alpha = 3
+# by module settings: (settings, message)
+INTEGRATION_FAILURES = {
+    "rate vanishes": ({"lower_side_rate": lambda model, field: 0.0},
+                      "rate vanishes at its expected peak (alpha=3.0)"),
+    "no lower cutoff": ({"_MAX_SCAN": 1}, "no lower cutoff (alpha=3.0)"),
+    # a rate growing as F^10 leaves no bounded tail; 200 steps keep F finite
+    "no upper cutoff": ({"lower_side_rate": lambda model, field: field**10,
+                         "_MAX_SCAN": 200}, "no upper cutoff (alpha=3.0)"),
+    "sums not settled": ({"_MAX_HALVINGS": 0},
+                         "trapezoid sums not settled after 0 halvings"
+                         " (alpha=3.0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRATION_FAILURES))
+def test_integration_failure_names_alpha(monkeypatch, models, series_map,
+                                         case):
+    settings, message = INTEGRATION_FAILURES[case]
+    for name, value in settings.items():
+        monkeypatch.setattr(starkdim.validate, name, value)
+    with pytest.raises(IntegrationFailure) as info:
+        dispersion_report(models[3.0], series_map[3.0])
+    assert str(info.value) == message
 
 
 def test_reflected_route_work_per_report(monkeypatch):
