@@ -8,6 +8,12 @@ and provides the closed-form low-field transmittance estimate together
 with a calibrated ionization-rate curve for comparison against the
 resummed model.
 
+The quadrature is the tanh-sinh rule of Takahasi and Mori (Publ. RIMS 9,
+721, 1974): closed-form nodes and weights, nested by halving the step,
+with nodes crowding double-exponentially into both turning points, so one
+rule serves barriers from the over-barrier threshold to turning points 15
+decades apart.
+
 Sign convention: the potential returned by ``barrier_potential`` is
 positive inside the forbidden region, so the transmittance reads
 T = exp(-2 * integral of sqrt(U) between the turning points).
