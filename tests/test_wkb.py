@@ -148,13 +148,14 @@ def _has_barrier(p, field):
     return True
 
 
-# (p, field) on the four rate-comparison grids, every tenth field, and the
-# 240 of their fields below the over-barrier threshold
+# (p, field) on the four rate-comparison grids, the 240 of their fields below
+# the over-barrier threshold, and every tenth grid field that has a barrier
 COMPARISON_GRID = [((alpha - 1.0) / 2.0, field)
                    for alpha, lo, hi in LANDAU_COMPARISON_RANGES
                    for field in np.geomspace(lo, hi, 101).tolist()]
-GRID_SAMPLE = [case for case in COMPARISON_GRID[::10] if _has_barrier(*case)]
 COMPARISON_BARRIERS = [case for case in COMPARISON_GRID if _has_barrier(*case)]
+GRID_SAMPLE = [case for case in COMPARISON_GRID[::10]
+               if case in COMPARISON_BARRIERS]
 # deep barriers, where y1 sits 8 to 15 decades below y2
 DEEP_EXPONENT_CASES = ((0.02, 1e-5), (0.01, 1e-6), (0.01, 1e-8), (0.25, 1e-5))
 
@@ -167,9 +168,10 @@ def _barrier_integral(p, field, y1, y2):
     with mp.workdps(40):
         fm, y1, y2 = mp.mpf(field), mp.mpf(y1), mp.mpf(y2)
         y3 = 1 / (fm * mp.mpf(p) ** 2) - y1 - y2
-        cuts = [y1]
-        while 16 * cuts[-1] < y2:
-            cuts.append(8 * cuts[-1] if len(cuts) > 1 else 2 * y1)
+        cuts, y = [y1], 2 * y1
+        while 2 * y < y2:
+            cuts.append(y)
+            y *= 8
         cuts += [(cuts[-1] + y2) / 2, y2]
         return mp.quad(lambda y: mp.sqrt(fm * (y - y1) * (y2 - y) * (y - y3))
                        / y, cuts)
@@ -192,7 +194,8 @@ def test_exponent_work_on_comparison_grids(monkeypatch):
     evaluations."""
     levels = []
     original = wkb._level
-    monkeypatch.setattr(wkb, "_level", lambda n: levels.append(n) or original(n))
+    monkeypatch.setattr(wkb, "_level",
+                        lambda n: levels.append(n) or original(n))
     assert len(COMPARISON_BARRIERS) == 240
     for p, field in COMPARISON_BARRIERS:
         levels.clear()
