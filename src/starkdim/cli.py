@@ -21,30 +21,8 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import __version__
-from .coeffs import (DEFAULT_ORDER_CAP, energy_series, format_alpha,
-                     symbolic_energy_series)
+from . import DEFAULT_L, DEFAULT_ORDER_CAP, __version__
 from .errors import InputError, NoBarrier, NumericalError, OutOfRange
-from .resum import (
-    DEFAULT_L,
-    STANDARD_SWEEP_RANGES,
-    fit_model,
-    fit_round_trip_residual,
-    linear_tail_fit,
-    lower_side_rate,
-    slope_exponent,
-    standard_model,
-    sweep,
-)
-from .validate import dispersion_report
-from .wkb import (
-    CALIBRATION_FLOOR,
-    LANDAU_COMPARISON_RANGES,
-    barrier_model,
-    landau_calibrated_rate,
-    landau_closed_form,
-    pick_calibration_reference,
-)
 
 GRID_POINTS = 101
 
@@ -172,10 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (columns, rows, extra_meta)
+# subcommand handlers: each returns (columns, rows, extra_meta) and imports
+# the layers it calls, so that building the parser compiles none of them
 
 
 def _cmd_coeffs(ns: argparse.Namespace):
+    from .coeffs import energy_series, format_alpha, symbolic_energy_series
+
     if ns.symbolic:
         table = symbolic_energy_series(ns.order)
         columns = ("n", "factor_polynomial")
@@ -202,6 +183,9 @@ def _cmd_coeffs(ns: argparse.Namespace):
 
 
 def _cmd_fit(ns: argparse.Namespace):
+    from .coeffs import energy_series
+    from .resum import fit_model, fit_round_trip_residual
+
     series = energy_series(ns.alpha, 4)
     model = fit_model(series, ns.l)
     residual = fit_round_trip_residual(model, series)
@@ -217,6 +201,8 @@ def _cmd_fit(ns: argparse.Namespace):
 
 
 def _cmd_sweep(ns: argparse.Namespace):
+    from .resum import standard_model, sweep
+
     start, stop, count = ns.fields
     model = standard_model(ns.alpha, ns.l)
     points = sweep(model, _linear_grid(start, stop, count))
@@ -225,13 +211,22 @@ def _cmd_sweep(ns: argparse.Namespace):
     return columns, rows, {}
 
 
-def _rate_point(model, field):
-    """The field and its rate Gamma = |2 Im E|, all that the Landau
-    calibration reads: Re E is never formed (``resum.lower_side_rate``)."""
-    return SimpleNamespace(field=field, gamma=abs(lower_side_rate(model, field)))
+def _rate_points(model, fields):
+    """Each field with its rate Gamma = |2 Im E|, evaluated as the caller
+    asks for it: all that the Landau calibration reads, with Re E never
+    formed (``resum.lower_side_rate``)."""
+    from .resum import lower_side_rate
+
+    for field in fields:
+        yield SimpleNamespace(field=field,
+                              gamma=abs(lower_side_rate(model, field)))
 
 
 def _cmd_wkb(ns: argparse.Namespace):
+    from .resum import standard_model
+    from .wkb import (CALIBRATION_FLOOR, barrier_model,
+                      landau_calibrated_rate, landau_closed_form)
+
     start, stop, count = ns.fields
     if start <= 0.0:
         raise OutOfRange("barrier analysis needs strictly positive fields")
@@ -241,9 +236,9 @@ def _cmd_wkb(ns: argparse.Namespace):
     # the calibration point is the lowest field with Gamma above the floor:
     # walk the ascending grid up to it, and evaluate no rate beyond
     walked = []
-    for field in fields:
-        walked.append(_rate_point(model, field))
-        if walked[-1].gamma > CALIBRATION_FLOOR:
+    for point in _rate_points(model, fields):
+        walked.append(point)
+        if point.gamma > CALIBRATION_FLOOR:
             break
     calibrated = landau_calibrated_rate(p, fields, walked)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
@@ -262,6 +257,10 @@ def _cmd_wkb(ns: argparse.Namespace):
 
 
 def _cmd_dispersion(ns: argparse.Namespace):
+    from .coeffs import energy_series
+    from .resum import fit_model
+    from .validate import dispersion_report
+
     series = energy_series(ns.alpha, 4)
     model = fit_model(series, ns.l)
     report = dispersion_report(model, series)
@@ -276,6 +275,8 @@ def _cmd_dispersion(ns: argparse.Namespace):
 
 
 def _figure_one():
+    from .resum import standard_model, sweep
+
     model = standard_model(3.0)
     points = sweep(model, _linear_grid(0.0, 1.0, GRID_POINTS))
     columns = ("field", "delta", "gamma")
@@ -284,6 +285,9 @@ def _figure_one():
 
 
 def _figure_two():
+    from .resum import (STANDARD_SWEEP_RANGES, linear_tail_fit,
+                        slope_exponent, standard_model, sweep)
+
     columns = ("alpha", "field", "delta", "gamma")
     rows = []
     cases = []
@@ -307,14 +311,17 @@ def _figure_two():
 
 
 def _figure_three():
+    from .resum import standard_model
+    from .wkb import (LANDAU_COMPARISON_RANGES, landau_calibrated_rate,
+                      pick_calibration_reference)
+
     columns = ("alpha", "field", "gamma", "gamma_landau")
     rows = []
     cases = []
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
         model = standard_model(alpha)
-        points = [_rate_point(model, field)
-                  for field in _log_grid(lo, hi, GRID_POINTS)]
+        points = list(_rate_points(model, _log_grid(lo, hi, GRID_POINTS)))
         calibrated = landau_calibrated_rate(
             p, [pt.field for pt in points], points)
         rows.extend(

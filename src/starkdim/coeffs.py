@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from . import DEFAULT_ORDER_CAP
 from ._record import Record
 from .errors import (
     InvalidDimension,
@@ -35,8 +36,6 @@ from .errors import (
     OrderTooLarge,
     OutOfRange,
 )
-
-DEFAULT_ORDER_CAP = 20
 
 
 def _is_exact(value) -> bool:

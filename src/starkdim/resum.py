@@ -30,6 +30,7 @@ import math
 import numbers
 from functools import cached_property
 
+from . import DEFAULT_L
 from ._record import Record
 from .coeffs import EnergySeries, energy_series, format_alpha
 from .errors import (
@@ -43,8 +44,6 @@ from .errors import (
     OutOfRange,
 )
 from .specfun import Hyp2F1, complex_gamma, real_on_axis, taylor_terms
-
-DEFAULT_L = 30.0
 
 # sweep ranges (alpha, highest field) bracketing each ionization onset;
 # the alpha=1.5 tail is still curving at 12, the linear regime needs ~20

@@ -200,9 +200,14 @@ def wkb_exponent(p: float, field: float) -> float:
     return _exponent_between(p, field, *turning_points(p, field))
 
 
+def _third_root(p: float, field: float, y1: float, y2: float) -> float:
+    """The negative root of the cubic, from the root product: the root sum
+    1/(field p^2) - y1 - y2 cancels for deep barriers."""
+    return -p * (2.0 - p) / (field * y1 * y2)
+
+
 def _exponent_between(p: float, field: float, y1: float, y2: float) -> float:
-    # third (negative) root of the cubic from the root sum
-    y3 = 1.0 / (field * p**2) - y1 - y2
+    y3 = _third_root(p, field, y1, y2)
     half = 0.5 * (y2 - y1)
     terms, prev = [], math.inf
     for n in range(_MAX_HALVINGS + 1):

@@ -72,6 +72,21 @@ def test_turning_points_against_cubic_roots(p, field):
     assert barrier_potential(p, field, 0.5 * (y1 + y2)) > 0.0
 
 
+@pytest.mark.parametrize("p,field", ((0.02, 1e-5),) + DEEP_BARRIER_CASES)
+def test_third_root_against_cubic_roots(p, field):
+    """The negative root of the cubic, which the barrier integrand reads,
+    against mpmath's roots at 40 digits.  The root sum 1/(field p^2) - y1 -
+    y2 was off by 8.6e-6, 1.4e-3 and 7.1e-2 relative at these barriers."""
+    y3 = wkb._third_root(p, field, *turning_points(p, field))
+    with mp.workdps(40):
+        pm, fm = mp.mpf(p), mp.mpf(field)
+        roots = mp.polyroots([fm, -1 / pm**2, 2, pm * (2 - pm)],
+                             maxsteps=200, extraprec=60)
+        ref = min(float(mp.re(r)) for r in roots)
+    assert ref < 0.0
+    assert y3 == pytest.approx(ref, rel=1e-15)
+
+
 def test_turning_points_reference_case():
     y1, y2 = turning_points(1.0, 0.05)
     assert y1 == pytest.approx(2.74, abs=0.01)
