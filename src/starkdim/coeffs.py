@@ -62,10 +62,6 @@ class RationalPolynomial(Record):
             coeffs = coeffs[:-1]
         self.__dict__["coefficients"] = coeffs
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -400,10 +396,7 @@ def _ser_inverse_unit(s, order, one, zero):
         raise NumericalError("series reciprocal requires a unit constant term")
     inv = [one] + [zero] * order
     for k in range(1, order + 1):
-        acc = zero
-        for j in range(1, k + 1):
-            acc = acc + s[j] * inv[k - j]
-        inv[k] = -acc
+        inv[k] = -_cauchy(s, inv, k, zero)  # its j = 0 term is inv[k] = 0
     return tuple(inv)
 
 

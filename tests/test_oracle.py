@@ -287,6 +287,18 @@ def test_rate_just_past_reflected_route_at_l90(alpha, x):
     assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref)
 
 
+@pytest.mark.xfail(strict=True, reason="with a real pair whose h2 - h1 is"
+                   " near an integer the 1/w connection loses digits of Im F"
+                   " past x = 11: 1.3e-11 (alpha = 5.2, h2 - h1 = 1.0029)"
+                   " and 3.1e-12 (alpha = 9.7, h2 - h1 = 2.0061)")
+@pytest.mark.parametrize("alpha", [5.2, 9.7])
+def test_rate_past_reflected_route_near_integer_pair_difference(alpha):
+    model = standard_model(alpha)
+    field = field_at(model, 11.5)
+    ref = reference_rate(model, field)
+    assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref)
+
+
 # Percent by which the model's own E_10..E_20 (model_coefficients) fall
 # short of the exact series.  The continuation reproduces E_2..E_8 by
 # construction; past them its coefficients grow more slowly than the true

@@ -4,7 +4,9 @@ import cmath
 import functools
 import math
 import random
+import time
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 from starkdim import (
     STANDARD_SWEEP_RANGES,
     complex_gamma,
+    dispersion_report,
+    energy_series,
+    fit_model,
     gauss_2f1,
     standard_model,
     sweep,
@@ -651,33 +656,65 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
     assert worst <= 1e-13
 
 
-def test_nudge_fallback_accuracy(monkeypatch):
-    """Integer b - a with only the 1/w region in reach takes the
-    parameter-nudge average; against 40-digit mpmath it keeps the accuracy
-    the gauss_2f1 docstring states."""
+# (a, b, c, w, cut_side) that no series region serves, where each region
+# in reach is degenerate, or where the one in reach runs out of terms
+STEPPED_POINTS = [
+    # b - a an integer with only the 1/w region in reach
+    *((a, a + d, c, w, None)
+      for a in (0.35, -0.6 + 0.5j, 2.2 + 0.3j) for d in range(4)
+      for c, w in ((0.8, cmath.rect(2.1, 0.6)), (3.1, cmath.rect(1.9, -1.1)))),
+    (2.316843515025479 + 0.785436630732733j,
+     5.316843515025479 + 0.785436630732733j, 2.55910493136595,
+     1.4212140055888838 + 1.0240953345681036j, None),
+    # the m = 30 log connection and the 1-w connection exhaust MAX_TERMS
+    (-1.2242, -1.2242, 27.5516, 1.1147 + 0.7707j, None),
+    (0.3818 - 1.1035j, 2.3818 - 1.1035j, 32.7636 - 2.2069j,
+     1.6622 - 0.5952j, None),
+    (-1.66, 0.34, 4.6233 + 0.3561j, 1.8997, 1),
+    # every mapped modulus above _RHO_MAX near w = e^(i pi/3)
+    (0.4209, 2.9114, 4.3102, 0.4743 + 0.8389j, None),
+    (2.5051, 4.5051, 1.2297, 0.4948 + 0.7702j, None),
+    # on the cut with b - a an integer, both sides
+    *((a, a + d, c, x, side)
+      for a, d, c in ((0.35, 1, 0.8), (0.3, 0, 1.7), (-0.6, 3, 2.5))
+      for x in (3.0, 1e3, 1e6) for side in (1, -1)),
+    # far from z = 0, each timed
+    (0.35, 1.35, 0.8, cmath.rect(1e12, 0.7), None),
+    (0.35, 2.35, 3.1, cmath.rect(1e100, -2.1), None),
+]
+
+
+def test_stepped_last_resort(monkeypatch):
+    """Points no series region serves are Taylor steps of the
+    hypergeometric equation, within 1e-12 of 40-digit mpmath (worst
+    1.1e-13), and |w| = 1e12 and 1e100 each take under 0.2 s; the model
+    path never takes them."""
     calls = []
-    original = Hyp2F1.__dict__["_nudged"].func
+    original = Hyp2F1._stepped
 
-    def spy(self):
-        calls.append((self.a, self.b))
-        return original(self)
+    def spy(self, w):
+        calls.append(w)
+        return original(self, w)
 
-    monkeypatch.setattr(Hyp2F1, "_nudged", property(spy))
-    errors = []
-    for a in (0.35, -0.6 + 0.5j, 2.2 + 0.3j):
-        for d in range(4):
-            for c, w in ((0.8, cmath.rect(2.1, 0.6)),
-                         (3.1, cmath.rect(1.9, -1.1))):
-                calls.clear()
-                got = gauss_2f1(a, a + d, c, w)
-                assert len(calls) == 1
-                with mp.workdps(40):
-                    ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(a + d), c,
-                                            mp.mpc(w)))
-                errors.append(abs(got - ref) / abs(ref))
-    errors.sort()
-    assert errors[len(errors) // 2] <= 1e-6
-    assert errors[-1] <= 1.1e-4
+    monkeypatch.setattr(Hyp2F1, "_stepped", spy)
+    for a, b, c, w, side in STEPPED_POINTS:
+        calls.clear()
+        start = time.perf_counter()
+        got = gauss_2f1(a, b, c, w, cut_side=side)
+        elapsed = time.perf_counter() - start
+        assert len(calls) == 1, (a, b, c, w)
+        with mp.workdps(40):
+            z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, w, side)
+        if abs(w) >= 1e12:
+            assert elapsed < 0.2, w
+    calls.clear()
+    alpha, top = STANDARD_SWEEP_RANGES[0]
+    sweep(standard_model(alpha), [top * k / 100 for k in range(101)])
+    series = energy_series(Fraction(3), 4)
+    dispersion_report(fit_model(series), series)
+    assert calls == []
 
 
 @given(
