@@ -471,6 +471,8 @@ PINNED_DIGESTS = {
         "455bb86a67eee399cdbebb025f6cd7b86d78eaae809259463c33d7f6b8faaf3d",
     ("sweep", "--alpha", "5", "--fields", "0:0.05:101"):
         "16c7c81e9927c43a06894aa529d97ac5767a1cf0809df3ce6dd8986df70cec73",
+    ("coeffs", "--alpha", "3", "--order", "20", "--symbolic"):
+        "ebca81d780e16cb7196de3f11f5a0ccb65f30b99b7d094c340b9886ea543a494",
 }
 
 
