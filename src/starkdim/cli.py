@@ -18,7 +18,6 @@ import functools
 import math
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import DEFAULT_L, DEFAULT_ORDER_CAP, __version__
@@ -54,9 +53,15 @@ def _bounded_arg(parse, accept, requirement: str, kind="a real number"):
     return convert
 
 
+def _fraction(text: str):
+    from fractions import Fraction  # with decimal, only once --alpha is parsed
+
+    return Fraction(text)
+
+
 # alpha stays exact (a Fraction) so that coefficient generation runs in
 # rational arithmetic; it accepts decimals and fractions such as 5/2
-_alpha_arg = _bounded_arg(Fraction, lambda alpha: alpha > 1,
+_alpha_arg = _bounded_arg(_fraction, lambda alpha: alpha > 1,
                           "dimension must exceed 1 strictly")
 _l_arg = _bounded_arg(float, lambda l: 4.0 < l < math.inf,
                       "branch power l must be finite and exceed 4")

@@ -11,14 +11,18 @@ inverse energy scale yields the even energy coefficients E_{2n}.
 
 The recursion is division-free: it uses only +, - and * on the channel
 scale p = (alpha - 1)/2 and small integers, so every value it forms is an
-integer polynomial in p (an element of Z[p]).  The symbolic mode runs it on
-plain ints at p = 2^W, with W proven wider than every coefficient it reads,
-and takes each polynomial off the base-2^W digits of its value.  At rational
-alpha, with p = P/q in lowest terms, each value is an integer over a power of
-q fixed by its place in the recursion, so the exact mode runs on plain ints
-that carry that one power-of-q denominator implicitly.  A float alpha runs
-the identical recursion in double precision.  Fraction and RationalPolynomial
-appear only at the API boundary, where the engine's ints become exact results.
+integer polynomial in p (an element of Z[p]).  Every value carries a power
+of p known from its place in the recursion, so the engine runs on the
+values with that power divided out, which leaves polynomials of low degree.
+The symbolic mode runs it on plain ints at p = 2^W, with W proven wider than
+every coefficient it reads, and takes each polynomial off the base-2^W
+digits of its value.  At rational alpha, with p = P/q in lowest terms, each
+value is an integer over the power of q equal to its degree in p: q^(k-t)
+for the x^t coefficient of z_k, q^k for a_k and q^(2n) for the n-th term of
+the energy pass.  So the exact mode runs on plain ints that carry that one
+denominator implicitly.  A float alpha runs the identical recursion in double
+precision.  The known powers of p and q are put back once, where Fraction
+and RationalPolynomial results leave the engine.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class DimensionParams(Record):
 
     def __init__(self, alpha, p, e0, ip):
         _validate_alpha(alpha)
-        if not (p > 0 and e0 < 0):
+        if not (p > 0 and e0 <= 0):  # e0 = -0.0 once p^2 passes the float range
             raise InvalidDimension("inconsistent derived parameters")
         d = self.__dict__
         d["alpha"], d["p"], d["e0"], d["ip"] = alpha, p, e0, ip
@@ -273,22 +277,24 @@ def reference_factor_polynomial(n: int) -> RationalPolynomial:
 # ring-generic recursion engine
 #
 # The helpers below use only +, - and * on ring elements and small ints.
-# The channel scale enters as p = P/q, with P a ring element and q an int,
-# so every value is an integer polynomial in p whose degree is bounded by
-# its place in the recursion.  Each value is carried times q to that bound,
-# which makes it an integer: the x^t coefficient of z_k times q^(4k-1-2t),
-# that of the order-k source term times q^(4k-2-2t), a_k times q^(4k), and
-# the u^n coefficients of y, B and B^2 times q^(8n).  These powers add along
-# every product the recursion forms, so all terms of a sum carry the same
-# power and nothing is ever rescaled; q itself appears only in the (t + 1)
-# factor of the solve and the (p + j) factors of the moment route.  Rings:
-#   - exact mode, rational alpha: Python ints, with P/q = p in lowest
-#     terms; the power of q is divided out once per value when results
-#     become Fractions;
+# The channel scale enters as p = P/q, with P a ring element and q an int.
+# The x^t coefficient of z_k is p^(3k-1-t) times a polynomial of degree k-t
+# in p, and that of the order-k source p^(3k-2-t) times one of degree k-t,
+# so the engine runs on the hatted values with those powers of p divided
+# out: z_k[t] = p^(3k-1-t) z^_k[t], a_k = p^(3k) a^_k, and in the beta pass,
+# whose variable becomes v = p^6 u, the u^n coefficients of y, B and B^2 are
+# p^(6n) times their hatted values.  Each hatted value is carried times q to
+# its degree in p, which makes it an integer: z^_k[t] and the source's
+# x^t coefficient times q^(k-t), a^_k times q^k, and the v^n coefficients of
+# y, B and B^2 times q^(2n).  These powers add along every product the
+# recursion forms, so all terms of a sum carry the same power and nothing is
+# ever rescaled; q itself appears only in the ((t + 1) q + P) factors of the
+# solve and the (P + j q) factors of the moment route.  The known powers of P
+# and q are put back once, where results leave the engine.  Rings:
+#   - exact mode, rational alpha: Python ints, with P/q = p in lowest terms;
 #   - symbolic mode: Python ints, with P = 2^W and q = 1: each polynomial
 #     in p evaluated at p = 2^W (see the packed evaluation below);
-#   - float mode: floats, with P = p and q = 1, which leaves exactly the
-#     floating-point operations of the plain recursion.
+#   - float mode: floats, with P = p and q = 1.
 
 
 def _source(rows, k, one, zero):
@@ -321,45 +327,45 @@ def _solve_down(src, P, q, zero):
     """Unique polynomial solution of the order-k relation.
 
     Matching powers from the highest down determines every coefficient
-    without divisions; the residual 1/x term then fixes the separation
-    coefficient a_k = -p*c_0.
+    without divisions: c^_k = -s^_k and c^_t = ((t + 1) q + P) c^_{t+1} - s^_t.
+    The residual 1/x term then fixes the separation coefficient a^_k = -c^_0.
     """
     k = len(src) - 1
     c = [zero] * (k + 1)
-    c[k] = -(P * src[k])
+    c[k] = -src[k]
     for t in range(k - 1, -1, -1):
-        c[t] = P * (c[t + 1] * ((t + 1) * q) + c[t + 1] * P - src[t])
-    return c, -(P * c[0])
+        c[t] = c[t + 1] * ((t + 1) * q + P) - src[t]
+    return c, -c[0]
 
 
 def _moment_route(src, P, q, zero):
     """Separation coefficient from the weighted-moment solvability condition.
 
     Each moment of x^j against the channel weight contributes
-    p^(j+1) * p (p+1) ... (p+j); summing against the source gives a_k by a
+    p^(j+1) * p (p+1) ... (p+j); summed against the source, and with the
+    known powers of p divided out, a^_k = sum_j s^_j (P + q) ... (P + j q), a
     route independent of the coefficient solve above.
     """
-    total = zero
-    power = P
-    rising = P
+    total, rising = zero, 1
     for j, s in enumerate(src):
         if j:
-            power = power * P
             rising = rising * (P + j * q)
-        total = total + s * power * rising
+        total = total + s * rising
     return total
 
 
 def _routes_agree(u, v) -> bool:
     if isinstance(u, float) or isinstance(v, float):
+        if not (math.isfinite(u) and math.isfinite(v)):
+            return True  # past the float range: energy_series names the E_n
         scale = max(abs(u), abs(v), 1.0)
         return abs(u - v) <= 1e-9 * scale
     return u == v
 
 
 def _logderiv_run(P, q, one, order):
-    """z_1..z_order coefficient rows and a_1..a_order over the ring of P,
-    carried with their powers of q (see above)."""
+    """Hatted z_1..z_order coefficient rows and a_1..a_order over the ring
+    of P, carried with their powers of q (see above)."""
     zero = one - one
     rows = []
     a_vals = []
@@ -445,23 +451,26 @@ def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
 #
 # p -> 2^W maps Z[p] into the ints and keeps +, - and *, so the integer
 # engine run at P = 2^W, q = 1 forms each symbolic value exactly as one int;
-# d_n = [B^2]_n, of degree 8n in p, is read back as 8n + 1 signed base-2^W
-# digits once every coefficient is below 2^(W-1) in magnitude.  The bound:
-#   Sign lemma: at P = p, q = 1, the p-coefficients of z_k have sign (-1)^k
-#   and those of a_k sign (-1)^(k+1).  By induction: the order-1 source is
-#   x, and for k >= 2 the source -sum z_i z_{k-i} has sign (-1)^(k+1);
-#   _solve_down's c_k = -p src_k, c_t = p ((t+1) c_{t+1} + p c_{t+1} - src_t)
-#   and a_k = -p c_0 add terms of one sign.  So ||a_k|| (the sum of
-#   |coefficients|) is |a_k(1)|, from a scalar run at p = 1 (alpha = 3).
+# d^_n = [B^2]_n / p^(6n), of degree 2n in p, is read back as 2n + 1 signed
+# base-2^W digits once every coefficient is below 2^(W-1) in magnitude, and
+# E_2n = -p^(6n-2) d^_n / (2 16^n) is those digits shifted by 6n - 2.  The
+# bound:
+#   Sign lemma: at P = p, q = 1, the p-coefficients of z^_k have sign (-1)^k
+#   and those of a^_k sign (-1)^(k+1).  By induction: the order-1 source is
+#   x, and for k >= 2 the source -sum z^_i z^_{k-i} has sign (-1)^(k+1);
+#   _solve_down's c^_k = -s^_k, c^_t = (t + 1 + p) c^_{t+1} - s^_t and
+#   a^_k = -c^_0 add terms of one sign.  So ||a^_k|| (the sum of
+#   |coefficients|) is |a^_k(1)| = |a_k(1)|, from a scalar run at p = 1
+#   (alpha = 3), where hatted and plain values coincide.
 #   Majorant: ||f + g|| <= ||f|| + ||g|| and ||fg|| <= ||f|| ||g||, so the y
 #   pass fed 2|a_2n(1)| gives y^_k >= ||y_k||; as B_k = -sum y_j B_{k-j},
-#   the reciprocal of 1 - sum y^_j u^j has B^_k >= ||B_k||, and
-#   [B^^2]_n >= ||d_n|| >= every |coefficient| of d_n.
+#   the reciprocal of 1 - sum y^_j v^j has B^_k >= ||B_k||, and
+#   [B^^2]_n >= ||d^_n|| >= every |coefficient| of d^_n.
 
 
 def _packing_width(order):
     """Digit width W of the packed symbolic run at ``order``: every
-    p-coefficient of d_1..d_order and of a_1..a_{2 order} lies below
+    p-coefficient of d^_1..d^_order and of a^_1..a^_{2 order} lies below
     2^(W-2) in magnitude, by the bound above."""
     _, a_unit = _logderiv_run(1, 1, 1, 2 * order)
     y = _y_series([2 * abs(a) for a in a_unit[1::2]], order, 1)
@@ -496,14 +505,38 @@ def channel_series(alpha, order: int):
         raise OutOfRange("order must be a nonnegative integer")
     _validate_alpha(alpha)
     p = (Fraction(alpha) - 1) / 2
-    q = p.denominator
-    rows, a_vals = _logderiv_run(p.numerator, q, 1, order)
+    P, q = p.numerator, p.denominator
+    rows, a_vals = _logderiv_run(P, q, 1, order)
     polys = [(-1 / (2 * p),)] + [  # z_0 = 1/(1 - alpha) = -1/(2p)
-        [Fraction(c, q ** (4 * k - 1 - 2 * t)) for t, c in enumerate(row)]
+        [Fraction(c * P ** (3 * k - 1 - t), q ** (4 * k - 1 - 2 * t))
+         for t, c in enumerate(row)]
         for k, row in enumerate(rows, 1)]
     a = [Fraction(1, 2)] + [
-        Fraction(v, q ** (4 * k)) for k, v in enumerate(a_vals, 1)]
+        Fraction(v * P ** (3 * k), q ** (4 * k)) for k, v in enumerate(a_vals, 1)]
     return tuple(map(RationalPolynomial, polys)), tuple(a)
+
+
+def _float_scaled(params, beta, beta_sq):
+    """beta_n = p^(6n) b^_n and E_2n = -p^(6n-2) d^_n / (2 16^n) from a float
+    run.  With p = m 2^e, each power of p is m^k then ldexp by e k, so no
+    power overflows before its product does; a coefficient past the float
+    range raises, naming the first n."""
+    m, e = math.frexp(params.p)
+    out_beta, e_coeffs = [beta[0]], [params.e0]
+    for n in range(1, len(beta)):
+        try:
+            b = math.ldexp(beta[n] * m ** (6 * n), 6 * n * e)
+            en = math.ldexp(-beta_sq[n] * m ** (6 * n - 2) / 2,
+                            (6 * n - 2) * e - 4 * n)
+        except OverflowError:
+            b = en = math.inf
+        if not (math.isfinite(b) and math.isfinite(en)):
+            raise NumericalError(
+                f"energy coefficient n={2 * n} overflows a float"
+                f" (alpha={format_alpha(params.alpha)})")
+        out_beta.append(b)
+        e_coeffs.append(en)
+    return tuple(out_beta), e_coeffs
 
 
 def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeries:
@@ -526,16 +559,15 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
     beta = _beta_series(a_vals, order, one)
     beta_sq = [_cauchy(beta, beta, n, one - one) for n in range(order + 1)]
     if exact:
-        # beta_n and its square carry q^(8n); e0 = -q^2 / (2 P^2)
-        beta = tuple(Fraction(b, q ** (8 * n)) for n, b in enumerate(beta))
+        # beta_n = P^(6n) b^_n / q^(8n), likewise d_n; e0 = -q^2 / (2 P^2)
+        beta = tuple(Fraction(b * P ** (6 * n), q ** (8 * n))
+                     for n, b in enumerate(beta))
         e_coeffs = [
-            Fraction(-s * q * q, 2 * P * P * 16 ** n * q ** (8 * n))
+            Fraction(-s * P ** (6 * n) * q * q, 2 * P * P * 16 ** n * q ** (8 * n))
             for n, s in enumerate(beta_sq)
         ]
     else:
-        e_coeffs = [
-            math.ldexp(params.e0 * s, -4 * n) for n, s in enumerate(beta_sq)
-        ]
+        beta, e_coeffs = _float_scaled(params, beta, beta_sq)
     return EnergySeries(
         alpha=params.alpha,
         order=order,
@@ -548,9 +580,9 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     """E_{2n} for n = 1..order as exact polynomials in alpha.
 
     The recursion runs over integer polynomials in the channel scale p,
-    evaluated at p = 2^W so that each is one int; the overall -1/(2 p^2)
-    energy scale divides out exactly (every composed coefficient carries at
-    least p^2), and p = (alpha - 1)/2 is substituted at the end.
+    evaluated at p = 2^W so that each is one int; the known factor p^(6n-2)
+    of E_2n, the overall -1/(2 p^2) energy scale included, is a shift of the
+    digits read off, and p = (alpha - 1)/2 is substituted at the end.
     """
     if not isinstance(order, int) or order < 1:
         raise OutOfRange("order must be an integer >= 1")
@@ -561,8 +593,6 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     beta = _beta_series(a_vals, order, 1)
     polys = []
     for n in range(1, order + 1):
-        d = _unpack(_cauchy(beta, beta, n, 0), width, 8 * n + 1)
-        if any(d[:2]):
-            raise NumericalError(f"E_{2 * n} does not carry the factor p^2")
-        polys.append(_alpha_polynomial(d[2:], -2 * 16 ** n))
+        d = _unpack(_cauchy(beta, beta, n, 0), width, 2 * n + 1)
+        polys.append(_alpha_polynomial([0] * (6 * n - 2) + d, -2 * 16 ** n))
     return SymbolicEnergySeries(order=order, e_polys=tuple(polys))

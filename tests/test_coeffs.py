@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -289,28 +291,31 @@ def test_exact_series_pinned_bit_for_bit(alpha):
     assert digests == _ORDER20_PINS[alpha]
 
 
-# the same digests for float energy_series(x, 20), recorded before the symbolic
-# mode moved onto the integer engine: the float ring's operations are pinned
+# the same digests for float energy_series(x, 20), re-pinned when the engine
+# moved to the rescaled recursion, whose float operations differ: against the
+# earlier bits E_2n moved by up to 2.7e-15 and beta_n by up to 2.4e-15
+# relative (both at alpha = 2.5), and float mode stays within 2e-15 of the
+# exact engine (test_float_matches_exact_at_order20)
 _FLOAT_ORDER20_PINS = {
     77 / 64: (
-        "d9cc0fcd9af07b740912407a0003849071b7b8f5423377f7874108ed0bb4fda0",
-        "8261b707373701f25ff358502578d2dd0209c525f375bb6f7337787d18ed0849",
+        "875a5ada00cf86462a58963e714e5d5e0246d765d516069c1749f99c1b681f2b",
+        "75b20ef9d8d197275d88bf01d7a60e9b3cc3a0ece6efe36c55c7cc2dd8122aac",
     ),
     2.5: (
-        "b283acde8546b9bbc07183e99d36c402bc8080b98b6e1d5a87d4a55a2dc2370d",
-        "d88995ac80a919be783bf1b2d27400305185edcab5f89adeadafc0d15d4f3077",
+        "ea6eefe3fa790296f97ba3ca176a145940c23a40e86b7a9b62cb07f6aa73d3b9",
+        "e17f1488197ea6132456efe195895d09852a61963f4068454834766afc62bca6",
     ),
     3.0: (
-        "08b8e968a42b982adc35176fa67c61fdd6b27d66b81095e8a99a29dda71ee310",
-        "78589b481bb350250a163fcc2623beca945820b35909390e66470d1e790ae914",
+        "cf49070d66312addf1a88f457fa7def694b6679a89373ff85ea363b43dde206f",
+        "6deafd1bb804cb73e31262dea11640610dca94bf53362995de1add4cb32deab7",
     ),
     4.28125: (
-        "f694003dfc5d70746fe7bf4cd3d87d490c6a5ebce4ff78e26b8c2d11f9006175",
-        "58899927de5c45023299499de2249eef8094db93e39bc3818fe05711baaec24d",
+        "5487a21d4f9d73d3af5f741e7aad4fdb16316bcccbfa585489240c4931be01b6",
+        "14becbff21291f57e39b6d3e947e89deedcca18e8d9a0fd21b4748f93a0c4109",
     ),
     6.0: (
-        "dae21eb3abf47d584864912aad353853ddbe2ca19424826cf3ee5a43588ea189",
-        "819e77697b44cae64101d1c49da400e03bec62b0889b363638eb2c7318ca3b26",
+        "493581d28bf76ff7b661cc7d8671e8c2378f2138605a61ea5fd3c52a3edfdac7",
+        "d8b70879756283e5fa4adbc8654af9f88cb2bc93bc4c8948222415a2fcff436b",
     ),
 }
 
@@ -320,6 +325,69 @@ def test_float_series_pinned_bit_for_bit(alpha):
     es = energy_series(alpha, 20)
     digests = (_sha256(es.e_coeffs), _sha256(es.beta_series))
     assert digests == _FLOAT_ORDER20_PINS[alpha]
+
+
+def _relative_errors(alpha, order):
+    """|float - exact| / |exact| over E_2n and beta_n at the binary alpha,
+    taken against the smallest normal float where the exact value lies
+    below it, so that an underflowed value must be its correct rounding."""
+    ef, ex = energy_series(alpha, order), energy_series(Fraction(alpha), order)
+    pairs = list(zip(ef.e_coeffs, ex.e_coeffs)) + list(
+        zip(ef.beta_series, ex.beta_series))
+    tiny = Fraction(sys.float_info.min)
+    return [abs(Fraction(f) - e) / max(abs(e), tiny) for f, e in pairs]
+
+
+@pytest.mark.parametrize("k", range(77, 385, 8))
+def test_float_matches_exact_at_order20(k):
+    """Float mode at the order cap agrees with the exact engine at the same
+    binary alpha = k/64 to 2e-15 relative, E_2n and beta_n alike."""
+    assert max(_relative_errors(k / 64, 20)) <= Fraction(2, 10 ** 15)
+
+
+@pytest.mark.parametrize("alpha", [1 + 1e-5, 1 + 1e-8, 1 + 2 ** -52], ids=str)
+def test_float_mode_near_unit_dimension(alpha):
+    """As alpha -> 1 the high orders underflow: float mode rounds them as
+    the exact values round, to -0.0 or a subnormal, and keeps 2e-15 on the
+    rest (the
+    unscaled recursion lost z_33's leading coefficient to underflow at
+    alpha = 1 + 1e-5 and raised OrderMismatch)."""
+    assert max(_relative_errors(alpha, 20)) <= Fraction(2, 10 ** 15)
+
+
+@pytest.mark.parametrize(
+    "alpha, order, n",
+    [(100.0, 20, 40), (1e30, 4, 4), (1e100, 4, 2), (1e300, 4, 2),
+     (86.13147382777713, 20, 40), (5233220590.259229, 4, 8)],
+    ids=str)
+def test_float_overflow_names_first_coefficient(alpha, order, n):
+    """Past the float range float mode raises NumericalError naming alpha
+    and the first E_n that overflows, the same n at which the exact value
+    leaves the float range; it never returns inf or NaN."""
+    message = f"energy coefficient n={n} overflows a float (alpha={alpha!r})"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        energy_series(alpha, order)
+    exact = energy_series(Fraction(alpha), order)
+    values = exact.e_coeffs[n // 2], exact.beta_series[n // 2]
+    with pytest.raises(OverflowError):
+        [float(v) for v in values]
+    for v in exact.e_coeffs[:n // 2] + exact.beta_series[:n // 2]:
+        float(v)
+
+
+@pytest.mark.parametrize(
+    "alpha, order", [(86.13147382777711, 20), (5233220590.259228, 4)], ids=str)
+def test_float_range_limit_completes(alpha, order):
+    """The largest float alpha that completes at orders 20 and 4."""
+    es = energy_series(alpha, order)
+    assert all(map(math.isfinite, es.e_coeffs + es.beta_series))
+
+
+def test_standard_model_past_float_range():
+    from starkdim.resum import standard_model
+
+    with pytest.raises(NumericalError, match=r"n=4 .*\(alpha=1e\+30\)"):
+        standard_model(1e30)
 
 
 def test_symbolic_series_pinned_bit_for_bit():
@@ -363,22 +431,23 @@ def test_symbolic_order10_matches_exact_series(alpha):
 
 
 def test_sign_lemma_in_packed_run():
-    """a_k's p-coefficients all have sign (-1)^(k+1), so their absolute sum
-    is |a_k(1)|, the value at alpha = 3 that the width bound reads."""
+    """The p-coefficients of the hatted a_k (a_k / p^(3k)) all have sign
+    (-1)^(k+1), so their absolute sum is |a_k(1)|, the value at alpha = 3
+    that the width bound reads."""
     order = 12
     width = coeffs._packing_width(order)
     _, packed = coeffs._logderiv_run(1 << width, 1, 1, 2 * order)
     _, at_one = coeffs._logderiv_run(1, 1, 1, 2 * order)
     for k, (value, scalar) in enumerate(zip(packed, at_one), 1):
-        digits = coeffs._unpack(value, width, 4 * k + 1)
+        digits = coeffs._unpack(value, width, k + 1)
         assert all((-1) ** (k + 1) * c >= 0 for c in digits), k
         assert sum(map(abs, digits)) == abs(scalar), k
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_packed_digits_stay_inside_width(monkeypatch, order):
-    """Every coefficient of d_n read off at the computed width lies below
-    2^(W-2): two bits of headroom over the read-off's 2^(W-1)."""
+    """Every coefficient of d_n / p^(6n) read off at the computed width lies
+    below 2^(W-2): two bits of headroom over the read-off's 2^(W-1)."""
     unpack, seen = coeffs._unpack, []
 
     def spy(value, width, count):
@@ -389,7 +458,28 @@ def test_packed_digits_stay_inside_width(monkeypatch, order):
 
     monkeypatch.setattr(coeffs, "_unpack", spy)
     symbolic_energy_series(order)
-    assert seen == [8 * n + 1 for n in range(1, order + 1)]
+    assert seen == [2 * n + 1 for n in range(1, order + 1)]
+
+
+def test_packed_run_holds_only_the_hatted_degrees():
+    """At order 12 the x^t coefficient of z_k, divided by p^(3k-1-t), has
+    degree k - t in p and a_k / p^(3k) degree k: packed, they unpack to at
+    most k - t + 1 and k + 1 digits, with no zero digits at the bottom
+    (the sign lemma holds for the rows too, so a width read from the run at
+    p = 1 bounds every digit)."""
+    order = 12
+    rows_one, a_one = coeffs._logderiv_run(1, 1, 1, order)
+    width = max(abs(v) for v in [*a_one, *sum(rows_one, ())]).bit_length() + 2
+    rows, packed = coeffs._logderiv_run(1 << width, 1, 1, order)
+    for k, (row, row_one) in enumerate(zip(rows, rows_one), 1):
+        assert len(row) == k + 1
+        for t, (value, scalar) in enumerate(zip(row, row_one)):
+            digits = coeffs._unpack(value, width, k - t + 1)
+            assert digits[0] and digits[-1], (k, t)
+            assert sum(map(abs, digits)) == abs(scalar), (k, t)
+    for k, value in enumerate(packed, 1):
+        digits = coeffs._unpack(value, width, k + 1)
+        assert digits[0] and digits[-1], k
 
 
 @pytest.mark.parametrize(
@@ -409,7 +499,7 @@ def test_packed_remainder_is_engine_defect(monkeypatch):
     with pytest.raises(NumericalError, match="digits"):
         coeffs._unpack(1 << 16, 8, 2)
     monkeypatch.setattr(coeffs, "_packing_width", lambda order: 4)
-    with pytest.raises(NumericalError, match="exceeds 9 digits"):
+    with pytest.raises(NumericalError, match="exceeds 3 digits"):
         symbolic_energy_series(4)
 
 
