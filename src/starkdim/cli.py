@@ -54,7 +54,8 @@ def _bounded_arg(parse, accept, requirement: str, kind="a real number"):
 
 
 def _fraction(text: str):
-    from fractions import Fraction  # with decimal, only once --alpha is parsed
+    # imported here: fractions pulls in decimal, a few ms in every process
+    from fractions import Fraction
 
     return Fraction(text)
 

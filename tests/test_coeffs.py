@@ -14,6 +14,7 @@ from starkdim import (
     channel_series,
     energy_series,
     reference_factor_polynomial,
+    standard_model,
     symbolic_energy_series,
     unperturbed_params,
 )
@@ -349,9 +350,8 @@ def test_float_matches_exact_at_order20(k):
 def test_float_mode_near_unit_dimension(alpha):
     """As alpha -> 1 the high orders underflow: float mode rounds them as
     the exact values round, to -0.0 or a subnormal, and keeps 2e-15 on the
-    rest (the
-    unscaled recursion lost z_33's leading coefficient to underflow at
-    alpha = 1 + 1e-5 and raised OrderMismatch)."""
+    rest (the unscaled recursion lost z_33's leading coefficient to
+    underflow at alpha = 1 + 1e-5 and raised OrderMismatch)."""
     assert max(_relative_errors(alpha, 20)) <= Fraction(2, 10 ** 15)
 
 
@@ -384,8 +384,6 @@ def test_float_range_limit_completes(alpha, order):
 
 
 def test_standard_model_past_float_range():
-    from starkdim.resum import standard_model
-
     with pytest.raises(NumericalError, match=r"n=4 .*\(alpha=1e\+30\)"):
         standard_model(1e30)
 
