@@ -350,8 +350,7 @@ def test_float_matches_exact_at_order20(k):
 def test_float_mode_near_unit_dimension(alpha):
     """As alpha -> 1 the high orders underflow: float mode rounds them as
     the exact values round, to -0.0 or a subnormal, and keeps 2e-15 on the
-    rest (the unscaled recursion lost z_33's leading coefficient to
-    underflow at alpha = 1 + 1e-5 and raised OrderMismatch)."""
+    rest, with no leading coefficient of a z_k lost to underflow."""
     assert max(_relative_errors(alpha, 20)) <= Fraction(2, 10 ** 15)
 
 

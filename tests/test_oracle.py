@@ -293,9 +293,8 @@ def test_rate_just_past_reflected_route_at_l90(alpha, x):
                    " 1.0029) and 2.7e-12 (alpha = 9.7, h2 - h1 = 2.0061)")
 @pytest.mark.parametrize("alpha", [5.2, 9.7])
 def test_rate_past_reflected_route_near_integer_pair_difference(alpha):
-    """The loss swings with the last bits of (h1, h2) (at alpha = 5.2 and
-    x = 11.5 it was 1.3e-11 before the float series engine was rescaled,
-    7.4e-13 after), so every x of PAST_REFLECTION_XS is checked."""
+    """The loss swings with the last bits of (h1, h2), so every x of
+    PAST_REFLECTION_XS is checked."""
     model = standard_model(alpha)
     for x in PAST_REFLECTION_XS:
         field = field_at(model, x)
