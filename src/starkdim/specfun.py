@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from functools import cached_property
+from itertools import islice
 
 from .errors import (
     NonConvergent,
@@ -178,10 +180,12 @@ class _Series:
     its ratio, term * (a + k) * (b + k) * w / ((c + k) (k + 1)).
 
     The parameter-only values of that ratio are kept, one row per k, in a
-    list that grows to the longest sum so far; the operations on w are the
-    same whatever was summed before, so a value never depends on call
-    order.  A sum needs |w| in the accepted region (or termination), else
-    it errors out after MAX_TERMS.
+    list that grows to the longest sum so far.  A sum runs over the kept
+    rows first and only then forms and keeps new ones; MAX_TERMS bounds
+    the terms either way.  The operations on w are the same whatever was
+    summed before, so a value never depends on call order.  A sum needs
+    |w| in the accepted region (or termination), else it errors out after
+    MAX_TERMS.
     """
 
     __slots__ = ("a", "b", "c", "rows")
@@ -195,10 +199,20 @@ class _Series:
         term = complex(1.0)
         total = complex(1.0)
         small = 0
-        for k in range(MAX_TERMS):
-            if k == len(rows):
-                rows.append((self.a + k, self.b + k, (self.c + k) * (k + 1)))
-            ak, bk, dk = rows[k]
+        kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
+        for ak, bk, dk in kept:
+            term = term * ak * bk * w / dk
+            total += term
+            if abs(term) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+        a, b, c = self.a, self.b, self.c
+        for k in range(len(rows), MAX_TERMS):
+            ak, bk, dk = a + k, b + k, (c + k) * (k + 1)
+            rows.append((ak, bk, dk))
             term = term * ak * bk * w / dk
             total += term
             if abs(term) <= SERIES_RTOL * abs(total):
@@ -219,7 +233,8 @@ class _LogTail:
     Everything but the powers of xi depends on the parameters alone.  The
     rows (c_k, psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k)), each advanced
     from the last by the term ratio and the digamma recurrence, are kept
-    and grow to the longest sum so far.
+    and grow to the longest sum so far; a sum runs over the kept rows
+    first, as :class:`_Series` does.
     """
 
     __slots__ = ("am", "bm", "m", "rows")
@@ -243,9 +258,19 @@ class _LogTail:
         pow_xi = complex(1.0)
         total = complex(0.0)
         small = 0
-        for k in range(MAX_TERMS):
-            if k == len(rows):
-                self._advance(k - 1)
+        kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
+        for coeff, psi_k, psi_km, psi_a, psi_b in kept:
+            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+            total += contrib
+            if abs(contrib) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+            pow_xi = pow_xi * xi
+        for k in range(len(rows), MAX_TERMS):
+            self._advance(k - 1)
             coeff, psi_k, psi_km, psi_a, psi_b = rows[k]
             contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
             total += contrib
@@ -278,8 +303,9 @@ class _Taylor:
     p = z0 (1-z0), q = 1 - 2 z0, r = c - (a+b+1) z0.  The coefficients are
     kept scaled by the step length rho, as s_n rho^n (far from z = 0 s_n
     underflows and h^n overflows), and grow to the longest sum so far; each
-    sum, of S or S' at z0 + h, stops as :class:`_Series` does.  The radius
-    of convergence is min(|z0|, |1 - z0|).
+    sum, of S or S' at z0 + h, runs over the kept coefficients first and
+    stops as :class:`_Series` does.  The radius of convergence is
+    min(|z0|, |1 - z0|).
     """
 
     __slots__ = ("coeffs", "a", "b", "p", "q", "r", "rho")
@@ -298,15 +324,26 @@ class _Taylor:
         u = h / self.rho
         pow_u = 1.0
         small = 0
-        for k in range(1, MAX_TERMS):
-            n = k + derivative
-            if n == len(s):
-                m = n - 2
-                s.append(((m + self.a) * (m + self.b) * s[m]
-                          - (self.q * m + self.r) * (m + 1) * s[m + 1])
-                         / (self.p * (m + 1) * (m + 2)))
+        # terms n = first .. last - 1: the kept coefficients, then new ones
+        first, last = 1 + derivative, MAX_TERMS + derivative
+        for n, sn in enumerate(islice(s, first, last), first):
             pow_u *= u
-            term = s[n] * pow_u * (n if derivative else 1)
+            term = sn * pow_u * (n if derivative else 1)
+            total += term
+            if abs(term) <= SERIES_RTOL * abs(total):
+                small += 1
+                if small >= 2:
+                    return total / self.rho if derivative else total
+            else:
+                small = 0
+        a, b, p, q, r = self.a, self.b, self.p, self.q, self.r
+        for n in range(len(s), last):
+            m = n - 2
+            sn = (((m + a) * (m + b) * s[m] - (q * m + r) * (m + 1) * s[m + 1])
+                  / (p * (m + 1) * (m + 2)))
+            s.append(sn)
+            pow_u *= u
+            term = sn * pow_u * (n if derivative else 1)
             total += term
             if abs(term) <= SERIES_RTOL * abs(total):
                 small += 1
@@ -327,6 +364,10 @@ def _anchor(j) -> float:
     return 1.0 - (1.0 - _FIRST_ANCHOR) * _ANCHOR_SHRINK ** j
 
 
+# Every anchor below 1.0: from j = 91 on, _anchor(j) rounds to 1.0.
+_ANCHORS = tuple(_anchor(j) for j in range(91))
+
+
 class _AnchoredSeries:
     """2F1(a, b; c; z) for real 0 <= z < 1: the defining series
     (:class:`_Series`) up to z = 1/2, and above it a :class:`_Taylor`
@@ -342,7 +383,8 @@ class _AnchoredSeries:
     S and S' at the first anchor come from the defining series
     (S' = (ab/c) 2F1(a+1, b+1; c+1; z)); each later anchor takes them from
     the previous expansion at its own z.  Anchors are built when first
-    needed and kept; each value depends on z alone.
+    needed and kept; each value depends on z alone.  The anchors end at the
+    last one below 1.0, and z >= 1.0 raises ``NonConvergent``.
     """
 
     __slots__ = ("a", "b", "c", "series", "anchors")
@@ -356,10 +398,10 @@ class _AnchoredSeries:
         a, b, c, anchors = self.a, self.b, self.c, self.anchors
         while len(anchors) <= j:
             k = len(anchors)
-            z0 = _anchor(k)
+            z0 = _ANCHORS[k]
             if k:
                 prev = anchors[-1]
-                h = z0 - _anchor(k - 1)
+                h = z0 - _ANCHORS[k - 1]
                 s0, s1 = prev(h), prev(h, 1)
             else:
                 s0 = self.series(z0)
@@ -370,10 +412,10 @@ class _AnchoredSeries:
     def __call__(self, z) -> complex:
         if z <= _FIRST_ANCHOR:
             return self.series(z)
-        j = 0
-        while _anchor(j + 1) <= z:
-            j += 1
-        return self._expansion(j)(z - _anchor(j))
+        if z >= 1.0:
+            raise NonConvergent(f"no Taylor anchor below z = {z!r}")
+        j = bisect_right(_ANCHORS, z) - 1
+        return self._expansion(j)(z - _ANCHORS[j])
 
 
 # Largest x = 1 + v at which Im F on the cut comes from the reflected series.
@@ -410,7 +452,10 @@ class Hyp2F1:
     Calling an instance evaluates it at w (see :func:`gauss_2f1`);
     :meth:`cut` evaluates it at w = 1 + v.
     Region choice is by smallest mapped modulus among the defining series
-    and the w/(w-1), 1-w and 1/w transformations.
+    and the w/(w-1), 1-w and 1/w transformations.  On the cut's nudge
+    (Re w > 1, Im w = +-_CUT_IMAG) only |1-w| and |1/w| are ordered, a tie
+    going to 1-w: there |w| and |w/(w-1)| exceed 1 > _RHO_MAX, so the full
+    ordering would never try those two regions and picks the same one.
 
     What depends on (a, b, c) alone -- the Gamma products of the 1-w and 1/w
     connections, the Gammas, digammas, harmonic sum and analytic head of the
@@ -646,8 +691,13 @@ class Hyp2F1:
                 return self._at_one
             if x > 1.0:
                 return self.cut(x - 1.0, cut_side)
-        candidates = sorted(((abs(w), 0), (abs(w / (w - 1.0)), 1),
-                             (abs(1.0 - w), 2), (abs(1.0 / w), 3)))
+        if w.real > 1.0 and abs(w.imag) == _CUT_IMAG:
+            # the cut's nudge: |w| and |w/(w-1)| exceed 1 > _RHO_MAX here
+            unit, inf = (abs(1.0 - w), 2), (abs(1.0 / w), 3)
+            candidates = (unit, inf) if unit < inf else (inf, unit)
+        else:
+            candidates = sorted(((abs(w), 0), (abs(w / (w - 1.0)), 1),
+                                 (abs(1.0 - w), 2), (abs(1.0 / w), 3)))
         for rho, region in candidates:
             if rho > _RHO_MAX:
                 break

@@ -590,6 +590,50 @@ def test_2f1_cut_sides(params, x):
     assert down == complex(up.real, -up.imag)
 
 
+@pytest.mark.parametrize("alpha", [3.0, 5.2],
+                         ids=["conjugate pair", "real pair"])
+def test_cut_region_at_unit_inf_tie(alpha):
+    """Around v = (sqrt 5 - 1)/2, where |1-w| and |1/w| cross on the cut,
+    cut takes Re F from the region that sorting all four mapped moduli
+    picks, bit for bit, on both sides; both regions serve among the seven
+    floats."""
+    hyp = continuation(alpha)
+    v = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(3):
+        v = math.nextafter(v, 0.0)
+    picked = set()
+    for _ in range(7):
+        for side in (1, -1):
+            w = complex(1.0 + v, side * specfun._CUT_IMAG)
+            rho, region = min((abs(w), 0), (abs(w / (w - 1.0)), 1),
+                              (abs(1.0 - w), 2), (abs(1.0 / w), 3))
+            assert region in (2, 3) and rho <= specfun._RHO_MAX
+            picked.add(region)
+            method = ("_unit", "_inf")[region - 2]
+            want = complex(getattr(hyp, method)(w).real,
+                           side * hyp._cut_imag_part(v))
+            assert bits(hyp.cut(v, side)) == bits(want)
+        v = math.nextafter(v, 1.0)
+    assert picked == {2, 3}
+
+
+def test_reflected_series_has_no_anchor_at_one(monkeypatch):
+    """The anchors end at the last one below 1.0, so z = v/x = 1.0 raises
+    NonConvergent at once, and a cut past the reflected route's limit keeps
+    the generic value's imaginary part."""
+    reflected = continuation(3.0)._reflected_series
+    with pytest.raises(NonConvergent):
+        reflected(1.0)
+    assert specfun._ANCHORS[-1] < 1.0 == specfun._anchor(len(specfun._ANCHORS))
+    monkeypatch.setattr(specfun, "_REFLECTION_MAX_X", math.inf)
+    hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
+                 2 * CONJUGATE_H1.real + 30.0)
+    v = 1e17  # v/x rounds to 1.0
+    for side in (1, -1):
+        generic = hyp(complex(1.0 + v, side * specfun._CUT_IMAG))
+        assert bits(hyp.cut(v, side)) == bits(generic)
+
+
 def test_cut_imaginary_part_full_relative_accuracy():
     """On-cut values keep small imaginary parts at full relative accuracy.
 
