@@ -7,8 +7,11 @@ and canned dataset reproduction for the three standard figures.
 
 Output is CSV (default) or JSON, to stdout or to a file written atomically
 (temp file plus rename, so failures never leave partial output).  Identical
-invocations produce bit-identical bytes: grids and orderings are fixed and
-floats are serialized with a fixed formatting rule.
+invocations produce bit-identical bytes: grids and orderings are fixed, and
+each table's rows hold flat scalars only.  A CSV cell is a float written
+with ``%.17g``, the text of an int or string, or empty for None.  JSON bytes
+equal ``json.dumps(doc, indent=2, sort_keys=True)`` of ``{"meta": ...,
+"data": [one object per row]}``, with floats in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -371,7 +374,14 @@ def _format_cell(value) -> str:
 
 def _render_csv(columns, rows) -> str:
     lines = [",".join(columns)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    cells = [v for row in rows for v in row]
+    if set(map(type, cells)) == {float}:
+        # "%.17g" % x equals format(x, ".17g"), nan, inf and -0.0 included,
+        # so an all-float table is formatted by one operation
+        line = ",".join(["%.17g"] * len(columns))
+        lines.append("\n".join([line] * len(rows)) % tuple(cells))
+    else:
+        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -389,8 +399,26 @@ def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
         start, stop, count = ns.fields
         meta["fields"] = {"start": start, "stop": stop, "count": count}
     meta.update(extra)
-    document = {"meta": meta, "data": [dict(zip(columns, row)) for row in rows]}
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    # the bytes of json.dumps({"meta": meta, "data": [dict(zip(columns, row))
+    # for row in rows]}, indent=2, sort_keys=True); an indent sends json to
+    # its pure-Python encoder, so the cells are encoded in one C-encoder call
+    # and placed into one template for the whole data list
+    meta_text = json.dumps(meta, indent=2, sort_keys=True)
+    data_text = "[]"
+    if rows:
+        keys = sorted(columns)
+        order = [columns.index(key) for key in keys]
+        cells = [row[i] for row in rows for i in order]
+        # cells are flat scalars and ensure_ascii escapes control characters,
+        # so a raw newline occurs only between encoded cells
+        encoded = json.dumps(cells, separators=("\n", ": "))[1:-1].split("\n")
+        fields = ",\n      ".join(
+            json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+        template = "    {\n      " + fields + "\n    }"
+        data_text = ("[\n" + ",\n".join([template] * len(rows)) % tuple(encoded)
+                     + "\n  ]")
+    return ('{\n  "data": ' + data_text + ',\n  "meta": '
+            + meta_text.replace("\n", "\n  ") + "\n}\n")
 
 
 def _write_atomic(path: str, text: str) -> None:

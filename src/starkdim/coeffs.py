@@ -222,14 +222,19 @@ class SymbolicEnergySeries(Record):
         construction; a nonzero remainder is an engine defect and raises
         ``NumericalError``.
         """
+        energy = self.energy_polynomial(n).coefficients
+        # the 6n - 1 divisions run on integers: the coefficients are scaled
+        # by their common denominator once and divided by it at the end
+        common = math.lcm(*(c.denominator for c in energy))
         scale = -(4 ** (6 * n - 2))
-        coeffs = [c * scale for c in self.energy_polynomial(n).coefficients]
+        coeffs = [c.numerator * (common // c.denominator) * scale
+                  for c in energy]
         for root in [-1] + [1] * (6 * n - 2):
             coeffs, remainder = _divide_linear(coeffs, root)
             if remainder:
                 factor = "alpha + 1" if root < 0 else "alpha - 1"
                 raise NumericalError(f"E_{2 * n} is not divisible by {factor}")
-        return RationalPolynomial(tuple(coeffs))
+        return RationalPolynomial(tuple(Fraction(c, common) for c in coeffs))
 
     def evaluate(self, n: int, alpha):
         return self.energy_polynomial(n).evaluate(alpha)

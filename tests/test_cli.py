@@ -5,10 +5,12 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ import pytest
 from starkdim import (CALIBRATION_FLOOR, LANDAU_COMPARISON_RANGES,
                       energy_series, pick_calibration_reference, specfun,
                       standard_model, sweep, symbolic_energy_series,
-                      validate, wkb)
-from starkdim.cli import _linear_grid, _log_grid, build_parser, run
+                      validate, wkb, __version__)
+from starkdim.cli import (_linear_grid, _log_grid, _render_csv, _render_json,
+                          build_parser, run)
 from starkdim.coeffs import format_alpha
 
 
@@ -443,6 +446,86 @@ def test_repeated_json_output_is_identical(capsys):
     assert first == second
 
 
+# ---------------------------------------------------------------------------
+# renderers: whole-table output against the per-row formulas
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--alpha", "5/2", "--order", "6", "--format", "json"),
+    ("coeffs", "--alpha", "3", "--symbolic", "--format", "json"),
+    ("fit", "--alpha", "3", "--format", "json"),
+    ("sweep", "--alpha", "3", "--fields", "0:1:11", "--format", "json"),
+    ("wkb", "--alpha", "3", "--fields", "0.05:0.3:11", "--format", "json"),
+    ("dispersion", "--alpha", "2", "--format", "json"),
+    ("reproduce", "--figure", "1"),
+    ("reproduce", "--figure", "2"),
+    ("reproduce", "--figure", "3"),
+], ids="_".join)
+def test_json_output_is_canonical(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def _random_doubles(count, seed=7):
+    rng = random.Random(seed)
+    return [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            for _ in range(count)]
+
+
+# columns out of sorted order, with a quote, a %-sign and non-ASCII text
+RENDER_TABLES = {
+    "zero_rows": (("field", "delta", "gamma"), []),
+    "special_floats": (("z", "a%s", 'q"'), [
+        (math.nan, math.inf, -math.inf),
+        (-0.0, 5e-324, 0.1),
+        (1.7976931348623157e308, -2.5e-310, 1e22),
+    ]),
+    "random_doubles": (("x", "y", "w"),
+                       list(zip(*[iter(_random_doubles(300))] * 3))),
+    "none_int_bool": (("n", "value", "flag"), [
+        (None, 3, True),
+        (2.5, -7, False),
+        (10 ** 30, None, 0.0),
+    ]),
+    "strings": (("text", "ü", "x"), [
+        ('say "hi"', "two\nlines", 1.0),
+        ("100% %s %d %%", "αβ — ünïcode\t\u2028", None),
+    ]),
+    "one_column": (("only",), [(1.5,), (-0.0,)]),
+}
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_TABLES))
+def test_render_csv_matches_per_cell_format(name):
+    columns, rows = RENDER_TABLES[name]
+    lines = [",".join(columns)]
+    lines.extend(",".join(_reference_cell(v) for v in row) for row in rows)
+    assert _render_csv(columns, rows) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_TABLES))
+def test_render_json_matches_one_dumps(name):
+    columns, rows = RENDER_TABLES[name]
+    extra = {"cases": [{"alpha": 3.0, "note": 'a "b"\n%s ü'}],
+             "empty": [], "x": math.nan}
+    ns = SimpleNamespace(subcommand="reproduce")
+    document = {
+        "meta": {"command": "reproduce", "version": __version__, **extra},
+        "data": [dict(zip(columns, row)) for row in rows],
+    }
+    reference = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert _render_json(ns, columns, rows, extra) == reference
+
+
 # sha256 of the output bytes: a refactor of the numerics must keep them.
 # All seven were re-pinned together when the reflected series behind Gamma
 # (2 < x <= 11) moved to anchored Taylor expansions, after a number-by-number
@@ -458,7 +541,9 @@ def test_repeated_json_output_is_identical(capsys):
 # other column unchanged.  Figures 2 and 3 were re-pinned when the float
 # series engine moved to the rescaled recursion: only alpha = 2.5 moved, its
 # order-4 series closer to the exact one (4.1e-16 to 6.4e-17 relative), with
-# the largest change per column in CHANGES.md.
+# the largest change per column in CHANGES.md.  The last three, recorded
+# before the JSON renderer moved to one C-encoder call per table, hold null
+# cells (wkb), string cells (fit) and int and exact-string cells (coeffs).
 PINNED_DIGESTS = {
     ("reproduce", "--figure", "1"):
         "e71caf60573e4226a85875694b698bb5dbe0adcc108df67a521dd178fed5033a",
@@ -476,6 +561,12 @@ PINNED_DIGESTS = {
         "16c7c81e9927c43a06894aa529d97ac5767a1cf0809df3ce6dd8986df70cec73",
     ("coeffs", "--alpha", "3", "--order", "20", "--symbolic"):
         "ebca81d780e16cb7196de3f11f5a0ccb65f30b99b7d094c340b9886ea543a494",
+    ("wkb", "--alpha", "3", "--fields", "0.05:0.3:21", "--format", "json"):
+        "7276020ae1e14192a9bf13c782ae4faa02360551c660e9893fc62e2babe61cdf",
+    ("fit", "--alpha", "3", "--format", "json"):
+        "b29f4241d8e44d052ef16d635053edcf51463ec166e6b28be42dd7d3d22ca03f",
+    ("coeffs", "--alpha", "5/2", "--order", "6", "--format", "json"):
+        "f08a461d02196fedcca4388763945886fa1b3a449588d9cd76cbce203f739d4f",
 }
 
 
