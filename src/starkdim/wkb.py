@@ -63,8 +63,8 @@ def _check_p(p: float) -> float:
 
 def _check_field(field: float) -> float:
     field = float(field)
-    if field <= 0.0:
-        raise DomainError(f"field must be positive, got {field}")
+    if not 0.0 < field < math.inf:
+        raise DomainError(f"field must be positive and finite, got {field}")
     return field
 
 
@@ -92,7 +92,7 @@ def barrier_potential(p: float, field: float, y: float) -> float:
     p = _check_p(p)
     field = _check_field(field)
     y = float(y)
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"coordinate must be positive, got y={y}")
     return -0.25 * (2.0 / y + field * y - 1.0 / p**2 + p * (2.0 - p) / y**2)
 
@@ -247,12 +247,18 @@ def zero_field_inner_turning_point(p: float) -> float:
 
 
 def landau_log_transmittance(p: float, field: float) -> float:
-    """Logarithm of the closed-form low-field transmittance estimate."""
+    """Logarithm of the closed-form low-field transmittance estimate; -inf
+    where the closed form underflows to 0.0."""
     p = _check_p(p)
     field = _check_field(field)
     y1 = zero_field_inner_turning_point(p)
-    return (p * math.log(4.0 / (p**2 * field * y1))
-            - 2.0 / (3.0 * p**3 * field) + y1 / p)
+    product, cube = p**2 * field * y1, 3.0 * p**3 * field
+    ratio = 4.0 / product if product else math.inf
+    # where the product or its reciprocal leaves the float range, the log
+    # is summed factor by factor; where cube underflows, 2/cube is +inf
+    log_ratio = (math.log(ratio) if 0.0 < ratio < math.inf else
+                 math.log(4.0 / y1) - 2.0 * math.log(p) - math.log(field))
+    return p * log_ratio - (2.0 / cube if cube else math.inf) + y1 / p
 
 
 def landau_closed_form(p: float, field: float) -> float:

@@ -328,6 +328,16 @@ def test_wkb_blank_cells_over_barrier(capsys):
         assert r["gamma_landau_calibrated"] > 0.0
 
 
+def test_wkb_fields_to_the_float_range_end(capsys):
+    """The closed form's log stays finite up to the largest field."""
+    code, out, _ = invoke(capsys, "wkb", "--alpha", "3",
+                          "--fields", "0.1:1e308:3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["data"]
+    assert [r["field"] for r in rows] == [0.1, 5e307, 1e308]
+    assert all(r["t_closed"] > 0.0 for r in rows)
+
+
 def test_wkb_csv_blank_cells(capsys):
     code, out, _ = invoke(capsys, "wkb", "--alpha", "3",
                           "--fields", "0.05:0.3:6")
@@ -556,7 +566,7 @@ PINNED_DIGESTS = {
     ("wkb", "--alpha", "3", "--fields", "0.05:0.3:21"):
         "f8e10bb24067a32c499fbe2f4b120347fc71cd86ebbf34295c7b5ed8eb1c9722",
     ("dispersion", "--alpha", "3/2", "--format", "json"):
-        "455bb86a67eee399cdbebb025f6cd7b86d78eaae809259463c33d7f6b8faaf3d",
+        "2c4a9cf16791e28512ad6e4a08713edf40bcb666f0b2afe753b0c7eafffcbe49",
     ("sweep", "--alpha", "5", "--fields", "0:0.05:101"):
         "16c7c81e9927c43a06894aa529d97ac5767a1cf0809df3ce6dd8986df70cec73",
     ("coeffs", "--alpha", "3", "--order", "20", "--symbolic"):

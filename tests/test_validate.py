@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ def test_moment_index_validation(models):
         dispersion_coefficient(models[3.0], 1)
     with pytest.raises(NotValid):
         dispersion_coefficient(models[3.0], 2.5)
-    for n in (float("inf"), float("nan")):
+    for n in (float("inf"), float("nan"), 10**400):
         with pytest.raises(NotValid):
             dispersion_coefficient(models[3.0], n)
 
@@ -115,6 +116,75 @@ def test_dispersion_identity(monkeypatch, alpha):
     assert len(calls) <= 250
 
 
+def traced_report(monkeypatch, alpha, l):
+    """dispersion_report at (alpha, l) and the ln F of every node it
+    evaluated, in order."""
+    us = []
+
+    def tracing(model, field):
+        us.append(math.log(field))
+        return lower_side_rate(model, field)
+
+    monkeypatch.setattr(starkdim.validate, "lower_side_rate", tracing)
+    series = energy_series(alpha, 4)
+    return dispersion_report(fit_model(series, l), series), us
+
+
+@pytest.mark.parametrize("l", [12.3, 30.0, 90.0])
+@pytest.mark.parametrize("alpha", [Fraction(101, 100), Fraction(3, 2),
+                                   Fraction(3), Fraction(20)], ids=str)
+def test_integrals_match_finer_step(monkeypatch, alpha, l):
+    """The halving stops once a change d between two levels has d^2 within
+    the tolerance, as the error squares with each halving: the accepted
+    moments are the trapezoid sums of their window at step 0.25/32 to
+    2e-11."""
+    report, us = traced_report(monkeypatch, alpha, l)
+    model = fit_model(energy_series(alpha, 4), l)
+    step = 0.25 / 32
+    lo, hi = min(us), max(us)
+    nodes = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
+    rates = [lower_side_rate(model, math.exp(u)) for u in nodes]
+    for e in report.entries:
+        fine = -step / math.pi * math.fsum(
+            math.exp(-2.0 * e.n * u) * g for u, g in zip(nodes, rates))
+        assert e.integral_value == pytest.approx(fine, rel=2e-11), e.n
+
+
+# (alpha, l): (node_count, halvings) of dispersion_report; one halving
+# settles the sums at l = 30, two at alpha = 20, l = 60, where the first
+# change is too large for its square to pass
+HALVINGS = {
+    (Fraction(3), 30.0): (89, 1),
+    (Fraction(5, 2), 30.0): (91, 1),
+    (Fraction(2), 30.0): (93, 1),
+    (Fraction(3, 2), 30.0): (97, 1),
+    (Fraction(20), 60.0): (177, 2),
+}
+
+
+@pytest.mark.parametrize("alpha, l", sorted(HALVINGS),
+                         ids=lambda v: f"{float(v):g}")
+def test_halvings_taken(monkeypatch, alpha, l):
+    """node_count is the scan's nodes, a 0.25 grid in ln F, plus the
+    midpoints each halving adds."""
+    report, us = traced_report(monkeypatch, alpha, l)
+    nodes, halvings = HALVINGS[(alpha, l)]
+    assert report.entries[0].node_count == len(us) == nodes
+    grid = [abs(u - us[0]) / 0.25 for u in us]
+    scan = sum(abs(k - round(k)) < 1e-9 for k in grid)
+    assert nodes == scan + (scan - 1) * (2**halvings - 1)
+
+
+def test_second_halving_unchanged():
+    """Where the second halving is still taken, the report keeps the bits
+    it had when every halving had to change the sums by under 1e-10."""
+    series = energy_series(Fraction(20), 4)
+    report = dispersion_report(fit_model(series, 60.0), series)
+    assert report.entries[0].node_count == 177
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        "973f01472f230919aa34f78d03c063b0701d0a8d363fadb6a92a8a83f3596223")
+
+
 # every IntegrationFailure of the moment integrator, each forced at alpha = 3
 # by module settings: (settings, message)
 INTEGRATION_FAILURES = {
@@ -145,8 +215,10 @@ def test_reflected_route_work_per_report(monkeypatch):
     """The reflected series behind Im F up to x = 11, in one
     dispersion_report at alpha = 3: its terms, counted as the anchors' kept
     Taylor coefficients plus every term summed (the defining series at
-    z <= 1/2 and for the first anchor included), stay at most 1,500 over 38
-    evaluations.  One Pfaff series at z = v/x took 3,021 terms there."""
+    z <= 1/2 and for the first anchor included), stay at most 1,500 over 19
+    evaluations, and the sums at the evaluated z themselves average at most
+    40 terms.  Building the anchors, once, is in the 1,500 but not in that
+    average.  One Pfaff series at z = v/x took 3,021 terms there."""
     series = energy_series(Fraction(3), 4)
     model = fit_model(series)
     hyp = model._continuation[1]
@@ -171,40 +243,41 @@ def test_reflected_route_work_per_report(monkeypatch):
         return taylor_sum(self, h, derivative)
 
     def count_evaluations(self, z):
-        evaluations.append(z)
-        return reflected(self, z)
+        value = reflected(self, z)
+        evaluations.append(summed[-1])  # the sum at z, after any anchor build
+        return value
 
     monkeypatch.setattr(specfun._Series, "__call__", count_series)
     monkeypatch.setattr(specfun._Taylor, "__call__", count_taylor)
     monkeypatch.setattr(specfun._AnchoredSeries, "__call__", count_evaluations)
     dispersion_report(model, series)
     kept = sum(len(t.coeffs) for t in hyp._reflected_series.anchors)
-    assert len(evaluations) == 38
+    assert len(evaluations) == 19
     assert kept + sum(summed) <= 1500
-    assert sum(summed) <= 40 * len(evaluations)
+    assert sum(evaluations) <= 40 * len(evaluations)
 
 
 # sha256 of repr(dispersion_report(fit_model(s), s)), s = energy_series(alpha,
 # 4): a change to the numerics of the rate path moves these
 REPORT_DIGESTS = {
     Fraction(3):
-        "9fca4d2b285a7853ca1bea2da967719c0ccbc4164d57702df8e038db3d2f60df",
+        "774aa96c3905fbeeacbaf487e2c0e45e7251cc116e760365b51d1a95ea6cdae9",
     Fraction(5, 2):
-        "383c9cdf2986e3bd4c7aa5015c4dd8782018d54a415044078f43f30a92302e80",
+        "6d3bdefcc6191d8f93f71476618a99044e6c9fda013cc3a41b6433af865d38ee",
     Fraction(2):
-        "3e9e7bd8b992aa40eb17632bfcfe4a6ba3cc1bfe9791ffd32b8063fe1b3bbe0a",
+        "430bb84af150328332a70d40d67cf3c38d22e318fa30121c88f3d1ba7c1a45f2",
     Fraction(3, 2):
-        "1bd2ab4629761bac15ac2c84005f80fe2e82373606b9d9e19697bb49d0dff5a2",
+        "c954dfc28ac6cba4f41b6f144c606972e7ee06255a375cd2114ef89d028f9787",
     Fraction(7, 3):
-        "0c86b795dd4f455f95f8905e8223024c315f173e96f44213fbee3727587ef3e1",
+        "f9bac456a82ff2a453b25f519b2992cef25910c775f071f24cd16ed2aaf2daf4",
     Fraction(11, 5):
-        "65ae64b935152deec9ce7f7993608382df989f3fa7ca26fae181e409d01fb1e9",
+        "237b13a1cd7e2a45d86e960ce7b1f7a7e1e481939c12533f7dcd3423de30b293",
     Fraction(101, 100):
-        "6cfbf87f28f9100fea8bba5b35ca421b036e0cbf9c4afe57e3d368b8dbee2892",
+        "c6c174cca1ceee176501ca3ae5f3486049a08821216bf093cd96861a65cfdb3a",
     Fraction(6):
-        "26edf677d55d5ee69867b97ef97e7a8a5c2a3c27af68c038bdf1f4488ac30241",
+        "9499ee923e3032dfe66621753440b7ef611a78d254b8ca324b3b1e52053cbb57",
     Fraction(20):
-        "bcc84bd7d6142276a719f4dc984f9cbb01c643ebf3ad07ac530bd9757cef2996",
+        "fd4c83b0e46c8551367a560c4fa3c2dd49b28971df8ca7bdd4a869909099b52e",
 }
 
 

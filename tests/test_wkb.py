@@ -46,6 +46,11 @@ def test_potential_domain():
         barrier_potential(2.0, 0.05, 1.0)
     with pytest.raises(DomainError):
         barrier_potential(1.0, 0.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            barrier_potential(1.0, bad, 1.0)
+    with pytest.raises(DomainError):
+        barrier_potential(1.0, 0.05, math.nan)
 
 
 # deep barriers: the turning points lie 13 and 15 decades apart, and the
@@ -232,6 +237,28 @@ def test_closed_form_is_exp_of_log_form():
         assert landau_closed_form(p, field) == math.exp(log_t)
 
 
+@pytest.mark.parametrize("p,field", [(1.0, 7e307), (1.0, 1e308),
+                                     (1.0, 1.7976931348623157e308)])
+def test_closed_form_log_at_largest_fields(p, field):
+    """Where p^2 field y1 overflows, the log is summed factor by factor;
+    40-digit mpmath of the same formula is the oracle."""
+    with mp.workdps(40):
+        p_, f_ = mp.mpf(p), mp.mpf(field)
+        y1 = p_**2 + p_ * mp.sqrt(2 * p_)
+        exact = (p_ * mp.log(4 / (p_**2 * f_ * y1)) - 2 / (3 * p_**3 * f_)
+                 + y1 / p_)
+    assert landau_log_transmittance(p, field) == pytest.approx(
+        float(exact), rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.1, 1.0])
+def test_closed_form_log_at_smallest_field(p):
+    """At the smallest subnormal field the exponent 2/(3 p^3 field)
+    overflows, so the log is -inf and the closed form its 0.0."""
+    assert landau_log_transmittance(p, 5e-324) == -math.inf
+    assert landau_closed_form(p, 5e-324) == 0.0
+
+
 @given(p=st.floats(min_value=0.05, max_value=1.95))
 @settings(max_examples=60, deadline=None)
 def test_keldysh_identity(p):
@@ -261,6 +288,11 @@ def test_barrier_model_validation():
         BarrierModel(p=1.0, field=-1.0, y1=2.0, y2=3.0, transmittance=0.5)
     # zero transmittance is legal: deep barriers underflow
     BarrierModel(p=1.0, field=0.001, y1=2.0, y2=3.0, transmittance=0.0)
+    # a non-finite field is invalid input, not a failed root search
+    for bad in (math.nan, math.inf):
+        for call in (wkb_exponent, landau_closed_form, barrier_model):
+            with pytest.raises(DomainError):
+                call(1.0, bad)
 
 
 def fake_reference(fields, gammas):
