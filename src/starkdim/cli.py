@@ -209,15 +209,18 @@ def _cmd_fit(ns: argparse.Namespace):
     return columns, rows, {}
 
 
-def _cmd_sweep(ns: argparse.Namespace):
-    from .resum import standard_model, sweep
+def _sweep_rows(model, fields) -> list:
+    """(field, delta, gamma) rows of the resonance sweep over ``fields``."""
+    from .resum import sweep
 
-    start, stop, count = ns.fields
-    model = standard_model(ns.alpha, ns.l)
-    points = sweep(model, _linear_grid(start, stop, count))
-    columns = ("field", "delta", "gamma")
-    rows = [(pt.field, pt.delta, pt.gamma) for pt in points]
-    return columns, rows, {}
+    return [(pt.field, pt.delta, pt.gamma) for pt in sweep(model, fields)]
+
+
+def _cmd_sweep(ns: argparse.Namespace):
+    from .resum import standard_model
+
+    rows = _sweep_rows(standard_model(ns.alpha, ns.l), _linear_grid(*ns.fields))
+    return ("field", "delta", "gamma"), rows, {}
 
 
 def _rate_points(model, fields):
@@ -284,13 +287,10 @@ def _cmd_dispersion(ns: argparse.Namespace):
 
 
 def _figure_one():
-    from .resum import standard_model, sweep
+    from .resum import standard_model
 
-    model = standard_model(3.0)
-    points = sweep(model, _linear_grid(0.0, 1.0, GRID_POINTS))
-    columns = ("field", "delta", "gamma")
-    rows = [(pt.field, pt.delta, pt.gamma) for pt in points]
-    return columns, rows, {"alpha": 3.0}
+    rows = _sweep_rows(standard_model(3.0), _linear_grid(0.0, 1.0, GRID_POINTS))
+    return ("field", "delta", "gamma"), rows, {"alpha": 3.0}
 
 
 def _figure_two():
@@ -364,25 +364,13 @@ _HANDLERS = {
 # serialization
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    cells = [v for row in rows for v in row]
-    if set(map(type, cells)) == {float}:
-        # "%.17g" % x equals format(x, ".17g"), nan, inf and -0.0 included,
-        # so an all-float table is formatted by one operation
-        line = ",".join(["%.17g"] * len(columns))
-        lines.append("\n".join([line] * len(rows)) % tuple(cells))
-    else:
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    # "%.17g" % x equals format(x, ".17g"), nan, inf and -0.0 included; the
+    # encoded cells fill one "%s" template for the whole table
+    cells = tuple("%.17g" % v if isinstance(v, float) else "" if v is None
+                  else v for row in rows for v in row)
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + line * len(rows) % cells
 
 
 def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
@@ -459,12 +447,9 @@ def run(argv=None) -> int:
             _write_atomic(ns.output, text)
         else:
             sys.stdout.write(text)
-    except InputError as exc:
+    except (InputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     return 0
 
 

@@ -99,7 +99,7 @@ class HypModel(Record):
             raise type(exc)(f"{exc} {context}") from exc
         if not cmath.isfinite(pref):
             # the product of the two upper Gammas overflows first, from
-            # l = 99 at alpha = 3, 2 and 3/2
+            # l = 98.58 at alpha = 3, 98.72 at 2, 98.79 at 3/2, 97.49 at 20
             raise NumericalError(
                 "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
                 f" overflows a float {context}")
@@ -131,10 +131,27 @@ def model_coefficients(model: HypModel, count: int = 4):
 
     Returns [E_2, E_4, ...] (length ``count``) from the continuation's
     Taylor terms h4 (h1)_k (h2)_k Gamma(l-k) h3^k / k!; for fit round-trips.
+    At integer l the terms end at the pole of Gamma(l-k): count > l raises
+    ``OutOfRange``.  Where a Taylor term leaves the float range,
+    ``NumericalError`` is raised: from E_56 at alpha = 20, l = 30, although
+    E_56 itself, about -1.58e271 by the dispersion moment, is finite.
     """
+    if count > model.l and float(model.l).is_integer():
+        raise OutOfRange(f"count {count} passes the pole of Gamma(l-k) at"
+                         f" k = l = {model.l}")
     terms = taylor_terms(model.h1, model.h2, model.l, model.h3, count,
                          model.h4 * complex_gamma(model.l))
-    return [model.e0 * tk / 16.0 ** (k + 1) for k, tk in enumerate(terms)]
+    coeffs = []
+    for k, tk in enumerate(terms):
+        try:
+            coeffs.append(model.e0 * tk / 16.0 ** (k + 1))
+        except OverflowError:  # 16^(k+1) itself, from k = 256
+            coeffs.append(math.inf)
+        if not cmath.isfinite(coeffs[-1]):
+            raise NumericalError(
+                f"Taylor term of model coefficient E_{2 * k + 2} leaves the"
+                f" float range (alpha={model.alpha}, l={model.l})")
+    return coeffs
 
 
 def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:

@@ -33,7 +33,8 @@ import sys
 
 from ._record import Record
 from .coeffs import EnergySeries
-from .errors import DomainError, IntegrationFailure, NotValid, OutOfRange
+from .errors import (DomainError, IntegrationFailure, NotValid, NumericalError,
+                     OutOfRange)
 from .resum import HypModel, lower_side_rate
 
 # integrand is negligible below this fraction of its peak
@@ -86,7 +87,14 @@ def _dispersion_moments(model: HypModel, ns):
         us.append(u)
         rate = lower_side_rate(model, math.exp(u))
         for t, column in zip(two_n, columns):
-            column.append(math.exp(-t * u) * rate)
+            try:
+                column.append(math.exp(-t * u) * rate)
+            except OverflowError:
+                # far down the lower scan e^(-tu) leaves the float range
+                # before the vanishing rate scales it: add the logs instead
+                column.append(math.copysign(
+                    math.exp(math.log(abs(rate)) - t * u), rate)
+                    if rate else 0.0)
         return rate
 
     def latest():
@@ -142,14 +150,22 @@ def dispersion_coefficient(model: HypModel, n: int) -> float:
     """Coefficient of field^(2n) recovered from the rate integral
     -(1/pi) * integral of G(F) / F^(2n+1) over all F > 0.
 
-    Public as the one-moment form of the dispersion identity, for any
-    n >= 2: :func:`dispersion_report` (and the CLI) covers n = 2..4 only.
-    Both run the same integrator, so this adds no second code path."""
+    Public as the one-moment form of the dispersion identity, for integer
+    2 <= n < l + 1: :func:`dispersion_report` (and the CLI) covers n = 2..4
+    only.  Both run the same integrator, so this adds no second code path.
+    From n = l + 1 the integral diverges at F -> 0, where G vanishes only as
+    F^(2l+2) (the v^l factor of DLMF 15.2.3), and ``NotValid`` is raised."""
     # compared, never converted: an int past the float range must not
     # escape as OverflowError
-    if not (2 <= n <= sys.float_info.max and int(n) == n):
-        raise NotValid(f"the moment integral is only valid for n >= 2, got {n}")
-    return _dispersion_moments(model, (int(n),))[0][0]
+    if not (2 <= n < model.l + 1 and n <= sys.float_info.max
+            and int(n) == n):
+        raise NotValid("the moment integral is only valid for integer"
+                       f" 2 <= n < l + 1 = {model.l + 1}, got {n}")
+    try:
+        return _dispersion_moments(model, (int(n),))[0][0]
+    except OverflowError:
+        raise NumericalError(f"moment integral n={n} overflows a float"
+                             f" (alpha={model.alpha}, l={model.l})") from None
 
 
 def dispersion_report(model: HypModel, series: EnergySeries) -> DispersionReport:

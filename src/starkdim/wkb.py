@@ -26,7 +26,7 @@ from collections.abc import Sequence
 
 from ._record import Record
 from .errors import (DomainError, IntegrationFailure, NoBarrier,
-                     NonConvergent, NoReference)
+                     NonConvergent, NoReference, NumericalError)
 
 # Gamma values below this are too weak to anchor a calibration
 CALIBRATION_FLOOR = 1e-30
@@ -135,7 +135,12 @@ def _bracketed_root(f, fprime, lo: float, hi: float, y: float) -> float:
 
 
 def turning_points(p: float, field: float) -> tuple:
-    """Both positive zeros of the barrier potential, inner first."""
+    """Both positive zeros of the barrier potential, inner first.
+
+    The outer one lies near 1/(field p^2), where the cubic's field * y^3
+    leaves the float range for fields below about 1e-100 (4.4e-100 at
+    p = 0.02, 7.9e-104 at p = 1.5): there ``NumericalError`` is raised,
+    naming p and the field."""
     p = _check_p(p)
     field = _check_field(field)
     f, fprime = _cubic(p, field)
@@ -145,17 +150,27 @@ def turning_points(p: float, field: float) -> tuple:
     if disc <= 0.0:
         raise NoBarrier(f"no forbidden region at p={p}, field={field}")
     y_min = (2.0 / p**2 + math.sqrt(disc)) / (6.0 * field)
-    if f(y_min) >= 0.0:
-        raise NoBarrier(f"field {field} is above the over-barrier "
-                        f"threshold for p={p}")
-    # the zero-field root lies below y1 (f exceeds the field-free quadratic
-    # by field * y^3); the root sum bounds y2 by hi = 1/(field p^2), where
-    # f(hi) = 2 hi + p(2 - p) > 0, and Newton descends monotonically onto y2
-    # from hi, where f is convex and increasing
-    hi = 1.0 / (field * p**2)
-    return (_bracketed_root(f, fprime, 0.0, y_min,
-                            zero_field_inner_turning_point(p)),
-            _bracketed_root(f, fprime, y_min, hi, hi))
+    try:
+        if f(y_min) < 0.0:
+            # the zero-field root lies below y1 (f exceeds the field-free
+            # quadratic by field * y^3); the root sum bounds y2 by
+            # hi = 1/(field p^2), where f(hi) = 2 hi + p(2 - p) > 0, and
+            # Newton descends monotonically onto y2 from hi, where f is
+            # convex and increasing
+            hi = 1.0 / (field * p**2)
+            return (_bracketed_root(f, fprime, 0.0, y_min,
+                                    zero_field_inner_turning_point(p)),
+                    _bracketed_root(f, fprime, y_min, hi, hi))
+    except OverflowError:
+        pass
+    else:
+        # over the barrier, unless y_min overflowed to inf: f(y_min) is nan
+        if y_min < math.inf:
+            raise NoBarrier(f"field {field} is above the over-barrier "
+                            f"threshold for p={p}")
+    raise NumericalError(f"barrier turning points at p={p}, field={field}:"
+                         " the cubic overflows a float near the outer one,"
+                         " 1/(field p^2)")
 
 
 def _level(n: int) -> list:

@@ -338,6 +338,17 @@ def test_wkb_fields_to_the_float_range_end(capsys):
     assert all(r["t_closed"] > 0.0 for r in rows)
 
 
+def test_wkb_fields_below_the_barrier_float_range(capsys):
+    """A field too small for the barrier's cubic ends in one error line
+    naming p and the field, exit code 3."""
+    code, out, err = invoke(capsys, "wkb", "--alpha", "3",
+                            "--fields", "1e-300:0.4:3")
+    assert (code, out) == (3, "")
+    assert err == ("error: barrier turning points at p=1.0, field=1e-300:"
+                   " the cubic overflows a float near the outer one,"
+                   " 1/(field p^2)\n")
+
+
 def test_wkb_csv_blank_cells(capsys):
     code, out, _ = invoke(capsys, "wkb", "--alpha", "3",
                           "--fields", "0.05:0.3:6")

@@ -124,7 +124,7 @@ def test_fit_without_cut_rejected(alpha):
 def test_float_range_limits_raise_numerical_errors():
     """Valid input past the float range raises, naming the input, instead
     of a traceback or NaN: the Gamma prefactor G of the continuation
-    (finite at l = 98, NaN from l = 99 at alpha = 3), series coefficients
+    (finite at l = 98, not from l = 98.58 at alpha = 3), series coefficients
     beyond the float range (alpha = 1e11), and h3 z past the branch point
     (from F ~ 3.03e152 at alpha = 3)."""
     assert math.isfinite(resonance(standard_model(3.0, l=98.0), 1.0).gamma)
@@ -138,6 +138,43 @@ def test_float_range_limits_raise_numerical_errors():
         with pytest.raises(NumericalError,
                            match=re.escape(f"(alpha=3.0, field={field})")):
             resonance(model, field)
+
+
+def test_model_coefficients_stop_at_the_gamma_pole(models):
+    """At integer l the Taylor terms end at the pole of Gamma(l - k):
+    count = l is the last that re-expands, count > l is OutOfRange."""
+    assert model_coefficients(models[3.0], 30)[-1] == (
+        -1.942990968313782e+94 + 7.046831309353716e+77j)
+    with pytest.raises(OutOfRange, match="k = l = 30.0"):
+        model_coefficients(models[3.0], 31)
+    with pytest.raises(OutOfRange):
+        model_coefficients(standard_model(3.0, 12.0), 13)
+    assert len(model_coefficients(standard_model(3.0, 12.5), 13)) == 13
+
+
+def test_model_coefficients_past_float_range_raise():
+    """At alpha = 20 the Taylor term of E_56 overflows (E_56 itself is
+    about -1.58e271), where the re-expansion once returned nan+nanj; E_54
+    keeps its bits."""
+    model = standard_model(20.0)
+    assert model_coefficients(model, 27)[-1] == -2.2210172008859608e+260
+    with pytest.raises(NumericalError,
+                       match=r"E_56 leaves the float range \(alpha=20.0, l=30.0\)"):
+        model_coefficients(model, 28)
+    # at non-integer l the terms run on until one overflows
+    with pytest.raises(NumericalError, match="E_130 "):
+        model_coefficients(standard_model(3.0, 30.5), 300)
+
+
+@pytest.mark.parametrize("alpha,onset", [(3.0, 98.58), (2.0, 98.72),
+                                         (1.5, 98.79), (20.0, 97.49)])
+def test_gamma_prefactor_overflow_onset(alpha, onset):
+    """The Gamma prefactor leaves the float range within 0.01 of the onset
+    README states for each alpha."""
+    assert math.isfinite(resonance(standard_model(alpha, onset - 0.01),
+                                   1.0).gamma)
+    with pytest.raises(NumericalError, match="prefactor"):
+        resonance(standard_model(alpha, onset + 0.01), 1.0)
 
 
 def test_nan_round_trip_fails_the_fit(monkeypatch):

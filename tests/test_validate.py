@@ -16,9 +16,11 @@ from starkdim import (
     dispersion_report,
     energy_series,
     fit_model,
+    model_coefficients,
+    standard_model,
 )
 from starkdim.errors import (DomainError, IntegrationFailure, NotValid,
-                             OutOfRange)
+                             NumericalError, OutOfRange)
 from starkdim.resum import lower_side_rate
 
 
@@ -36,6 +38,36 @@ def test_moment_index_validation(models):
     for n in (float("inf"), float("nan"), 10**400):
         with pytest.raises(NotValid):
             dispersion_coefficient(models[3.0], n)
+
+
+def test_moment_index_below_l_plus_one(models):
+    """From n = l + 1 the integral diverges at F -> 0 (2 Im E ~ F^(2l+2)):
+    NotValid, where it once ran into IntegrationFailure or OverflowError."""
+    with pytest.raises(NotValid, match=r"2 <= n < l \+ 1 = 31.0, got 31"):
+        dispersion_coefficient(models[3.0], 31)
+    with pytest.raises(NotValid):
+        dispersion_coefficient(standard_model(20.0), 31)
+    with pytest.raises(NotValid):
+        dispersion_coefficient(standard_model(3.0, 12.3), 14)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1.5])
+@pytest.mark.parametrize("n,rel", [(28, 3e-14), (29, 3e-14), (30, 2e-9)])
+def test_high_moments_against_model_coefficients(models, alpha, n, rel):
+    """Where the weight e^(-2nu) overflows down the lower scan (from n = 28
+    at alpha = 3), the product with the vanishing rate is formed from
+    logs; the model's own Taylor coefficient is the oracle."""
+    value = dispersion_coefficient(models[alpha], n)
+    exact = model_coefficients(models[alpha], n)[n - 1].real
+    assert value == pytest.approx(exact, rel=rel)
+
+
+def test_moment_past_float_range_is_numerical_error():
+    """A moment whose sums leave the float range (E_64 at alpha = 20,
+    l = 60) raises NumericalError naming n, alpha and l."""
+    with pytest.raises(NumericalError,
+                       match=r"n=32 overflows a float \(alpha=20.0, l=60.0\)"):
+        dispersion_coefficient(standard_model(20.0, 60), 32)
 
 
 def test_report_input_validation(models, series_map):

@@ -26,7 +26,7 @@ from starkdim import (
     zero_field_inner_turning_point,
 )
 from starkdim.errors import (DomainError, IntegrationFailure, NoBarrier,
-                             NoReference)
+                             NoReference, NumericalError)
 
 BARRIER_CASES = ((1.0, 0.05), (1.0, 0.004), (0.5, 0.01), (0.25, 0.05),
                  (0.75, 0.02))
@@ -293,6 +293,31 @@ def test_barrier_model_validation():
         for call in (wkb_exponent, landau_closed_form, barrier_model):
             with pytest.raises(DomainError):
                 call(1.0, bad)
+
+
+@pytest.mark.parametrize("p,lowest", [(0.02, 4.5e-100), (1.5, 8e-104)])
+def test_barrier_just_above_tiny_field_limit(p, lowest):
+    """Down to the float-range limit of the cubic the exponent stays the
+    weak-field Keldysh value over the field."""
+    exponent = wkb_exponent(p, lowest)
+    assert exponent == pytest.approx(keldysh_exponent(p) / lowest, rel=1e-12)
+    assert barrier_model(p, lowest).transmittance == 0.0
+
+
+@pytest.mark.parametrize("p,field", [
+    (0.02, 4e-100), (1.5, 7e-104), (1.0, 1e-300), (0.5, 5e-324),
+    (1.0, 5e-324), (1.98, 1e-310)])
+def test_barrier_below_tiny_field_limit_raises(p, field):
+    """Below about 1e-100 the cubic overflows at the outer turning point
+    (OverflowError, ZeroDivisionError or an unresolved [inf, inf] bracket
+    before): every barrier call raises a NumericalError naming p, the field
+    and the stage."""
+    for call in (turning_points, wkb_exponent, barrier_model,
+                 wkb_transmittance):
+        with pytest.raises(NumericalError) as info:
+            call(p, field)
+        assert type(info.value) is NumericalError
+        assert f"turning points at p={p}, field={field}:" in str(info.value)
 
 
 def fake_reference(fields, gammas):
