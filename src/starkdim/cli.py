@@ -133,19 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the exact factor polynomials in the dimension "
                         "instead of numeric values")
     add_common(p)
+    p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("fit", help="continuation-model parameters")
     add_common(p)
+    p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("sweep", help="resonance energy over a field grid")
     add_common(p, fields=True)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("wkb", help="barrier geometry and transmittance")
     add_common(p, fields=True)
+    p.set_defaults(handler=_cmd_wkb)
 
     p = sub.add_parser("dispersion",
                        help="rate-integral consistency check of the series")
     add_common(p)
+    p.set_defaults(handler=_cmd_dispersion)
 
     p = sub.add_parser("reproduce",
                        help="canned dataset for one of the standard figures")
@@ -153,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="figure number")
     add_output(p)
     # fixed multi-case datasets; always JSON
-    p.set_defaults(fmt="json")
+    p.set_defaults(fmt="json", handler=_cmd_reproduce)
 
     return parser
 
@@ -350,16 +355,6 @@ def _cmd_reproduce(ns: argparse.Namespace):
     return columns, rows, {"figure": ns.figure, **extra}
 
 
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "fit": _cmd_fit,
-    "sweep": _cmd_sweep,
-    "wkb": _cmd_wkb,
-    "dispersion": _cmd_dispersion,
-    "reproduce": _cmd_reproduce,
-}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -438,7 +433,7 @@ def run(argv=None) -> int:
         # argparse handles --help/--version (0) and usage errors (2)
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        columns, rows, extra = _HANDLERS[ns.subcommand](ns)
+        columns, rows, extra = ns.handler(ns)
         if ns.fmt == "csv":
             text = _render_csv(columns, rows)
         else:

@@ -433,11 +433,20 @@ def _y_series(two_a, order, one):
     return y
 
 
-def _beta_series(a_vals, order, one):
-    """Inverse-energy-scale series B(u) solving 1/B = 2 sum a_{2n} u^n B^-6n
-    (``a_vals`` holds a_1..a_{2 order}): the reciprocal of y = 1/B."""
+def _check_order(order, cap) -> None:
+    if not isinstance(order, int) or order < 1:
+        raise OutOfRange("order must be an integer >= 1")
+    if order > cap:
+        raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
+
+
+def _energy_pass(P, q, one, order):
+    """(B, [B^2]_0..order) over the ring of P from one engine run: B(u)
+    solves 1/B = 2 sum a_{2n} u^n B^-6n, the reciprocal of y = 1/B."""
+    _, a_vals = _logderiv_run(P, q, one, 2 * order)
     y = _y_series([a + a for a in a_vals[1::2]], order, one)
-    return _ser_inverse_unit(tuple(y), order, one, one - one)
+    beta = _ser_inverse_unit(tuple(y), order, one, one - one)
+    return beta, [_cauchy(beta, beta, n, one - one) for n in range(order + 1)]
 
 
 def _alpha_polynomial(f, scale: int) -> RationalPolynomial:
@@ -550,19 +559,14 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
     Rational ``alpha`` runs the recursion on ints and returns Fractions;
     float ``alpha`` runs the identical algorithm in double precision.
     """
-    if not isinstance(order, int) or order < 1:
-        raise OutOfRange("order must be an integer >= 1")
-    if order > cap:
-        raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
+    _check_order(order, cap)
     params = unperturbed_params(alpha)
     exact = _is_exact(params.alpha)
     if exact:
         P, q, one = params.p.numerator, params.p.denominator, 1
     else:
         P, q, one = params.p, 1, 1.0
-    _, a_vals = _logderiv_run(P, q, one, 2 * order)
-    beta = _beta_series(a_vals, order, one)
-    beta_sq = [_cauchy(beta, beta, n, one - one) for n in range(order + 1)]
+    beta, beta_sq = _energy_pass(P, q, one, order)
     if exact:
         # beta_n = P^(6n) b^_n / q^(8n), likewise d_n; e0 = -q^2 / (2 P^2)
         beta = tuple(Fraction(b * P ** (6 * n), q ** (8 * n))
@@ -589,15 +593,11 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     of E_2n, the overall -1/(2 p^2) energy scale included, is a shift of the
     digits read off, and p = (alpha - 1)/2 is substituted at the end.
     """
-    if not isinstance(order, int) or order < 1:
-        raise OutOfRange("order must be an integer >= 1")
-    if order > cap:
-        raise OrderTooLarge(f"order {order} exceeds the configured cap {cap}")
+    _check_order(order, cap)
     width = _packing_width(order)
-    _, a_vals = _logderiv_run(1 << width, 1, 1, 2 * order)
-    beta = _beta_series(a_vals, order, 1)
+    _, beta_sq = _energy_pass(1 << width, 1, 1, order)
     polys = []
     for n in range(1, order + 1):
-        d = _unpack(_cauchy(beta, beta, n, 0), width, 2 * n + 1)
+        d = _unpack(beta_sq[n], width, 2 * n + 1)
         polys.append(_alpha_polynomial([0] * (6 * n - 2) + d, -2 * 16 ** n))
     return SymbolicEnergySeries(order=order, e_polys=tuple(polys))

@@ -241,16 +241,12 @@ class _LogTail:
 
     def __init__(self, a, b, m, psi_a, psi_b):
         self.am, self.bm, self.m = a + m, b + m, m
-        psi_km = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
-        self.rows = [(complex(1.0 / math.factorial(m)), -_EULER_GAMMA, psi_km,
-                      psi_a, psi_b)]
-
-    def _advance(self, k):
-        coeff, psi_k, psi_km, psi_a, psi_b = self.rows[k]
-        am, bm, m = self.am + k, self.bm + k, self.m
-        self.rows.append((coeff * am * bm / ((k + 1) * (k + m + 1)),
-                          psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
-                          psi_a + 1.0 / am, psi_b + 1.0 / bm))
+        # H_m left to right: from Python 3.12 sum() rounds H_30 differently
+        harmonic = 0.0
+        for j in range(1, m + 1):
+            harmonic += 1.0 / j
+        self.rows = [(complex(1.0 / math.factorial(m)), -_EULER_GAMMA,
+                      -_EULER_GAMMA + harmonic, psi_a, psi_b)]
 
     def __call__(self, xi) -> complex:
         rows = self.rows
@@ -269,9 +265,15 @@ class _LogTail:
             else:
                 small = 0
             pow_xi = pow_xi * xi
-        for k in range(len(rows), MAX_TERMS):
-            self._advance(k - 1)
-            coeff, psi_k, psi_km, psi_a, psi_b = rows[k]
+        # each new row from the last, whose index k is one below its own
+        am, bm, m = self.am, self.bm, self.m
+        for k in range(len(rows) - 1, MAX_TERMS - 1):
+            ak, bk = am + k, bm + k
+            coeff, psi_k, psi_km, psi_a, psi_b = row = (
+                coeff * ak * bk / ((k + 1) * (k + m + 1)),
+                psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
+                psi_a + 1.0 / ak, psi_b + 1.0 / bk)
+            rows.append(row)
             contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
             total += contrib
             if abs(contrib) <= SERIES_RTOL * abs(total):

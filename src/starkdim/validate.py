@@ -122,7 +122,12 @@ def _dispersion_moments(model: HypModel, ns):
     slope = 0.0
     for up in range(1, _MAX_SCAN + 1):
         u = u0 + up * _SCAN_STEP
-        slope = max(slope, 2.0 * abs(sample(u)) * math.exp(-u))
+        try:
+            rate = sample(u)
+        except NumericalError as exc:  # a tiny moment walks u far up
+            raise type(exc)(f"upper-cutoff scan of moment n="
+                            f"{', '.join(map(str, ns))}: {exc}") from exc
+        slope = max(slope, 2.0 * abs(rate) * math.exp(-u))
         if all(slope * math.exp((1.0 - t) * u) / (t - 1.0) < _TAIL_REL * abs(m)
                for t, m in zip(two_n, moments(_SCAN_STEP))):
             break

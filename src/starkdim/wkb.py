@@ -21,6 +21,7 @@ T = exp(-2 * integral of sqrt(U) between the turning points).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -44,10 +45,9 @@ LANDAU_COMPARISON_RANGES = (
 
 _EXPONENT_ABS_TOL = 1e-10
 # tanh-sinh rule: nodes t = k h with |t| <= _T_MAX, h = 1/2 halved at most
-# _MAX_HALVINGS times; _LEVELS[n] holds the nodes that level n adds
+# _MAX_HALVINGS times
 _T_MAX = 3.2
 _MAX_HALVINGS = 8
-_LEVELS: dict = {}
 # a root step this small relative to the iterate ends the search; bisection
 # alone resolves any bracket of doubles in about 2100 steps
 _ROOT_RTOL = 4.0 * 2.0**-52
@@ -173,15 +173,13 @@ def turning_points(p: float, field: float) -> tuple:
                          " 1/(field p^2)")
 
 
+@functools.cache
 def _level(n: int) -> list:
     """The nodes that level n of the tanh-sinh rule adds, built once: every
     k at n = 0, the odd k after."""
-    if n not in _LEVELS:
-        h = 0.5**(n + 1)
-        kmax = int(_T_MAX / h)
-        _LEVELS[n] = [_node(k * h) for k in range(-kmax, kmax + 1)
-                      if n == 0 or k % 2]
-    return _LEVELS[n]
+    h = 0.5**(n + 1)
+    kmax = int(_T_MAX / h)
+    return [_node(k * h) for k in range(-kmax, kmax + 1) if n == 0 or k % 2]
 
 
 def _node(t: float) -> tuple:

@@ -216,13 +216,19 @@ def test_invalid_dimension_rejected():
         unperturbed_params(Fraction(1))
 
 
-def test_order_validation():
-    with pytest.raises(OutOfRange):
-        energy_series(3, 0)
-    with pytest.raises(OrderTooLarge):
-        energy_series(3, 21)
-    with pytest.raises(OutOfRange):
-        symbolic_energy_series(0)
+def test_order_validation(monkeypatch):
+    """Both energy modes reject an order that is not an int >= 1, or one
+    past the cap, before any engine run (the symbolic width bound is one)."""
+    def no_engine(*args):
+        raise AssertionError("engine ran before the order check")
+
+    monkeypatch.setattr(coeffs, "_logderiv_run", no_engine)
+    monkeypatch.setattr(coeffs, "_packing_width", no_engine)
+    for make in (lambda order: energy_series(3, order), symbolic_energy_series):
+        for order, error in ((0, OutOfRange), (2.0, OutOfRange),
+                             (21, OrderTooLarge)):
+            with pytest.raises(error):
+                make(order)
 
 
 def test_energy_series_shape_checked():

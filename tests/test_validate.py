@@ -70,6 +70,17 @@ def test_moment_past_float_range_is_numerical_error():
         dispersion_coefficient(standard_model(20.0, 60), 32)
 
 
+@pytest.mark.parametrize("n", [27, 30])
+def test_moment_scan_failure_names_moment_and_stage(n):
+    """At alpha = 1.01 the tiny moments n = 27..30 walk the upper-cutoff scan
+    up to a field whose offset past the branch point overflows: the error
+    names the moment and the scan beside that field."""
+    with pytest.raises(NumericalError,
+                       match=rf"upper-cutoff scan of moment n={n}: .*"
+                       r"overflows a float \(alpha=1.01, field=6.0\d*e\+154\)"):
+        dispersion_coefficient(standard_model(Fraction(101, 100)), n)
+
+
 def test_report_input_validation(models, series_map):
     with pytest.raises(OutOfRange):
         dispersion_report(models[3.0], energy_series(3.0, 3))
