@@ -3,7 +3,8 @@
 Provides a complex Gamma function, the principal-branch Gauss hypergeometric
 function 2F1 for complex parameters with the cut on [1, inf), the Taylor
 terms that head its integer-difference connection at w = 1, and the digamma
-function that connection needs (recurrence to Re z >= 10, then DLMF 5.11.2).
+function that connection needs (reflection for Re z < 0, DLMF 5.5.4;
+recurrence to Re z >= 10, then DLMF 5.11.2).
 
 The 2F1 evaluator picks among the defining series and the standard argument
 transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
@@ -30,6 +31,8 @@ the hypergeometric equation about the nearest anchor below z (z = 1/2,
 2/3, 7/9, ...; Johansson, arXiv:1606.06977; van der Hoeven, Theor. Comput.
 Sci. 210, 1999), 30-40 terms a point where the defining series needs
 about 30 x; the anchors' coefficients are kept like the term values.
+The anchors and the last resort's path share one Taylor start from the
+defining series' S and S' and one Taylor step (:class:`_Taylor`).
 :func:`gauss_2f1` builds an instance per call; a
 fitted resummation model keeps its own (``resum.HypModel``), so a field
 sweep computes those constants and term values once.  A ``NumericalError``
@@ -122,12 +125,19 @@ _DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
 
 
 def digamma(z) -> complex:
-    """Digamma function for complex argument: the recurrence
-    psi(z) = psi(z + 1) - 1/z up to Re z >= 10, then the asymptotic series
-    ln z - 1/(2z) - sum B_2k / (2k z^2k) (DLMF 5.11.2) through k = 7."""
+    """Digamma function for complex argument: the reflection
+    psi(z) = psi(1 - z) - pi / tan(pi z) for Re z < 0 (DLMF 5.5.4), the
+    recurrence psi(z) = psi(z + 1) - 1/z up to Re z >= 10, then the
+    asymptotic series ln z - 1/(2z) - sum B_2k / (2k z^2k) (DLMF 5.11.2)
+    through k = 7.  So at most ten recurrence steps at any z."""
     z = complex(z)
     if _nonpositive_integer(z):
         raise PoleError(f"digamma pole at {z.real:g}")
+    if z.real < 0.0:
+        # tan has period pi: the exact shift by round(Re z) keeps the
+        # angle's digits (6e-10 off at z = -1e7 + 0.37 without it)
+        return digamma(1.0 - z) - math.pi / cmath.tan(
+            math.pi * (z - round(z.real)))
     shift = 0.0
     while z.real < 10.0:
         shift += 1.0 / z
@@ -307,14 +317,15 @@ class _Taylor:
     underflows and h^n overflows), and grow to the longest sum so far; each
     sum, of S or S' at z0 + h, runs over the kept coefficients first and
     stops as :class:`_Series` does.  The radius of convergence is
-    min(|z0|, |1 - z0|).
+    min(|z0|, |1 - z0|).  A path of expansions begins with :meth:`start`
+    and goes on by :meth:`step`.
     """
 
-    __slots__ = ("coeffs", "a", "b", "p", "q", "r", "rho")
+    __slots__ = ("coeffs", "a", "b", "c", "p", "q", "r", "rho")
 
     def __init__(self, a, b, c, z0, s0, s1, rho):
         self.coeffs = [s0, s1 * rho]
-        self.a, self.b, self.rho = a, b, rho
+        self.a, self.b, self.c, self.rho = a, b, c, rho
         # the recurrence of s_n rho^n: p / rho^2, q / rho and r / rho
         self.p, self.q = z0 * (1.0 - z0) / (rho * rho), (1.0 - 2.0 * z0) / rho
         self.r = (c - (a + b + 1.0) * z0) / rho
@@ -355,19 +366,22 @@ class _Taylor:
                 small = 0
         raise NonConvergent(f"Taylor expansion exhausted {MAX_TERMS} terms")
 
+    @classmethod
+    def start(cls, series, z0, rho):
+        """The expansion about z0 from the defining series ``series`` of
+        2F1(a, b; c; .): S = series(z0), S' = (ab/c) 2F1(a+1, b+1; c+1; z0)."""
+        a, b, c = series.a, series.b, series.c
+        s1 = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0)(z0)
+        return cls(a, b, c, z0, series(z0), s1, rho)
 
-# The reflected series' anchors: z_0 = 1/2 and 1 - z_(j+1) = (2/3)(1 - z_j),
-# so z = 1/2, 2/3, 7/9, 0.852, 0.901, 0.934, ...
-_FIRST_ANCHOR = 0.5
-_ANCHOR_SHRINK = 2.0 / 3.0
+    def step(self, h, z, rho):
+        """The expansion about z = z0 + h, from this one's S and S' at h."""
+        return _Taylor(self.a, self.b, self.c, z, self(h), self(h, 1), rho)
 
 
-def _anchor(j) -> float:
-    return 1.0 - (1.0 - _FIRST_ANCHOR) * _ANCHOR_SHRINK ** j
-
-
-# Every anchor below 1.0: from j = 91 on, _anchor(j) rounds to 1.0.
-_ANCHORS = tuple(_anchor(j) for j in range(91))
+# The reflected series' anchors z_j = 1 - (1/2)(2/3)^j = 1/2, 2/3, 7/9,
+# 0.852, 0.901, ...: every one below 1.0, as from j = 91 on z_j rounds to 1.0
+_ANCHORS = tuple(1.0 - 0.5 * (2.0 / 3.0) ** j for j in range(91))
 
 
 class _AnchoredSeries:
@@ -382,9 +396,8 @@ class _AnchoredSeries:
     shrinks forward and grows towards z = 0.  Stepping back from z = 1/2
     by up to a third of the radius, at alpha = 3, put S off by 1e-12 at
     l = 30, 2e-8 at l = 60 and 3e-2 at l = 90; forward, by 2e-15 at most.
-    S and S' at the first anchor come from the defining series
-    (S' = (ab/c) 2F1(a+1, b+1; c+1; z)); each later anchor takes them from
-    the previous expansion at its own z.  Anchors are built when first
+    The first anchor's expansion is :meth:`_Taylor.start`, each later one
+    the previous one's :meth:`_Taylor.step`.  Anchors are built when first
     needed and kept; each value depends on z alone.  The anchors end at the
     last one below 1.0, and z >= 1.0 raises ``NonConvergent``.
     """
@@ -397,22 +410,16 @@ class _AnchoredSeries:
         self.anchors = []
 
     def _expansion(self, j) -> _Taylor:
-        a, b, c, anchors = self.a, self.b, self.c, self.anchors
+        anchors = self.anchors
         while len(anchors) <= j:
             k = len(anchors)
-            z0 = _ANCHORS[k]
-            if k:
-                prev = anchors[-1]
-                h = z0 - _ANCHORS[k - 1]
-                s0, s1 = prev(h), prev(h, 1)
-            else:
-                s0 = self.series(z0)
-                s1 = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0)(z0)
-            anchors.append(_Taylor(a, b, c, z0, s0, s1, 1.0))
+            anchors.append(anchors[-1].step(_ANCHORS[k] - _ANCHORS[k - 1],
+                                            _ANCHORS[k], 1.0) if k else
+                           _Taylor.start(self.series, _ANCHORS[0], 1.0))
         return anchors[j]
 
     def __call__(self, z) -> complex:
-        if z <= _FIRST_ANCHOR:
+        if z <= _ANCHORS[0]:
             return self.series(z)
         if z >= 1.0:
             raise NonConvergent(f"no Taylor anchor below z = {z!r}")
@@ -718,26 +725,25 @@ class Hyp2F1:
         return self._stepped(w)
 
     def _stepped(self, w) -> complex:
-        """2F1 at w by :class:`_Taylor` steps (Johansson, arXiv:1606.06977)
+        """2F1 at w by :meth:`_Taylor.step` (Johansson, arXiv:1606.06977)
         from the defining series at |z| = 1/2 to 1/2 + i/2, or 1/2 - i/2 for
         Im w < 0 so that the path keeps w's side of the cut, then on to w;
         each step is at most a third of min(|z|, |1 - z|)."""
-        a, b, c = self.a, self.b, self.c
         side = 1.0 if w.imag >= 0.0 else -1.0
         z = cmath.rect(0.5, side * math.pi / 4.0)
-        s0 = self._direct_series(z)
-        s1 = a * b / c * _Series(a + 1.0, b + 1.0, c + 1.0)(z)
+        expansion = None
         for target in (complex(0.5, 0.5 * side), w):
             while z != target:
                 rho = min(abs(z), abs(1.0 - z)) / 3.0
+                expansion = (_Taylor.start(self._direct_series, z, rho)
+                             if expansion is None else expansion.step(h, z, rho))
                 h = target - z
                 far = abs(h) > rho
                 if far:
                     h *= rho / abs(h)
-                step = _Taylor(a, b, c, z, s0, s1, rho)
-                s0, s1 = step(h), step(h, 1)
                 z = z + h if far else target
-        return s0
+        # the last expansion summed at w: none is built there
+        return expansion(h)
 
     def cut(self, v, cut_side=None) -> complex:
         """2F1(a, b; c; 1 + v) for real v; on the cut, v > 0, ``cut_side``

@@ -304,12 +304,24 @@ def pick_calibration_reference(reference: Sequence) -> object:
 def landau_calibrated_rate(p: float, fields: Sequence[float],
                            reference: Sequence) -> list:
     """Closed-form rate curve scaled by one constant fixed at the lowest
-    usable reference point; returns (field, rate) pairs."""
+    usable reference point; returns (field, rate) pairs.
+
+    A rate that underflows is 0.0.  ``NumericalError``, naming p and the
+    field, is raised where the closed form underflows to 0.0 at the
+    reference field (below about 3.7e-309 at p = 1), so that no finite
+    constant scales it, and where a calibrated rate overflows a float."""
     p = _check_p(p)
     ref = pick_calibration_reference(reference)
     log_c = math.log(ref.gamma) - landau_log_transmittance(p, ref.field)
+    if not math.isfinite(log_c):
+        raise NumericalError("no finite calibration constant at the reference"
+                             f" (p={p}, field={ref.field})")
     out = []
     for field in fields:
         log_rate = log_c + landau_log_transmittance(p, field)
-        out.append((float(field), math.exp(log_rate)))
+        try:
+            out.append((float(field), math.exp(log_rate)))
+        except OverflowError:
+            raise NumericalError("calibrated rate overflows a float"
+                                 f" (p={p}, field={field})") from None
     return out

@@ -205,10 +205,10 @@ def anchor_index(v):
     """-1 on the defining series, else the index j of the anchor that
     serves z = v / (1 + v)."""
     z = v / (1.0 + v)
-    if z <= specfun._anchor(0):
+    if z <= specfun._ANCHORS[0]:
         return -1
     j = 0
-    while specfun._anchor(j + 1) <= z:
+    while specfun._ANCHORS[j + 1] <= z:
         j += 1
     return j
 

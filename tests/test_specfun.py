@@ -124,6 +124,32 @@ def test_digamma_against_mpmath(models):
             specfun.digamma(z)
 
 
+@pytest.mark.parametrize("x", [-1e3, -1e6])
+def test_digamma_far_left_against_mpmath(x):
+    """Left of Re z = 0 the reflection (DLMF 5.5.4) takes the place of
+    -Re z recurrence steps: 40-digit oracle within 4e-16, each call in
+    under 20 ms where the recurrence took 0.27 s at Re z = -1e6."""
+    with mp.workdps(40):
+        for y in (0.0, 0.3, -2.0, 40.0):
+            z = complex(x + 0.37, y)
+            start = time.perf_counter()
+            got = specfun.digamma(z)
+            elapsed = time.perf_counter() - start
+            ref = complex(mp.digamma(mp.mpc(z.real, z.imag)))
+            assert abs(got - ref) <= 4e-16 * abs(ref), z
+            assert elapsed < 0.02, z
+
+
+def test_log_connection_far_left_is_numerical_error():
+    """The log connection's digamma(a) at Re a = -1e8 returns at once, and
+    the connection's Gamma overflow surfaces as NumericalError."""
+    a = -1e8 + 0.5j
+    start = time.perf_counter()
+    with pytest.raises(NumericalError):
+        gauss_2f1(a, 1, a + 1, 0.7)
+    assert time.perf_counter() - start < 0.5
+
+
 # ---------------------------------------------------------------------------
 # 2F1 regions vs mpmath
 
@@ -624,7 +650,8 @@ def test_reflected_series_has_no_anchor_at_one(monkeypatch):
     reflected = continuation(3.0)._reflected_series
     with pytest.raises(NonConvergent):
         reflected(1.0)
-    assert specfun._ANCHORS[-1] < 1.0 == specfun._anchor(len(specfun._ANCHORS))
+    anchors = specfun._ANCHORS
+    assert anchors[-1] < 1.0 == 1.0 - 0.5 * (2.0 / 3.0) ** len(anchors)
     monkeypatch.setattr(specfun, "_REFLECTION_MAX_X", math.inf)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)

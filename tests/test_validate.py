@@ -62,6 +62,24 @@ def test_high_moments_against_model_coefficients(models, alpha, n, rel):
     assert value == pytest.approx(exact, rel=rel)
 
 
+@pytest.mark.xfail(strict=True, reason="the lower scan stops where"
+                   " lower_side_rate goes subnormal and then 0.0 while the"
+                   " integrand, decaying only as F^(2(l+1-n)), still counts"
+                   " (ROADMAP item 9): off by 1.29e-7 (l = 12.3, n = 13),"
+                   " 6.2e-8 (l = 60, n = 59), 3.3e-4 (l = 60, n = 60) and"
+                   " 1.34e-9 (l = 30, n = 30).  n = 29 at l = 30 meets"
+                   " subnormal rates too yet stays within 7e-15, so the fix"
+                   " cannot simply raise at the first subnormal rate")
+@pytest.mark.parametrize("l,n", [(12.3, 13), (60.0, 59), (60.0, 60),
+                                 (30.0, 30)])
+def test_moments_up_to_l_against_model_coefficients(l, n):
+    """Every moment 2 <= n < l + 1 within 1e-12 of the model's own Taylor
+    coefficient, at alpha = 3."""
+    model = standard_model(3.0, l)
+    exact = model_coefficients(model, n)[n - 1].real
+    assert dispersion_coefficient(model, n) == pytest.approx(exact, rel=1e-12)
+
+
 def test_moment_past_float_range_is_numerical_error():
     """A moment whose sums leave the float range (E_64 at alpha = 20,
     l = 60) raises NumericalError naming n, alpha and l."""

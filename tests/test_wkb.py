@@ -348,3 +348,20 @@ def test_calibrated_rate_exact_at_anchor():
     assert curve[0][1] == pytest.approx(1e-20, rel=1e-12)
     rates = [r for _, r in curve]
     assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def test_calibrated_rate_overflow_is_numerical_error():
+    """Calibrated at field 1e-4, the closed form scales by e^6667: the rate
+    at 0.5 overflows, and the error names p and that field."""
+    ref = fake_reference((1e-4,), (1.0,))
+    with pytest.raises(NumericalError, match=r"\(p=1.0, field=0.5\)"):
+        landau_calibrated_rate(1.0, (1e-4, 0.5), ref)
+
+
+def test_calibration_reference_underflow_is_numerical_error():
+    """At a reference field of 1e-310 the closed form underflows to 0.0, so
+    no finite constant scales it: an error naming p and the reference
+    field, where [(1e-310, nan), (0.5, inf)] came back before."""
+    ref = fake_reference((1e-310,), (1.0,))
+    with pytest.raises(NumericalError, match=r"\(p=1.0, field=1e-310\)"):
+        landau_calibrated_rate(1.0, (1e-310, 0.5), ref)
