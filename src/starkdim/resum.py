@@ -13,10 +13,13 @@ part at all field strengths; its physical branch (decaying states) is the
 one with Im E <= 0.
 
 Everything in E(field) that does not depend on the field -- G, and the
-Gamma products, digammas and route checks of the 2F1 continuation (a
-``specfun.Hyp2F1``) -- is computed once per :class:`HypModel`, by the first
-field point that needs it, and kept on the model; later points only sum
-series.
+Gamma products, digammas, route checks, series rows and Taylor anchors of
+the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of (h1, h2, l)
+alone.  It is built by the first field point that needs it and kept, per
+thread, for the 16 parameter sets used last: a model fitted again to the
+same series takes the continuation the last one left and only sums
+series.  No value depends on whether a continuation was built or taken
+(see ``specfun``).
 
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
@@ -28,6 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from _thread import get_ident
+from collections import OrderedDict
 from functools import cached_property
 
 from . import DEFAULT_L
@@ -85,16 +90,37 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .)), built on the first evaluation and
-        kept with the model; the 2F1 keeps each parameter-only constant once
-        a field point has needed it, so further points only sum series."""
-        context = f"(alpha={self.alpha}, l={self.l})"
+        """(G, 2F1(h1, h2; h1+h2+l; .)) as :func:`_continuation` keeps it
+        for (h1, h2, l), taken by the first field point and kept with the
+        model: evaluate one model from one thread at a time."""
+        return _continuation(self.h1, self.h2, self.l,
+                             f"(alpha={self.alpha}, l={self.l})")
+
+
+# the continuations used last, least recently used first, keyed on
+# (thread, exact bits of h1, h2, l); see _continuation.  No lock: a thread
+# only takes its own keys, and each OrderedDict call is atomic, so a
+# concurrent eviction at worst drops one entry more than needed
+_MAX_KEPT_CONTINUATIONS = 16
+_kept_continuations = OrderedDict()
+
+
+def _continuation(h1, h2, l, context):
+    """(G, 2F1(h1, h2; h1+h2+l; .)) for the parameter set (h1, h2, l): the
+    pair this thread kept for the same bits (``float.hex`` tells -0.0 from
+    0.0), else a new one, kept.  Beyond _MAX_KEPT_CONTINUATIONS pairs the
+    least recently used is dropped.  Per thread, because a Hyp2F1 appends
+    its kept rows and anchors without a lock and forms row k from the row
+    count.  A failure is raised afresh by every call, named by ``context``.
+    """
+    h1c, h2c = complex(h1), complex(h2)
+    key = (get_ident(), h1c.real.hex(), h1c.imag.hex(), h2c.real.hex(),
+           h2c.imag.hex(), float(l).hex())
+    kept = _kept_continuations.pop(key, None)
+    if kept is None:
         try:
-            pref = (
-                complex_gamma(self.l + self.h1)
-                * complex_gamma(self.l + self.h2)
-                / complex_gamma(self.l + self.h1 + self.h2)
-            )
+            pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
+                    / complex_gamma(l + h1 + h2))
         except NumericalError as exc:
             raise type(exc)(f"{exc} {context}") from exc
         if not cmath.isfinite(pref):
@@ -105,7 +131,11 @@ class HypModel(Record):
                 f" overflows a float {context}")
         # G is real for real or conjugate h1, h2; kept as a float, Im E
         # takes no part of Re F (see lower_side_rate)
-        return pref.real, Hyp2F1(self.h1, self.h2, self.h1 + self.h2 + self.l)
+        kept = pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
+    _kept_continuations[key] = kept
+    while len(_kept_continuations) > _MAX_KEPT_CONTINUATIONS:
+        _kept_continuations.popitem(last=False)
+    return kept
 
 
 class ResonancePoint(Record):
@@ -140,7 +170,7 @@ def model_coefficients(model: HypModel, count: int = 4):
         raise OutOfRange(f"count {count} passes the pole of Gamma(l-k) at"
                          f" k = l = {model.l}")
     terms = taylor_terms(model.h1, model.h2, model.l, model.h3, count,
-                         model.h4 * complex_gamma(model.l))
+                         model.h4 * _gamma_of_l(model.l, model.alpha))
     coeffs = []
     for k, tk in enumerate(terms):
         try:
@@ -152,6 +182,20 @@ def model_coefficients(model: HypModel, count: int = 4):
                 f"Taylor term of model coefficient E_{2 * k + 2} leaves the"
                 f" float range (alpha={model.alpha}, l={model.l})")
     return coeffs
+
+
+def _gamma_of_l(l, alpha) -> complex:
+    """Gamma(l) of the fit and of its re-expansion.  It overflows a float
+    from l = 142.58 (NaN up to 142.73, where ``complex_gamma`` raises); the
+    ``NumericalError`` names that stage, alpha and l."""
+    try:
+        gamma = complex_gamma(l)
+        if not cmath.isfinite(gamma):
+            raise NumericalError(f"gamma overflows a float at z = {complex(l)}")
+    except NumericalError as exc:
+        raise type(exc)(f"Gamma(l) of the fit: {exc}"
+                        f" (alpha={alpha}, l={l})") from exc
+    return gamma
 
 
 def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
@@ -198,7 +242,7 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     h2 = 0.5 * (s_sum + root)
     if (h1.real, h1.imag) > (h2.real, h2.imag):
         h1, h2 = h2, h1
-    h4 = t[0] / complex_gamma(l)
+    h4 = t[0] / _gamma_of_l(l, format_alpha(series.alpha))
     model = HypModel(
         h1=h1,
         h2=h2,

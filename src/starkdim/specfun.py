@@ -33,10 +33,11 @@ Sci. 210, 1999), 30-40 terms a point where the defining series needs
 about 30 x; the anchors' coefficients are kept like the term values.
 The anchors and the last resort's path share one Taylor start from the
 defining series' S and S' and one Taylor step (:class:`_Taylor`).
-:func:`gauss_2f1` builds an instance per call; a
-fitted resummation model keeps its own (``resum.HypModel``), so a field
-sweep computes those constants and term values once.  A ``NumericalError``
-from a series names the formula it came from.
+:func:`gauss_2f1` builds an instance per call; the resummation layer
+keeps one per (h1, h2, l) and thread, for its 16 most recently used
+parameter sets (``resum._continuation``), so field sweeps and refits of
+one series compute those constants and term values once.  A
+``NumericalError`` from a series names the formula it came from.
 """
 
 from __future__ import annotations
@@ -828,8 +829,8 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     of the hypergeometric equation, within 1.1e-13 of 40-digit mpmath at
     the tested points.
     Repeated evaluation at one parameter set should go through one
-    :class:`Hyp2F1`, which keeps the parameter-only constants and per-term
-    values that this call computes and discards.
+    ``starkdim.specfun.Hyp2F1``, which keeps the parameter-only constants
+    and per-term values that this call computes and discards.
     """
     return Hyp2F1(a, b, c)(w, cut_side)
 

@@ -128,8 +128,11 @@ def _dispersion_moments(model: HypModel, ns):
             raise type(exc)(f"upper-cutoff scan of moment n="
                             f"{', '.join(map(str, ns))}: {exc}") from exc
         slope = max(slope, 2.0 * abs(rate) * math.exp(-u))
-        if all(slope * math.exp((1.0 - t) * u) / (t - 1.0) < _TAIL_REL * abs(m)
-               for t, m in zip(two_n, moments(_SCAN_STEP))):
+        # each moment summed only when its test is reached: the scan's
+        # early steps fail on the first
+        if all(slope * math.exp((1.0 - t) * u) / (t - 1.0)
+               < _TAIL_REL * abs(_SCAN_STEP * math.fsum(column))
+               for t, column in zip(two_n, columns)):
             break
     else:
         raise IntegrationFailure(f"no upper cutoff (alpha={model.alpha})")

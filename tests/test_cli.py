@@ -177,6 +177,13 @@ FLOAT_RANGE_LIMITS = {
         "(alpha=3.0, l=99.0)",
     ("dispersion", "--alpha", "3", "--l", "99"): "(alpha=3.0, l=99.0)",
     ("fit", "--alpha", "3", "--l", "200"): "z = (200+0j)",
+    # Gamma(l) is NaN from l = 142.58, before complex_gamma raises
+    ("fit", "--alpha", "3", "--l", "142.6"):
+        "Gamma(l) of the fit: gamma overflows a float at z = (142.6+0j)"
+        " (alpha=3, l=142.6)",
+    ("sweep", "--alpha", "3", "--l", "150", "--fields", "0:1:3"):
+        "Gamma(l) of the fit: gamma overflows a float at z = (150+0j)"
+        " (alpha=3, l=150.0)",
     ("fit", "--alpha", "1e11"): "alpha=100000000000",
     ("dispersion", "--alpha", "1e11"): "alpha=100000000000",
     ("sweep", "--alpha", "1e11", "--fields", "0:1:3"): "alpha=100000000000",

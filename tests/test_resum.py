@@ -1,8 +1,12 @@
 """Continuation model: closed-form fit, resonance evaluation, tail fits."""
 
+import hashlib
 import math
+import random
 import re
-from collections import Counter
+import sys
+import threading
+from collections import Counter, OrderedDict, defaultdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +22,7 @@ from starkdim import (
     EnergySeries,
     HypModel,
     ResonancePoint,
+    dispersion_report,
     energy_series,
     fit_model,
     fit_round_trip_residual,
@@ -177,6 +182,26 @@ def test_gamma_prefactor_overflow_onset(alpha, onset):
         resonance(standard_model(alpha, onset + 0.01), 1.0)
 
 
+def _model_with_l(l):
+    """The alpha = 3 model with its branch power l replaced."""
+    m = standard_model(3.0)
+    return HypModel(m.h1, m.h2, m.h3, m.h4, l, m.e0, m.alpha)
+
+
+@pytest.mark.parametrize("l", (142.6, 142.9, 150.0, 1e308))
+def test_gamma_of_l_overflow_names_the_fit(l):
+    """Gamma(l) of the fit is NaN from l = 142.58 and raises from 142.73:
+    the fit and the re-expansion of a hand-built model name that stage,
+    alpha and l."""
+    overflow = f"Gamma(l) of the fit: gamma overflows a float at z = {complex(l)}"
+    with pytest.raises(NumericalError, match=re.escape(
+            f"{overflow} (alpha=3, l={l})")):
+        fit_model(energy_series(3, 4), l)
+    with pytest.raises(NumericalError, match=re.escape(
+            f"{overflow} (alpha=3.0, l={l})")):
+        model_coefficients(_model_with_l(l))
+
+
 def test_nan_round_trip_fails_the_fit(monkeypatch):
     """A NaN in the re-expansion is a failed round trip, wherever it sits."""
     series = energy_series(3, 4)
@@ -291,7 +316,8 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     the alpha = 3 model make as many for a 101-point sweep as for a
     1001-point one (about 9 Gamma calls per field point if each point
     built its own).  Both grids reach every 2F1 region the model uses, so
-    the lazily built constants are the same."""
+    the lazily built constants are the same.  Each copy starts from an
+    empty registry of kept continuations, so that it builds its own."""
     counts = Counter()
     for module, name in ((specfun, "complex_gamma"), (specfun, "digamma"),
                          (starkdim.resum, "complex_gamma")):
@@ -303,6 +329,8 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     made = []
     for n in (101, 1001):
         counts.clear()
+        monkeypatch.setattr(starkdim.resum, "_kept_continuations",
+                            OrderedDict())
         m = models[3.0]
         model = HypModel(m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
         sweep(model, np.linspace(0.0, 1.0, n))
@@ -475,6 +503,172 @@ def test_rate_only_entry_skips_the_log_connection(models, monkeypatch):
         calls.clear()
         lower_side_rate(model, field)
         assert len(calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# kept continuations
+
+VALUE_SET_ALPHAS = (1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 5.2, 7.0, 20.0)
+VALUE_SET_LS = (12.3, 30.0, 60.0)
+VALUE_SET_FIELDS = 60
+# sha256 of value_set() before continuations were kept across models
+VALUE_SET_DIGEST = (
+    "02fd4c98c844e0c5f17f45fd706043df2559f2ae79e36985f50debb4e422a98a")
+
+
+def value_set():
+    """Delta, Gamma and the signed rate of every fit over VALUE_SET_ALPHAS x
+    VALUE_SET_LS, at fields with v = h3 (F/4)^2 log-spaced over [1e-3, 1e3],
+    each from a new model per call, in three shuffled passes; plus the
+    moment integrals of 8 dispersion reports.  30 parameter sets, more than
+    the registry keeps, so the passes both take and rebuild continuations.
+    Returns the set of value bits seen per key."""
+    params = {}
+    for alpha in VALUE_SET_ALPHAS:
+        series = energy_series(alpha, 4)
+        for l in VALUE_SET_LS:
+            m = fit_model(series, l)
+            params[alpha, l] = (m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
+    calls = []
+    for (alpha, l), p in params.items():
+        for k in range(VALUE_SET_FIELDS):
+            v = 10.0 ** (-3.0 + 6.0 * k / (VALUE_SET_FIELDS - 1))
+            calls.append((alpha, l, k, 4.0 * math.sqrt(v / p[2].real)))
+    values = defaultdict(set)
+    rng = random.Random(28)
+    for _ in range(3):
+        rng.shuffle(calls)
+        for alpha, l, k, field in calls:
+            point = resonance(HypModel(*params[alpha, l]), field)
+            rate = lower_side_rate(HypModel(*params[alpha, l]), field)
+            values[alpha, l, k].add(
+                (point.delta.hex(), point.gamma.hex(), rate.hex()))
+    for alpha in (1.1, 1.5, 2.0, 2.5, 3.0, 5.0, 7.0, 20.0):
+        series = energy_series(alpha, 4)
+        report = dispersion_report(fit_model(series), series)
+        values["report", alpha] = {tuple(e.integral_value.hex()
+                                         for e in report.entries)}
+    return values
+
+
+def test_kept_continuations_keep_every_value():
+    """Each key of the value set has one value over the three passes, and
+    the set hashes to the digest of continuations built per model."""
+    values = value_set()
+    assert len(values) == 30 * VALUE_SET_FIELDS + 8
+    assert all(len(seen) == 1 for seen in values.values())
+    text = repr(sorted((repr(key), sorted(seen))
+                       for key, seen in values.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == VALUE_SET_DIGEST
+
+
+@pytest.fixture
+def empty_registry(monkeypatch):
+    """An empty registry of kept continuations for one test."""
+    registry = OrderedDict()
+    monkeypatch.setattr(starkdim.resum, "_kept_continuations", registry)
+    return registry
+
+
+def test_fits_of_one_series_share_a_continuation(empty_registry):
+    series = energy_series(3, 4)
+    first, second = fit_model(series), fit_model(series)
+    assert first is not second
+    assert first._continuation is second._continuation
+    assert len(empty_registry) == 1
+
+
+def test_fit_in_another_thread_gets_its_own_continuation(empty_registry):
+    """Kept rows grow without a lock, so threads never share a 2F1; the
+    values are the same bits."""
+    series = energy_series(3, 4)
+    mine = fit_model(series)
+    theirs = []
+
+    def fit_and_rate():
+        model = fit_model(series)
+        theirs.append((model._continuation, lower_side_rate(model, 0.5)))
+
+    worker = threading.Thread(target=fit_and_rate)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    (pref, hyp), rate = theirs[0]
+    assert hyp is not mine._continuation[1]
+    assert pref == mine._continuation[0]
+    assert lower_side_rate(mine, 0.5).hex() == rate.hex()
+    assert len(empty_registry) == 2
+
+
+def test_threads_sharing_the_registry_keep_every_value(empty_registry):
+    """Four threads with a short switch interval refit three series and
+    sum rates on new models, each building its own continuations while
+    the others insert and evict: every rate has the bits of one thread
+    working alone, and the registry stays within its bound."""
+    fields = [0.05 * k for k in range(1, 21)]
+    series = [energy_series(alpha, 4) for alpha in (3, 2, 5)]
+    params = [(l, s) for l in (12.3, 30.0, 60.0) for s in series]
+
+    def rates():
+        return [lower_side_rate(fit_model(s, l), f).hex()
+                for l, s in params for f in fields]
+
+    expected = rates()
+    empty_registry.clear()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.append(rates()))
+                   for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [expected] * 4
+    assert len(empty_registry) <= 16
+
+
+def test_registry_drops_the_least_recently_used(empty_registry):
+    """The registry keeps 16 continuations; taking one again makes it the
+    most recently used, so the 17th parameter set drops the next oldest."""
+    ls = [30.0 + 0.5 * k for k in range(17)]
+    kept = [_model_with_l(l)._continuation for l in ls[:16]]
+    assert _model_with_l(ls[0])._continuation is kept[0]
+    _model_with_l(ls[16])._continuation
+    assert len(empty_registry) == 16
+    assert _model_with_l(ls[0])._continuation is kept[0]
+    assert _model_with_l(ls[1])._continuation is not kept[1]
+    assert len(empty_registry) == 16
+
+
+def test_registry_tells_signed_zeros_apart(empty_registry):
+    """Parameter sets equal as numbers but differing in the sign of a zero
+    do not share a continuation."""
+    models = [HypModel(complex(0.4, imag), 0.9 + 0j, complex(2.0),
+                       complex(1e-3), 30.0, -0.5, 3.0)
+              for imag in (0.0, -0.0)]
+    assert models[0] == models[1]
+    assert models[0]._continuation[1] is not models[1]._continuation[1]
+    assert len(empty_registry) == 2
+
+
+def test_prefactor_overflow_is_not_kept(empty_registry):
+    """An overflowing prefactor (alpha = 3, l = 140) raises on every call,
+    naming the alpha of the model that made it."""
+    model = standard_model(3.0, 140.0)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match=re.escape(
+                "overflows a float (alpha=3.0, l=140.0)")):
+            resonance(model, 0.5)
+    copy = HypModel(model.h1, model.h2, model.h3, model.h4, model.l,
+                    model.e0, 7.0)
+    with pytest.raises(NumericalError, match=re.escape("(alpha=7.0, l=140.0)")):
+        lower_side_rate(copy, 0.5)
+    assert not empty_registry
 
 
 # ---------------------------------------------------------------------------

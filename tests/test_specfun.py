@@ -5,7 +5,7 @@ import functools
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkdim.resum
 from starkdim import (
     STANDARD_SWEEP_RANGES,
     complex_gamma,
@@ -570,7 +571,9 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     would double the first count.  Of the reflected series, the two at
     z = v/x <= 1/2 sum the defining series; the five above step from the
     anchors z = 1/2 .. 0.901, built once, whose first one takes S and S'
-    from one defining-series sum each."""
+    from one defining-series sum each.  The run starts from an empty
+    registry of kept continuations, so that it builds its own."""
+    monkeypatch.setattr(starkdim.resum, "_kept_continuations", OrderedDict())
     hyp = continuation(3)
     kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
              hyp._mu + 1.0: "reflected", hyp._mu + 2.0: "reflected slope"}
