@@ -223,30 +223,27 @@ class SymbolicEnergySeries(Record):
         ``NumericalError``.
         """
         energy = self.energy_polynomial(n).coefficients
-        # the 6n - 1 divisions run on integers: the coefficients are scaled
-        # by their common denominator once and divided by it at the end
+        # one long division on integers: the coefficients are scaled by
+        # their common denominator once and divided by it at the end, and
+        # the divisor (alpha + 1)(alpha - 1)^m is monic
         common = math.lcm(*(c.denominator for c in energy))
-        scale = -(4 ** (6 * n - 2))
-        coeffs = [c.numerator * (common // c.denominator) * scale
-                  for c in energy]
-        for root in [-1] + [1] * (6 * n - 2):
-            coeffs, remainder = _divide_linear(coeffs, root)
-            if remainder:
-                factor = "alpha + 1" if root < 0 else "alpha - 1"
-                raise NumericalError(f"E_{2 * n} is not divisible by {factor}")
-        return RationalPolynomial(tuple(Fraction(c, common) for c in coeffs))
+        m = 6 * n - 2
+        rest = [c.numerator * (common // c.denominator) * -(4 ** m)
+                for c in energy]
+        power = [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+        divisor = [a + b for a, b in zip([0] + power, power + [0])]
+        quotient = [0] * max(len(rest) - m - 1, 0)
+        for k in reversed(range(len(quotient))):
+            q = quotient[k] = rest[k + m + 1]
+            for j, d in enumerate(divisor):
+                rest[k + j] -= q * d
+        if any(rest):
+            raise NumericalError(
+                f"E_{2 * n} is not divisible by (alpha + 1)(alpha - 1)^{m}")
+        return RationalPolynomial(tuple(Fraction(c, common) for c in quotient))
 
     def evaluate(self, n: int, alpha):
         return self.energy_polynomial(n).evaluate(alpha)
-
-
-def _divide_linear(coeffs, root):
-    """(quotient, remainder) of the ascending ``coeffs`` by (x - root), by
-    synthetic division."""
-    out = list(coeffs)
-    for k in range(len(out) - 2, -1, -1):
-        out[k] += root * out[k + 1]
-    return out[1:], (out[0] if out else 0)
 
 
 _REFERENCE_FACTORS = {

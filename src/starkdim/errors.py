@@ -58,7 +58,7 @@ class NonConvergent(NumericalError):
 # resummation / fitting
 
 class InvalidL(InputError):
-    """Branch-power parameter l must exceed 4."""
+    """Branch-power parameter l must be finite and exceed 4."""
 
 
 class DegenerateSeries(NumericalError):

@@ -15,11 +15,12 @@ one with Im E <= 0.
 Everything in E(field) that does not depend on the field -- G, and the
 Gamma products, digammas, route checks, series rows and Taylor anchors of
 the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of (h1, h2, l)
-alone.  It is built by the first field point that needs it and kept, per
-thread, for the 16 parameter sets used last: a model fitted again to the
-same series takes the continuation the last one left and only sums
-series.  No value depends on whether a continuation was built or taken
-(see ``specfun``).
+alone.  It is built by the first field point that needs it and kept per
+thread, in the model and for the 16 (thread, parameter set) keys used
+last: threads may share a model, and a model fitted again to the same
+series takes the continuation the last one left and only sums series.  No
+value depends on whether a continuation was built or taken (see
+``specfun``).
 
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
@@ -32,8 +33,7 @@ import cmath
 import math
 import numbers
 from _thread import get_ident
-from collections import OrderedDict
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import DEFAULT_L
 from ._record import Record
@@ -78,8 +78,8 @@ class HypModel(Record):
         for name, value in (("e0", e0), ("l", l)):
             if not isinstance(value, numbers.Real):
                 raise OutOfRange(f"model parameter {name} must be real")
-        if not l > 4:
-            raise InvalidL("branch power l must exceed 4")
+        if not 4 < l < math.inf:
+            raise InvalidL("branch power l must be finite and exceed 4")
         if not real_on_axis(h1, h2, h1 + h2 + l):
             raise OutOfRange(
                 "model parameters h1, h2 must be real or a conjugate pair"
@@ -90,52 +90,48 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .)) as :func:`_continuation` keeps it
-        for (h1, h2, l), taken by the first field point and kept with the
-        model: evaluate one model from one thread at a time."""
-        return _continuation(self.h1, self.h2, self.l,
-                             f"(alpha={self.alpha}, l={self.l})")
+        """{thread id: that thread's :func:`_thread_continuation`}"""
+        return {}
 
 
-# the continuations used last, least recently used first, keyed on
-# (thread, exact bits of h1, h2, l); see _continuation.  No lock: a thread
-# only takes its own keys, and each OrderedDict call is atomic, so a
-# concurrent eviction at worst drops one entry more than needed
-_MAX_KEPT_CONTINUATIONS = 16
-_kept_continuations = OrderedDict()
-
-
-def _continuation(h1, h2, l, context):
-    """(G, 2F1(h1, h2; h1+h2+l; .)) for the parameter set (h1, h2, l): the
-    pair this thread kept for the same bits (``float.hex`` tells -0.0 from
-    0.0), else a new one, kept.  Beyond _MAX_KEPT_CONTINUATIONS pairs the
-    least recently used is dropped.  Per thread, because a Hyp2F1 appends
-    its kept rows and anchors without a lock and forms row k from the row
-    count.  A failure is raised afresh by every call, named by ``context``.
-    """
-    h1c, h2c = complex(h1), complex(h2)
-    key = (get_ident(), h1c.real.hex(), h1c.imag.hex(), h2c.real.hex(),
-           h2c.imag.hex(), float(l).hex())
-    kept = _kept_continuations.pop(key, None)
+def _thread_continuation(model):
+    """The calling thread's (G, 2F1(h1, h2; h1+h2+l; .)) for ``model``, kept
+    in the model and taken from the registry.  Per thread, because a Hyp2F1
+    appends its kept rows and anchors without a lock and forms row k from
+    the row count.  A failure names the model's alpha and l."""
+    thread = get_ident()
+    kept = model._continuation.get(thread)
     if kept is None:
+        h1, h2 = complex(model.h1), complex(model.h2)
         try:
-            pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
-                    / complex_gamma(l + h1 + h2))
+            kept = _kept_continuation(
+                thread, h1.real.hex(), h1.imag.hex(), h2.real.hex(),
+                h2.imag.hex(), float(model.l).hex())
         except NumericalError as exc:
-            raise type(exc)(f"{exc} {context}") from exc
-        if not cmath.isfinite(pref):
-            # the product of the two upper Gammas overflows first, from
-            # l = 98.58 at alpha = 3, 98.72 at 2, 98.79 at 3/2, 97.49 at 20
-            raise NumericalError(
-                "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
-                f" overflows a float {context}")
-        # G is real for real or conjugate h1, h2; kept as a float, Im E
-        # takes no part of Re F (see lower_side_rate)
-        kept = pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
-    _kept_continuations[key] = kept
-    while len(_kept_continuations) > _MAX_KEPT_CONTINUATIONS:
-        _kept_continuations.popitem(last=False)
+            raise type(exc)(
+                f"{exc} (alpha={model.alpha}, l={model.l})") from exc
+        model._continuation[thread] = kept
     return kept
+
+
+@lru_cache(maxsize=16)
+def _kept_continuation(thread, *bits):
+    """The registry: (G, 2F1(h1, h2; h1+h2+l; .)) for ``thread`` and the
+    ``float.hex`` bits of Re h1, Im h1, Re h2, Im h2 and l, so that -0.0 and
+    0.0 never share; a failure is not kept."""
+    h1r, h1i, h2r, h2i, l = map(float.fromhex, bits)
+    h1, h2 = complex(h1r, h1i), complex(h2r, h2i)
+    pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
+            / complex_gamma(l + h1 + h2))
+    if not cmath.isfinite(pref):
+        # the product of the two upper Gammas overflows first, from
+        # l = 98.58 at alpha = 3, 98.72 at 2, 98.79 at 3/2, 97.49 at 20
+        raise NumericalError(
+            "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
+            " overflows a float")
+    # G is real for real or conjugate h1, h2; kept as a float, Im E takes
+    # no part of Re F (see lower_side_rate)
+    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
 
 
 class ResonancePoint(Record):
@@ -210,8 +206,8 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     for l below about 4.45 at alpha = 1.01, 4.95 at 3 and 7.0 at 20; it
     raises ``DegenerateSeries``.
     """
-    if not l > 4:
-        raise InvalidL("branch power l must exceed 4")
+    if not 4 < l < math.inf:
+        raise InvalidL("branch power l must be finite and exceed 4")
     if series.order < 4:
         raise InsufficientData("fit needs series coefficients through order 4")
     try:
@@ -290,7 +286,7 @@ def _lower_side(model: HypModel, field: float, evaluate):
         raise NumericalError(
             "offset h3 (field/4)^2 past the branch point overflows a float"
             f" (alpha={model.alpha}, field={field})")
-    pref, hyp = model._continuation
+    pref, hyp = _thread_continuation(model)
     try:
         f = evaluate(hyp, v, cut_side=-1)
     except NumericalError as exc:

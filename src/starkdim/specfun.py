@@ -34,10 +34,11 @@ about 30 x; the anchors' coefficients are kept like the term values.
 The anchors and the last resort's path share one Taylor start from the
 defining series' S and S' and one Taylor step (:class:`_Taylor`).
 :func:`gauss_2f1` builds an instance per call; the resummation layer
-keeps one per (h1, h2, l) and thread, for its 16 most recently used
-parameter sets (``resum._continuation``), so field sweeps and refits of
-one series compute those constants and term values once.  A
-``NumericalError`` from a series names the formula it came from.
+keeps one per (h1, h2, l) and thread, an instance being unsafe to share,
+in each model and for the 16 (thread, parameter set) keys used last
+(``resum._kept_continuation``), so field sweeps and refits of one series
+compute those constants and term values once.  A ``NumericalError`` from
+a series names the formula it came from.
 """
 
 from __future__ import annotations
@@ -676,7 +677,10 @@ class Hyp2F1:
         head = complex(0.0)
         if m:
             head_pref, gamma_m = head_consts
-            head = head_pref * sum(taylor_terms(a, b, float(m), v, m, gamma_m))
+            # left to right: sum() of floats compensates from Python 3.12
+            for term in taylor_terms(a, b, float(m), v, m, gamma_m):
+                head += term
+            head *= head_pref
         return head + tail_pref * v ** m * tail(1.0 - w)
 
     # (method, formula named in error messages), indexed by region

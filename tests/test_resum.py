@@ -6,7 +6,7 @@ import random
 import re
 import sys
 import threading
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -44,7 +44,8 @@ from starkdim.errors import (
     NumericalError,
     OutOfRange,
 )
-from starkdim.resum import lower_side_energy, lower_side_rate
+from starkdim.resum import (_kept_continuation, _thread_continuation,
+                            lower_side_energy, lower_side_rate)
 from starkdim.specfun import Hyp2F1
 from test_oracle import reference_rate
 
@@ -329,8 +330,7 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     made = []
     for n in (101, 1001):
         counts.clear()
-        monkeypatch.setattr(starkdim.resum, "_kept_continuations",
-                            OrderedDict())
+        _kept_continuation.cache_clear()
         m = models[3.0]
         model = HypModel(m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
         sweep(model, np.linspace(0.0, 1.0, n))
@@ -563,19 +563,19 @@ def test_kept_continuations_keep_every_value():
 
 
 @pytest.fixture
-def empty_registry(monkeypatch):
-    """An empty registry of kept continuations for one test."""
-    registry = OrderedDict()
-    monkeypatch.setattr(starkdim.resum, "_kept_continuations", registry)
-    return registry
+def empty_registry():
+    """The registry of kept continuations, emptied for one test."""
+    _kept_continuation.cache_clear()
+    yield _kept_continuation
+    _kept_continuation.cache_clear()
 
 
 def test_fits_of_one_series_share_a_continuation(empty_registry):
     series = energy_series(3, 4)
     first, second = fit_model(series), fit_model(series)
     assert first is not second
-    assert first._continuation is second._continuation
-    assert len(empty_registry) == 1
+    assert _thread_continuation(first) is _thread_continuation(second)
+    assert empty_registry.cache_info().currsize == 1
 
 
 def test_fit_in_another_thread_gets_its_own_continuation(empty_registry):
@@ -587,17 +587,18 @@ def test_fit_in_another_thread_gets_its_own_continuation(empty_registry):
 
     def fit_and_rate():
         model = fit_model(series)
-        theirs.append((model._continuation, lower_side_rate(model, 0.5)))
+        theirs.append((_thread_continuation(model),
+                       lower_side_rate(model, 0.5)))
 
     worker = threading.Thread(target=fit_and_rate)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
     (pref, hyp), rate = theirs[0]
-    assert hyp is not mine._continuation[1]
-    assert pref == mine._continuation[0]
+    assert hyp is not _thread_continuation(mine)[1]
+    assert pref == _thread_continuation(mine)[0]
     assert lower_side_rate(mine, 0.5).hex() == rate.hex()
-    assert len(empty_registry) == 2
+    assert empty_registry.cache_info().currsize == 2
 
 
 def test_threads_sharing_the_registry_keep_every_value(empty_registry):
@@ -614,7 +615,7 @@ def test_threads_sharing_the_registry_keep_every_value(empty_registry):
                 for l, s in params for f in fields]
 
     expected = rates()
-    empty_registry.clear()
+    empty_registry.cache_clear()
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -629,20 +630,66 @@ def test_threads_sharing_the_registry_keep_every_value(empty_registry):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert results == [expected] * 4
-    assert len(empty_registry) <= 16
+    assert empty_registry.cache_info().currsize <= 16
+
+
+def test_threads_sharing_a_model_keep_every_value(empty_registry):
+    """Twice, four threads with a short switch interval evaluate the same
+    fitted models, which no thread has evaluated before: each thread takes
+    its own continuation, so every rate and shift has the bits of one
+    thread working alone."""
+    fields = [0.05 * k for k in range(1, 60)]
+    params = [(energy_series(alpha, 4), l) for alpha in (3, 2, 5, 7)
+              for l in (12.3, 30.0, 60.0, 90.0)]
+
+    def values(models):
+        return [(lower_side_rate(m, f).hex(), resonance(m, f).delta.hex())
+                for m in models for f in fields]
+
+    expected = values([fit_model(s, l) for s, l in params])
+    results, workers = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            empty_registry.cache_clear()
+            models = [fit_model(s, l) for s, l in params]
+            round_workers = [threading.Thread(
+                target=lambda: results.append(values(models)))
+                for _ in range(4)]
+            for worker in round_workers:
+                worker.start()
+            for worker in round_workers:
+                worker.join(timeout=60)
+            workers += round_workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [expected] * 8
+
+
+@pytest.mark.parametrize("l", (4.0, math.inf, -math.inf, math.nan))
+def test_l_outside_the_open_range_is_bad_input(l):
+    """fit_model and HypModel reject l outside (4, inf) as bad input, in the
+    words of the CLI's --l check, not as a numerical failure."""
+    message = "branch power l must be finite and exceed 4"
+    with pytest.raises(InvalidL, match=message):
+        fit_model(energy_series(3, 4), l)
+    with pytest.raises(InvalidL, match=message):
+        HypModel(0.5, 0.75, 2.0, 1.0, l, -0.5, 3.0)
 
 
 def test_registry_drops_the_least_recently_used(empty_registry):
     """The registry keeps 16 continuations; taking one again makes it the
     most recently used, so the 17th parameter set drops the next oldest."""
     ls = [30.0 + 0.5 * k for k in range(17)]
-    kept = [_model_with_l(l)._continuation for l in ls[:16]]
-    assert _model_with_l(ls[0])._continuation is kept[0]
-    _model_with_l(ls[16])._continuation
-    assert len(empty_registry) == 16
-    assert _model_with_l(ls[0])._continuation is kept[0]
-    assert _model_with_l(ls[1])._continuation is not kept[1]
-    assert len(empty_registry) == 16
+    kept = [_thread_continuation(_model_with_l(l)) for l in ls[:16]]
+    assert _thread_continuation(_model_with_l(ls[0])) is kept[0]
+    _thread_continuation(_model_with_l(ls[16]))
+    assert empty_registry.cache_info().currsize == 16
+    assert _thread_continuation(_model_with_l(ls[0])) is kept[0]
+    assert _thread_continuation(_model_with_l(ls[1])) is not kept[1]
+    assert empty_registry.cache_info().currsize == 16
 
 
 def test_registry_tells_signed_zeros_apart(empty_registry):
@@ -652,8 +699,9 @@ def test_registry_tells_signed_zeros_apart(empty_registry):
                        complex(1e-3), 30.0, -0.5, 3.0)
               for imag in (0.0, -0.0)]
     assert models[0] == models[1]
-    assert models[0]._continuation[1] is not models[1]._continuation[1]
-    assert len(empty_registry) == 2
+    assert (_thread_continuation(models[0])[1]
+            is not _thread_continuation(models[1])[1])
+    assert empty_registry.cache_info().currsize == 2
 
 
 def test_prefactor_overflow_is_not_kept(empty_registry):
@@ -668,7 +716,7 @@ def test_prefactor_overflow_is_not_kept(empty_registry):
                     model.e0, 7.0)
     with pytest.raises(NumericalError, match=re.escape("(alpha=7.0, l=140.0)")):
         lower_side_rate(copy, 0.5)
-    assert not empty_registry
+    assert empty_registry.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

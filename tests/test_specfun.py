@@ -5,7 +5,7 @@ import functools
 import math
 import random
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -473,7 +473,7 @@ def test_real_pair_sums_both_inf_series(monkeypatch):
 
 @functools.cache
 def continuation(alpha):
-    return standard_model(alpha)._continuation[1]
+    return starkdim.resum._thread_continuation(standard_model(alpha))[1]
 
 
 @given(
@@ -573,7 +573,7 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     anchors z = 1/2 .. 0.901, built once, whose first one takes S and S'
     from one defining-series sum each.  The run starts from an empty
     registry of kept continuations, so that it builds its own."""
-    monkeypatch.setattr(starkdim.resum, "_kept_continuations", OrderedDict())
+    starkdim.resum._kept_continuation.cache_clear()
     hyp = continuation(3)
     kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
              hyp._mu + 1.0: "reflected", hyp._mu + 2.0: "reflected slope"}
