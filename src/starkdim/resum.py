@@ -15,12 +15,12 @@ one with Im E <= 0.
 Everything in E(field) that does not depend on the field -- G, and the
 Gamma products, digammas, route checks, series rows and Taylor anchors of
 the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of (h1, h2, l)
-alone.  It is built by the first field point that needs it and kept per
-thread, in the model and for the 16 (thread, parameter set) keys used
-last: threads may share a model, and a model fitted again to the same
-series takes the continuation the last one left and only sums series.  No
-value depends on whether a continuation was built or taken (see
-``specfun``).
+alone.  It is built by the first field point that needs it and kept, with
+a lock, in the model and for the 16 parameter sets used last: threads
+share it and evaluate it one at a time under that lock, and a model
+fitted again to the same series takes the continuation the last one left
+and only sums series.  No value depends on whether a continuation was
+built or taken (see ``specfun``).
 
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from _thread import get_ident
+from _thread import allocate_lock
 from functools import cached_property, lru_cache
 
 from . import DEFAULT_L
@@ -90,35 +90,24 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """{thread id: that thread's :func:`_thread_continuation`}"""
-        return {}
-
-
-def _thread_continuation(model):
-    """The calling thread's (G, 2F1(h1, h2; h1+h2+l; .)) for ``model``, kept
-    in the model and taken from the registry.  Per thread, because a Hyp2F1
-    appends its kept rows and anchors without a lock and forms row k from
-    the row count.  A failure names the model's alpha and l."""
-    thread = get_ident()
-    kept = model._continuation.get(thread)
-    if kept is None:
-        h1, h2 = complex(model.h1), complex(model.h2)
+        """(G, 2F1(h1, h2; h1+h2+l; .), its lock) from the registry; a
+        failure names the model's alpha and l and is not kept."""
+        h1, h2 = complex(self.h1), complex(self.h2)
         try:
-            kept = _kept_continuation(
-                thread, h1.real.hex(), h1.imag.hex(), h2.real.hex(),
-                h2.imag.hex(), float(model.l).hex())
+            return _kept_continuation(
+                h1.real.hex(), h1.imag.hex(), h2.real.hex(), h2.imag.hex(),
+                float(self.l).hex())
         except NumericalError as exc:
-            raise type(exc)(
-                f"{exc} (alpha={model.alpha}, l={model.l})") from exc
-        model._continuation[thread] = kept
-    return kept
+            raise type(exc)(f"{exc} (alpha={self.alpha}, l={self.l})") from exc
 
 
 @lru_cache(maxsize=16)
-def _kept_continuation(thread, *bits):
-    """The registry: (G, 2F1(h1, h2; h1+h2+l; .)) for ``thread`` and the
+def _kept_continuation(*bits):
+    """The registry: (G, 2F1(h1, h2; h1+h2+l; .), a lock) for the
     ``float.hex`` bits of Re h1, Im h1, Re h2, Im h2 and l, so that -0.0 and
-    0.0 never share; a failure is not kept."""
+    0.0 never share; a failure is not kept.  A Hyp2F1 appends its kept rows
+    and anchors without a lock, so it is made with its own: no thread
+    reaches the one without the other."""
     h1r, h1i, h2r, h2i, l = map(float.fromhex, bits)
     h1, h2 = complex(h1r, h1i), complex(h2r, h2i)
     pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
@@ -131,7 +120,7 @@ def _kept_continuation(thread, *bits):
             " overflows a float")
     # G is real for real or conjugate h1, h2; kept as a float, Im E takes
     # no part of Re F (see lower_side_rate)
-    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
+    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l), allocate_lock()
 
 
 class ResonancePoint(Record):
@@ -182,16 +171,12 @@ def model_coefficients(model: HypModel, count: int = 4):
 
 def _gamma_of_l(l, alpha) -> complex:
     """Gamma(l) of the fit and of its re-expansion.  It overflows a float
-    from l = 142.58 (NaN up to 142.73, where ``complex_gamma`` raises); the
-    ``NumericalError`` names that stage, alpha and l."""
+    from l = 142.58; the ``NumericalError`` names that stage, alpha and l."""
     try:
-        gamma = complex_gamma(l)
-        if not cmath.isfinite(gamma):
-            raise NumericalError(f"gamma overflows a float at z = {complex(l)}")
+        return complex_gamma(l)
     except NumericalError as exc:
         raise type(exc)(f"Gamma(l) of the fit: {exc}"
                         f" (alpha={alpha}, l={l})") from exc
-    return gamma
 
 
 def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
@@ -267,9 +252,9 @@ def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
 
 def _lower_side(model: HypModel, field: float, evaluate):
     """What :func:`lower_side_energy` and :func:`lower_side_rate` share: the
-    field checks, and ``evaluate``(hyp, v, cut_side=-1) on the model's 2F1
-    at v = h3 z with the error context.  Returns (z, G, that value), or
-    None at zero field."""
+    field checks, and ``evaluate``(hyp, v, cut_side=-1) on the model's 2F1,
+    under its lock, at v = h3 z with the error context.  Returns (z, G,
+    that value), or None at zero field."""
     field = float(field)
     if not field >= 0.0:
         raise OutOfRange("field must be nonnegative")
@@ -286,9 +271,10 @@ def _lower_side(model: HypModel, field: float, evaluate):
         raise NumericalError(
             "offset h3 (field/4)^2 past the branch point overflows a float"
             f" (alpha={model.alpha}, field={field})")
-    pref, hyp = _thread_continuation(model)
+    pref, hyp, lock = model._continuation
     try:
-        f = evaluate(hyp, v, cut_side=-1)
+        with lock:
+            f = evaluate(hyp, v, cut_side=-1)
     except NumericalError as exc:
         raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})") from exc
     return z, pref, f

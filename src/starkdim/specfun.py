@@ -34,11 +34,12 @@ about 30 x; the anchors' coefficients are kept like the term values.
 The anchors and the last resort's path share one Taylor start from the
 defining series' S and S' and one Taylor step (:class:`_Taylor`).
 :func:`gauss_2f1` builds an instance per call; the resummation layer
-keeps one per (h1, h2, l) and thread, an instance being unsafe to share,
-in each model and for the 16 (thread, parameter set) keys used last
-(``resum._kept_continuation``), so field sweeps and refits of one series
-compute those constants and term values once.  A ``NumericalError`` from
-a series names the formula it came from.
+keeps one per (h1, h2, l), in each model and for the 16 parameter sets
+used last (``resum._kept_continuation``), so field sweeps and refits of
+one series compute those constants and term values once.  An instance
+grows its kept values without a lock, so it is kept with one, which
+threads take to evaluate it.  A ``NumericalError`` from a series names
+the formula it came from.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def complex_gamma(z) -> complex:
     """Gamma function for complex argument.
 
     Lanczos approximation on Re z >= 1/2, reflection elsewhere; relative
-    accuracy ~1e-13 for |z| <= 100 away from the poles.  From Re z ~ 143 an
-    intermediate power overflows and ``NumericalError`` is raised.
+    accuracy ~1e-13 for |z| <= 100 away from the poles.  Where the Lanczos
+    value is not finite, from Re z ~ 142.58, ``NumericalError`` is raised;
+    next to a pole the reflection's value may be infinite.
     """
     z = complex(z)
     if _nonpositive_integer(z):
@@ -114,10 +116,14 @@ def complex_gamma(z) -> complex:
         acc += _LANCZOS_COEFFS[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        gamma = math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        if cmath.isfinite(gamma):
+            return gamma
     except OverflowError:
-        # t^(z - 1/2) overflows from Re z ~ 143, before exp(-t) scales it
-        raise NumericalError(f"gamma overflows a float at z = {z}") from None
+        pass
+    # t^(z - 1/2) overflows before exp(-t) scales it back: the product is
+    # not finite from Re z ~ 142.58, and the power raises from ~ 142.73
+    raise NumericalError(f"gamma overflows a float at z = {z}")
 
 
 # B_2k / (2k), k = 1..7 (DLMF 24.2.1): the digamma series terms; at

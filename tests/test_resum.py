@@ -44,8 +44,8 @@ from starkdim.errors import (
     NumericalError,
     OutOfRange,
 )
-from starkdim.resum import (_kept_continuation, _thread_continuation,
-                            lower_side_energy, lower_side_rate)
+from starkdim.resum import (_kept_continuation, lower_side_energy,
+                            lower_side_rate)
 from starkdim.specfun import Hyp2F1
 from test_oracle import reference_rate
 
@@ -574,12 +574,12 @@ def test_fits_of_one_series_share_a_continuation(empty_registry):
     series = energy_series(3, 4)
     first, second = fit_model(series), fit_model(series)
     assert first is not second
-    assert _thread_continuation(first) is _thread_continuation(second)
+    assert first._continuation is second._continuation
     assert empty_registry.cache_info().currsize == 1
 
 
-def test_fit_in_another_thread_gets_its_own_continuation(empty_registry):
-    """Kept rows grow without a lock, so threads never share a 2F1; the
+def test_fit_in_another_thread_shares_the_continuation(empty_registry):
+    """A fit of the same series in another thread takes the same 2F1; the
     values are the same bits."""
     series = energy_series(3, 4)
     mine = fit_model(series)
@@ -587,25 +587,43 @@ def test_fit_in_another_thread_gets_its_own_continuation(empty_registry):
 
     def fit_and_rate():
         model = fit_model(series)
-        theirs.append((_thread_continuation(model),
-                       lower_side_rate(model, 0.5)))
+        theirs.append((model._continuation, lower_side_rate(model, 0.5)))
 
     worker = threading.Thread(target=fit_and_rate)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    (pref, hyp), rate = theirs[0]
-    assert hyp is not _thread_continuation(mine)[1]
-    assert pref == _thread_continuation(mine)[0]
+    (pref, hyp, _), rate = theirs[0]
+    assert hyp is mine._continuation[1]
+    assert pref == mine._continuation[0]
     assert lower_side_rate(mine, 0.5).hex() == rate.hex()
-    assert empty_registry.cache_info().currsize == 2
+    assert empty_registry.cache_info().currsize == 1
+
+
+def test_continuation_is_evaluated_under_its_lock(empty_registry):
+    """A rate waits while another thread holds the continuation's lock and,
+    once it is released, has the bits of one thread alone."""
+    series = energy_series(3, 4)
+    expected = lower_side_rate(fit_model(series), 0.5)
+    empty_registry.cache_clear()
+    model = fit_model(series)
+    rates = []
+    worker = threading.Thread(
+        target=lambda: rates.append(lower_side_rate(model, 0.5)))
+    with model._continuation[2]:
+        worker.start()
+        worker.join(timeout=0.2)
+        assert worker.is_alive() and not rates
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert rates[0].hex() == expected.hex()
 
 
 def test_threads_sharing_the_registry_keep_every_value(empty_registry):
     """Four threads with a short switch interval refit three series and
-    sum rates on new models, each building its own continuations while
-    the others insert and evict: every rate has the bits of one thread
-    working alone, and the registry stays within its bound."""
+    sum rates on new models, sharing continuations while they insert and
+    evict them: every rate has the bits of one thread working alone, and
+    the registry stays within its bound."""
     fields = [0.05 * k for k in range(1, 21)]
     series = [energy_series(alpha, 4) for alpha in (3, 2, 5)]
     params = [(l, s) for l in (12.3, 30.0, 60.0) for s in series]
@@ -635,9 +653,10 @@ def test_threads_sharing_the_registry_keep_every_value(empty_registry):
 
 def test_threads_sharing_a_model_keep_every_value(empty_registry):
     """Twice, four threads with a short switch interval evaluate the same
-    fitted models, which no thread has evaluated before: each thread takes
-    its own continuation, so every rate and shift has the bits of one
-    thread working alone."""
+    fitted models, which no thread has evaluated before: they share each
+    model's continuation, so the 16 models hold one 2F1 each, 16 in all,
+    and the registry 16 entries, and every rate and shift has the bits of
+    one thread working alone."""
     fields = [0.05 * k for k in range(1, 60)]
     params = [(energy_series(alpha, 4), l) for alpha in (3, 2, 5, 7)
               for l in (12.3, 30.0, 60.0, 90.0)]
@@ -647,7 +666,7 @@ def test_threads_sharing_a_model_keep_every_value(empty_registry):
                 for m in models for f in fields]
 
     expected = values([fit_model(s, l) for s, l in params])
-    results, workers = [], []
+    results, workers, kept = [], [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -662,10 +681,15 @@ def test_threads_sharing_a_model_keep_every_value(empty_registry):
             for worker in round_workers:
                 worker.join(timeout=60)
             workers += round_workers
+            kept.append((
+                {type(m._continuation[1]) for m in models},
+                len({id(m._continuation[1]) for m in models}),
+                empty_registry.cache_info().currsize))
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert results == [expected] * 8
+    assert kept == [({Hyp2F1}, 16, 16)] * 2
 
 
 @pytest.mark.parametrize("l", (4.0, math.inf, -math.inf, math.nan))
@@ -683,12 +707,12 @@ def test_registry_drops_the_least_recently_used(empty_registry):
     """The registry keeps 16 continuations; taking one again makes it the
     most recently used, so the 17th parameter set drops the next oldest."""
     ls = [30.0 + 0.5 * k for k in range(17)]
-    kept = [_thread_continuation(_model_with_l(l)) for l in ls[:16]]
-    assert _thread_continuation(_model_with_l(ls[0])) is kept[0]
-    _thread_continuation(_model_with_l(ls[16]))
+    kept = [_model_with_l(l)._continuation for l in ls[:16]]
+    assert _model_with_l(ls[0])._continuation is kept[0]
+    _model_with_l(ls[16])._continuation
     assert empty_registry.cache_info().currsize == 16
-    assert _thread_continuation(_model_with_l(ls[0])) is kept[0]
-    assert _thread_continuation(_model_with_l(ls[1])) is not kept[1]
+    assert _model_with_l(ls[0])._continuation is kept[0]
+    assert _model_with_l(ls[1])._continuation is not kept[1]
     assert empty_registry.cache_info().currsize == 16
 
 
@@ -699,8 +723,7 @@ def test_registry_tells_signed_zeros_apart(empty_registry):
                        complex(1e-3), 30.0, -0.5, 3.0)
               for imag in (0.0, -0.0)]
     assert models[0] == models[1]
-    assert (_thread_continuation(models[0])[1]
-            is not _thread_continuation(models[1])[1])
+    assert models[0]._continuation[1] is not models[1]._continuation[1]
     assert empty_registry.cache_info().currsize == 2
 
 

@@ -21,7 +21,7 @@ from starkdim import (
 )
 from starkdim.errors import (DomainError, IntegrationFailure, NotValid,
                              NumericalError, OutOfRange)
-from starkdim.resum import _thread_continuation, lower_side_rate
+from starkdim.resum import lower_side_rate
 
 
 def entry(n, rel=0.01):
@@ -282,7 +282,7 @@ def test_reflected_route_work_per_report(monkeypatch):
     average.  One Pfaff series at z = v/x took 3,021 terms there."""
     series = energy_series(Fraction(3), 4)
     model = fit_model(series)
-    hyp = _thread_continuation(model)[1]
+    hyp = model._continuation[1]
     route = {hyp._mu + 1.0, hyp._mu + 2.0}  # S and S' = (AB/C) 2F1(A+1, ...)
     summed, evaluations = [], []
     series_sum = specfun._Series.__call__
