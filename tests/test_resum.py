@@ -487,17 +487,17 @@ def test_rate_only_entry_raises_like_energy(models, field):
 
 def test_rate_only_entry_skips_the_log_connection(models, monkeypatch):
     """Below x = 11 the rate sums no connection formula: a log-region field
-    (x = 1.3) makes no generic 2F1 evaluation, a 1/w-region one (x = 40)
-    makes one."""
+    (x = 1.3) makes no generic 2F1 evaluation (a pass over the regions),
+    a 1/w-region one (x = 40) makes one."""
     model = models[3.0]
     calls = []
-    generic = Hyp2F1.__call__
+    generic = Hyp2F1._first_region
 
     def spy(self, *args):
         calls.append(args)
         return generic(self, *args)
 
-    monkeypatch.setattr(Hyp2F1, "__call__", spy)
+    monkeypatch.setattr(Hyp2F1, "_first_region", spy)
     for x, expected in ((1.3, 0), (40.0, 1)):
         field = 4.0 * math.sqrt((x - 1.0) / model.h3.real)
         calls.clear()

@@ -242,19 +242,19 @@ def test_2f1_cut_offset_entry_point():
 
 def test_reflected_series_only_below_seam(models, monkeypatch):
     """Over the four standard grids the reflected series runs only where
-    x = 1 + v <= 11: 51 times in all."""
+    x = 1 + v <= 11, so at z = v/x <= 10/11: 51 times in all."""
     seen = []
-    original = specfun._reflection_series
+    original = specfun._AnchoredSeries.__call__
 
-    def spy(series, a, c, v):
-        seen.append(1.0 + v)
-        return original(series, a, c, v)
+    def spy(self, z):
+        seen.append(z)
+        return original(self, z)
 
-    monkeypatch.setattr(specfun, "_reflection_series", spy)
+    monkeypatch.setattr(specfun._AnchoredSeries, "__call__", spy)
     for alpha, top in STANDARD_SWEEP_RANGES:
         sweep(models[alpha], np.linspace(0.0, top, 101))
     assert len(seen) == 51
-    assert max(seen) <= 11.0
+    assert max(seen) <= 10.0 / 11.0
 
 
 def test_reflected_series_failure_keeps_generic_value(monkeypatch):
@@ -266,7 +266,7 @@ def test_reflected_series_failure_keeps_generic_value(monkeypatch):
         calls.append(args)
         raise NonConvergent("forced")
 
-    monkeypatch.setattr(specfun, "_reflection_series", fail)
+    monkeypatch.setattr(specfun._AnchoredSeries, "__call__", fail)
     h1 = 0.57715234937124937 - 0.17707420101201338j
     c = 2 * h1.real + 30.0
     for x in (1.3, 5.0):
@@ -290,13 +290,13 @@ def test_cut_imag_is_im_of_cut(monkeypatch, params):
     the cut up to x = 11 it never evaluates the generic value."""
     hyp = Hyp2F1(*params)
     calls = []
-    generic = Hyp2F1.__call__
+    generic = Hyp2F1._first_region
 
     def spy(self, *args):
         calls.append(args)
         return generic(self, *args)
 
-    monkeypatch.setattr(Hyp2F1, "__call__", spy)
+    monkeypatch.setattr(Hyp2F1, "_first_region", spy)
     below = (1e-3, 0.3, 0.618, 0.7, 5.0, math.nextafter(10.0, 0.0), 10.0)
     above = (math.nextafter(10.0, math.inf), 10.5, 40.0, 1e3)
     for v in below + above:
@@ -317,7 +317,7 @@ def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
     defining series at the first anchor, z = 1/2, runs out (it needs 48
     at l = 30), so every point above it fails."""
     outcomes = []
-    original = specfun._reflection_series
+    original = specfun._AnchoredSeries.__call__
 
     def spy(*args):
         try:
@@ -328,7 +328,7 @@ def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
         outcomes.append("summed")
         return value
 
-    monkeypatch.setattr(specfun, "_reflection_series", spy)
+    monkeypatch.setattr(specfun._AnchoredSeries, "__call__", spy)
     monkeypatch.setattr(specfun, "MAX_TERMS", 40)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)
@@ -370,8 +370,8 @@ def test_reflected_series_is_the_defining_one_up_to_x_2():
     for params in ((CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                     2 * CONJUGATE_H1.real + 30.0),
                    (0.3876868947518969, 1.328219013045754, 31.716)):
-        reflected = Hyp2F1(*params)._reflected_series
-        a, b, c = reflected.a, reflected.b, reflected.c
+        reflected = Hyp2F1(*params)._reflection[-1]
+        a, b, c = reflected.series.a, reflected.series.b, reflected.series.c
         for v in (1e-3, 0.3, 0.7, math.nextafter(1.0, 0.0), 1.0):
             z = v / (1.0 + v)
             assert bits(reflected(z)) == bits(plain_series(a, b, c, z))
@@ -383,7 +383,7 @@ def test_reflected_series_is_the_defining_one_up_to_x_2():
 def two_sum_inf(hyp, w):
     """The 1/w connection (DLMF 15.8.2) with both of its series summed."""
     a, b, c = hyp.a, hyp.b, hyp.c
-    k1, k2 = hyp._inf_consts
+    k1, k2 = hyp._inf_route[:2]
     iw = 1.0 / w
     return (k1 * (-w) ** (-a) * plain_series(a, a - c + 1.0, a - b + 1.0, iw)
             + k2 * (-w) ** (-b) * plain_series(b, b - c + 1.0, b - a + 1.0, iw))
@@ -631,7 +631,8 @@ def test_2f1_cut_sides(params, x):
 def test_cut_region_at_unit_inf_tie(alpha):
     """Around v = (sqrt 5 - 1)/2, where |1-w| and |1/w| cross on the cut,
     cut takes Re F from the region that sorting all four mapped moduli
-    picks, bit for bit, on both sides; both regions serve among the seven
+    picks, bit for bit, on both sides, and the public call at the cut's
+    nudge gives that region's value; both regions serve among the seven
     floats."""
     hyp = continuation(alpha)
     v = (math.sqrt(5.0) - 1.0) / 2.0
@@ -646,8 +647,9 @@ def test_cut_region_at_unit_inf_tie(alpha):
             assert region in (2, 3) and rho <= specfun._RHO_MAX
             picked.add(region)
             method = ("_unit", "_inf")[region - 2]
-            want = complex(getattr(hyp, method)(w).real,
-                           side * hyp._cut_imag_part(v))
+            generic = getattr(hyp, method)(w)
+            assert bits(hyp(w)) == bits(generic)
+            want = complex(generic.real, side * hyp._cut_imag_part(v))
             assert bits(hyp.cut(v, side)) == bits(want)
         v = math.nextafter(v, 1.0)
     assert picked == {2, 3}
@@ -657,7 +659,7 @@ def test_reflected_series_has_no_anchor_at_one(monkeypatch):
     """The anchors end at the last one below 1.0, so z = v/x = 1.0 raises
     NonConvergent at once, and a cut past the reflected route's limit keeps
     the generic value's imaginary part."""
-    reflected = continuation(3.0)._reflected_series
+    reflected = continuation(3.0)._reflection[-1]
     with pytest.raises(NonConvergent):
         reflected(1.0)
     anchors = specfun._ANCHORS

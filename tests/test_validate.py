@@ -312,7 +312,7 @@ def test_reflected_route_work_per_report(monkeypatch):
     monkeypatch.setattr(specfun._Taylor, "__call__", count_taylor)
     monkeypatch.setattr(specfun._AnchoredSeries, "__call__", count_evaluations)
     dispersion_report(model, series)
-    kept = sum(len(t.coeffs) for t in hyp._reflected_series.anchors)
+    kept = sum(len(t.coeffs) for t in hyp._reflection[-1].anchors)
     assert len(evaluations) == 19
     assert kept + sum(summed) <= 1500
     assert sum(evaluations) <= 40 * len(evaluations)
