@@ -14,8 +14,6 @@ equal ``json.dumps(doc, indent=2, sort_keys=True)`` of ``{"meta": ...,
 "data": [one object per row]}``, with floats in shortest round-trip form.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math
@@ -228,15 +226,14 @@ def _cmd_sweep(ns: argparse.Namespace):
     return ("field", "delta", "gamma"), rows, {}
 
 
-def _rate_points(model, fields):
-    """Each field with its rate Gamma = |2 Im E|, evaluated as the caller
-    asks for it: all that the Landau calibration reads, with Re E never
-    formed (``resum.lower_side_rate``)."""
-    from .resum import lower_side_rate
+def _rate_points(model, fields) -> list:
+    """Each field with its rate Gamma = |2 Im E|: all that the Landau
+    calibration reads, from one rate grid that never forms Re E (the
+    evaluation behind ``resum.lower_side_rate``)."""
+    from .resum import _lower_side
 
-    for field in fields:
-        yield SimpleNamespace(field=field,
-                              gamma=abs(lower_side_rate(model, field)))
+    return [SimpleNamespace(field=field, gamma=abs(rate))
+            for field, rate in zip(fields, _lower_side(model, fields, True))]
 
 
 def _cmd_wkb(ns: argparse.Namespace):
@@ -253,9 +250,9 @@ def _cmd_wkb(ns: argparse.Namespace):
     # the calibration point is the lowest field with Gamma above the floor:
     # walk the ascending grid up to it, and evaluate no rate beyond
     walked = []
-    for point in _rate_points(model, fields):
-        walked.append(point)
-        if point.gamma > CALIBRATION_FLOOR:
+    for field in fields:
+        walked += _rate_points(model, (field,))
+        if walked[-1].gamma > CALIBRATION_FLOOR:
             break
     calibrated = landau_calibrated_rate(p, fields, walked)
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
@@ -335,7 +332,7 @@ def _figure_three():
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
         model = standard_model(alpha)
-        points = list(_rate_points(model, _log_grid(lo, hi, GRID_POINTS)))
+        points = _rate_points(model, _log_grid(lo, hi, GRID_POINTS))
         calibrated = landau_calibrated_rate(
             p, [pt.field for pt in points], points)
         rows.extend(

@@ -22,6 +22,11 @@ fitted again to the same series takes the continuation the last one left
 and only sums series.  No value depends on whether a continuation was
 built or taken (see ``specfun``).
 
+Every evaluation on the cut -- a scalar energy or rate, a resonance point,
+a sweep, the CLI's rate grids and the dispersion check's nodes -- runs one
+grid function (a scalar is a grid of one) that takes the continuation's
+lock once per grid, so each kept entry is built under that lock.
+
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
 slopes across dimensions.
@@ -250,34 +255,50 @@ def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
     return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
-def _lower_side(model: HypModel, field: float, evaluate):
-    """What :func:`lower_side_energy` and :func:`lower_side_rate` share: the
-    field checks, and ``evaluate``(hyp, v, cut_side=-1) on the model's 2F1,
-    under its lock, at v = h3 z with the error context.  Returns (z, G,
-    that value), or None at zero field."""
-    field = float(field)
-    if not field >= 0.0:
-        raise OutOfRange("field must be nonnegative")
-    if not math.isfinite(field):
-        raise OutOfRange("field must be finite")
-    if field == 0.0:
-        return None
+def _lower_side(model: HypModel, fields, rate: bool) -> list:
+    """E(field - i0) at each of ``fields`` in order, or with ``rate`` the
+    signed discontinuity 2 Im E(field - i0), each field checked in turn.
+    Zero field gives e0 (rate 0.0) without the continuation; the first
+    other field takes it, and its lock to the end of the grid.  Each such
+    point is one ``Hyp2F1.cut`` (``cut_imag`` for a rate) at v = h3 z, a
+    ``NumericalError`` naming alpha and the field.  e0, h4 and G stay
+    separate factors: their product formed once would round differently."""
+    e0, h4, h3 = model.e0, model.h4, model.h3.real
+    values, lock = [], None
     try:
-        z = (field / 4.0) ** 2
-    except OverflowError:
-        z = math.inf
-    v = model.h3.real * z
-    if not math.isfinite(v):
-        raise NumericalError(
-            "offset h3 (field/4)^2 past the branch point overflows a float"
-            f" (alpha={model.alpha}, field={field})")
-    pref, hyp, lock = model._continuation
-    try:
-        with lock:
-            f = evaluate(hyp, v, cut_side=-1)
-    except NumericalError as exc:
-        raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})") from exc
-    return z, pref, f
+        for field in fields:
+            field = float(field)
+            if not 0.0 <= field < math.inf:
+                raise OutOfRange("field must be finite" if field >= 0.0
+                                 else "field must be nonnegative")
+            if field == 0.0:
+                values.append(0.0 if rate else complex(e0))
+                continue
+            try:
+                z = (field / 4.0) ** 2
+            except OverflowError:
+                z = math.inf
+            v = h3 * z
+            if not math.isfinite(v):
+                raise NumericalError(
+                    "offset h3 (field/4)^2 past the branch point overflows"
+                    f" a float (alpha={model.alpha}, field={field})")
+            if lock is None:  # set once held: only a held lock is released
+                pref, hyp, held = model._continuation
+                evaluate = hyp.cut_imag if rate else hyp.cut
+                held.acquire()
+                lock = held
+            try:
+                f = evaluate(v, cut_side=-1)
+            except NumericalError as exc:
+                raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})"
+                                ) from exc
+            values.append(2.0 * (e0 * ((h4 * z * pref).real * f)) + 0.0
+                          if rate else e0 * (1.0 + h4 * z * pref * f))
+    finally:
+        if lock is not None:
+            lock.release()
+    return values
 
 
 def lower_side_energy(model: HypModel, field: float) -> complex:
@@ -285,16 +306,13 @@ def lower_side_energy(model: HypModel, field: float) -> complex:
     Im E unfolded: 2 Im E is the model's signed discontinuity.
 
     Zero field returns e0 exactly.  Otherwise the continuation is evaluated
-    once, at offset h3 z past w = 1; the upper side is its conjugate (the
-    model is real, see :class:`HypModel`).  A ``NumericalError`` names
-    alpha, the field and the 2F1 formula that failed, or that the offset
-    overflows a float (from F ~ 3.03e152 at alpha = 3).
+    once, at offset h3 z past w = 1, as e0 (1 + h4 z G F); the upper side
+    is its conjugate (the model is real, see :class:`HypModel`).  A
+    ``NumericalError`` names alpha, the field and the 2F1 formula that
+    failed, or that the offset overflows a float (from F ~ 3.03e152 at
+    alpha = 3).
     """
-    point = _lower_side(model, field, Hyp2F1.cut)
-    if point is None:
-        return complex(model.e0)
-    z, pref, f = point
-    return model.e0 * (1.0 + model.h4 * z * pref * f)
+    return _lower_side(model, (field,), False)[0]
 
 
 def lower_side_rate(model: HypModel, field: float) -> float:
@@ -306,11 +324,14 @@ def lower_side_rate(model: HypModel, field: float) -> float:
     (:meth:`specfun.Hyp2F1.cut_imag`).  The closing ``+ 0.0`` gives a rate
     that underflows to zero the sign the complex product gives it.
     """
-    point = _lower_side(model, field, Hyp2F1.cut_imag)
-    if point is None:
-        return 0.0
-    z, pref, im = point
-    return 2.0 * (model.e0 * ((model.h4 * z * pref).real * im)) + 0.0
+    return _lower_side(model, (field,), True)[0]
+
+
+def _resonances(model: HypModel, grid) -> list:
+    """:func:`resonance` at each field of ``grid``, a sequence of floats, from
+    one evaluation of the grid."""
+    return [ResonancePoint(field=field, energy=complex(e.real, -abs(e.imag)))
+            for field, e in zip(grid, _lower_side(model, grid, False))]
 
 
 def resonance(model: HypModel, field: float) -> ResonancePoint:
@@ -322,15 +343,12 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
     7.2e4 at 11/10 (none up to 1e7 at alpha = 7 or 20); beyond that point
     Gamma is the folded value 2 |Im E|.
     """
-    energy = lower_side_energy(model, field)
-    return ResonancePoint(
-        field=float(field), energy=complex(energy.real, -abs(energy.imag))
-    )
+    return _resonances(model, (float(field),))[0]
 
 
 def sweep(model: HypModel, fields) -> list:
-    """Pointwise :func:`resonance` over a strictly increasing nonnegative
-    field grid, order preserved."""
+    """:func:`resonance` over a strictly increasing nonnegative field grid,
+    order preserved, with the continuation's lock taken once."""
     grid = [float(x) for x in fields]
     if not grid:
         raise OutOfRange("field grid is empty")
@@ -338,7 +356,7 @@ def sweep(model: HypModel, fields) -> list:
         raise OutOfRange("field grid must be nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise OutOfRange("field grid must be strictly increasing")
-    return [resonance(model, x) for x in grid]
+    return _resonances(model, grid)
 
 
 # ---------------------------------------------------------------------------

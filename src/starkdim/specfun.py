@@ -29,7 +29,10 @@ alone, bit for bit, and up to x = 1 + v = 11 sums only the reflected
 series for it, never the connection value whose real part a rate
 discards.  Both go through one private method, the only place that tells
 the cut from the rest of the real axis, checks the side and orders the
-cut's two regions.  That series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
+cut's two regions; past their tie at x = 1.618 it calls the 1/w
+connection directly, with what each point needs from the parameters
+(whether it applies, the conjugate-pair test, -a and -b) kept with the
+route.  The reflected series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
 is the defining series up to z = 1/2 and above it a Taylor expansion of
 the hypergeometric equation about the nearest anchor below z (z = 1/2,
 2/3, 7/9, ...; Johansson, arXiv:1606.06977; van der Hoeven, Theor. Comput.
@@ -420,22 +423,19 @@ class _AnchoredSeries:
         self.series = _Series(a, b, c)
         self.anchors = []
 
-    def _expansion(self, j) -> _Taylor:
-        anchors = self.anchors
-        while len(anchors) <= j:
-            k = len(anchors)
-            anchors.append(anchors[-1].step(_ANCHORS[k] - _ANCHORS[k - 1],
-                                            _ANCHORS[k], 1.0) if k else
-                           _Taylor.start(self.series, _ANCHORS[0], 1.0))
-        return anchors[j]
-
     def __call__(self, z) -> complex:
         if z <= _ANCHORS[0]:
             return self.series(z)
         if z >= 1.0:
             raise NonConvergent(f"no Taylor anchor below z = {z!r}")
         j = bisect_right(_ANCHORS, z) - 1
-        return self._expansion(j)(z - _ANCHORS[j])
+        anchors = self.anchors
+        while len(anchors) <= j:
+            k = len(anchors)
+            anchors.append(anchors[-1].step(_ANCHORS[k] - _ANCHORS[k - 1],
+                                            _ANCHORS[k], 1.0) if k else
+                           _Taylor.start(self.series, _ANCHORS[0], 1.0))
+        return anchors[j](z - _ANCHORS[j])
 
 
 # Largest x = 1 + v at which Im F on the cut comes from the reflected series.
@@ -480,11 +480,13 @@ class Hyp2F1:
     series' anchors with their Taylor coefficients (:class:`_AnchoredSeries`),
     as lists that grow to the longest sum so far and go with the instance.
     Each of the three routes on the cut is one kept entry: ``_unit_route``
-    and ``_inf_route`` hold (k1, k2, series, series), the 1-w or 1/w
-    connection's two Gamma prefixes and its two series (``_inf_route`` is
-    None where b - a is near an integer), and ``_reflection`` holds (mu,
-    Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None
-    where the discontinuity formula does not apply.
+    holds (k1, k2, series, series), the 1-w connection's two Gamma
+    prefixes and its two series; ``_inf_route`` holds the same for the 1/w
+    connection and then the conjugate-pair test and the powers -a, -b (it
+    is None where b - a is near an integer, which ``_inf_applies`` tells
+    without a Gamma); and ``_reflection`` holds (a - c, mu, Gamma(c),
+    1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None where the
+    discontinuity formula does not apply.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -536,18 +538,26 @@ class Hyp2F1:
         return value
 
     @cached_property
+    def _inf_applies(self) -> bool:
+        """False when b - a is near an integer, where the 1/w connection
+        is degenerate."""
+        return not _near_integer(self.b - self.a, _NEAR_INT_AB)
+
+    @cached_property
     def _inf_route(self):
-        """The 1/w connection's two Gamma prefixes and two series,
-        (k1, k2, series_a, series_b); None when b - a is near an integer,
-        where the formula is degenerate."""
+        """The 1/w connection's two Gamma prefixes, its two series, whether
+        b = conj(a) with real c, and the powers -a, -b of -w: (k1, k2,
+        series_a, series_b, conjugate, -a, -b); None where it does not
+        apply."""
         a, b, c = self.a, self.b, self.c
-        if _near_integer(b - a, _NEAR_INT_AB):
+        if not self._inf_applies:
             return None
         return (
             self._gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
             self._gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
             _Series(a, a - c + 1.0, a - b + 1.0),
             _Series(b, b - c + 1.0, b - a + 1.0),
+            b == a.conjugate() and c.imag == 0.0, -a, -b,
         )
 
     @cached_property
@@ -597,8 +607,8 @@ class Hyp2F1:
 
     @cached_property
     def _reflection(self):
-        """(mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), S) of the DLMF
-        15.2.3 discontinuity, S the :class:`_AnchoredSeries` of
+        """(a - c, mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), S) of the
+        DLMF 15.2.3 discontinuity, S the :class:`_AnchoredSeries` of
         2F1(c-a, 1-a; mu+1; .); None unless :func:`real_on_axis` holds and
         mu + 1 is not a pole."""
         a, b, c = self.a, self.b, self.c
@@ -607,7 +617,7 @@ class Hyp2F1:
         mu = self._mu.real
         if _nonpositive_integer(complex(mu + 1.0)):
             return None
-        return (mu, self._gamma_c, _rgamma(mu + 1.0),
+        return (a - c, mu, self._gamma_c, _rgamma(mu + 1.0),
                 complex_gamma(a) * complex_gamma(b),
                 _AnchoredSeries(c - a, 1.0 - a, self._mu + 1.0))
 
@@ -627,21 +637,19 @@ class Hyp2F1:
         return (1.0 - w) ** (-self.a) * self._pfaff_series(w / (w - 1.0))
 
     def _inf(self, w) -> complex:
-        if self._inf_route is None:
+        route = self._inf_route
+        if route is None:
             raise _Inapplicable
-        a, b = self.a, self.b
-        k1, k2, series_a, series_b = self._inf_route
+        k1, k2, series_a, series_b, conjugate, power_a, power_b = route
         iw = 1.0 / w
         f_a = series_a(iw)
-        if (abs(w.imag) <= _CUT_IMAG and b == a.conjugate()
-                and self.c.imag == 0.0):
-            # b = conj(a), real c: the second series has the conjugate
-            # parameters, so at a real argument, or the cut's nudge of one,
-            # it is the conjugate sum
-            f_b = f_a.conjugate()
-        else:
-            f_b = series_b(iw)
-        return k1 * (-w) ** (-a) * f_a + k2 * (-w) ** (-b) * f_b
+        # b = conj(a), real c: the second series has the conjugate
+        # parameters, so at a real argument, or the cut's nudge of one, it
+        # is the conjugate sum
+        f_b = (f_a.conjugate() if conjugate and abs(w.imag) <= _CUT_IMAG
+               else series_b(iw))
+        minus_w = -w
+        return k1 * minus_w ** power_a * f_a + k2 * minus_w ** power_b * f_b
 
     def _unit(self, w) -> complex:
         mu = self._mu
@@ -705,23 +713,29 @@ class Hyp2F1:
         """2F1 at w from the first of ``candidates``, (mapped modulus,
         region) pairs in order, that is within _RHO_MAX and applies; else
         from :meth:`_stepped`, which also stands in for a region whose
-        series raises (that error, naming its formula, if it fails too)."""
+        series raises (see :meth:`_rescue`)."""
         for rho, region in candidates:
             if rho > _RHO_MAX:
                 break
-            method, route = self._REGIONS[region]
             try:
-                return getattr(self, method)(w)
+                return getattr(self, self._REGIONS[region][0])(w)
             except _Inapplicable:
                 continue
             except NumericalError as exc:
-                if method == "_unit" and self._log_m is not None:
-                    route = f"log connection (m={self._log_m})"
-                try:
-                    return self._stepped(w)
-                except NumericalError:
-                    raise type(exc)(f"{exc} in the {route}") from exc
+                return self._rescue(w, exc, region)
         return self._stepped(w)
+
+    def _rescue(self, w, exc, region) -> complex:
+        """2F1 at w from :meth:`_stepped`, as the region whose series raised
+        ``exc`` cannot give it; if that fails too, ``exc`` is raised naming
+        the region's formula."""
+        route = self._REGIONS[region][1]
+        if region == 2 and self._log_m is not None:
+            route = f"log connection (m={self._log_m})"
+        try:
+            return self._stepped(w)
+        except NumericalError:
+            raise type(exc)(f"{exc} in the {route}") from exc
 
     def _stepped(self, w) -> complex:
         """2F1 at w by :meth:`_Taylor.step` (Johansson, arXiv:1606.06977)
@@ -754,7 +768,7 @@ class Hyp2F1:
         hypergeometric equation above (see :meth:`_cut_imag_part`).  Beyond
         x = 11, or if that route does not converge, the generic value's
         imaginary part stands.  :meth:`cut_imag` gives Im F alone."""
-        return self._on_cut(v, cut_side, need_real=True)
+        return self._on_cut(v, cut_side, True)
 
     def cut_imag(self, v, cut_side=None) -> float:
         """The imaginary part of :meth:`cut`, bit for bit.  Where the
@@ -762,7 +776,7 @@ class Hyp2F1:
         function real below it), only that series is summed; elsewhere it is
         the imaginary part of the generic value, and the series is not
         summed a second time."""
-        return self._on_cut(v, cut_side, need_real=False).imag
+        return self._on_cut(v, cut_side, False).imag
 
     def _on_cut(self, v, cut_side, need_real) -> complex:
         """:meth:`cut` at v, the one place that tells the cut from the rest
@@ -770,7 +784,8 @@ class Hyp2F1:
         _CUT_IMAG.  Its Re F is the generic value at the nudge, where |w|
         and |w/(w-1)| exceed 1 > _RHO_MAX: only the 1-w and 1/w regions are
         ordered, a tie going to 1-w, which is the region that sorting all
-        four picks (see :class:`Hyp2F1`).  Without ``need_real`` the generic
+        four picks (see :class:`Hyp2F1`); where 1/w comes first and
+        applies it is called directly.  Without ``need_real`` the generic
         value is not formed where :meth:`_cut_imag_part` gives Im F, and the
         value returned has Re F = 0 there."""
         v = float(v)
@@ -781,14 +796,22 @@ class Hyp2F1:
             raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
         # every connection formula builds Im F on the cut from cancelling
         # O(|F|) complex pieces; the reflection formula gives it directly
-        im = self._cut_imag_part(v)
+        im = self._cut_imag_part(v) if x <= _REFLECTION_MAX_X else None
         if im is not None and not need_real:
             return complex(0.0, cut_side * im)
         if x > 1.0:
             w = complex(x, cut_side * _CUT_IMAG)
-            unit, inf = (abs(1.0 - w), 2), (abs(1.0 / w), 3)
-            value = self._first_region(
-                w, (unit, inf) if unit < inf else (inf, unit))
+            unit, inf = abs(1.0 - w), abs(1.0 / w)
+            if inf < unit and inf <= _RHO_MAX and self._inf_applies:
+                # past the tie, x > 1.618: the 1/w region, called directly
+                try:
+                    value = self._inf(w)
+                except NumericalError as exc:
+                    value = self._rescue(w, exc, 3)
+            else:
+                value = self._first_region(w, ((unit, 2), (inf, 3))
+                                           if unit <= inf else
+                                           ((inf, 3), (unit, 2)))
         else:
             value = self(x)  # 1 + v rounds to 1: Gauss's sum
         return value if im is None else complex(value.real, cut_side * im)
@@ -806,17 +829,17 @@ class Hyp2F1:
         as accurate as summing S's defining series directly (worst 1.2e-13
         over alpha in [1.1, 20], l up to 90, set by the Gamma factors).
 
-        Chosen from x before any term is summed: applies when
-        :func:`real_on_axis` holds and x <= _REFLECTION_MAX_X.  None otherwise,
-        or if the series raises ``NonConvergent``: the caller then keeps the
+        :meth:`_on_cut` takes it up to x = _REFLECTION_MAX_X, before any
+        other term is summed.  None where :func:`real_on_axis` fails, or if
+        the series raises ``NonConvergent``: the caller then keeps the
         generic value's imaginary part.
         """
-        x = 1.0 + v
-        if x > _REFLECTION_MAX_X or self._reflection is None:
+        if self._reflection is None:
             return None
-        mu, gamma_c, rgamma_mu1, gamma_ab, series = self._reflection
+        x = 1.0 + v
+        a_c, mu, gamma_c, rgamma_mu1, gamma_ab, series = self._reflection
         try:
-            value = x ** (self.a - self.c) * series(v / x)
+            value = x ** a_c * series(v / x)
         except NonConvergent:
             return None
         scale = math.pi * v ** mu * gamma_c * rgamma_mu1 / gamma_ab
@@ -837,9 +860,16 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     or a series that runs out of terms), the value comes from Taylor steps
     of the hypergeometric equation, within 1.1e-13 of 40-digit mpmath at
     the tested points.
+    Where the value is not finite, ``NumericalError`` names a, b, c and w:
+    at c = 100.5 the 1-w connection's Gamma products overflow (a = 0.5,
+    b = 0.7, w = 0.95).
     Repeated evaluation at one parameter set should go through one
     ``starkdim.specfun.Hyp2F1``, which keeps the parameter-only constants
     and per-term values that this call computes and discards.
     """
-    return Hyp2F1(a, b, c)(w, cut_side)
+    value = Hyp2F1(a, b, c)(w, cut_side)
+    if not cmath.isfinite(value):
+        raise NumericalError(
+            f"2F1 is not finite at a={a}, b={b}, c={c}, w={w}")
+    return value
 

@@ -773,9 +773,9 @@ LAYERS = ("coeffs", "resum", "specfun", "validate", "wkb")
 def test_import_path_stays_light(tmp_path):
     """``import starkdim.cli`` plus the parser, in an interpreter without
     site-packages, loads none of dataclasses, inspect, typing, json,
-    tempfile, fractions or decimal, and none of the numeric layers: each
-    costs milliseconds in every fresh CLI process.  JSON and ``--output``
-    still work once asked for."""
+    tempfile, fractions, decimal or __future__, and none of the numeric
+    layers: each costs time in every fresh CLI process.  JSON and
+    ``--output`` still work once asked for."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     target = tmp_path / "figure1.json"
     code = (
@@ -785,6 +785,7 @@ def test_import_path_stays_light(tmp_path):
         "starkdim.cli.build_parser()\n"
         "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'json',\n"
         "                         'tempfile', 'fractions', 'decimal',\n"
+        "                         '__future__',\n"
         "                         *(f'starkdim.{layer}' for layer\n"
         f"                                       in {LAYERS!r}))\n"
         "             if m in sys.modules))\n"

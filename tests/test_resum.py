@@ -191,9 +191,9 @@ def _model_with_l(l):
 
 @pytest.mark.parametrize("l", (142.6, 142.9, 150.0, 1e308))
 def test_gamma_of_l_overflow_names_the_fit(l):
-    """Gamma(l) of the fit is NaN from l = 142.58 and raises from 142.73:
-    the fit and the re-expansion of a hand-built model name that stage,
-    alpha and l."""
+    """Gamma(l) of the fit overflows a float from l = 142.58, where
+    complex_gamma raises: the fit and the re-expansion of a hand-built
+    model name that stage, alpha and l."""
     overflow = f"Gamma(l) of the fit: gamma overflows a float at z = {complex(l)}"
     with pytest.raises(NumericalError, match=re.escape(
             f"{overflow} (alpha=3, l={l})")):
@@ -487,22 +487,65 @@ def test_rate_only_entry_raises_like_energy(models, field):
 
 def test_rate_only_entry_skips_the_log_connection(models, monkeypatch):
     """Below x = 11 the rate sums no connection formula: a log-region field
-    (x = 1.3) makes no generic 2F1 evaluation (a pass over the regions),
-    a 1/w-region one (x = 40) makes one."""
+    (x = 1.3) evaluates no 1-w or 1/w region, a 1/w-region one (x = 40)
+    one."""
     model = models[3.0]
     calls = []
-    generic = Hyp2F1._first_region
+    for name in ("_unit", "_inf"):
+        def spy(self, *args, region=getattr(Hyp2F1, name)):
+            calls.append(args)
+            return region(self, *args)
 
-    def spy(self, *args):
-        calls.append(args)
-        return generic(self, *args)
-
-    monkeypatch.setattr(Hyp2F1, "_first_region", spy)
+        monkeypatch.setattr(Hyp2F1, name, spy)
     for x, expected in ((1.3, 0), (40.0, 1)):
         field = 4.0 * math.sqrt((x - 1.0) / model.h3.real)
         calls.clear()
         lower_side_rate(model, field)
         assert len(calls) == expected
+
+
+# lower_side_rate, Re and Im of lower_side_energy (float.hex) at one field
+# per route the model path takes on the cut, with the interval that puts
+# x = 1 + h3 (F/4)^2 on that route: the reflected series at its first
+# anchor (z = v/x in [1/2, 2/3)) and at its fourth (z in [0.852, 0.901)),
+# Re F from the log and plain 1-w connections below the tie at x = 1.618,
+# and the 1/w connection past x = 11 for a conjugate and a real pair
+ROUTE_PINS = {
+    "reflected series, first anchor": (
+        3, 30.0, 0.0276, (2.0, 3.0), "0x1.afd1ae8c2833ap-30",
+        "-0x1.00e534982afa3p-1", "0x1.afd1ae8c2833ap-31"),
+    "reflected series, fourth anchor": (
+        3, 30.0, 0.06, (6.75, 10.1), "0x1.15440c9f14df8p-11",
+        "-0x1.04b60e0254fd4p-1", "0x1.15440c9f14df8p-12"),
+    "log 1-w connection": (
+        3, 30.0, 0.0124, (1.0, 1.618), "0x1.6d893c21d1bd4p-73",
+        "-0x1.002d852bb0cd5p-1", "0x1.6d893c21d1bd4p-74"),
+    "plain 1-w connection": (
+        3, 12.3, 0.0228, (1.0, 1.618), "0x1.f851121bc09f5p-33",
+        "-0x1.009b5faf2f707p-1", "0x1.f851121bc09f5p-34"),
+    "1/w connection, conjugate pair": (
+        3, 30.0, 0.1, (11.0, math.inf), "0x1.d6a45d1c8298ap-7",
+        "-0x1.0e0c70080dda8p-1", "0x1.d6a45d1c8298ap-8"),
+    "1/w connection, real pair": (
+        5, 30.0, 0.011, (11.0, math.inf), "0x1.31ddfa8e18839p-7",
+        "-0x1.16f02b14fec34p-3", "0x1.31ddfa8e18839p-8"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_PINS))
+def test_route_bits_pinned(route):
+    """The rate and the energy keep their pinned bits on every route the
+    model path takes on the cut."""
+    alpha, l, field, (lo, hi), rate, real, imag = ROUTE_PINS[route]
+    model = fit_model(energy_series(alpha, 4), l)
+    assert lo < 1.0 + model.h3.real * (field / 4.0) ** 2 < hi
+    hyp = model._continuation[1]
+    assert (hyp._log_m is None) == route.startswith("plain")
+    if route.endswith("pair"):
+        assert (model.h1.imag != 0.0) == route.endswith("conjugate pair")
+    energy = lower_side_energy(model, field)
+    assert lower_side_rate(model, field).hex() == rate
+    assert (energy.real.hex(), energy.imag.hex()) == (real, imag)
 
 
 # ---------------------------------------------------------------------------

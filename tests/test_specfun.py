@@ -158,6 +158,18 @@ def test_log_connection_far_left_is_numerical_error():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("c", [100.5, 120.5])
+def test_2f1_not_finite_is_numerical_error(c):
+    """Where the 1-w connection's Gamma products overflow and its value is
+    NaN, gauss_2f1 raises NumericalError naming a, b, c and w; mpmath gives
+    1.00335 at c = 100.5 and 1.00279 at c = 120.5."""
+    with pytest.raises(NumericalError) as info:
+        gauss_2f1(0.5, 0.7, c, 0.95)
+    assert str(info.value) == (
+        f"2F1 is not finite at a=0.5, b=0.7, c={c}, w=0.95")
+    assert 1.002 < ref2f1(0.5, 0.7, c, 0.95).real < 1.004
+
+
 # ---------------------------------------------------------------------------
 # 2F1 regions vs mpmath
 
@@ -287,16 +299,16 @@ CONJUGATE_H1 = 0.57715234937124937 - 0.17707420101201338j
 def test_cut_imag_is_im_of_cut(monkeypatch, params):
     """Hyp2F1.cut_imag(v, s) is cut(v, s).imag bit for bit on both sides,
     across x = 11 (v = 10 and its float neighbours) and off the cut.  On
-    the cut up to x = 11 it never evaluates the generic value."""
+    the cut up to x = 11 it never evaluates the generic value, a 1-w or
+    1/w region."""
     hyp = Hyp2F1(*params)
     calls = []
-    generic = Hyp2F1._first_region
+    for name in ("_unit", "_inf"):
+        def spy(self, *args, region=getattr(Hyp2F1, name)):
+            calls.append(args)
+            return region(self, *args)
 
-    def spy(self, *args):
-        calls.append(args)
-        return generic(self, *args)
-
-    monkeypatch.setattr(Hyp2F1, "_first_region", spy)
+        monkeypatch.setattr(Hyp2F1, name, spy)
     below = (1e-3, 0.3, 0.618, 0.7, 5.0, math.nextafter(10.0, 0.0), 10.0)
     above = (math.nextafter(10.0, math.inf), 10.5, 40.0, 1e3)
     for v in below + above:
