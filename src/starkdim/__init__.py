@@ -33,9 +33,8 @@ _EXPORTS = {
     "wkb": ("CALIBRATION_FLOOR", "LANDAU_COMPARISON_RANGES", "BarrierModel",
             "barrier_model", "barrier_potential", "keldysh_exponent",
             "landau_calibrated_rate", "landau_closed_form",
-            "landau_log_transmittance", "pick_calibration_reference",
-            "turning_points", "wkb_exponent", "wkb_transmittance",
-            "zero_field_inner_turning_point"),
+            "landau_log_transmittance", "turning_points", "wkb_exponent",
+            "wkb_transmittance", "zero_field_inner_turning_point"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("cli", "coeffs", "errors", "resum", "specfun", "validate", "wkb")

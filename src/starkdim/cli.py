@@ -19,7 +19,6 @@ import functools
 import math
 import os
 import sys
-from types import SimpleNamespace
 
 from . import DEFAULT_L, DEFAULT_ORDER_CAP, __version__
 from .errors import InputError, NoBarrier, NumericalError, OutOfRange
@@ -226,20 +225,9 @@ def _cmd_sweep(ns: argparse.Namespace):
     return ("field", "delta", "gamma"), rows, {}
 
 
-def _rate_points(model, fields) -> list:
-    """Each field with its rate Gamma = |2 Im E|: all that the Landau
-    calibration reads, from one rate grid that never forms Re E (the
-    evaluation behind ``resum.lower_side_rate``)."""
-    from .resum import _lower_side
-
-    return [SimpleNamespace(field=field, gamma=abs(rate))
-            for field, rate in zip(fields, _lower_side(model, fields, True))]
-
-
 def _cmd_wkb(ns: argparse.Namespace):
-    from .resum import standard_model
-    from .wkb import (CALIBRATION_FLOOR, barrier_model,
-                      landau_calibrated_rate, landau_closed_form)
+    from .resum import lower_side_rate, standard_model
+    from .wkb import barrier_model, landau_calibrated_rate, landau_closed_form
 
     start, stop, count = ns.fields
     if start <= 0.0:
@@ -247,14 +235,10 @@ def _cmd_wkb(ns: argparse.Namespace):
     model = standard_model(ns.alpha, ns.l)
     p = (float(ns.alpha) - 1.0) / 2.0
     fields = _linear_grid(start, stop, count)
-    # the calibration point is the lowest field with Gamma above the floor:
-    # walk the ascending grid up to it, and evaluate no rate beyond
-    walked = []
-    for field in fields:
-        walked += _rate_points(model, (field,))
-        if walked[-1].gamma > CALIBRATION_FLOOR:
-            break
-    calibrated = landau_calibrated_rate(p, fields, walked)
+    # the rates come one field at a time, so none is evaluated past the
+    # calibration field
+    calibration_field, calibrated = landau_calibrated_rate(
+        p, fields, (abs(lower_side_rate(model, field)) for field in fields))
     columns = ("field", "y1", "y2", "t_numeric", "t_closed",
                "gamma_landau_calibrated")
     rows = []
@@ -266,8 +250,7 @@ def _cmd_wkb(ns: argparse.Namespace):
             # over-barrier field: geometry and tunneling factor undefined
             y1 = y2 = t_num = None
         rows.append((field, y1, y2, t_num, landau_closed_form(p, field), rate))
-    extra = {"calibration_field": walked[-1].field}
-    return columns, rows, extra
+    return columns, rows, {"calibration_field": calibration_field}
 
 
 def _cmd_dispersion(ns: argparse.Namespace):
@@ -322,27 +305,23 @@ def _figure_two():
 
 
 def _figure_three():
-    from .resum import standard_model
-    from .wkb import (LANDAU_COMPARISON_RANGES, landau_calibrated_rate,
-                      pick_calibration_reference)
+    from .resum import _lower_side, standard_model
+    from .wkb import LANDAU_COMPARISON_RANGES, landau_calibrated_rate
 
     columns = ("alpha", "field", "gamma", "gamma_landau")
     rows = []
     cases = []
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
-        model = standard_model(alpha)
-        points = _rate_points(model, _log_grid(lo, hi, GRID_POINTS))
-        calibrated = landau_calibrated_rate(
-            p, [pt.field for pt in points], points)
-        rows.extend(
-            (alpha, pt.field, pt.gamma, rate)
-            for pt, (_, rate) in zip(points, calibrated)
-        )
-        cases.append({
-            "alpha": alpha,
-            "calibration_field": pick_calibration_reference(points).field,
-        })
+        fields = _log_grid(lo, hi, GRID_POINTS)
+        # one rate grid, which never forms Re E
+        gammas = [abs(rate) for rate in
+                  _lower_side(standard_model(alpha), fields, True)]
+        calibration_field, calibrated = landau_calibrated_rate(
+            p, fields, gammas)
+        rows.extend((alpha, field, gamma, rate)
+                    for gamma, (field, rate) in zip(gammas, calibrated))
+        cases.append({"alpha": alpha, "calibration_field": calibration_field})
     return columns, rows, {"cases": cases}
 
 

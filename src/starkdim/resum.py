@@ -223,11 +223,11 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
             f" (alpha={format_alpha(series.alpha)}, l={l}): h3 = {h3:.6g} < 0")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
+    # h1 comes first in (real, imag) order: the principal root is real and
+    # nonnegative, or has real part 0.0 and a positive imaginary part
     root = cmath.sqrt(complex(s_sum * s_sum - 4.0 * prod))
     h1 = 0.5 * (s_sum - root)
     h2 = 0.5 * (s_sum + root)
-    if (h1.real, h1.imag) > (h2.real, h2.imag):
-        h1, h2 = h2, h1
     h4 = t[0] / _gamma_of_l(l, format_alpha(series.alpha))
     model = HypModel(
         h1=h1,

@@ -192,10 +192,6 @@ def taylor_terms(h1, h2, l, z, count, first) -> list:
 # Gauss hypergeometric
 
 
-class _Inapplicable(Exception):
-    """Internal: the attempted connection formula is degenerate here."""
-
-
 def _near_integer(z: complex, tol: float) -> bool:
     return abs(z - round(z.real)) <= tol
 
@@ -356,7 +352,7 @@ class _Taylor:
         first, last = 1 + derivative, MAX_TERMS + derivative
         for n, sn in enumerate(islice(s, first, last), first):
             pow_u *= u
-            term = sn * pow_u * (n if derivative else 1)
+            term = sn * pow_u * n if derivative else sn * pow_u
             total += term
             if abs(term) <= SERIES_RTOL * abs(total):
                 small += 1
@@ -371,7 +367,7 @@ class _Taylor:
                   / (p * (m + 1) * (m + 2)))
             s.append(sn)
             pow_u *= u
-            term = sn * pow_u * (n if derivative else 1)
+            term = sn * pow_u * n if derivative else sn * pow_u
             total += term
             if abs(term) <= SERIES_RTOL * abs(total):
                 small += 1
@@ -483,10 +479,9 @@ class Hyp2F1:
     holds (k1, k2, series, series), the 1-w connection's two Gamma
     prefixes and its two series; ``_inf_route`` holds the same for the 1/w
     connection and then the conjugate-pair test and the powers -a, -b (it
-    is None where b - a is near an integer, which ``_inf_applies`` tells
-    without a Gamma); and ``_reflection`` holds (a - c, mu, Gamma(c),
-    1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None where the
-    discontinuity formula does not apply.
+    is None where b - a is near an integer); and ``_reflection`` holds
+    (a - c, mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), anchored
+    series), or None where the discontinuity formula does not apply.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -538,19 +533,13 @@ class Hyp2F1:
         return value
 
     @cached_property
-    def _inf_applies(self) -> bool:
-        """False when b - a is near an integer, where the 1/w connection
-        is degenerate."""
-        return not _near_integer(self.b - self.a, _NEAR_INT_AB)
-
-    @cached_property
     def _inf_route(self):
         """The 1/w connection's two Gamma prefixes, its two series, whether
         b = conj(a) with real c, and the powers -a, -b of -w: (k1, k2,
         series_a, series_b, conjugate, -a, -b); None where it does not
-        apply."""
+        apply: b - a near an integer, where it is degenerate."""
         a, b, c = self.a, self.b, self.c
-        if not self._inf_applies:
+        if _near_integer(b - a, _NEAR_INT_AB):
             return None
         return (
             self._gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
@@ -636,10 +625,11 @@ class Hyp2F1:
     def _pfaff(self, w) -> complex:
         return (1.0 - w) ** (-self.a) * self._pfaff_series(w / (w - 1.0))
 
-    def _inf(self, w) -> complex:
+    def _inf(self, w):
+        """The 1/w connection at w; None where it does not apply."""
         route = self._inf_route
         if route is None:
-            raise _Inapplicable
+            return None
         k1, k2, series_a, series_b, conjugate, power_a, power_b = route
         iw = 1.0 / w
         f_a = series_a(iw)
@@ -651,26 +641,27 @@ class Hyp2F1:
         minus_w = -w
         return k1 * minus_w ** power_a * f_a + k2 * minus_w ** power_b * f_b
 
-    def _unit(self, w) -> complex:
+    def _unit(self, w):
         mu = self._mu
         xi = 1.0 - w
         m = self._log_m
         if m is not None:
             if m < 0:
                 # Euler transformation flips the sign of the integer difference
-                return xi ** mu * self._euler._unit(w)
+                value = self._euler._unit(w)
+                return None if value is None else xi ** mu * value
             return self._log(w)
         k1, k2, series_1, series_2 = self._unit_route
         return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
 
-    def _log(self, w) -> complex:
+    def _log(self, w):
         """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
 
         Finite analytic head of m terms, empty at m = 0, plus a logarithmic
-        tail starting at (w-1)^m.
+        tail starting at (w-1)^m; None where a digamma of it overflows.
         """
         if self._log_consts is None:
-            raise _Inapplicable
+            return None
         a, b, m = self.a, self.b, self._log_m
         head_consts, tail_pref, tail = self._log_consts
         v = w - 1.0
@@ -711,18 +702,19 @@ class Hyp2F1:
 
     def _first_region(self, w, candidates) -> complex:
         """2F1 at w from the first of ``candidates``, (mapped modulus,
-        region) pairs in order, that is within _RHO_MAX and applies; else
-        from :meth:`_stepped`, which also stands in for a region whose
-        series raises (see :meth:`_rescue`)."""
+        region) pairs in order, that is within _RHO_MAX and applies (a
+        region that does not returns None); else from :meth:`_stepped`,
+        which also stands in for a region whose series raises (see
+        :meth:`_rescue`)."""
         for rho, region in candidates:
             if rho > _RHO_MAX:
                 break
             try:
-                return getattr(self, self._REGIONS[region][0])(w)
-            except _Inapplicable:
-                continue
+                value = getattr(self, self._REGIONS[region][0])(w)
             except NumericalError as exc:
                 return self._rescue(w, exc, region)
+            if value is not None:
+                return value
         return self._stepped(w)
 
     def _rescue(self, w, exc, region) -> complex:
@@ -784,10 +776,11 @@ class Hyp2F1:
         _CUT_IMAG.  Its Re F is the generic value at the nudge, where |w|
         and |w/(w-1)| exceed 1 > _RHO_MAX: only the 1-w and 1/w regions are
         ordered, a tie going to 1-w, which is the region that sorting all
-        four picks (see :class:`Hyp2F1`); where 1/w comes first and
-        applies it is called directly.  Without ``need_real`` the generic
-        value is not formed where :meth:`_cut_imag_part` gives Im F, and the
-        value returned has Re F = 0 there."""
+        four picks (see :class:`Hyp2F1`); where 1/w comes first it is called
+        directly, and the ordered pair takes over if it does not apply
+        (returns None).  Without ``need_real`` the generic value is not
+        formed where :meth:`_cut_imag_part` gives Im F, and the value
+        returned has Re F = 0 there."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
@@ -802,13 +795,14 @@ class Hyp2F1:
         if x > 1.0:
             w = complex(x, cut_side * _CUT_IMAG)
             unit, inf = abs(1.0 - w), abs(1.0 / w)
-            if inf < unit and inf <= _RHO_MAX and self._inf_applies:
+            value = None
+            if inf < unit and inf <= _RHO_MAX:
                 # past the tie, x > 1.618: the 1/w region, called directly
                 try:
                     value = self._inf(w)
                 except NumericalError as exc:
                     value = self._rescue(w, exc, 3)
-            else:
+            if value is None:
                 value = self._first_region(w, ((unit, 2), (inf, 3))
                                            if unit <= inf else
                                            ((inf, 3), (unit, 2)))

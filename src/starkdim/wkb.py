@@ -19,8 +19,9 @@ positive inside the forbidden region, so the transmittance reads
 T = exp(-2 * integral of sqrt(U) between the turning points).
 """
 
-# annotations stay unevaluated strings (PEP 563), so the Sequence they
-# name is not imported and collections.abc is not loaded for it
+# annotations stay unevaluated strings (PEP 563), so the Sequence and
+# Iterable they name are not imported and collections.abc is not loaded
+# for them
 from __future__ import annotations
 
 import functools
@@ -293,30 +294,30 @@ def keldysh_exponent(p: float) -> float:
     return 2.0 * (2.0 * ip) ** 1.5 / 3.0
 
 
-def pick_calibration_reference(reference: Sequence) -> object:
-    """Lowest-field reference point strong enough to calibrate against."""
-    usable = [pt for pt in reference if pt.gamma > CALIBRATION_FLOOR]
-    if not usable:
-        raise NoReference(
-            f"no reference point with gamma above {CALIBRATION_FLOOR}")
-    return min(usable, key=lambda pt: pt.field)
-
-
 def landau_calibrated_rate(p: float, fields: Sequence[float],
-                           reference: Sequence) -> list:
-    """Closed-form rate curve scaled by one constant fixed at the lowest
-    usable reference point; returns (field, rate) pairs.
+                           gammas: Iterable[float]) -> tuple:
+    """Closed-form rate curve scaled by one constant; returns
+    (calibration_field, [(field, rate), ...]).
 
-    A rate that underflows is 0.0.  ``NumericalError``, naming p and the
-    field, is raised where the closed form underflows to 0.0 at the
-    reference field (below about 3.7e-309 at p = 1), so that no finite
+    ``gammas`` holds the reference rate Gamma at each of ``fields``, as
+    floats; an iterator is read no further than the calibration field, the
+    first field, in the order given, whose Gamma exceeds CALIBRATION_FLOOR
+    (the lowest one on an ascending grid).  Without one, ``NoReference`` is
+    raised.  A rate that underflows is 0.0.  ``NumericalError``, naming p
+    and the field, is raised where the closed form underflows to 0.0 at the
+    calibration field (below about 3.7e-309 at p = 1), so that no finite
     constant scales it, and where a calibrated rate overflows a float."""
     p = _check_p(p)
-    ref = pick_calibration_reference(reference)
-    log_c = math.log(ref.gamma) - landau_log_transmittance(p, ref.field)
+    for ref_field, ref_gamma in zip(fields, gammas):
+        if ref_gamma > CALIBRATION_FLOOR:
+            break
+    else:
+        raise NoReference(
+            f"no reference point with gamma above {CALIBRATION_FLOOR}")
+    log_c = math.log(ref_gamma) - landau_log_transmittance(p, ref_field)
     if not math.isfinite(log_c):
         raise NumericalError("no finite calibration constant at the reference"
-                             f" (p={p}, field={ref.field})")
+                             f" (p={p}, field={ref_field})")
     out = []
     for field in fields:
         log_rate = log_c + landau_log_transmittance(p, field)
@@ -325,4 +326,4 @@ def landau_calibrated_rate(p: float, fields: Sequence[float],
         except OverflowError:
             raise NumericalError("calibrated rate overflows a float"
                                  f" (p={p}, field={field})") from None
-    return out
+    return float(ref_field), out

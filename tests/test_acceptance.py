@@ -191,8 +191,8 @@ def test_criterion_09_semiclassical_asymptotics():
     for alpha, lo, hi in LANDAU_COMPARISON_RANGES:
         p = (alpha - 1.0) / 2.0
         points = sweep(_model(alpha), np.geomspace(lo, hi, 101))
-        curve = landau_calibrated_rate(p, [pt.field for pt in points],
-                                       points)
+        _, curve = landau_calibrated_rate(p, [pt.field for pt in points],
+                                          [pt.gamma for pt in points])
         ratio = [rate / pt.gamma for pt, (_, rate) in zip(points, curve)]
         low_half_ok = all(1.0 / 3.0 <= r <= 3.0 for r in ratio[:51])
         overestimates = ratio[-1] > 1.0

@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import starkdim.resum
 from starkdim import (CALIBRATION_FLOOR, LANDAU_COMPARISON_RANGES,
-                      energy_series, pick_calibration_reference, specfun,
-                      standard_model, sweep, symbolic_energy_series,
-                      validate, wkb, __version__)
+                      energy_series, specfun, standard_model, sweep,
+                      symbolic_energy_series, validate, wkb, __version__)
 from starkdim.cli import (_linear_grid, _log_grid, _render_csv, _render_json,
                           build_parser, run)
 from starkdim.coeffs import format_alpha
@@ -398,18 +398,40 @@ def test_wkb_reads_no_rate_past_its_calibration_point(capsys):
     ("3", "0.004:0.3:75"), ("5/2", "0.05:1.2:12"), ("3/2", "1:30:7"),
 ])
 def test_wkb_calibration_point_is_the_sweeps(capsys, alpha, fields):
-    """The grid walk stops where pick_calibration_reference, over the
-    whole sweep, would pick: the lowest field with Gamma above the floor
-    (on the first grid the lowest fields fall below it)."""
+    """The calibration point is the lowest field of the whole sweep with
+    Gamma above the floor (on the first grid the lowest fields fall below
+    it)."""
     code, out, _ = invoke(capsys, "wkb", "--alpha", alpha, "--fields", fields,
                           "--format", "json")
     assert code == 0
     start, stop, count = fields.split(":")
     grid = _linear_grid(float(start), float(stop), int(count))
     points = sweep(standard_model(Fraction(alpha)), grid)
-    picked = pick_calibration_reference(points).field
+    picked = min(pt.field for pt in points if pt.gamma > CALIBRATION_FLOOR)
     assert json.loads(out)["meta"]["calibration_field"] == picked
     assert (alpha != "3") or points[0].gamma <= CALIBRATION_FLOOR < picked
+
+
+def test_wkb_evaluates_rates_up_to_its_calibration_point(capsys,
+                                                         monkeypatch):
+    """wkb takes one rate per grid field, in order, and stops at the
+    calibration field: a grid whose first fields fall below the floor
+    evaluates exactly index + 1 rates."""
+    calls = []
+    rate = starkdim.resum.lower_side_rate
+
+    def counted(model, field):
+        calls.append(field)
+        return rate(model, field)
+
+    monkeypatch.setattr(starkdim.resum, "lower_side_rate", counted)
+    code, out, _ = invoke(capsys, "wkb", "--alpha", "3",
+                          "--fields", "0.004:0.3:75", "--format", "json")
+    assert code == 0
+    grid = _linear_grid(0.004, 0.3, 75)
+    index = grid.index(json.loads(out)["meta"]["calibration_field"])
+    assert index > 0
+    assert calls == grid[:index + 1]
 
 
 def test_dispersion_csv(capsys):
@@ -852,7 +874,7 @@ EXPORTS = {
     "wkb": "CALIBRATION_FLOOR LANDAU_COMPARISON_RANGES BarrierModel "
            "barrier_model barrier_potential keldysh_exponent "
            "landau_calibrated_rate landau_closed_form "
-           "landau_log_transmittance pick_calibration_reference "
+           "landau_log_transmittance "
            "turning_points wkb_exponent wkb_transmittance "
            "zero_field_inner_turning_point",
 }

@@ -95,6 +95,11 @@ def test_fit_canonical_root_order(models):
     for model in models.values():
         assert (model.h1.real, model.h1.imag) <= (model.h2.real, model.h2.imag)
         assert model.h2 == model.h1.conjugate()
+    # real pairs: h1 = (S - sqrt(d))/2 is the smaller root
+    for alpha in (5.2, 9.7, 18.2):
+        model = fit_model(energy_series(alpha, 4), l=30.0)
+        assert model.h1.imag == model.h2.imag == 0.0
+        assert model.h1.real < model.h2.real
 
 
 def test_fit_validation():

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from starkdim import wkb
 from starkdim import (
+    CALIBRATION_FLOOR,
     LANDAU_COMPARISON_RANGES,
     BarrierModel,
-    ResonancePoint,
     barrier_model,
     barrier_potential,
     keldysh_exponent,
     landau_calibrated_rate,
     landau_closed_form,
     landau_log_transmittance,
-    pick_calibration_reference,
     turning_points,
     wkb_exponent,
     wkb_transmittance,
@@ -320,29 +319,45 @@ def test_barrier_below_tiny_field_limit_raises(p, field):
         assert f"turning points at p={p}, field={field}:" in str(info.value)
 
 
-def fake_reference(fields, gammas):
-    return [ResonancePoint(field=f, energy=complex(-0.5, -0.5 * g))
-            for f, g in zip(fields, gammas)]
-
-
-def test_calibration_reference_selection():
-    ref = fake_reference((0.4, 0.1, 0.2, 0.3),
-                         (1e-5, 1e-40, 0.0, 1e-8))
-    picked = pick_calibration_reference(ref)
-    assert picked.field == 0.3
-    assert picked.gamma == pytest.approx(1e-8)
+def test_calibration_point_is_first_usable_in_order():
+    """The constant is fixed at the first field, in the order given, whose
+    Gamma exceeds the floor: on an ascending grid the lowest such field,
+    and no later field with a larger Gamma is preferred."""
+    field, curve = landau_calibrated_rate(
+        1.0, (0.1, 0.2, 0.3, 0.4), (1e-40, 0.0, 1e-8, 1e-5))
+    assert field == 0.3
+    assert dict(curve)[0.3] == pytest.approx(1e-8, rel=1e-12)
+    field, _ = landau_calibrated_rate(
+        1.0, (0.4, 0.1, 0.2, 0.3), (1e-5, 1e-40, 0.0, 1e-8))
+    assert field == 0.4
 
 
 def test_calibration_requires_signal():
-    ref = fake_reference((0.1, 0.2), (1e-40, 0.0))
+    # the floor itself, zero and NaN are not usable
     with pytest.raises(NoReference):
-        pick_calibration_reference(ref)
+        landau_calibrated_rate(1.0, (0.1, 0.2, 0.3, 0.4),
+                               (1e-40, 0.0, CALIBRATION_FLOOR, math.nan))
+    with pytest.raises(NoReference):
+        landau_calibrated_rate(1.0, (), ())
+
+
+def test_calibration_reads_gammas_up_to_its_field():
+    """An iterator of Gamma values is read no further than the first
+    usable one, so a caller evaluates no rate past the calibration field."""
+    def gammas():
+        yield from (0.0, 1e-35, 1e-9)
+        raise AssertionError("Gamma read past the calibration field")
+
+    fields = (0.05, 0.06, 0.08, 0.12)
+    field, curve = landau_calibrated_rate(1.0, fields, gammas())
+    assert field == 0.08
+    assert [f for f, _ in curve] == list(fields)
 
 
 def test_calibrated_rate_exact_at_anchor():
     fields = (0.05, 0.08, 0.12)
-    ref = fake_reference(fields, (1e-20, 1e-9, 1e-4))
-    curve = landau_calibrated_rate(1.0, fields, ref)
+    field, curve = landau_calibrated_rate(1.0, fields, (1e-20, 1e-9, 1e-4))
+    assert field == 0.05
     assert [f for f, _ in curve] == list(fields)
     # the anchor is the lowest usable point and reproduces its own rate
     assert curve[0][1] == pytest.approx(1e-20, rel=1e-12)
@@ -353,15 +368,13 @@ def test_calibrated_rate_exact_at_anchor():
 def test_calibrated_rate_overflow_is_numerical_error():
     """Calibrated at field 1e-4, the closed form scales by e^6667: the rate
     at 0.5 overflows, and the error names p and that field."""
-    ref = fake_reference((1e-4,), (1.0,))
     with pytest.raises(NumericalError, match=r"\(p=1.0, field=0.5\)"):
-        landau_calibrated_rate(1.0, (1e-4, 0.5), ref)
+        landau_calibrated_rate(1.0, (1e-4, 0.5), (1.0,))
 
 
 def test_calibration_reference_underflow_is_numerical_error():
     """At a reference field of 1e-310 the closed form underflows to 0.0, so
     no finite constant scales it: an error naming p and the reference
     field, where [(1e-310, nan), (0.5, inf)] came back before."""
-    ref = fake_reference((1e-310,), (1.0,))
     with pytest.raises(NumericalError, match=r"\(p=1.0, field=1e-310\)"):
-        landau_calibrated_rate(1.0, (1e-310, 0.5), ref)
+        landau_calibrated_rate(1.0, (1e-310, 0.5), (1.0,))
