@@ -7,19 +7,38 @@ consistency of the resummation.  The physical rate Gamma = |G| cannot stand
 in for G: where a complex pair (h1, h2) turns Im E negative at high field,
 the fold adds a reflected stretch that the identity does not contain, and a
 kink.  In u = ln F the integrand G(e^u) e^(-2nu) is smooth and decays at
-both ends, so the trapezoid rule converges geometrically in the step
-(Trefethen and Weideman, SIAM Rev. 56, 2014).  All moments share one window
-and one grid, each halving of the step adds only the midpoints, and each
-moment is one ``math.fsum`` over its integrand values, kept per node.
+both ends, but above its peak u0 only as a power of F: as e^(-3u) times the
+rate's growth at n = 2.  It is therefore integrated in a stretched variable
+s, with u = u0 + (s + e^s - 1)/2 and du/ds = (1 + e^s)/2.  Below u0 the map
+tends to slope 1/2, so the steep e^(-b/F) side keeps a fine step in u.
+Above u0 the step in u grows exponentially, so the tail decays
+double-exponentially in s and the trapezoid rule converges geometrically in
+the step there too (Trefethen and Weideman, SIAM Rev. 56, 2014).  All
+moments share one window and one grid, each halving of the step adds only
+the midpoints, and each moment is one ``math.fsum`` over its weighted
+integrand values, kept per node.
+
+The scans run from s = 0 at step 0.5.  The lower one stops once every
+moment's integrand is below 1e-25 of its peak.  The upper one stops once a
+linear-growth bound on the rate, integrated in u, puts every moment's tail
+below 1e-10 of its sum.  ``IntegrationFailure`` is raised where the rate
+is not positive at u0, where either scan runs out of steps, where e^u would
+leave the float range before the tail is bounded, and where the sums do not
+settle.
 
 The error falls as exp(-c/h) in the step h, so halving the step squares it.
 A relative change d between two levels is then about the coarser level's
 error, and the finer level's is about d^2 (Bailey's estimate, as in mpmath's
 ``QuadratureRule.estimate_error``).  The halving stops at the first level
-where every moment has d^2 <= 1e-10.  At l = 30, for alpha from 1.01 to 20,
-that is the first halving: the scan's 0.25 grid plus its midpoints, 89-101
-rate evaluations per report.  At larger l the first change can be too large
-and a second halving follows (177 evaluations at alpha = 20, l = 60).
+where every moment has d^2 <= 1e-10.  At l = 30 that is the first halving:
+37 rate evaluations per report for alpha from 1.01 to 3, 39-43 for alpha
+from 5 to 20.  A second halving follows where the first change is too
+large (81 evaluations at alpha = 20, l = 60).  Against a trapezoid in u at
+step 1/64 over [u0 - 12, u0 + 40], the moments agree within 1.8e-12 at
+l <= 30 and 1.0e-11 at l = 90.  The upper cutoff, e^u at the last scan
+node, lies far out in the tail: 1.39e4 at alpha = 3, where a 0.25 grid in
+u stops at 402, and the tail such a grid cuts off moves the moments by up
+to 6.8e-11 (alpha = 11/10, l = 30).
 
 Each node evaluates G alone (``resum.lower_side_rate``), never Re E: up to
 x = 1 + h3 (F/4)^2 = 11 it sums only the DLMF 15.2.3 reflected series for
@@ -47,7 +66,10 @@ _LOWER_FLOOR = 1e-25
 # it: the error squares as the step halves, so the finer sum is then good
 # to about d^2
 _TAIL_REL = 1e-10
-_SCAN_STEP = 0.25
+# scan step in s, where u = ln F = u0 + (s + e^s - 1)/2
+_SCAN_STEP = 0.5
+# the upper scan raises before e^u would leave the float range
+_MAX_LOG_FIELD = math.log(sys.float_info.max)
 _MAX_SCAN = 4000
 _MAX_HALVINGS = 6
 
@@ -81,38 +103,43 @@ def _dispersion_moments(model: HypModel, ns):
     """Moment integrals for every n in ``ns``; returns (list of values, upper
     cutoff in field units, number of rate evaluations)."""
     two_n = [2.0 * n for n in ns]
-    # us holds the nodes; columns[i] the integrand of moment ns[i] there
-    us, columns = [], [[] for _ in ns]
+    # ss holds the nodes in s; columns[i] the integrand of moment ns[i] there
+    ss, columns = [], [[] for _ in ns]
     appends = [(t, column.append) for t, column in zip(two_n, columns)]
-    exp, record = math.exp, us.append
+    exp, record = math.exp, ss.append
+    # start at b/3, b = 2/(3 p^3): the peak of the n = 2 integrand in u,
+    # which goes as F^-3 exp(-b/F) at low field
+    u0 = math.log(2.0 / (9.0 * ((model.alpha - 1.0) / 2.0) ** 3))
 
-    def sample(u):
-        """Record the node u and every moment's integrand G(e^u) e^(-2nu);
-        return G(e^u)."""
-        record(u)
+    def at(s):
+        return u0 + 0.5 * (s + exp(s) - 1.0)
+
+    def sample(s):
+        """Record the node s and every moment's integrand G(e^u) e^(-2nu)
+        du/ds at u = at(s); return G(e^u)."""
+        record(s)
+        u = at(s)
         rate = lower_side_rate(model, exp(u))
+        weighted = 0.5 * (1.0 + exp(s)) * rate
         for t, append in appends:
             try:
-                append(exp(-t * u) * rate)
+                append(exp(-t * u) * weighted)
             except OverflowError:
                 # far down the lower scan e^(-tu) leaves the float range
                 # before the vanishing rate scales it: add the logs instead
-                append(math.copysign(exp(math.log(abs(rate)) - t * u), rate)
-                       if rate else 0.0)
+                append(math.copysign(exp(math.log(abs(weighted)) - t * u),
+                                     rate) if rate else 0.0)
         return rate
 
     def moments(step):
         return [step * math.fsum(column) for column in columns]
 
-    # start at b/3, b = 2/(3 p^3): the peak of the n = 2 integrand in u,
-    # which goes as F^-3 exp(-b/F) at low field
-    u0 = math.log(2.0 / (9.0 * ((model.alpha - 1.0) / 2.0) ** 3))
-    if sample(u0) <= 0.0:
+    if sample(0.0) <= 0.0:
         raise IntegrationFailure(
             f"rate vanishes at its expected peak (alpha={model.alpha})")
     peak = [abs(column[-1]) for column in columns]
     for down in range(1, _MAX_SCAN + 1):
-        sample(u0 - down * _SCAN_STEP)
+        sample(-down * _SCAN_STEP)
         low = True
         for i, column in enumerate(columns):
             g = abs(column[-1])
@@ -126,9 +153,12 @@ def _dispersion_moments(model: HypModel, ns):
     # a conservative linear-growth bound on the rate bounds the tail
     slope = 0.0
     for up in range(1, _MAX_SCAN + 1):
-        u = u0 + up * _SCAN_STEP
+        s = up * _SCAN_STEP
+        u = at(s)
+        if u > _MAX_LOG_FIELD:  # e^u would leave the float range
+            raise IntegrationFailure(f"no upper cutoff (alpha={model.alpha})")
         try:
-            rate = sample(u)
+            rate = sample(s)
         except NumericalError as exc:  # a tiny moment walks u far up
             raise type(exc)(f"upper-cutoff scan of moment n="
                             f"{', '.join(map(str, ns))}: {exc}") from exc
@@ -149,15 +179,15 @@ def _dispersion_moments(model: HypModel, ns):
     step, count, total = _SCAN_STEP, down + up, moments(_SCAN_STEP)
     for _ in range(_MAX_HALVINGS):
         step *= 0.5
-        lowest = us[down]
+        lowest = ss[down]
         for k in range(1, 2 * count, 2):
             sample(lowest + step * k)
         count *= 2
         refined = moments(step)
         if all(abs(r - t) <= math.sqrt(_TAIL_REL) * abs(r)
                for r, t in zip(refined, total)):
-            return ([-r / math.pi for r in refined], math.exp(us[down + up]),
-                    len(us))
+            return ([-r / math.pi for r in refined],
+                    math.exp(at(ss[down + up])), len(ss))
         total = refined
     raise IntegrationFailure(
         f"trapezoid sums not settled after {_MAX_HALVINGS} halvings"

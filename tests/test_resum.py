@@ -559,9 +559,11 @@ def test_route_bits_pinned(route):
 VALUE_SET_ALPHAS = (1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 5.2, 7.0, 20.0)
 VALUE_SET_LS = (12.3, 30.0, 60.0)
 VALUE_SET_FIELDS = 60
-# sha256 of value_set() before continuations were kept across models
+# sha256 of value_set() before continuations were kept across models,
+# re-pinned when the dispersion moments moved to the stretched grid in ln F:
+# only the 8 "report" keys changed, every rate and energy kept its bits
 VALUE_SET_DIGEST = (
-    "02fd4c98c844e0c5f17f45fd706043df2559f2ae79e36985f50debb4e422a98a")
+    "ea7031007ea02644571d33cff0a133432ef3b85decdc50a584af86294ee0a1eb")
 
 
 def value_set():
