@@ -19,7 +19,9 @@ checks) after the first evaluation that needs it, and with each series it
 sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
 tail's coefficients and digamma sums), grown to the longest sum so far.
 Each route on the cut keeps its constants and series in one entry: the
-1-w connection, the 1/w connection, and the DLMF 15.2.3 reflected series.
+1-w connection (for every c - a - b: the plain pair, the logarithmic
+connection, or that of the Euler transform), the 1/w connection, and the
+DLMF 15.2.3 reflected series.
 For a conjugate pair b = conj(a) with real c, the 1/w connection on the
 real axis sums one of its two series and conjugates it for the other.  The
 floating-point operations on the argument are the same either way, so no
@@ -475,13 +477,18 @@ class Hyp2F1:
     series; see :class:`_Series` and :class:`_LogTail`) and the reflected
     series' anchors with their Taylor coefficients (:class:`_AnchoredSeries`),
     as lists that grow to the longest sum so far and go with the instance.
-    Each of the three routes on the cut is one kept entry: ``_unit_route``
-    holds (k1, k2, series, series), the 1-w connection's two Gamma
-    prefixes and its two series; ``_inf_route`` holds the same for the 1/w
-    connection and then the conjugate-pair test and the powers -a, -b (it
-    is None where b - a is near an integer); and ``_reflection`` holds
-    (a - c, mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), anchored
-    series), or None where the discontinuity formula does not apply.
+    Each of the three routes on the cut is one kept entry, ten cached
+    names in all.  ``_unit_route`` holds the 1-w connection for every
+    c - a - b: (k1, k2, series, series), its two Gamma prefixes and two
+    series, away from an integer; at an integer, the logarithmic
+    connection's parameters, head and tail, of the function itself or,
+    for a negative integer, of its Euler transform, which :meth:`_unit`
+    multiplies by (1-w)^(c-a-b).  ``_inf_route`` holds the 1/w connection's
+    two prefixes and series, then the conjugate-pair test and the powers
+    -a, -b (it is None where b - a is near an integer); and
+    ``_reflection`` holds (a - c, mu, Gamma(c), 1/Gamma(mu+1),
+    Gamma(a) Gamma(b), anchored series), or None where the discontinuity
+    formula does not apply.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -559,22 +566,25 @@ class Hyp2F1:
 
     @cached_property
     def _unit_route(self):
-        """The 1-w connection's two Gamma prefixes and two series,
-        (k1, k2, series_1, series_2), for c - a - b away from an integer."""
-        a, b, c, mu = self.a, self.b, self.c, self._mu
-        return (
-            self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
-            self._gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
-            _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu),
-        )
-
-    @cached_property
-    def _log_consts(self):
-        """Parameter-only parts of the logarithmic connection, m >= 0:
-        (head Gamma prefix, Gamma(m)) or None at m = 0, the tail's Gamma
-        prefix and the tail itself (a :class:`_LogTail`).  None when a + m
-        or b + m is so close to 0 that its digamma overflows."""
-        a, b, m = self.a, self.b, self._log_m
+        """The 1-w connection's one kept entry.  Away from an integer
+        c - a - b, its two Gamma prefixes and two series, (k1, k2, series_1,
+        series_2).  At an integer m = _log_m, the logarithmic connection
+        (DLMF 15.8.10) as (a', b', m', head, tail prefix, tail): for m >= 0
+        of this function, for m < 0 of its Euler transform
+        2F1(c-a, c-b; c; .), whose integer difference is m' = -m, with the
+        upper parameters in that order; head is (Gamma prefix, Gamma(m'))
+        of the finite analytic head, None at m' = 0, and tail a
+        :class:`_LogTail`.  None where a digamma of the tail overflows,
+        with a' + m' or b' + m' next to 0."""
+        a, b, c, mu, m = self.a, self.b, self.c, self._mu, self._log_m
+        if m is None:
+            return (
+                self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
+                self._gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
+                _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu),
+            )
+        if m < 0:
+            a, b, m = c - a, c - b, -m
         psi_a, psi_b = digamma(a + m), digamma(b + m)
         if not (cmath.isfinite(psi_a) and cmath.isfinite(psi_b)):
             return None
@@ -583,16 +593,8 @@ class Hyp2F1:
         if m:
             head = (gamma_c * _rgamma(a + m) * _rgamma(b + m),
                     complex_gamma(float(m)))
-        return (head, -gamma_c * _rgamma(a) * _rgamma(b),
+        return (a, b, m, head, -gamma_c * _rgamma(a) * _rgamma(b),
                 _LogTail(a, b, m, psi_a, psi_b))
-
-    @cached_property
-    def _euler(self):
-        """2F1(c-a, c-b; c; .), whose 1-w connection serves a negative
-        integer c - a - b; its upper parameters stay in this order."""
-        euler = object.__new__(Hyp2F1)
-        euler.a, euler.b, euler.c = self.c - self.a, self.c - self.b, self.c
-        return euler
 
     @cached_property
     def _reflection(self):
@@ -642,28 +644,19 @@ class Hyp2F1:
         return k1 * minus_w ** power_a * f_a + k2 * minus_w ** power_b * f_b
 
     def _unit(self, w):
-        mu = self._mu
-        xi = 1.0 - w
-        m = self._log_m
-        if m is not None:
-            if m < 0:
-                # Euler transformation flips the sign of the integer difference
-                value = self._euler._unit(w)
-                return None if value is None else xi ** mu * value
-            return self._log(w)
-        k1, k2, series_1, series_2 = self._unit_route
-        return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
-
-    def _log(self, w):
-        """Connection at w -> 1 for integer c - a - b = m >= 0 (DLMF 15.8.10).
-
-        Finite analytic head of m terms, empty at m = 0, plus a logarithmic
-        tail starting at (w-1)^m; None where a digamma of it overflows.
-        """
-        if self._log_consts is None:
+        """The 1-w connection at w from :attr:`_unit_route`; None where it
+        does not apply.  The logarithmic connection's finite head of m'
+        terms, empty at m' = 0, plus its tail starting at (w-1)^m'; for a
+        negative integer c - a - b that is the Euler transform's value,
+        times (1-w)^(c-a-b)."""
+        route = self._unit_route
+        if route is None:
             return None
-        a, b, m = self.a, self.b, self._log_m
-        head_consts, tail_pref, tail = self._log_consts
+        xi = 1.0 - w
+        if self._log_m is None:
+            k1, k2, series_1, series_2 = route
+            return k1 * series_1(xi) + k2 * xi ** self._mu * series_2(xi)
+        a, b, m, head_consts, tail_pref, tail = route
         v = w - 1.0
         head = complex(0.0)
         if m:
@@ -672,7 +665,8 @@ class Hyp2F1:
             for term in taylor_terms(a, b, float(m), v, m, gamma_m):
                 head += term
             head *= head_pref
-        return head + tail_pref * v ** m * tail(1.0 - w)
+        value = head + tail_pref * v ** m * tail(xi)
+        return value if self._log_m >= 0 else xi ** self._mu * value
 
     # (method, formula named in error messages), indexed by region
     _REGIONS = (("_direct_series", "defining series"),
@@ -847,9 +841,18 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     a side: ``cut_side=+1`` evaluates the limit from Im w > 0, ``-1`` from
     Im w < 0; :meth:`Hyp2F1.cut` evaluates it at v = w - 1 and picks the
     route for Im F there.  Values off the cut need no side.  Accuracy
-    degrades when c - a - b sits within about 1e-6 of a nonzero integer
-    without being within 1e-9 of it; the evaluation regions used by the
-    resummation layer never do that.  Where no region serves w (near
+    degrades in the 1-w region when c - a - b sits near a nonzero integer
+    without being within 1e-9 of it (there the logarithmic connection
+    takes over).  The resummation layer meets that band at l just off an
+    integer: Delta's worst relative error near v = 0.6 is 5.4 at
+    alpha = 20, l = 30 + 1.1e-9, 3.8e-2 at l = 30 + 1e-7 and 2.3e-6 at
+    l = 30 + 1e-3, and 2.3e-5 at alpha = 3, l = 30 + 1.1e-9; ``sweep
+    --alpha 20 --l 30.000000002`` gives Delta = -0.003749 for -0.005578
+    at F = 9e-6.  For a negative integer c - a - b with c < 0, the
+    logarithmic connection of the Euler transform loses digits: 7.2e-5
+    relative at (0.6, 0.8; -4.6), w = 1.45 + i0, and 4.5e-9 at m = -20
+    and up to 4.8e-5 at m = -30 near w = 1 + 0.45 e^(3.1i).  Where no
+    region serves w (near
     w = e^(+-i pi/3), b - a an integer with only the 1/w region in reach,
     or a series that runs out of terms), the value comes from Taylor steps
     of the hypergeometric equation, within 1.1e-13 of 40-digit mpmath at

@@ -719,21 +719,22 @@ def test_2f1_nonconjugate_real_params_on_cut():
     mp.mp.dps = 30
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 30])
+@pytest.mark.parametrize("m", [-3, -2, -1, 0, 1, 2, 30])
 @pytest.mark.parametrize("upper", [(0.6, 0.8), (0.58 + 0.18j, 0.58 - 0.18j)])
 def test_log_connection_against_mpmath(monkeypatch, m, upper):
-    """Integer c - a - b = m >= 0 near w = 1 matches 40-digit mpmath,
-    off the cut and on both of its sides."""
+    """Integer c - a - b = m near w = 1 matches 40-digit mpmath, off the
+    cut and on both of its sides; a negative m through the log connection
+    of the Euler transform."""
     a, b = upper
     c = (a + b + m).real
     calls = []
-    original = Hyp2F1._log
+    original = Hyp2F1._unit
 
     def spy(self, w):
         calls.append(self._log_m)
         return original(self, w)
 
-    monkeypatch.setattr(Hyp2F1, "_log", spy)
+    monkeypatch.setattr(Hyp2F1, "_unit", spy)
     points = [(1.0 + r * cmath.exp(1j * th), None)
               for r in (0.1, 0.3, 0.45) for th in (0.7, 2.0, 3.1, -1.2)]
     points += [(x, side) for x in (1.05, 1.25, 1.45) for side in (1, -1)]
@@ -749,6 +750,29 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
             ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), c, z))
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="the log connection of the Euler"
+                   " transform loses digits for c < 0: 7.2e-5 relative at"
+                   " (0.6, 0.8; -4.6), x = 1.45 on the upper side (Im F 49%"
+                   " off), 1.7e-5 at (0.6, 0.8; -28.6) and 4.8e-5 at"
+                   " (0.58 +- 0.18i; -28.84), w = 1 + 0.45 e^(3.1i); 4.5e-9 at"
+                   " m = -20, and within 3.9e-15 at m = -30 for c = 1.4")
+def test_euler_log_connection_with_negative_c():
+    """A negative integer c - a - b with c < 0 near w = 1 matches 80-digit
+    mpmath, against which Taylor steps of the equation agree to about
+    1e-10."""
+    w = 1.0 + 0.45 * cmath.exp(3.1j)
+    errors = []
+    for a, b, c, z, side in ((0.6, 0.8, -4.6, 1.45, 1),
+                             (0.6, 0.8, -28.6, w, None),
+                             (0.58 + 0.18j, 0.58 - 0.18j, -28.84, w, None)):
+        got = gauss_2f1(a, b, c, z, cut_side=side)
+        with mp.workdps(80):
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), c, mp.mpc(
+                z.real, (side or 0) * mp.mpf("1e-60") + z.imag)))
+        errors.append(abs(got - ref) / abs(ref))
+    assert max(errors) <= 1e-13, errors
 
 
 # (a, b, c, w, cut_side) that no series region serves, where each region

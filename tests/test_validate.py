@@ -62,16 +62,16 @@ def test_high_moments_against_model_coefficients(models, alpha, n, rel):
     assert value == pytest.approx(exact, rel=rel)
 
 
-@pytest.mark.xfail(strict=True, reason="the lower scan stops where"
-                   " lower_side_rate goes subnormal and then 0.0 while the"
-                   " integrand, decaying only as F^(2(l+1-n)), still counts"
-                   " (ROADMAP item 9): off by 1.29e-7 (l = 12.3, n = 13),"
-                   " 6.2e-8 (l = 60, n = 59), 3.3e-4 (l = 60, n = 60) and"
-                   " 1.34e-9 (l = 30, n = 30).  n = 29 at l = 30 meets"
-                   " subnormal rates too yet stays within 1.1e-14, so the fix"
-                   " cannot simply raise at the first subnormal rate")
-@pytest.mark.parametrize("l,n", [(12.3, 13), (60.0, 59), (60.0, 60),
-                                 (30.0, 30)])
+_CLOSED_TAIL_SHORT = pytest.mark.xfail(
+    strict=True, reason="at l = 60 the rate underflows where the next term of"
+    " G ~ F^(2l+2) still counts, so the geometric tail closed below the"
+    " lower scan's last normal rate falls short (ROADMAP item 9, step 2):"
+    " off by 1.0e-10 (n = 59) and 3.7e-7 (n = 60)")
+
+
+@pytest.mark.parametrize("l,n", [
+    (12.3, 13), pytest.param(60.0, 59, marks=_CLOSED_TAIL_SHORT),
+    pytest.param(60.0, 60, marks=_CLOSED_TAIL_SHORT), (30.0, 30)])
 def test_moments_up_to_l_against_model_coefficients(l, n):
     """Every moment 2 <= n < l + 1 within 1e-12 of the model's own Taylor
     coefficient, at alpha = 3."""
