@@ -110,11 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH",
                        help="write to PATH (atomic) instead of stdout")
 
-    def add_common(p, fields=False):
+    def add_common(p, fields=False, model=True):
         p.add_argument("--alpha", type=_alpha_arg, required=True,
                        metavar="A", help="dimension, alpha > 1 (e.g. 3, 5/2)")
-        p.add_argument("--l", type=_l_arg, default=DEFAULT_L, metavar="L",
-                       help="branch power of the continuation (default 30)")
+        if model:  # only a fitted continuation has a branch power
+            p.add_argument("--l", type=_l_arg, default=DEFAULT_L, metavar="L",
+                           help="branch power of the continuation (default 30)")
         if fields:
             p.add_argument("--fields", type=_fields_arg, required=True,
                            metavar="S:E:K",
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true",
                    help="emit the exact factor polynomials in the dimension "
                         "instead of numeric values")
-    add_common(p)
+    add_common(p, model=False)
     p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("fit", help="continuation-model parameters")
@@ -350,6 +351,7 @@ def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
     meta = {"command": ns.subcommand, "version": __version__}
     if ns.subcommand != "reproduce":
         meta["alpha"] = float(ns.alpha)
+    if hasattr(ns, "l"):
         meta["l"] = ns.l
     if ns.subcommand == "coeffs":
         meta["order"] = ns.order
@@ -415,7 +417,11 @@ def run(argv=None) -> int:
         else:
             text = _render_json(ns, columns, rows, extra)
         if ns.output:
-            _write_atomic(ns.output, text)
+            try:
+                _write_atomic(ns.output, text)
+            except OSError as exc:
+                raise InputError(f"cannot write {ns.output}: "
+                                 f"{exc.strerror or exc}") from exc
         else:
             sys.stdout.write(text)
     except (InputError, NumericalError) as exc:

@@ -18,10 +18,10 @@ keeps every parameter-only constant (Gamma products, digammas, route
 checks) after the first evaluation that needs it, and with each series it
 sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
 tail's coefficients and digamma sums), grown to the longest sum so far.
-Each route on the cut keeps its constants and series in one entry: the
-1-w connection (for every c - a - b: the plain pair, the logarithmic
-connection, or that of the Euler transform), the 1/w connection, and the
-DLMF 15.2.3 reflected series.
+Each route on the cut keeps all its constants and series in one entry of
+its own, which shares none with another: the 1-w connection (for every
+c - a - b: the plain pair, the logarithmic connection, or that of the
+Euler transform), the 1/w connection, and the DLMF 15.2.3 reflected series.
 For a conjugate pair b = conj(a) with real c, the 1/w connection on the
 real axis sums one of its two series and conjugates it for the other.  The
 floating-point operations on the argument are the same either way, so no
@@ -477,10 +477,14 @@ class Hyp2F1:
     series; see :class:`_Series` and :class:`_LogTail`) and the reflected
     series' anchors with their Taylor coefficients (:class:`_AnchoredSeries`),
     as lists that grow to the longest sum so far and go with the instance.
-    Each of the three routes on the cut is one kept entry, ten cached
-    names in all.  ``_unit_route`` holds the 1-w connection for every
-    c - a - b: (k1, k2, series, series), its two Gamma prefixes and two
-    series, away from an integer; at an integer, the logarithmic
+    Each of the three routes on the cut is one kept entry that holds all
+    it reads; with Gauss's sum and the defining and w/(w-1) series these
+    are six cached names.  No entry reads another's constants: each forms
+    the c - a - b and Gamma(c) it needs itself, by the same operations, so
+    with the same bits.  ``_unit_route`` holds the 1-w connection for every
+    c - a - b, led by the integer m it rounds to (None away from an
+    integer) and c - a - b itself: then its two Gamma prefixes and two
+    series away from an integer; at an integer, the logarithmic
     connection's parameters, head and tail, of the function itself or,
     for a negative integer, of its Euler transform, which :meth:`_unit`
     multiplies by (1-w)^(c-a-b).  ``_inf_route`` holds the 1/w connection's
@@ -488,7 +492,8 @@ class Hyp2F1:
     -a, -b (it is None where b - a is near an integer); and
     ``_reflection`` holds (a - c, mu, Gamma(c), 1/Gamma(mu+1),
     Gamma(a) Gamma(b), anchored series), or None where the discontinuity
-    formula does not apply.
+    formula does not apply.  Whether an upper parameter makes the function
+    a polynomial is decided once, when the instance is made.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -506,33 +511,21 @@ class Hyp2F1:
         if (a.real, a.imag) > (b.real, b.imag):
             a, b = b, a
         self.a, self.b, self.c = a, b, c
+        # length of the terminating series when an upper parameter is a
+        # non-positive integer (a polynomial has no cut), else None
+        self._degree = next((int(-p.real) for p in (b, a)
+                             if _nonpositive_integer(p)), None)
 
     # -- parameter-only constants ------------------------------------------
 
     @cached_property
-    def _degree(self):
-        """Length of the terminating series when an upper parameter is a
-        non-positive integer (a polynomial has no cut), else None."""
-        for p in (self.b, self.a):
-            if _nonpositive_integer(p):
-                return int(-p.real)
-        return None
-
-    @cached_property
-    def _mu(self) -> complex:
-        return self.c - self.a - self.b
-
-    @cached_property
-    def _gamma_c(self) -> complex:
-        return complex_gamma(self.c)
-
-    @cached_property
     def _at_one(self):
         """Gauss's sum 2F1(a, b; c; 1); None where it diverges."""
-        a, b, c, mu = self.a, self.b, self.c, self._mu
+        a, b, c = self.a, self.b, self.c
+        mu = c - a - b
         if mu.real <= 0:
             return None
-        value = self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b)
+        value = complex_gamma(c) * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b)
         # Im F on the cut goes as (x-1)^mu and vanishes here; a product
         # of conjugate Gammas keeps only a rounding residue
         if real_on_axis(a, b, c):
@@ -548,53 +541,51 @@ class Hyp2F1:
         a, b, c = self.a, self.b, self.c
         if _near_integer(b - a, _NEAR_INT_AB):
             return None
+        gamma_c = complex_gamma(c)
         return (
-            self._gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
-            self._gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
+            gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
+            gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
             _Series(a, a - c + 1.0, a - b + 1.0),
             _Series(b, b - c + 1.0, b - a + 1.0),
             b == a.conjugate() and c.imag == 0.0, -a, -b,
         )
 
     @cached_property
-    def _log_m(self):
-        """c - a - b rounded to the integer m when within _NEAR_INT_MU of
-        it: the 1-w connection is then logarithmic.  None otherwise."""
-        if _near_integer(self._mu, _NEAR_INT_MU):
-            return int(round(self._mu.real))
-        return None
-
-    @cached_property
     def _unit_route(self):
-        """The 1-w connection's one kept entry.  Away from an integer
-        c - a - b, its two Gamma prefixes and two series, (k1, k2, series_1,
-        series_2).  At an integer m = _log_m, the logarithmic connection
-        (DLMF 15.8.10) as (a', b', m', head, tail prefix, tail): for m >= 0
-        of this function, for m < 0 of its Euler transform
-        2F1(c-a, c-b; c; .), whose integer difference is m' = -m, with the
-        upper parameters in that order; head is (Gamma prefix, Gamma(m'))
-        of the finite analytic head, None at m' = 0, and tail a
-        :class:`_LogTail`.  None where a digamma of the tail overflows,
-        with a' + m' or b' + m' next to 0."""
-        a, b, c, mu, m = self.a, self.b, self.c, self._mu, self._log_m
-        if m is None:
+        """The 1-w connection's one kept entry, led by (m, mu): m is
+        mu = c - a - b rounded to an integer when within _NEAR_INT_MU of it,
+        else None.  Away from an integer, (None, mu, k1, k2, series_1,
+        series_2), its two Gamma prefixes and two series.  At an integer m,
+        the logarithmic connection (DLMF 15.8.10) as (m, mu, a', b', m',
+        head, tail prefix, tail): for m >= 0 of this function, for m < 0 of
+        its Euler transform 2F1(c-a, c-b; c; .), whose integer difference
+        is m' = -m, with the upper parameters in that order; head is
+        (Gamma prefix, Gamma(m')) of the finite analytic head, None at
+        m' = 0, and tail a :class:`_LogTail`.  None where a digamma of the
+        tail overflows, with a' + m' or b' + m' next to 0."""
+        a, b, c = self.a, self.b, self.c
+        mu = c - a - b
+        if not _near_integer(mu, _NEAR_INT_MU):
+            gamma_c = complex_gamma(c)
             return (
-                self._gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
-                self._gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
+                None, mu,
+                gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
+                gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
                 _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu),
             )
+        m = n = int(round(mu.real))
         if m < 0:
-            a, b, m = c - a, c - b, -m
-        psi_a, psi_b = digamma(a + m), digamma(b + m)
+            a, b, n = c - a, c - b, -m
+        psi_a, psi_b = digamma(a + n), digamma(b + n)
         if not (cmath.isfinite(psi_a) and cmath.isfinite(psi_b)):
             return None
-        gamma_c = complex_gamma(a + b + m)
+        gamma_c = complex_gamma(a + b + n)
         head = None
-        if m:
-            head = (gamma_c * _rgamma(a + m) * _rgamma(b + m),
-                    complex_gamma(float(m)))
-        return (a, b, m, head, -gamma_c * _rgamma(a) * _rgamma(b),
-                _LogTail(a, b, m, psi_a, psi_b))
+        if n:
+            head = (gamma_c * _rgamma(a + n) * _rgamma(b + n),
+                    complex_gamma(float(n)))
+        return (m, mu, a, b, n, head, -gamma_c * _rgamma(a) * _rgamma(b),
+                _LogTail(a, b, n, psi_a, psi_b))
 
     @cached_property
     def _reflection(self):
@@ -605,12 +596,12 @@ class Hyp2F1:
         a, b, c = self.a, self.b, self.c
         if not real_on_axis(a, b, c):
             return None
-        mu = self._mu.real
-        if _nonpositive_integer(complex(mu + 1.0)):
+        mu = c - a - b
+        if _nonpositive_integer(complex(mu.real + 1.0)):
             return None
-        return (a - c, mu, self._gamma_c, _rgamma(mu + 1.0),
+        return (a - c, mu.real, complex_gamma(c), _rgamma(mu.real + 1.0),
                 complex_gamma(a) * complex_gamma(b),
-                _AnchoredSeries(c - a, 1.0 - a, self._mu + 1.0))
+                _AnchoredSeries(c - a, 1.0 - a, mu + 1.0))
 
     # -- series, each keeping its parameter-only term values ---------------
 
@@ -653,20 +644,20 @@ class Hyp2F1:
         if route is None:
             return None
         xi = 1.0 - w
-        if self._log_m is None:
-            k1, k2, series_1, series_2 = route
-            return k1 * series_1(xi) + k2 * xi ** self._mu * series_2(xi)
-        a, b, m, head_consts, tail_pref, tail = route
+        if route[0] is None:
+            _, mu, k1, k2, series_1, series_2 = route
+            return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
+        m, mu, a, b, n, head_consts, tail_pref, tail = route
         v = w - 1.0
         head = complex(0.0)
-        if m:
-            head_pref, gamma_m = head_consts
+        if n:
+            head_pref, gamma_n = head_consts
             # left to right: sum() of floats compensates from Python 3.12
-            for term in taylor_terms(a, b, float(m), v, m, gamma_m):
+            for term in taylor_terms(a, b, float(n), v, n, gamma_n):
                 head += term
             head *= head_pref
-        value = head + tail_pref * v ** m * tail(xi)
-        return value if self._log_m >= 0 else xi ** self._mu * value
+        value = head + tail_pref * v ** n * tail(xi)
+        return value if m >= 0 else xi ** mu * value
 
     # (method, formula named in error messages), indexed by region
     _REGIONS = (("_direct_series", "defining series"),
@@ -716,8 +707,10 @@ class Hyp2F1:
         ``exc`` cannot give it; if that fails too, ``exc`` is raised naming
         the region's formula."""
         route = self._REGIONS[region][1]
-        if region == 2 and self._log_m is not None:
-            route = f"log connection (m={self._log_m})"
+        # the 1-w entry, absent where building it raised
+        entry = vars(self).get("_unit_route") if region == 2 else None
+        if entry is not None and entry[0] is not None:
+            route = f"log connection (m={entry[0]})"
         try:
             return self._stepped(w)
         except NumericalError:

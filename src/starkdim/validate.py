@@ -7,11 +7,16 @@ consistency of the resummation.  The physical rate Gamma = |G| cannot stand
 in for G: where a complex pair (h1, h2) turns Im E negative at high field,
 the fold adds a reflected stretch that the identity does not contain, and a
 kink.  In u = ln F the integrand G(e^u) e^(-2nu) is smooth and decays at
-both ends, but above its peak u0 only as a power of F: as e^(-3u) times the
+both ends, but at high field only as a power of F: as e^(-3u) times the
 rate's growth at n = 2.  It is therefore integrated in a stretched variable
-s, with u = u0 + (s + e^s - 1)/2 and du/ds = (1 + e^s)/2.  Below u0 the map
-tends to slope 1/2, so the steep e^(-b/F) side keeps a fine step in u.
-Above u0 the step in u grows exponentially, so the tail decays
+s, with u = u0 + (s + e^s - 1)/2 and du/ds = (1 + e^s)/2, about
+u0 = ln(b/3), b = 2/(3 p^3) the exponent of the rate's e^(-b/F) at low
+field: u0 is the scans' start and the map's centre.  It is not the
+integrand's peak: with the rate's F^-p prefactor the n = 2 integrand goes
+as F^-(p+4) e^(-b/F), and its peak lies 0.71, 2.00 and 2.83 below u0 in u
+at alpha = 3, 20 and 50; the lower scan runs past it either way.  Below u0
+the map tends to slope 1/2, so the steep e^(-b/F) side keeps a fine step
+in u.  Above u0 the step in u grows exponentially, so the tail decays
 double-exponentially in s and the trapezoid rule converges geometrically in
 the step there too (Trefethen and Weideman, SIAM Rev. 56, 2014).  All
 moments share one window and one grid, each halving of the step adds only
@@ -29,9 +34,10 @@ settle.
 
 Near n = l the integrand decays downward only as F^(2(l+1-n)), so it still
 counts where the rate goes subnormal.  Below the lowest node s_L, G ~
-F^(2l+2) and u has slope 1/2 in s, so the nodes a lower scan cut there
-drops continue as a geometric series of ratio e^(-(l+1-n)h) in the step h,
-and each level adds its sum in closed form.  Against the model's own
+F^(2l+2) and u has slope 1/2 in s, so the nodes below continue as a
+geometric series of ratio e^(-(l+1-n)h) in the step h, and each level adds
+its sum in closed form.  Where the lower scan stopped at its floor, that
+sum is below one ulp of the moment.  Against the model's own
 Taylor coefficient at alpha = 3 that leaves 1.3e-14 at (l, n) = (12.3, 13)
 and 7.8e-15 at (30, 30), where the scan alone left 1.3e-7 and 1.3e-9.  At
 l = 60 the rate underflows where G's next term still counts: 1.0e-10 at
@@ -118,8 +124,9 @@ def _dispersion_moments(model: HypModel, ns):
     ss, columns = [], [[] for _ in ns]
     appends = [(t, column.append) for t, column in zip(two_n, columns)]
     exp, record = math.exp, ss.append
-    # start at b/3, b = 2/(3 p^3): the peak of the n = 2 integrand in u,
-    # which goes as F^-3 exp(-b/F) at low field
+    # start the scans, and centre the map, at u0 = ln(b/3), b = 2/(3 p^3)
+    # the exponent of the rate's exp(-b/F) at low field; the n = 2
+    # integrand peaks below u0 (see the module docstring)
     u0 = math.log(2.0 / (9.0 * ((model.alpha - 1.0) / 2.0) ** 3))
 
     def at(s):
@@ -143,11 +150,10 @@ def _dispersion_moments(model: HypModel, ns):
         return rate
 
     def moments(step):
-        if not cut:
-            return [step * math.fsum(column) for column in columns]
         # below the lowest node s_L, G ~ F^(2l+2) and u has slope 1/2 in s:
-        # the dropped nodes continue each moment as a geometric series of
-        # ratio q = e^(-(l+1-n) step), which adds column[s_L] q/(1-q)
+        # the nodes below continue each moment as a geometric series of
+        # ratio q = e^(-(l+1-n) step), which adds column[s_L] q/(1-q); below
+        # a floor-stopped scan that is under one ulp of the sum
         return [step * (math.fsum(column)
                         + column[down] / math.expm1((model.l + 1 - n) * step))
                 for n, column in zip(ns, columns)]
@@ -156,7 +162,6 @@ def _dispersion_moments(model: HypModel, ns):
         raise IntegrationFailure(
             f"rate vanishes at its expected peak (alpha={model.alpha})")
     peak = [abs(column[-1]) for column in columns]
-    cut = False
     for down in range(1, _MAX_SCAN + 1):
         if abs(sample(-down * _SCAN_STEP)) < sys.float_info.min:
             # a subnormal or vanished rate has lost its digits: drop the
@@ -165,7 +170,6 @@ def _dispersion_moments(model: HypModel, ns):
             for column in columns:
                 column.pop()
             down -= 1
-            cut = True
             break
         low = True
         for i, column in enumerate(columns):

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, formats, exit codes, atomic output."""
 
+import errno
 import hashlib
 import json
 import math
@@ -101,6 +102,14 @@ def test_bad_value_is_reported_by_argparse(capsys, argv):
     assert out == ""
     assert err.startswith(f"usage: starkdim {argv[0]} ")
     assert err.endswith(f"starkdim {argv[0]}: error: {BAD_VALUES[argv]}\n")
+
+
+def test_coeffs_takes_no_branch_power(capsys):
+    """Only the commands that fit a model take --l; coeffs fits none."""
+    code, out, err = invoke(capsys, "coeffs", "--alpha", "3", "--l", "50")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --l 50\n")
 
 
 def test_malformed_fields_is_usage_error(capsys):
@@ -597,7 +606,9 @@ def test_render_json_matches_one_dumps(name):
 # node_count 97 to 37 and upper_cutoff 6.99e4 to 8.89e5.  The last three,
 # recorded before the JSON renderer moved to one C-encoder call per table,
 # hold null cells (wkb), string cells (fit) and int and exact-string cells
-# (coeffs).
+# (coeffs).  That coeffs table was re-pinned alone when coeffs lost the
+# --l option it never read: its meta no longer records "l", the rest is
+# unchanged.
 PINNED_DIGESTS = {
     ("reproduce", "--figure", "1"):
         "e71caf60573e4226a85875694b698bb5dbe0adcc108df67a521dd178fed5033a",
@@ -620,7 +631,7 @@ PINNED_DIGESTS = {
     ("fit", "--alpha", "3", "--format", "json"):
         "b29f4241d8e44d052ef16d635053edcf51463ec166e6b28be42dd7d3d22ca03f",
     ("coeffs", "--alpha", "5/2", "--order", "6", "--format", "json"):
-        "f08a461d02196fedcca4388763945886fa1b3a449588d9cd76cbce203f739d4f",
+        "e556f5594d10fc3590254001bde022906d40f94d9d470500ceb14d4170b5ce15",
 }
 
 
@@ -636,10 +647,12 @@ def test_output_bytes_pinned(capsys, argv):
 # package root instead of the numeric layers.  argparse words and wraps help
 # differently across Python versions (3.10 heads the options "optional
 # arguments:"), so the bytes are pinned for the version they were taken on.
+# coeffs was re-pinned alone when it lost --l, which only the commands that
+# fit a model take.
 HELP_DIGESTS = {
     (): "f54c87fffc4cc8a6ca5d440f591dfadda7d6e4eeabeafd4e457dd04ddfed61ec",
     ("coeffs",):
-        "2874fb146488b6b468484a0304e57c10c2d9475d0ba7ac5afb45d2615c31ee9e",
+        "af283cf2790e1b0a75647c2084379938ae9656b015b7c75a0ebfdb889a50e42e",
     ("fit",):
         "5ae7ac0b2460f52ac58af9fe52dcf523aa494e021508a0856b10094b25622622",
     ("sweep",):
@@ -697,6 +710,22 @@ def test_failed_run_leaves_no_file(tmp_path, capsys):
     assert code == 3
     assert not target.exists()
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name,errno_code", [
+    ("missing/x.csv", errno.ENOENT), ("table", errno.EISDIR)])
+def test_unwritable_output_is_input_error(tmp_path, capsys, name, errno_code):
+    """An --output in a missing directory, or naming a directory, ends in
+    one error line and exit 2, and leaves no temporary file behind."""
+    (tmp_path / "table").mkdir()
+    target = tmp_path / name
+    code, out, err = invoke(capsys, "fit", "--alpha", "3",
+                            "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: {os.strerror(errno_code)}\n"
+    assert os.listdir(tmp_path) == ["table"]
+    assert os.listdir(tmp_path / "table") == []
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ def test_invalid_dimension_rejected():
     with pytest.raises(InvalidDimension):
         energy_series(0.5, 4)
     with pytest.raises(InvalidDimension):
+        energy_series("3", 2)  # a string is not a dimension
+    with pytest.raises(InvalidDimension):
         unperturbed_params(Fraction(1))
 
 
@@ -243,6 +245,16 @@ def test_polynomial_string_round_trip():
     poly = RationalPolynomial((Fraction(3), Fraction(2)))
     assert poly.to_string("alpha") == "2*alpha + 3"
     assert RationalPolynomial(()).to_string() == "0"
+    assert RationalPolynomial((1, 0, 2)).to_string() == "2*x^2 + 1"
+
+
+def test_tables_reject_orders_they_lack():
+    """The reference factor polynomials cover n = 1..4, and a symbolic
+    table its own orders 1..N."""
+    with pytest.raises(OutOfRange):
+        reference_factor_polynomial(5)
+    with pytest.raises(OutOfRange):
+        symbolic_energy_series(3).energy_polynomial(0)
 
 
 def test_rational_polynomial_is_a_value():

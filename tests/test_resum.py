@@ -545,7 +545,7 @@ def test_route_bits_pinned(route):
     model = fit_model(energy_series(alpha, 4), l)
     assert lo < 1.0 + model.h3.real * (field / 4.0) ** 2 < hi
     hyp = model._continuation[1]
-    assert (hyp._log_m is None) == route.startswith("plain")
+    assert (hyp._unit_route[0] is None) == route.startswith("plain")
     if route.endswith("pair"):
         assert (model.h1.imag != 0.0) == route.endswith("conjugate pair")
     energy = lower_side_energy(model, field)

@@ -32,6 +32,7 @@ from starkdim.errors import (
     NonConvergent,
     NumericalError,
     OnBranchCut,
+    ParameterPole,
     PoleError,
 )
 from starkdim.specfun import Hyp2F1, _rgamma
@@ -211,6 +212,12 @@ def test_2f1_special_values():
     assert gauss_2f1(0.5, 0.5, 2, 1) == pytest.approx(4 / math.pi, abs=1e-12)
     # ... is exactly real for a conjugate pair (Im F on the cut ~ (w-1)^mu)
     assert gauss_2f1(0.58 - 0.18j, 0.58 + 0.18j, 31.16, 1).imag == 0.0
+    # ... matches mpmath with complex parameters, and is exactly 0 at a
+    # zero of 1/Gamma(c - a)
+    got = gauss_2f1(0.3 + 0.2j, 0.5, 2.5, 1)
+    ref = complex(mp.hyp2f1(mp.mpc(0.3, 0.2), 0.5, 2.5, 1))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    assert gauss_2f1(2, -0.5, 2, 1) == 0
     # terminating series is exact everywhere
     w = complex(5.0, 2.0)
     got = gauss_2f1(-3, 2.5, 1.7, w)
@@ -219,6 +226,15 @@ def test_2f1_special_values():
     got = gauss_2f1(1, 1, 2, 2, cut_side=+1)
     ref = complex(0, math.pi / 2)
     assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_2f1_parameter_errors():
+    """A non-positive integer c is a pole of every term; at w = 1 the
+    series diverges for Re(c - a - b) <= 0."""
+    with pytest.raises(ParameterPole):
+        gauss_2f1(0.5, 0.7, -2.0, 0.3)
+    with pytest.raises(NonConvergent):
+        gauss_2f1(0.5, 0.7, 1.0, 1.0)
 
 
 def test_2f1_cut_requires_side():
@@ -594,8 +610,9 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     registry of kept continuations, so that it builds its own."""
     starkdim.resum._kept_continuation.cache_clear()
     hyp = continuation(3)
+    mu = hyp.c - hyp.a - hyp.b
     kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
-             hyp._mu + 1.0: "reflected", hyp._mu + 2.0: "reflected slope"}
+             mu + 1.0: "reflected", mu + 2.0: "reflected slope"}
     calls = counting_series(monkeypatch)
     tails = []
     original_tail = specfun._LogTail.__call__
@@ -731,7 +748,7 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
     original = Hyp2F1._unit
 
     def spy(self, w):
-        calls.append(self._log_m)
+        calls.append(self._unit_route[0])
         return original(self, w)
 
     monkeypatch.setattr(Hyp2F1, "_unit", spy)

@@ -304,7 +304,8 @@ def test_reflected_route_work_per_report(monkeypatch):
     series = energy_series(Fraction(3), 4)
     model = fit_model(series)
     hyp = model._continuation[1]
-    route = {hyp._mu + 1.0, hyp._mu + 2.0}  # S and S' = (AB/C) 2F1(A+1, ...)
+    mu = hyp.c - hyp.a - hyp.b
+    route = {mu + 1.0, mu + 2.0}  # S and S' = (AB/C) 2F1(A+1, ...)
     summed, evaluations = [], []
     series_sum = specfun._Series.__call__
     taylor_sum = specfun._Taylor.__call__
