@@ -90,6 +90,18 @@ def _fields_arg(text: str) -> tuple:
     return start, stop, count
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports the arguments it does not know
+    with its own usage line, where the top-level parser would print its
+    own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -104,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar="COMMAND")
+                                metavar="COMMAND",
+                                parser_class=_SubcommandParser)
 
     def add_output(p):
         p.add_argument("--output", metavar="PATH",
@@ -383,10 +396,15 @@ def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    import tempfile  # only for --output, not for stdout
-
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starkdim-")
+    while True:
+        tmp = os.path.join(directory, f".starkdim-{os.urandom(6).hex()}")
+        try:
+            # mode 0o666 less the umask, as a shell redirection creates it
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

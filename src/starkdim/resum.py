@@ -53,7 +53,7 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .specfun import Hyp2F1, complex_gamma, real_on_axis, taylor_terms
+from .specfun import Hyp2F1, _Series, complex_gamma, real_on_axis
 
 # sweep ranges (alpha, highest field) bracketing each ionization onset;
 # the alpha=1.5 tail is still curving at 12, the linear regime needs ~20
@@ -159,14 +159,21 @@ def model_coefficients(model: HypModel, count: int = 4):
     if count > model.l and float(model.l).is_integer():
         raise OutOfRange(f"count {count} passes the pole of Gamma(l-k) at"
                          f" k = l = {model.l}")
-    terms = taylor_terms(model.h1, model.h2, model.l, model.h3, count,
-                         model.h4 * _gamma_of_l(model.l, model.alpha))
+    # (h1)_k (h2)_k Gamma(l-k) h3^k / k! is Gamma(l) times the term of
+    # 2F1(h1, h2; 1-l; -h3): (1-l) + k = -((l-1) - k), so the ratio flips
+    # two signs, exactly, and only the sign of a zero part can move
+    terms = _Series(model.h1, model.h2, 1 - model.l).terms(
+        -model.h3, count, model.h4 * _gamma_of_l(model.l, model.alpha))
+    real = complex(model.h1).imag == 0.0
     coeffs = []
     for k, tk in enumerate(terms):
         try:
-            coeffs.append(model.e0 * tk / 16.0 ** (k + 1))
+            value = model.e0 * tk / 16.0 ** (k + 1)
         except OverflowError:  # 16^(k+1) itself, from k = 256
-            coeffs.append(math.inf)
+            value = math.inf
+        # a real pair's coefficients are real, with Im = +0 whichever sign
+        # of zero the flipped ratio leaves past the pole, at k > l - 1
+        coeffs.append(complex(value.real, 0.0) if real else value)
         if not cmath.isfinite(coeffs[-1]):
             raise NumericalError(
                 f"Taylor term of model coefficient E_{2 * k + 2} leaves the"

@@ -1,10 +1,10 @@
 """Complex special functions for the resummation layer.
 
 Provides a complex Gamma function, the principal-branch Gauss hypergeometric
-function 2F1 for complex parameters with the cut on [1, inf), the Taylor
-terms that head its integer-difference connection at w = 1, and the digamma
-function that connection needs (reflection for Re z < 0, DLMF 5.5.4;
-recurrence to Re z >= 10, then DLMF 5.11.2).
+function 2F1 for complex parameters with the cut on [1, inf), and the
+digamma function that its integer-difference connection at w = 1 needs
+(reflection for Re z < 0, DLMF 5.5.4; recurrence to Re z >= 10, then
+DLMF 5.11.2).
 
 The 2F1 evaluator picks among the defining series and the standard argument
 transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
@@ -18,6 +18,9 @@ keeps every parameter-only constant (Gamma products, digammas, route
 checks) after the first evaluation that needs it, and with each series it
 sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
 tail's coefficients and digamma sums), grown to the longest sum so far.
+One class forms and keeps those rows of the hypergeometric term ratio for
+every plain sum: the defining series and the connections' series, and the
+fixed-length polynomial and logarithmic-connection head.
 Each route on the cut keeps all its constants and series in one entry of
 its own, which shares none with another: the 1-w connection (for every
 c - a - b: the plain pair, the logarithmic connection, or that of the
@@ -56,8 +59,9 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import add
 
 from .errors import (
     NonConvergent,
@@ -178,18 +182,6 @@ def _rgamma(z) -> complex:
     return cmath.sin(math.pi * z) * complex_gamma(1.0 - z) / math.pi
 
 
-def taylor_terms(h1, h2, l, z, count, first) -> list:
-    """Terms k < count of sum (h1)_k (h2)_k Gamma(l-k) z^k / k! times
-    ``first`` / Gamma(l), each from the last by its ratio: the resummation
-    model's Taylor series and the head of the log connection at w = 1,
-    where count <= l stays below the coefficient pole at k = l."""
-    terms = [first]
-    for k in range(count - 1):
-        terms.append(terms[-1] * (h1 + k) * (h2 + k) * z
-                     / ((k + 1) * (l - 1 - k)))
-    return terms[:count]
-
-
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric
 
@@ -207,8 +199,11 @@ class _Series:
     rows first and only then forms and keeps new ones; MAX_TERMS bounds
     the terms either way.  The operations on w are the same whatever was
     summed before, so a value never depends on call order.  A sum needs
-    |w| in the accepted region (or termination), else it errors out after
-    MAX_TERMS.
+    |w| in the accepted region, else it errors out after MAX_TERMS.
+    :meth:`terms` gives a fixed number of terms from the same rows: the
+    polynomial case, the logarithmic connection's finite head, and the
+    resummation model's Taylor terms, so this class is the one place that
+    forms the ratio.
     """
 
     __slots__ = ("a", "b", "c", "rows")
@@ -245,6 +240,21 @@ class _Series:
             else:
                 small = 0
         raise NonConvergent(f"hypergeometric series exhausted {MAX_TERMS} terms")
+
+    def terms(self, w, count, first) -> list:
+        """The first ``count`` terms at w times ``first``, each from the last
+        by the ratio of its kept row.  The rows grow to count - 1 and are
+        kept; MAX_TERMS does not bound them, as a finite sum (a terminating
+        series, or the terms below a pole of the ratio) sets its own
+        length."""
+        rows = self.rows
+        a, b, c = self.a, self.b, self.c
+        for k in range(len(rows), count - 1):
+            rows.append((a + k, b + k, (c + k) * (k + 1)))
+        terms = [first]
+        for ak, bk, dk in islice(rows, max(count - 1, 0)):
+            terms.append(terms[-1] * ak * bk * w / dk)
+        return terms[:count]
 
 
 class _LogTail:
@@ -307,15 +317,6 @@ class _LogTail:
                 small = 0
             pow_xi = pow_xi * xi
         raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
-
-
-def _terminating_2f1(degree: int, a, b, c, w) -> complex:
-    term = complex(1.0)
-    total = complex(1.0)
-    for k in range(degree):
-        term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
-        total += term
-    return total
 
 
 class _Taylor:
@@ -468,32 +469,33 @@ class Hyp2F1:
     picks the same one.
 
     What depends on (a, b, c) alone -- the Gamma products of the 1-w and 1/w
-    connections, the Gammas, digammas, harmonic sum and analytic head of the
-    logarithmic connection, the Gamma factors of the DLMF 15.2.3
-    discontinuity, and the checks that pick among these -- is computed on
-    the first evaluation that needs it and kept.  So are the per-term
-    parameter values of every series the instance sums (the defining and
-    w/(w-1) series, the 1/w and non-integer 1-w pairs, the reflected
-    series; see :class:`_Series` and :class:`_LogTail`) and the reflected
-    series' anchors with their Taylor coefficients (:class:`_AnchoredSeries`),
-    as lists that grow to the longest sum so far and go with the instance.
-    Each of the three routes on the cut is one kept entry that holds all
-    it reads; with Gauss's sum and the defining and w/(w-1) series these
-    are six cached names.  No entry reads another's constants: each forms
-    the c - a - b and Gamma(c) it needs itself, by the same operations, so
-    with the same bits.  ``_unit_route`` holds the 1-w connection for every
-    c - a - b, led by the integer m it rounds to (None away from an
-    integer) and c - a - b itself: then its two Gamma prefixes and two
-    series away from an integer; at an integer, the logarithmic
-    connection's parameters, head and tail, of the function itself or,
-    for a negative integer, of its Euler transform, which :meth:`_unit`
-    multiplies by (1-w)^(c-a-b).  ``_inf_route`` holds the 1/w connection's
-    two prefixes and series, then the conjugate-pair test and the powers
-    -a, -b (it is None where b - a is near an integer); and
-    ``_reflection`` holds (a - c, mu, Gamma(c), 1/Gamma(mu+1),
-    Gamma(a) Gamma(b), anchored series), or None where the discontinuity
-    formula does not apply.  Whether an upper parameter makes the function
-    a polynomial is decided once, when the instance is made.
+    connections, the Gammas, digammas and harmonic sum of the logarithmic
+    connection, the Gamma factors of the DLMF 15.2.3 discontinuity, and the
+    checks that pick among these -- is computed on the first evaluation
+    that needs it and kept.  So are the per-term parameter values of every
+    series the instance sums (the defining series, which also gives a
+    polynomial's terms, the w/(w-1) series, the 1/w and non-integer 1-w
+    pairs, the logarithmic connection's finite head and its tail, the
+    reflected series; see :class:`_Series` and :class:`_LogTail`) and the
+    reflected series' anchors with their Taylor coefficients
+    (:class:`_AnchoredSeries`), as lists that grow to the longest sum so
+    far and go with the instance.  Each of the three routes on the cut is
+    one kept entry that holds all it reads; with Gauss's sum and the
+    defining and w/(w-1) series these are six cached names.  No entry reads
+    another's constants: each forms the c - a - b and Gamma(c) it needs
+    itself, by the same operations, so with the same bits.  ``_unit_route``
+    holds the 1-w connection for every c - a - b, led by the integer m it
+    rounds to (None away from an integer) and c - a - b itself: then its
+    two Gamma prefixes and two series away from an integer; at an integer,
+    the logarithmic connection's integer difference, head and tail, of the
+    function itself or, for a negative integer, of its Euler transform,
+    which :meth:`_unit` multiplies by (1-w)^(c-a-b).  ``_inf_route`` holds
+    the 1/w connection's two prefixes and series, then the conjugate-pair
+    test and the powers -a, -b (it is None where b - a is near an
+    integer); and ``_reflection`` holds (a - c, mu, Gamma(c),
+    1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None where the
+    discontinuity formula does not apply.  Whether an upper parameter makes
+    the function a polynomial is decided once, when the instance is made.
     A kept product is always the left-most part of the product the formula
     multiplies out, and an anchor is built from the same sums whenever it
     is built, so every value is bit-identical to computing it afresh.
@@ -556,13 +558,15 @@ class Hyp2F1:
         mu = c - a - b rounded to an integer when within _NEAR_INT_MU of it,
         else None.  Away from an integer, (None, mu, k1, k2, series_1,
         series_2), its two Gamma prefixes and two series.  At an integer m,
-        the logarithmic connection (DLMF 15.8.10) as (m, mu, a', b', m',
-        head, tail prefix, tail): for m >= 0 of this function, for m < 0 of
-        its Euler transform 2F1(c-a, c-b; c; .), whose integer difference
-        is m' = -m, with the upper parameters in that order; head is
-        (Gamma prefix, Gamma(m')) of the finite analytic head, None at
-        m' = 0, and tail a :class:`_LogTail`.  None where a digamma of the
-        tail overflows, with a' + m' or b' + m' next to 0."""
+        the logarithmic connection (DLMF 15.8.10) of 2F1(a', b'; a'+b'+m'; .)
+        as (m, mu, m', head, tail prefix, tail): for m >= 0 this function
+        (a' = a, b' = b, m' = m), for m < 0 its Euler transform
+        2F1(c-a, c-b; c; .) (a' = c-a, b' = c-b, m' = -m).  head is
+        (Gamma prefix, Gamma(m'), series) of the finite analytic head, None
+        at m' = 0: the head's terms are the first m' terms at 1 - w, times
+        Gamma(m'), of series, the :class:`_Series` of 2F1(a', b'; 1-m'; .).
+        tail is a :class:`_LogTail`.  None where a digamma of the tail
+        overflows, with a' + m' or b' + m' next to 0."""
         a, b, c = self.a, self.b, self.c
         mu = c - a - b
         if not _near_integer(mu, _NEAR_INT_MU):
@@ -583,8 +587,8 @@ class Hyp2F1:
         head = None
         if n:
             head = (gamma_c * _rgamma(a + n) * _rgamma(b + n),
-                    complex_gamma(float(n)))
-        return (m, mu, a, b, n, head, -gamma_c * _rgamma(a) * _rgamma(b),
+                    complex_gamma(float(n)), _Series(a, b, 1.0 - n))
+        return (m, mu, n, head, -gamma_c * _rgamma(a) * _rgamma(b),
                 _LogTail(a, b, n, psi_a, psi_b))
 
     @cached_property
@@ -647,15 +651,14 @@ class Hyp2F1:
         if route[0] is None:
             _, mu, k1, k2, series_1, series_2 = route
             return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
-        m, mu, a, b, n, head_consts, tail_pref, tail = route
+        m, mu, n, head_consts, tail_pref, tail = route
         v = w - 1.0
         head = complex(0.0)
         if n:
-            head_pref, gamma_n = head_consts
+            head_pref, gamma_n, head_series = head_consts
+            terms = head_series.terms(-v, n, gamma_n)
             # left to right: sum() of floats compensates from Python 3.12
-            for term in taylor_terms(a, b, float(n), v, n, gamma_n):
-                head += term
-            head *= head_pref
+            head = reduce(add, terms, head) * head_pref
         value = head + tail_pref * v ** n * tail(xi)
         return value if m >= 0 else xi ** mu * value
 
@@ -669,8 +672,10 @@ class Hyp2F1:
     def __call__(self, w, cut_side=None) -> complex:
         w = complex(w)
         if self._degree is not None:
-            # a polynomial case is exact for every argument, cut included
-            return _terminating_2f1(self._degree, self.a, self.b, self.c, w)
+            # a polynomial case is exact for every argument, cut included;
+            # its terms added left to right (see :meth:`_unit`)
+            return reduce(add, self._direct_series.terms(
+                w, self._degree + 1, complex(1.0)), complex(0.0))
         if w == 0:
             return complex(1.0)
         if w.imag == 0.0:

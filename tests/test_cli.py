@@ -92,6 +92,10 @@ BAD_VALUES = {
         "argument --order: order must lie in 1..20, got -3",
     ("coeffs", "--alpha", "3", "--order", "2.5"):
         "argument --order: not an integer: '2.5'",
+    ("sweep", "--alpha", "3", "--fields", "0:1:3", "--bogus"):
+        "unrecognized arguments: --bogus",
+    ("coeffs", "--alpha", "3", "--l", "50"):
+        "unrecognized arguments: --l 50",
 }
 
 
@@ -102,6 +106,17 @@ def test_bad_value_is_reported_by_argparse(capsys, argv):
     assert out == ""
     assert err.startswith(f"usage: starkdim {argv[0]} ")
     assert err.endswith(f"starkdim {argv[0]}: error: {BAD_VALUES[argv]}\n")
+
+
+def test_unknown_option_before_the_command_gets_top_level_usage(capsys):
+    """An argument the top-level parser does not know, before the command,
+    is reported with the top-level usage line."""
+    code, out, err = invoke(capsys, "--bogus", "sweep", "--alpha", "3",
+                            "--fields", "0:1:3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: starkdim [-h] [--version] COMMAND ...\n")
+    assert err.endswith("starkdim: error: unrecognized arguments: --bogus\n")
 
 
 def test_coeffs_takes_no_branch_power(capsys):
@@ -608,7 +623,10 @@ def test_render_json_matches_one_dumps(name):
 # hold null cells (wkb), string cells (fit) and int and exact-string cells
 # (coeffs).  That coeffs table was re-pinned alone when coeffs lost the
 # --l option it never read: its meta no longer records "l", the rest is
-# unchanged.
+# unchanged.  The two low-field sweeps at l = 90 (a conjugate pair) and
+# l = 12 (a real pair) were pinned before the logarithmic connection's head
+# kept its rows; that head, of 90 and 12 terms, gives Re F at their 3 and
+# 8 lowest nonzero fields.
 PINNED_DIGESTS = {
     ("reproduce", "--figure", "1"):
         "e71caf60573e4226a85875694b698bb5dbe0adcc108df67a521dd178fed5033a",
@@ -632,6 +650,10 @@ PINNED_DIGESTS = {
         "b29f4241d8e44d052ef16d635053edcf51463ec166e6b28be42dd7d3d22ca03f",
     ("coeffs", "--alpha", "5/2", "--order", "6", "--format", "json"):
         "e556f5594d10fc3590254001bde022906d40f94d9d470500ceb14d4170b5ce15",
+    ("sweep", "--alpha", "3", "--l", "90", "--fields", "0:0.3:101"):
+        "880cc04ea29cc690696953e2fbe1c7a73747a55d164f2fc7ab863672981a2f7a",
+    ("sweep", "--alpha", "7/2", "--l", "12", "--fields", "0:0.2:101"):
+        "6354e97baf0ba404f5c9feeeccf23380d3433a4cc0cc93d8adf9ed25a9596ba7",
 }
 
 
@@ -710,6 +732,35 @@ def test_failed_run_leaves_no_file(tmp_path, capsys):
     assert code == 3
     assert not target.exists()
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_the_umask(tmp_path, capsys, mask, mode):
+    """--output creates its file with mode 0o666 less the umask, as a shell
+    redirection does."""
+    target = tmp_path / "fit.csv"
+    saved = os.umask(mask)
+    try:
+        code, _, _ = invoke(capsys, "fit", "--alpha", "3",
+                            "--output", str(target))
+    finally:
+        os.umask(saved)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == mode
+
+
+def test_output_temp_name_taken_is_drawn_again(tmp_path, capsys, monkeypatch):
+    """A temporary name that another file holds is left alone, and the
+    next name drawn serves."""
+    draws = iter((bytes(6), bytes([1] * 6)))
+    monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+    taken = tmp_path / f".starkdim-{bytes(6).hex()}"
+    taken.write_text("other")
+    code, _, _ = invoke(capsys, "fit", "--alpha", "3",
+                        "--output", str(tmp_path / "fit.csv"))
+    assert code == 0
+    assert taken.read_text() == "other"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "fit.csv"]
 
 
 @pytest.mark.parametrize("name,errno_code", [

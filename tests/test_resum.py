@@ -46,7 +46,7 @@ from starkdim.errors import (
 )
 from starkdim.resum import (_kept_continuation, lower_side_energy,
                             lower_side_rate)
-from starkdim.specfun import Hyp2F1
+from starkdim.specfun import Hyp2F1, complex_gamma
 from test_oracle import reference_rate
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
@@ -161,6 +161,23 @@ def test_model_coefficients_stop_at_the_gamma_pole(models):
     with pytest.raises(OutOfRange):
         model_coefficients(standard_model(3.0, 12.0), 13)
     assert len(model_coefficients(standard_model(3.0, 12.5), 13)) == 13
+
+
+@pytest.mark.parametrize("alpha", (Fraction(101, 100), Fraction(6, 5)))
+def test_model_coefficients_of_a_real_pair_are_real(alpha):
+    """At l = 4.5 a real pair's terms change sign past the pole of
+    Gamma(l - k), from k = 4: each coefficient is still the product of the
+    term ratios (h1 + k)(h2 + k) h3 / ((k + 1)(l - 1 - k)), bit for bit,
+    with Im = +0."""
+    model = fit_model(energy_series(alpha, 4), 4.5)
+    assert model.h1.imag == 0.0 and model.h2.imag == 0.0
+    h1, h2, l = model.h1, model.h2, model.l
+    term = model.h4 * complex_gamma(l)
+    for k, value in enumerate(model_coefficients(model, 12)):
+        expected = model.e0 * term / 16.0 ** (k + 1)
+        assert value.real.hex() == expected.real.hex()
+        assert value.imag.hex() == "0x0.0p+0"
+        term = term * (h1 + k) * (h2 + k) * model.h3 / ((k + 1) * (l - 1 - k))
 
 
 def test_model_coefficients_past_float_range_raise():

@@ -599,6 +599,57 @@ def test_kept_series_match_plain_loops(ar, ai, br, m, points):
             assert outcome(tail, w) == outcome(plain_log_tail, a, b, m, w)
 
 
+POLYNOMIAL_PARAMS = ((2.5, 1.7), (0.3 + 0.4j, 2.2 - 0.5j))
+POLYNOMIAL_POINTS = (0.5j, cmath.rect(0.8, 2.0), 1 + 0.3j, cmath.rect(3.0, -1.2),
+                     -4 + 1j, 1.5, 5.0, 40.0)
+
+
+@pytest.mark.parametrize("n", (0, 1, 3, 17, 40))
+def test_polynomial_is_its_terms_summed_left_to_right(n):
+    """2F1(-n, b; c; w) is its n + 1 terms, each from the last by the term
+    ratio and added left to right, bit for bit off the real axis and at
+    x > 1 on either side (a polynomial has no cut).  Against 40-digit
+    mpmath it is within 2e-15 of the sum of the terms' moduli (1.5e-15 at
+    worst, at n = 40); relative to the value it is not, as the terms cancel
+    near w = 1 (4e5 at n = 40, b = 2.5, w = 1.5)."""
+    worst = 0.0
+    for b, c in POLYNOMIAL_PARAMS:
+        hyp = Hyp2F1(-n, b, c)
+        a, b, c = complex(-n), complex(b), complex(c)
+        for w in POLYNOMIAL_POINTS:
+            term = total = complex(1.0)
+            scale = 1.0
+            for k in range(n):
+                term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
+                total += term
+                scale += abs(term)
+            for side in ((1, -1) if w.imag == 0.0 else (None,)):
+                assert bits(hyp(w, side)) == bits(total)
+                assert bits(gauss_2f1(-n, b, c, w, side)) == bits(total)
+            with mp.workdps(40):
+                ref = complex(mp.hyp2f1(-n, mp.mpc(b), mp.mpc(c), mp.mpc(w)))
+            worst = max(worst, abs(total - ref) / scale)
+    assert worst <= 2e-15
+
+
+def test_log_head_keeps_its_rows():
+    """The finite head of the logarithmic connection (m = 30 here) keeps
+    its 29 rows: a second low-field cut forms none, and gives the bits of a
+    fresh instance."""
+    params = (CONJUGATE_H1, CONJUGATE_H1.conjugate(),
+              2 * CONJUGATE_H1.real + 30.0)
+    hyp = Hyp2F1(*params)
+    hyp.cut(0.2, 1)
+    m, _, n, (_, _, head), _, _ = hyp._unit_route
+    assert m == n == 30
+    kept = list(head.rows)
+    assert len(kept) == 29
+    for v in (0.05, 0.31, 0.2):
+        assert bits(hyp.cut(v, -1)) == bits(Hyp2F1(*params).cut(v, -1))
+        assert len(head.rows) == 29
+        assert all(row is old for row, old in zip(head.rows, kept))
+
+
 def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     """The series sums of ``reproduce --figure 1`` (alpha = 3, a conjugate
     pair): 99 points on the 1/w route with one series each, 7 reflected
