@@ -167,10 +167,12 @@ def model_coefficients(model: HypModel, count: int = 4):
     real = complex(model.h1).imag == 0.0
     coeffs = []
     for k, tk in enumerate(terms):
-        try:
-            value = model.e0 * tk / 16.0 ** (k + 1)
-        except OverflowError:  # 16^(k+1) itself, from k = 256
-            value = math.inf
+        value = model.e0 * tk
+        # 16^(k+1) overflows a float from k = 255 (2^1024): past that,
+        # the same exact scaling by 2^(-4(k+1))
+        value = (value / 16.0 ** (k + 1) if k < 255 else
+                 complex(math.ldexp(value.real, -4 * k - 4),
+                         math.ldexp(value.imag, -4 * k - 4)))
         # a real pair's coefficients are real, with Im = +0 whichever sign
         # of zero the flipped ratio leaves past the pole, at k > l - 1
         coeffs.append(complex(value.real, 0.0) if real else value)
@@ -410,11 +412,10 @@ def _fit_window(points, fraction: float):
         return None
     x = [pt.field for pt in sel]
     y = [pt.gamma for pt in sel]
-    slope, intercept = _line_fit(x, y)
     mean = math.fsum(y) / len(y)
     ss_tot = math.fsum((b - mean) ** 2 for b in y)
-    if ss_tot == 0.0:
-        return None
+    # equal rates: the flat line through them, which fits them exactly
+    slope, intercept = _line_fit(x, y) if ss_tot else (0.0, y[0])
     ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
     return LinearTailFit(
         window_fraction=fraction,
@@ -422,7 +423,7 @@ def _fit_window(points, fraction: float):
         field_hi=x[-1],
         slope=slope,
         intercept=intercept,
-        r_squared=1.0 - ss_res / ss_tot,
+        r_squared=1.0 - ss_res / ss_tot if ss_tot else 1.0,
         n_points=len(sel),
     )
 
@@ -433,7 +434,8 @@ def linear_tail_fit(points) -> LinearTailFit:
     Tries a trailing window of 30% of the swept range first and keeps it if
     its coefficient of determination reaches 0.99; otherwise the 20/40/50%
     windows are also fitted and the best one wins.  Windows need at least 8
-    points with positive rate.
+    points with positive rate.  Equal rates fit a flat line, slope 0, and
+    like any slope <= 0 it raises ``NonlinearTail``.
     """
     pts = sorted(points, key=lambda pt: pt.field)
     if len(pts) < 2:

@@ -17,7 +17,12 @@ All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
 keeps every parameter-only constant (Gamma products, digammas, route
 checks) after the first evaluation that needs it, and with each series it
 sums the per-term parameter values (a + k, b + k, (c + k)(k + 1); the log
-tail's coefficients and digamma sums), grown to the longest sum so far.
+tail's coefficients and digamma sums; the Taylor coefficients), grown to
+the longest sum so far.  Each of those series sums in one loop with one
+stop test: over the kept rows and, where they run out before it stops,
+over new rows that its class's ``_grow`` (the one place that forms them)
+forms and keeps one at a time as the loop reaches them, up to MAX_TERMS
+terms.  So the kept rows are those the longest sum read, no more.
 One class forms and keeps those rows of the hypergeometric term ratio for
 every plain sum: the defining series and the connections' series, and the
 fixed-length polynomial and logarithmic-connection head.
@@ -60,7 +65,7 @@ import cmath
 import math
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import add
 
 from .errors import (
@@ -196,14 +201,15 @@ class _Series:
 
     The parameter-only values of that ratio are kept, one row per k, in a
     list that grows to the longest sum so far.  A sum runs over the kept
-    rows first and only then forms and keeps new ones; MAX_TERMS bounds
-    the terms either way.  The operations on w are the same whatever was
-    summed before, so a value never depends on call order.  A sum needs
-    |w| in the accepted region, else it errors out after MAX_TERMS.
-    :meth:`terms` gives a fixed number of terms from the same rows: the
-    polynomial case, the logarithmic connection's finite head, and the
-    resummation model's Taylor terms, so this class is the one place that
-    forms the ratio.
+    rows (at most MAX_TERMS of them) and, where they run out before it
+    stops, over the rows :meth:`_grow` forms and keeps as the sum reaches
+    them, up to MAX_TERMS terms.  The operations on w are the same
+    whatever was summed before, so a value never depends on call order.
+    A sum needs |w| in the accepted region, else it errors out after
+    MAX_TERMS.  :meth:`terms` gives a fixed number of terms from the same
+    rows: the polynomial case, the logarithmic connection's finite head,
+    and the resummation model's Taylor terms, so this class is the one
+    place that forms the ratio.
     """
 
     __slots__ = ("a", "b", "c", "rows")
@@ -212,34 +218,33 @@ class _Series:
         self.a, self.b, self.c = a, b, c
         self.rows = []
 
+    def _grow(self, length):
+        """Forms, keeps and yields the rows up to ``length``, one at a time."""
+        rows, a, b, c = self.rows, self.a, self.b, self.c
+        for k in range(len(rows), length):
+            row = a + k, b + k, (c + k) * (k + 1)
+            rows.append(row)
+            yield row
+
     def __call__(self, w) -> complex:
         rows = self.rows
-        term = complex(1.0)
-        total = complex(1.0)
+        term = total = complex(1.0)
         small = 0
         kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
-        for ak, bk, dk in kept:
-            term = term * ak * bk * w / dk
-            total += term
-            if abs(term) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-        a, b, c = self.a, self.b, self.c
-        for k in range(len(rows), MAX_TERMS):
-            ak, bk, dk = a + k, b + k, (c + k) * (k + 1)
-            rows.append((ak, bk, dk))
-            term = term * ak * bk * w / dk
-            total += term
-            if abs(term) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-        raise NonConvergent(f"hypergeometric series exhausted {MAX_TERMS} terms")
+        while True:
+            for ak, bk, dk in kept:
+                term = term * ak * bk * w / dk
+                total += term
+                if abs(term) <= SERIES_RTOL * abs(total):
+                    small += 1
+                    if small >= 2:
+                        return total
+                else:
+                    small = 0
+            if len(rows) >= MAX_TERMS:
+                raise NonConvergent(
+                    f"hypergeometric series exhausted {MAX_TERMS} terms")
+            kept = self._grow(MAX_TERMS)
 
     def terms(self, w, count, first) -> list:
         """The first ``count`` terms at w times ``first``, each from the last
@@ -247,12 +252,9 @@ class _Series:
         kept; MAX_TERMS does not bound them, as a finite sum (a terminating
         series, or the terms below a pole of the ratio) sets its own
         length."""
-        rows = self.rows
-        a, b, c = self.a, self.b, self.c
-        for k in range(len(rows), count - 1):
-            rows.append((a + k, b + k, (c + k) * (k + 1)))
         terms = [first]
-        for ak, bk, dk in islice(rows, max(count - 1, 0)):
+        for ak, bk, dk in chain(islice(self.rows, max(count - 1, 0)),
+                                self._grow(count - 1)):
             terms.append(terms[-1] * ak * bk * w / dk)
         return terms[:count]
 
@@ -265,9 +267,10 @@ class _LogTail:
 
     Everything but the powers of xi depends on the parameters alone.  The
     rows (c_k, psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k)), each advanced
-    from the last by the term ratio and the digamma recurrence, are kept
-    and grow to the longest sum so far; a sum runs over the kept rows
-    first, as :class:`_Series` does.
+    from the last by the term ratio and the digamma recurrence in
+    :meth:`_grow`, are kept and grow to the longest sum so far; a sum runs
+    over the kept rows and then over new ones as :meth:`_grow` forms them,
+    as :class:`_Series` does.
     """
 
     __slots__ = ("am", "bm", "m", "rows")
@@ -281,6 +284,21 @@ class _LogTail:
         self.rows = [(complex(1.0 / math.factorial(m)), -_EULER_GAMMA,
                       -_EULER_GAMMA + harmonic, psi_a, psi_b)]
 
+    def _grow(self, length):
+        """Forms, keeps and yields the rows up to ``length``, one at a time,
+        each from the last, whose index k is one below its own."""
+        rows = self.rows
+        am, bm, m = self.am, self.bm, self.m
+        coeff, psi_k, psi_km, psi_a, psi_b = rows[-1]
+        for k in range(len(rows) - 1, length - 1):
+            ak, bk = am + k, bm + k
+            coeff, psi_k, psi_km, psi_a, psi_b = row = (
+                coeff * ak * bk / ((k + 1) * (k + m + 1)),
+                psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
+                psi_a + 1.0 / ak, psi_b + 1.0 / bk)
+            rows.append(row)
+            yield row
+
     def __call__(self, xi) -> complex:
         rows = self.rows
         log_xi = cmath.log(xi)
@@ -288,35 +306,21 @@ class _LogTail:
         total = complex(0.0)
         small = 0
         kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
-        for coeff, psi_k, psi_km, psi_a, psi_b in kept:
-            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-            total += contrib
-            if abs(contrib) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-            pow_xi = pow_xi * xi
-        # each new row from the last, whose index k is one below its own
-        am, bm, m = self.am, self.bm, self.m
-        for k in range(len(rows) - 1, MAX_TERMS - 1):
-            ak, bk = am + k, bm + k
-            coeff, psi_k, psi_km, psi_a, psi_b = row = (
-                coeff * ak * bk / ((k + 1) * (k + m + 1)),
-                psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
-                psi_a + 1.0 / ak, psi_b + 1.0 / bk)
-            rows.append(row)
-            contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-            total += contrib
-            if abs(contrib) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-            pow_xi = pow_xi * xi
-        raise NonConvergent(f"logarithmic tail exhausted {MAX_TERMS} terms")
+        while True:
+            for coeff, psi_k, psi_km, psi_a, psi_b in kept:
+                contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+                total += contrib
+                if abs(contrib) <= SERIES_RTOL * abs(total):
+                    small += 1
+                    if small >= 2:
+                        return total
+                else:
+                    small = 0
+                pow_xi = pow_xi * xi
+            if len(rows) >= MAX_TERMS:
+                raise NonConvergent(
+                    f"logarithmic tail exhausted {MAX_TERMS} terms")
+            kept = self._grow(MAX_TERMS)
 
 
 class _Taylor:
@@ -328,9 +332,10 @@ class _Taylor:
 
     p = z0 (1-z0), q = 1 - 2 z0, r = c - (a+b+1) z0.  The coefficients are
     kept scaled by the step length rho, as s_n rho^n (far from z = 0 s_n
-    underflows and h^n overflows), and grow to the longest sum so far; each
-    sum, of S or S' at z0 + h, runs over the kept coefficients first and
-    stops as :class:`_Series` does.  The radius of convergence is
+    underflows and h^n overflows), formed in :meth:`_grow`, and grow to the
+    longest sum so far; each sum, of S or S' at z0 + h, runs over the kept
+    coefficients and then over new ones as :meth:`_grow` forms them, and
+    stops, as :class:`_Series` does.  The radius of convergence is
     min(|z0|, |1 - z0|).  A path of expansions begins with :meth:`start`
     and goes on by :meth:`step`.
     """
@@ -344,6 +349,17 @@ class _Taylor:
         self.p, self.q = z0 * (1.0 - z0) / (rho * rho), (1.0 - 2.0 * z0) / rho
         self.r = (c - (a + b + 1.0) * z0) / rho
 
+    def _grow(self, length):
+        """Forms, keeps and yields the coefficients up to ``length``, one at
+        a time, each as (n, s_n rho^n)."""
+        s = self.coeffs
+        a, b, p, q, r = self.a, self.b, self.p, self.q, self.r
+        for m in range(len(s) - 2, length - 2):
+            sn = (((m + a) * (m + b) * s[m] - (q * m + r) * (m + 1) * s[m + 1])
+                  / (p * (m + 1) * (m + 2)))
+            s.append(sn)
+            yield m + 2, sn
+
     def __call__(self, h, derivative=0) -> complex:
         """S(z0 + h), or S'(z0 + h) for ``derivative`` = 1."""
         s = self.coeffs
@@ -351,34 +367,24 @@ class _Taylor:
         u = h / self.rho
         pow_u = 1.0
         small = 0
-        # terms n = first .. last - 1: the kept coefficients, then new ones
+        # terms n = first .. last - 1
         first, last = 1 + derivative, MAX_TERMS + derivative
-        for n, sn in enumerate(islice(s, first, last), first):
-            pow_u *= u
-            term = sn * pow_u * n if derivative else sn * pow_u
-            total += term
-            if abs(term) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total / self.rho if derivative else total
-            else:
-                small = 0
-        a, b, p, q, r = self.a, self.b, self.p, self.q, self.r
-        for n in range(len(s), last):
-            m = n - 2
-            sn = (((m + a) * (m + b) * s[m] - (q * m + r) * (m + 1) * s[m + 1])
-                  / (p * (m + 1) * (m + 2)))
-            s.append(sn)
-            pow_u *= u
-            term = sn * pow_u * n if derivative else sn * pow_u
-            total += term
-            if abs(term) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total / self.rho if derivative else total
-            else:
-                small = 0
-        raise NonConvergent(f"Taylor expansion exhausted {MAX_TERMS} terms")
+        kept = enumerate(islice(s, first, last), first)
+        while True:
+            for n, sn in kept:
+                pow_u *= u
+                term = sn * pow_u * n if derivative else sn * pow_u
+                total += term
+                if abs(term) <= SERIES_RTOL * abs(total):
+                    small += 1
+                    if small >= 2:
+                        return total / self.rho if derivative else total
+                else:
+                    small = 0
+            if len(s) >= last:
+                raise NonConvergent(
+                    f"Taylor expansion exhausted {MAX_TERMS} terms")
+            kept = self._grow(last)
 
     @classmethod
     def start(cls, series, z0, rho):
@@ -672,8 +678,9 @@ class Hyp2F1:
     def __call__(self, w, cut_side=None) -> complex:
         w = complex(w)
         if self._degree is not None:
-            # a polynomial case is exact for every argument, cut included;
-            # its terms added left to right (see :meth:`_unit`)
+            # a polynomial has no cut: its terms at w itself, added left to
+            # right (see :meth:`_unit`), which cancel near w = 1 (see
+            # :func:`gauss_2f1`)
             return reduce(add, self._direct_series.terms(
                 w, self._degree + 1, complex(1.0)), complex(0.0))
         if w == 0:
@@ -855,6 +862,13 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     or a series that runs out of terms), the value comes from Taylor steps
     of the hypergeometric equation, within 1.1e-13 of 40-digit mpmath at
     the tested points.
+    A polynomial, an upper parameter -n a non-positive integer, is summed
+    as its n + 1 terms at w itself, whose cancellation near w = 1 costs
+    digits with no error raised: against 40-digit mpmath, 2F1(-40, 2.5;
+    1.7; w) is 4.0e5 relative off at w = 1.5 and 7.9 at w = 1 + 0.3i, and
+    4.2e-9 at w = 0.3; 1.0e-3 at (a, b; c) = (-40, 0.3+0.4i; 2.2-0.5i),
+    w = 1.5, and 1.4e-6 at (-17, 2.5; 1.7), w = 1.5.  The error stays
+    within 2e-15 of the sum of the terms' moduli.
     Where the value is not finite, ``NumericalError`` names a, b, c and w:
     at c = 100.5 the 1-w connection's Gamma products overflow (a = 0.5,
     b = 0.7, w = 0.95).

@@ -194,6 +194,28 @@ def test_model_coefficients_past_float_range_raise():
         model_coefficients(standard_model(3.0, 30.5), 300)
 
 
+def test_model_coefficients_past_16_to_the_256():
+    """16^(k+1) leaves the float range at k = 255, but the coefficients do
+    not: all 259 here, E_512 = 2.78e-9 and E_518 among them, are within
+    1e-12 of 40-digit mpmath.  The Taylor term of E_520, -7.6e303, is
+    finite, but its predecessor times (h1 + k)(h2 + k) h3 is not, so that
+    term leaves the float range before the division brings it back."""
+    h1 = 0.3 + 0.2j
+    model = HypModel(h1=h1, h2=h1.conjugate(), h3=8.27596, h4=1e-3, l=30.5,
+                     e0=-0.5, alpha=3.0)
+    with pytest.raises(NumericalError, match="E_520 leaves the float range"):
+        model_coefficients(model, 260)
+    got = model_coefficients(model, 259)
+    with mp.workdps(40):
+        a, b = mp.mpc(h1), mp.mpc(h1.conjugate())
+        for k, value in enumerate(got):
+            ref = complex(mp.mpf(model.e0) * mp.mpf(model.h4) * mp.rf(a, k)
+                          * mp.rf(b, k) * mp.gamma(mp.mpf(model.l) - k)
+                          * mp.mpf(model.h3) ** k / mp.factorial(k)
+                          / mp.mpf(16) ** (k + 1))
+            assert abs(value - ref) <= 1e-12 * abs(ref), k
+
+
 @pytest.mark.parametrize("alpha,onset", [(3.0, 98.58), (2.0, 98.72),
                                          (1.5, 98.79), (20.0, 97.49)])
 def test_gamma_prefactor_overflow_onset(alpha, onset):
@@ -835,6 +857,15 @@ def test_tail_fit_rejects_oscillation():
     gammas = 2.0 + np.sin(5.0 * fields)
     with pytest.raises(NonlinearTail):
         linear_tail_fit(fake_points(fields, gammas))
+
+
+def test_flat_tail_is_a_zero_slope_fit():
+    """Equal rates over the window fit a flat line exactly: the tail is
+    not linear in the field, and the error names slope 0."""
+    fields = [0.1 * k for k in range(1, 41)]
+    with pytest.raises(NonlinearTail, match=re.escape(
+            "(R^2 = 1.0000, slope = 0.000e+00)")):
+        linear_tail_fit(fake_points(fields, [0.02] * 40))
 
 
 def test_tail_fit_needs_points():

@@ -8,6 +8,7 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -375,20 +376,33 @@ def bits(z):
     return z.real.hex(), z.imag.hex()
 
 
-def plain_series(a, b, c, w):
-    """The defining series, each term's parameter values formed afresh."""
-    term = total = complex(1.0)
+def summed(total, terms):
+    """``total`` plus ``terms`` under the kept series' stop rule (two terms
+    in a row within SERIES_RTOL of the running sum), and the number of
+    terms that took."""
     small = 0
-    for k in range(specfun.MAX_TERMS):
-        term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
+    for used, term in enumerate(terms, 1):
         total += term
         if abs(term) <= specfun.SERIES_RTOL * abs(total):
             small += 1
             if small >= 2:
-                return total
+                return total, used
         else:
             small = 0
-    raise NonConvergent("reference series did not converge")
+    raise NonConvergent("reference sum did not converge")
+
+
+def series_terms(a, b, c, w):
+    """The defining series' MAX_TERMS terms, each ratio formed afresh."""
+    term = complex(1.0)
+    for k in range(specfun.MAX_TERMS):
+        term = term * (a + k) * (b + k) * w / ((c + k) * (k + 1))
+        yield term
+
+
+def plain_series(a, b, c, w):
+    """The defining series, each term's parameter values formed afresh."""
+    return summed(complex(1.0), series_terms(a, b, c, w))[0]
 
 
 def test_reflected_series_is_the_defining_one_up_to_x_2():
@@ -538,33 +552,33 @@ def test_kept_terms_carry_no_state(logs, sides, alpha, order):
         assert bits(call(shared)) == bits(call(Hyp2F1(a, b, c)))
 
 
-def plain_log_tail(a, b, m, xi):
-    """The log tail of DLMF 15.8.10, its coefficient and digamma sums
-    advanced afresh in every call."""
+def log_tail_terms(a, b, m, xi):
+    """The log tail's MAX_TERMS terms, its coefficient and digamma sums
+    advanced afresh; H_m left to right, as sum() rounds H_30 differently
+    from Python 3.12."""
     psi_a, psi_b = specfun.digamma(a + m), specfun.digamma(b + m)
     psi_k = -specfun._EULER_GAMMA
-    psi_km = -specfun._EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
+    harmonic = 0.0
+    for j in range(1, m + 1):
+        harmonic += 1.0 / j
+    psi_km = -specfun._EULER_GAMMA + harmonic
     coeff = complex(1.0 / math.factorial(m))
     log_xi = cmath.log(xi)
     pow_xi = complex(1.0)
-    total = complex(0.0)
-    small = 0
     for k in range(specfun.MAX_TERMS):
-        contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-        total += contrib
-        if abs(contrib) <= specfun.SERIES_RTOL * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
+        yield coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
         coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
         pow_xi = pow_xi * xi
         psi_a += 1.0 / (a + m + k)
         psi_b += 1.0 / (b + m + k)
         psi_k += 1.0 / (k + 1)
         psi_km += 1.0 / (k + m + 1)
-    raise NonConvergent("reference log tail did not converge")
+
+
+def plain_log_tail(a, b, m, xi):
+    """The log tail of DLMF 15.8.10, its coefficient and digamma sums
+    advanced afresh in every call."""
+    return summed(complex(0.0), log_tail_terms(a, b, m, xi))[0]
 
 
 @given(
@@ -599,6 +613,141 @@ def test_kept_series_match_plain_loops(ar, ai, br, m, points):
             assert outcome(tail, w) == outcome(plain_log_tail, a, b, m, w)
 
 
+def taylor_terms(expansion, h, derivative):
+    """The terms n = 1 + derivative .. MAX_TERMS - 1 + derivative of S (or
+    of S' times rho) at z0 + h, from a fresh list of coefficients by the
+    three-term recurrence."""
+    a, b, p, q, r = (expansion.a, expansion.b, expansion.p, expansion.q,
+                     expansion.r)
+    s = list(expansion.coeffs[:2])
+    u = h / expansion.rho
+    pow_u = 1.0
+    for n in range(1, specfun.MAX_TERMS + derivative):
+        if n >= len(s):
+            m = n - 2
+            s.append(((m + a) * (m + b) * s[m] - (q * m + r) * (m + 1)
+                      * s[m + 1]) / (p * (m + 1) * (m + 2)))
+        if n > derivative:
+            pow_u *= u
+            yield s[n] * pow_u * n if derivative else s[n] * pow_u
+
+
+KEPT_A, KEPT_B = 0.3 + 0.4j, 0.3 - 0.4j
+TAYLOR_ARGS = (KEPT_A, 1.3, 2.7, 0.5, 1.0 + 0.5j, -0.3 + 0.2j, 0.5 / 3.0)
+SCAN = [k / 1000.0 for k in range(1, 960)]
+
+
+class KeptCase(NamedTuple):
+    """One kept series: a fresh instance, its sum at an argument, the plain
+    loop's (value, terms summed) there, the instance's kept rows, the rows
+    a sum of that many terms reads, its exhaustion message, and arguments
+    that need from few terms to many."""
+    make: Callable
+    call: Callable
+    plain: Callable
+    kept: Callable
+    rows_read: Callable
+    message: str
+    scan: list
+
+
+def plain_taylor(h, derivative):
+    expansion = specfun._Taylor(*TAYLOR_ARGS)
+    total, used = summed(expansion.coeffs[derivative],
+                         taylor_terms(expansion, h, derivative))
+    return (total / expansion.rho if derivative else total), used
+
+
+def taylor_case(derivative):
+    return KeptCase(
+        lambda: specfun._Taylor(*TAYLOR_ARGS),
+        lambda expansion, h: expansion(h, derivative),
+        lambda h: plain_taylor(h, derivative),
+        lambda expansion: len(expansion.coeffs),
+        lambda used: used + 1 + derivative,
+        "Taylor expansion exhausted {} terms",
+        [2.9 * TAYLOR_ARGS[-1] * x for x in SCAN])
+
+
+KEPT_CASES = {
+    "series": KeptCase(
+        lambda: specfun._Series(KEPT_A, KEPT_B, 2.7),
+        lambda series, w: series(w),
+        lambda w: summed(complex(1.0), series_terms(KEPT_A, KEPT_B, 2.7, w)),
+        lambda series: len(series.rows),
+        lambda used: used,
+        "hypergeometric series exhausted {} terms",
+        [cmath.rect(x, 0.7) for x in SCAN]),
+    "log tail": KeptCase(
+        lambda: specfun._LogTail(KEPT_A, KEPT_B, 2,
+                                 specfun.digamma(KEPT_A + 2),
+                                 specfun.digamma(KEPT_B + 2)),
+        lambda tail, xi: tail(xi),
+        lambda xi: summed(complex(0.0),
+                          log_tail_terms(KEPT_A, KEPT_B, 2, xi)),
+        lambda tail: len(tail.rows),
+        lambda used: used,
+        "logarithmic tail exhausted {} terms",
+        [cmath.rect(x, -2.1) for x in SCAN]),
+    "Taylor S": taylor_case(0),
+    "Taylor S'": taylor_case(1),
+}
+
+
+def first_reading(case, rows):
+    """The first scanned argument whose plain sum reads ``rows`` rows."""
+    return next(x for x in case.scan
+                if case.rows_read(case.plain(x)[1]) == rows)
+
+
+@pytest.mark.parametrize("name", KEPT_CASES)
+def test_kept_series_form_rows_as_the_sum_reaches_them(name):
+    """Each kept series, summed where its plain loop reads 9, 16, 17 and 48
+    rows past the instance's first rows, gives the plain loop's bits,
+    on a fresh instance, which then keeps just the rows its sum read, and
+    on one that a longer sum grew first, which forms no row for them."""
+    case = KEPT_CASES[name]
+    first = case.kept(case.make())
+    shared = case.make()
+    case.call(shared, first_reading(case, first + 53))
+    for rows in (first + 9, first + 16, first + 17, first + 48):
+        x = first_reading(case, rows)
+        expected = bits(case.plain(x)[0])
+        fresh = case.make()
+        assert bits(case.call(fresh, x)) == expected
+        assert case.kept(fresh) == rows
+        assert bits(case.call(shared, x)) == expected
+        assert case.kept(shared) == first + 53
+
+
+@pytest.mark.parametrize("name", KEPT_CASES)
+def test_kept_series_stop_at_max_terms(monkeypatch, name):
+    """With MAX_TERMS at 37, each kept series gives the plain loop's bits
+    where a loop of that many terms converges and raises its exhaustion
+    message where it does not: on a fresh instance, and on one whose rows
+    a sum at MAX_TERMS = 500 grew past 37."""
+    case = KEPT_CASES[name]
+    points = [next(x for x in case.scan if case.plain(x)[1] >= n)
+              for n in range(30, 45)]
+    grown = case.make()
+    case.call(grown, points[-1])
+    monkeypatch.setattr(specfun, "MAX_TERMS", 37)
+    outcomes = set()
+    for x in points:
+        for series in (case.make(), grown):
+            try:
+                expected = bits(case.plain(x)[0])
+            except NonConvergent:
+                with pytest.raises(NonConvergent) as info:
+                    case.call(series, x)
+                assert str(info.value) == case.message.format(37)
+                outcomes.add("raised")
+            else:
+                assert bits(case.call(series, x)) == expected
+                outcomes.add("summed")
+    assert outcomes == {"summed", "raised"}
+
+
 POLYNOMIAL_PARAMS = ((2.5, 1.7), (0.3 + 0.4j, 2.2 - 0.5j))
 POLYNOMIAL_POINTS = (0.5j, cmath.rect(0.8, 2.0), 1 + 0.3j, cmath.rect(3.0, -1.2),
                      -4 + 1j, 1.5, 5.0, 40.0)
@@ -630,6 +779,25 @@ def test_polynomial_is_its_terms_summed_left_to_right(n):
                 ref = complex(mp.hyp2f1(-n, mp.mpc(b), mp.mpc(c), mp.mpc(w)))
             worst = max(worst, abs(total - ref) / scale)
     assert worst <= 2e-15
+
+
+@pytest.mark.xfail(strict=True, reason="a polynomial's terms cancel near"
+                   " w = 1 with no error raised (ROADMAP item 3(b)/(e))")
+def test_polynomial_near_one_against_mpmath():
+    """Against 40-digit mpmath a polynomial 2F1(-n, b; c; w) is 4.0e5
+    relative off at (-40, 2.5; 1.7; 1.5), 7.9 at w = 1 + 0.3i, 1.0e-3 at
+    (-40, 0.3+0.4i; 2.2-0.5i; 1.5), 1.4e-6 at (-17, 2.5; 1.7; 1.5) and
+    4.2e-9 at (-40, 2.5; 1.7; 0.3): each of these within 1e-12 fails."""
+    misses = []
+    for a, b, c, w in ((-40, 2.5, 1.7, 1.5), (-40, 2.5, 1.7, 1 + 0.3j),
+                       (-40, 0.3 + 0.4j, 2.2 - 0.5j, 1.5),
+                       (-17, 2.5, 1.7, 1.5), (-40, 2.5, 1.7, 0.3)):
+        with mp.workdps(40):
+            ref = ref2f1(a, b, c, w)
+        got = gauss_2f1(a, b, c, w, 1 if w == 1.5 else None)
+        if abs(got - ref) > 1e-12 * abs(ref):
+            misses.append((a, b, c, w, abs(got - ref) / abs(ref)))
+    assert not misses
 
 
 def test_log_head_keeps_its_rows():
