@@ -12,6 +12,8 @@ each table's rows hold flat scalars only.  A CSV cell is a float written
 with ``%.17g``, the text of an int or string, or empty for None.  JSON bytes
 equal ``json.dumps(doc, indent=2, sort_keys=True)`` of ``{"meta": ...,
 "data": [one object per row]}``, with floats in shortest round-trip form.
+The meta is the command, the version and every option the command parsed
+but ``--format`` and ``--output``, then what the command adds.
 """
 
 import argparse
@@ -71,7 +73,9 @@ _order_arg = _bounded_arg(int, lambda n: 1 <= n <= DEFAULT_ORDER_CAP,
                           "an integer")
 
 
-def _fields_arg(text: str) -> tuple:
+def _fields_arg(text: str) -> dict:
+    """The grid START:STOP:COUNT as {start, stop, count}, the keywords of
+    :func:`_linear_grid` and the shape of the ``fields`` meta entry."""
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -87,7 +91,7 @@ def _fields_arg(text: str) -> tuple:
     if count < 2:
         raise argparse.ArgumentTypeError(
             f"grid needs at least 2 points, got {count}")
-    return start, stop, count
+    return {"start": start, "stop": stop, "count": count}
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -235,7 +239,8 @@ def _sweep_rows(model, fields) -> list:
 def _cmd_sweep(ns: argparse.Namespace):
     from .resum import standard_model
 
-    rows = _sweep_rows(standard_model(ns.alpha, ns.l), _linear_grid(*ns.fields))
+    rows = _sweep_rows(standard_model(ns.alpha, ns.l),
+                       _linear_grid(**ns.fields))
     return ("field", "delta", "gamma"), rows, {}
 
 
@@ -243,12 +248,11 @@ def _cmd_wkb(ns: argparse.Namespace):
     from .resum import lower_side_rate, standard_model
     from .wkb import barrier_model, landau_calibrated_rate, landau_closed_form
 
-    start, stop, count = ns.fields
-    if start <= 0.0:
+    if ns.fields["start"] <= 0.0:
         raise OutOfRange("barrier analysis needs strictly positive fields")
     model = standard_model(ns.alpha, ns.l)
     p = (float(ns.alpha) - 1.0) / 2.0
-    fields = _linear_grid(start, stop, count)
+    fields = _linear_grid(**ns.fields)
     # the rates come one field at a time, so none is evaluated past the
     # calibration field
     calibration_field, calibrated = landau_calibrated_rate(
@@ -340,9 +344,7 @@ def _figure_three():
 
 
 def _cmd_reproduce(ns: argparse.Namespace):
-    maker = {1: _figure_one, 2: _figure_two, 3: _figure_three}[ns.figure]
-    columns, rows, extra = maker()
-    return columns, rows, {"figure": ns.figure, **extra}
+    return {1: _figure_one, 2: _figure_two, 3: _figure_three}[ns.figure]()
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +363,17 @@ def _render_csv(columns, rows) -> str:
 def _render_json(ns: argparse.Namespace, columns, rows, extra) -> str:
     import json  # CSV, the default format, needs no json
 
+    # every parsed option but those that pick the handler and the output
     meta = {"command": ns.subcommand, "version": __version__}
-    if ns.subcommand != "reproduce":
-        meta["alpha"] = float(ns.alpha)
-    if hasattr(ns, "l"):
-        meta["l"] = ns.l
-    if ns.subcommand == "coeffs":
-        meta["order"] = ns.order
-        meta["symbolic"] = ns.symbolic
-    if getattr(ns, "fields", None) is not None:
-        start, stop, count = ns.fields
-        meta["fields"] = {"start": start, "stop": stop, "count": count}
+    meta.update((key, value) for key, value in vars(ns).items()
+                if key not in ("subcommand", "handler", "fmt", "output"))
     meta.update(extra)
     # the bytes of json.dumps({"meta": meta, "data": [dict(zip(columns, row))
     # for row in rows]}, indent=2, sort_keys=True); an indent sends json to
     # its pure-Python encoder, so the cells are encoded in one C-encoder call
-    # and placed into one template for the whole data list
-    meta_text = json.dumps(meta, indent=2, sort_keys=True)
+    # and placed into one template for the whole data list; float() encodes
+    # the one meta value json cannot, the exact (Fraction) alpha
+    meta_text = json.dumps(meta, indent=2, sort_keys=True, default=float)
     data_text = "[]"
     if rows:
         keys = sorted(columns)

@@ -95,15 +95,22 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .), its lock) from the registry; a
-        failure names the model's alpha and l and is not kept."""
+        """(G, 2F1(h1, h2; h1+h2+l; .), its lock) from the registry, under
+        the registry's lock: neither ``cached_property`` (from Python 3.12)
+        nor ``lru_cache`` locks a miss, and threads that missed at once
+        would each build an entry.  A failure names the model's alpha and l
+        and is not kept."""
         h1, h2 = complex(self.h1), complex(self.h2)
         try:
-            return _kept_continuation(
-                h1.real.hex(), h1.imag.hex(), h2.real.hex(), h2.imag.hex(),
-                float(self.l).hex())
+            with _REGISTRY_LOCK:
+                return _kept_continuation(
+                    h1.real.hex(), h1.imag.hex(), h2.real.hex(),
+                    h2.imag.hex(), float(self.l).hex())
         except NumericalError as exc:
             raise type(exc)(f"{exc} (alpha={self.alpha}, l={self.l})") from exc
+
+
+_REGISTRY_LOCK = allocate_lock()
 
 
 @lru_cache(maxsize=16)
@@ -149,13 +156,16 @@ class ResonancePoint(Record):
 def model_coefficients(model: HypModel, count: int = 4):
     """Even-order energy coefficients implied by the model.
 
-    Returns [E_2, E_4, ...] (length ``count``) from the continuation's
-    Taylor terms h4 (h1)_k (h2)_k Gamma(l-k) h3^k / k!; for fit round-trips.
-    At integer l the terms end at the pole of Gamma(l-k): count > l raises
-    ``OutOfRange``.  Where a Taylor term leaves the float range,
-    ``NumericalError`` is raised: from E_56 at alpha = 20, l = 30, although
-    E_56 itself, about -1.58e271 by the dispersion moment, is finite.
+    Returns [E_2, E_4, ...] (length ``count``, a nonnegative int, else
+    ``OutOfRange``) from the continuation's Taylor terms
+    h4 (h1)_k (h2)_k Gamma(l-k) h3^k / k!; for fit round-trips.  At integer
+    l the terms end at the pole of Gamma(l-k): count > l raises
+    ``OutOfRange``.  Where a Taylor term itself leaves the float range,
+    ``NumericalError`` is raised: from E_58 at alpha = 20, l = 30, whose
+    term is about -1.44e317 before its division by 16^29.
     """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise OutOfRange(f"count must be a nonnegative int, got {count!r}")
     if count > model.l and float(model.l).is_integer():
         raise OutOfRange(f"count {count} passes the pole of Gamma(l-k) at"
                          f" k = l = {model.l}")
@@ -336,36 +346,32 @@ def lower_side_rate(model: HypModel, field: float) -> float:
     return _lower_side(model, (field,), True)[0]
 
 
-def _resonances(model: HypModel, grid) -> list:
-    """:func:`resonance` at each field of ``grid``, a sequence of floats, from
-    one evaluation of the grid."""
-    return [ResonancePoint(field=field, energy=complex(e.real, -abs(e.imag)))
-            for field, e in zip(grid, _lower_side(model, grid, False))]
-
-
 def resonance(model: HypModel, field: float) -> ResonancePoint:
     """Complex resonance energy at one field strength (field >= 0): the
-    decaying branch, :func:`lower_side_energy` with Im E made nonpositive.
+    decaying branch, :func:`lower_side_energy` with Im E made nonpositive,
+    as the sweep of a one-field grid.
 
     For a complex pair (h1, h2) the model's Im E changes sign at high field,
     first near F = 65 at alpha = 5/2, 98 at 2, 490 at 3, 589 at 3/2 and
     7.2e4 at 11/10 (none up to 1e7 at alpha = 7 or 20); beyond that point
     Gamma is the folded value 2 |Im E|.
     """
-    return _resonances(model, (float(field),))[0]
+    return sweep(model, (field,))[0]
 
 
 def sweep(model: HypModel, fields) -> list:
     """:func:`resonance` over a strictly increasing nonnegative field grid,
-    order preserved, with the continuation's lock taken once."""
+    order preserved: :func:`lower_side_energy` at each field from one grid
+    evaluation, with the continuation's lock taken once, and Im E folded to
+    nonpositive in each point.  A field that is negative or not finite
+    raises ``OutOfRange`` as the scalar entries do."""
     grid = [float(x) for x in fields]
     if not grid:
         raise OutOfRange("field grid is empty")
-    if grid[0] < 0.0:
-        raise OutOfRange("field grid must be nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise OutOfRange("field grid must be strictly increasing")
-    return _resonances(model, grid)
+    return [ResonancePoint(field=field, energy=complex(e.real, -abs(e.imag)))
+            for field, e in zip(grid, _lower_side(model, grid, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +413,8 @@ def _line_fit(x, y):
 
 def _fit_window(points, fraction: float):
     lo = points[-1].field - fraction * (points[-1].field - points[0].field)
-    sel = [pt for pt in points if pt.field >= lo and pt.gamma > 0.0]
+    sel = [pt for pt in points
+           if pt.field >= lo and 0.0 < pt.gamma < math.inf]
     if len(sel) < 8 or sel[0].field == sel[-1].field:
         return None
     x = [pt.field for pt in sel]
@@ -434,8 +441,8 @@ def linear_tail_fit(points) -> LinearTailFit:
     Tries a trailing window of 30% of the swept range first and keeps it if
     its coefficient of determination reaches 0.99; otherwise the 20/40/50%
     windows are also fitted and the best one wins.  Windows need at least 8
-    points with positive rate.  Equal rates fit a flat line, slope 0, and
-    like any slope <= 0 it raises ``NonlinearTail``.
+    points with a positive finite rate.  Equal rates fit a flat line, slope
+    0, and like any slope <= 0 it raises ``NonlinearTail``.
     """
     pts = sorted(points, key=lambda pt: pt.field)
     if len(pts) < 2:
@@ -471,14 +478,16 @@ def critical_field(points) -> float:
 
 def slope_exponent(pairs) -> float:
     """Power-law exponent relating high-field tail slopes to the channel
-    scale p: least-squares fit of log(slope) against log(p)."""
+    scale p: least-squares fit of log(slope) against log(p).  Each p and
+    each slope must be positive and finite (``OutOfRange`` for p,
+    ``NonPositiveSlope`` for a slope)."""
     data = [(float(p), float(s)) for p, s in pairs]
     if len(data) < 3 or len({p for p, _ in data}) < 3:
         raise InsufficientData("need at least 3 pairs with distinct p")
-    if any(p <= 0.0 for p, _ in data):
-        raise OutOfRange("channel scale p must be positive")
-    if any(s <= 0.0 for _, s in data):
-        raise NonPositiveSlope("tail slopes must be positive")
+    if not all(0.0 < p < math.inf for p, _ in data):
+        raise OutOfRange("channel scale p must be positive and finite")
+    if not all(0.0 < s < math.inf for _, s in data):
+        raise NonPositiveSlope("tail slopes must be positive and finite")
     return _line_fit([math.log(p) for p, _ in data],
                      [math.log(s) for _, s in data])[0]
 

@@ -251,11 +251,20 @@ class _Series:
         by the ratio of its kept row.  The rows grow to count - 1 and are
         kept; MAX_TERMS does not bound them, as a finite sum (a terminating
         series, or the terms below a pole of the ratio) sets its own
-        length."""
+        length.  A finite term whose predecessor times (a+k)(b+k)w passes
+        the float range is formed, with every later one, from its
+        predecessor times the whole ratio; a term that is finite the first
+        way keeps its bits."""
         terms = [first]
         for ak, bk, dk in chain(islice(self.rows, max(count - 1, 0)),
                                 self._grow(count - 1)):
             terms.append(terms[-1] * ak * bk * w / dk)
+        # a non-finite term makes every later one non-finite: the last shows
+        if not cmath.isfinite(terms[-1]):
+            for k in range(1, len(terms)):
+                if not cmath.isfinite(terms[k]):
+                    ak, bk, dk = self.rows[k - 1]
+                    terms[k] = terms[k - 1] * (ak * bk * w / dk)
         return terms[:count]
 
 

@@ -799,6 +799,48 @@ def test_reproduce_figure_one(capsys):
     assert doc["data"][-1]["gamma"] > 0.0
 
 
+# each command's JSON meta: {command, version}, every parsed option but
+# subcommand, handler, fmt and output (given here with its JSON value), and
+# the named extras of the command
+META = {
+    ("coeffs", "--alpha", "5/2", "--order", "3"): (
+        {"alpha": 2.5, "order": 3, "symbolic": False}, ()),
+    ("coeffs", "--alpha", "3", "--order", "3", "--symbolic"): (
+        {"alpha": 3.0, "order": 3, "symbolic": True}, ()),
+    ("fit", "--alpha", "7/2", "--l", "12.5"): (
+        {"alpha": 3.5, "l": 12.5}, ()),
+    ("sweep", "--alpha", "3", "--fields", "0:1:5"): (
+        {"alpha": 3.0, "l": 30.0,
+         "fields": {"start": 0.0, "stop": 1.0, "count": 5}}, ()),
+    ("wkb", "--alpha", "3", "--fields", "0.05:0.3:5"): (
+        {"alpha": 3.0, "l": 30.0,
+         "fields": {"start": 0.05, "stop": 0.3, "count": 5}},
+        ("calibration_field",)),
+    ("dispersion", "--alpha", "3"): ({"alpha": 3.0, "l": 30.0}, ()),
+    ("reproduce", "--figure", "1"): ({"figure": 1}, ("alpha",)),
+    ("reproduce", "--figure", "2"): ({"figure": 2},
+                                     ("cases", "slope_exponent")),
+    ("reproduce", "--figure", "3"): ({"figure": 3}, ("cases",)),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(META), ids="_".join)
+def test_json_meta_is_the_parsed_options(capsys, argv):
+    options, extras = META[argv]
+    # reproduce writes JSON and takes no --format
+    if argv[0] != "reproduce":
+        argv = (*argv, "--format", "json")
+    parsed = set(vars(build_parser().parse_args(argv)))
+    parsed -= {"subcommand", "handler", "fmt", "output"}
+    assert parsed == set(options)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert set(meta) == {"command", "version", *options, *extras}
+    assert {key: meta[key] for key in options} == options
+    assert (meta["command"], meta["version"]) == (argv[0], __version__)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "starkdim", "--version"],

@@ -163,6 +163,12 @@ def test_model_coefficients_stop_at_the_gamma_pole(models):
     assert len(model_coefficients(standard_model(3.0, 12.5), 13)) == 13
 
 
+@pytest.mark.parametrize("count", (-1, 2.5, 4.0, "4"))
+def test_model_coefficients_count_is_a_nonnegative_int(models, count):
+    with pytest.raises(OutOfRange, match="count must be a nonnegative int"):
+        model_coefficients(models[3.0], count)
+
+
 @pytest.mark.parametrize("alpha", (Fraction(101, 100), Fraction(6, 5)))
 def test_model_coefficients_of_a_real_pair_are_real(alpha):
     """At l = 4.5 a real pair's terms change sign past the pole of
@@ -181,14 +187,24 @@ def test_model_coefficients_of_a_real_pair_are_real(alpha):
 
 
 def test_model_coefficients_past_float_range_raise():
-    """At alpha = 20 the Taylor term of E_56 overflows (E_56 itself is
-    about -1.58e271), where the re-expansion once returned nan+nanj; E_54
-    keeps its bits."""
+    """At alpha = 20 the Taylor term of E_58, about -1.44e317, overflows,
+    where the re-expansion once returned nan+nanj; E_54 keeps its bits, and
+    E_56, whose term (-8.2e304) is finite although its predecessor times
+    (h1 + k)(h2 + k) h3 is not, is within 1e-14 of 40-digit mpmath."""
     model = standard_model(20.0)
-    assert model_coefficients(model, 27)[-1] == -2.2210172008859608e+260
+    got = model_coefficients(model, 28)
+    assert got[26] == -2.2210172008859608e+260
+    with mp.workdps(40):
+        k = 27
+        ref = complex(mp.mpf(model.e0) * mp.mpc(model.h4)
+                      * mp.rf(mp.mpc(model.h1), k) * mp.rf(mp.mpc(model.h2), k)
+                      * mp.gamma(mp.mpf(model.l) - k)
+                      * mp.mpf(model.h3.real) ** k / mp.factorial(k)
+                      / mp.mpf(16) ** (k + 1))
+    assert abs(got[27] - ref) <= 1e-14 * abs(ref)
     with pytest.raises(NumericalError,
-                       match=r"E_56 leaves the float range \(alpha=20.0, l=30.0\)"):
-        model_coefficients(model, 28)
+                       match=r"E_58 leaves the float range \(alpha=20.0, l=30.0\)"):
+        model_coefficients(model, 29)
     # at non-integer l the terms run on until one overflows
     with pytest.raises(NumericalError, match="E_130 "):
         model_coefficients(standard_model(3.0, 30.5), 300)
@@ -196,16 +212,17 @@ def test_model_coefficients_past_float_range_raise():
 
 def test_model_coefficients_past_16_to_the_256():
     """16^(k+1) leaves the float range at k = 255, but the coefficients do
-    not: all 259 here, E_512 = 2.78e-9 and E_518 among them, are within
-    1e-12 of 40-digit mpmath.  The Taylor term of E_520, -7.6e303, is
-    finite, but its predecessor times (h1 + k)(h2 + k) h3 is not, so that
-    term leaves the float range before the division brings it back."""
+    not: all 264 here, E_512 = 2.78e-9 and E_528 among them, are within
+    1e-12 of 40-digit mpmath.  From E_520 (Taylor term -7.6e303) on, a
+    term's predecessor times (h1 + k)(h2 + k) h3 passes the float range
+    although the term is finite; the Taylor term of E_530, 5.3e308, is
+    not, and raises."""
     h1 = 0.3 + 0.2j
     model = HypModel(h1=h1, h2=h1.conjugate(), h3=8.27596, h4=1e-3, l=30.5,
                      e0=-0.5, alpha=3.0)
-    with pytest.raises(NumericalError, match="E_520 leaves the float range"):
-        model_coefficients(model, 260)
-    got = model_coefficients(model, 259)
+    with pytest.raises(NumericalError, match="E_530 leaves the float range"):
+        model_coefficients(model, 265)
+    got = model_coefficients(model, 264)
     with mp.workdps(40):
         a, b = mp.mpc(h1), mp.mpc(h1.conjugate())
         for k, value in enumerate(got):
@@ -592,6 +609,35 @@ def test_route_bits_pinned(route):
     assert (energy.real.hex(), energy.imag.hex()) == (real, imag)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTE_PINS))
+def test_resonance_is_a_one_field_sweep(route):
+    """On every route the model path takes, resonance at a field has the
+    bits of the sweep of that field alone."""
+    alpha, l, field = ROUTE_PINS[route][:3]
+    model = fit_model(energy_series(alpha, 4), l)
+    point, (swept,) = resonance(model, field), sweep(model, [field])
+    assert (point.field, point.delta.hex(), point.gamma.hex()) == (
+        swept.field, swept.delta.hex(), swept.gamma.hex())
+
+
+@pytest.mark.parametrize("field", (-1.0, math.inf, math.nan))
+def test_resonance_raises_like_a_sweep(models, field):
+    """A negative or non-finite field raises the same error from resonance
+    and from the sweep of that field alone."""
+    model = models[3.0]
+    with pytest.raises(OutOfRange) as scalar:
+        resonance(model, field)
+    with pytest.raises(OutOfRange) as grid:
+        sweep(model, [field])
+    assert str(scalar.value) == str(grid.value)
+
+
+def test_negative_grid_raises_the_field_check(models):
+    """A sweep checks the sign of each field where the scalar entries do."""
+    with pytest.raises(OutOfRange, match="field must be nonnegative"):
+        sweep(models[3.0], [-0.1, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # kept continuations
 
@@ -781,6 +827,41 @@ def test_threads_sharing_a_model_keep_every_value(empty_registry):
     assert kept == [({Hyp2F1}, 16, 16)] * 2
 
 
+def test_registry_miss_is_built_once(empty_registry, monkeypatch):
+    """Two threads that read the continuation of one new model at once get
+    one 2F1, which the registry keeps.  Each build waits, up to 0.5 s, for
+    the other thread to start one: from Python 3.12 neither cached_property
+    nor lru_cache locks a miss, so without the registry's own lock both
+    threads built, each its own 2F1.  On 3.10 and 3.11 cached_property
+    locks, and the test passes either way."""
+    barrier = threading.Barrier(2, timeout=0.5)
+    builds = []
+
+    def waiting_build(*args):
+        builds.append(args)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # the other thread never began a build
+        return Hyp2F1(*args)
+
+    monkeypatch.setattr(starkdim.resum, "Hyp2F1", waiting_build)
+    model = fit_model(energy_series(3, 4))
+    taken = []
+    workers = [threading.Thread(
+        target=lambda: taken.append(model._continuation)) for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(builds) == 1
+    kept = empty_registry(*(x.hex() for x in (
+        model.h1.real, model.h1.imag, model.h2.real, model.h2.imag,
+        model.l)))
+    assert taken[0] is taken[1] is kept and model._continuation is kept
+
+
 @pytest.mark.parametrize("l", (4.0, math.inf, -math.inf, math.nan))
 def test_l_outside_the_open_range_is_bad_input(l):
     """fit_model and HypModel reject l outside (4, inf) as bad input, in the
@@ -876,6 +957,20 @@ def test_tail_fit_needs_points():
         linear_tail_fit(fake_points([1.0] * 10, range(1, 11)))
 
 
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_tail_fit_skips_rates_that_are_not_finite(bad):
+    """A rate that is infinite or NaN is not usable, as a zero rate is not:
+    the fit is the one without it, and where such rates fill the widest
+    window, no window has 8 usable points."""
+    fields = [0.1 * k for k in range(101)]
+    gammas = [0.6 * max(f - 2.0, 0.0) for f in fields]
+    reference = linear_tail_fit(fake_points(fields, gammas[:-1] + [0.0]))
+    assert linear_tail_fit(fake_points(fields, gammas[:-1] + [bad])) == (
+        reference)
+    with pytest.raises(InsufficientData):
+        linear_tail_fit(fake_points(fields, gammas[:50] + [bad] * 51))
+
+
 def test_slope_exponent_validation():
     with pytest.raises(InsufficientData):
         slope_exponent([(1.0, 1.0), (0.5, 0.4)])
@@ -883,6 +978,16 @@ def test_slope_exponent_validation():
         slope_exponent([(1.0, 1.0), (0.75, 0.5), (0.5, -0.4)])
     with pytest.raises(OutOfRange):
         slope_exponent([(1.0, 1.0), (-0.75, 0.5), (0.5, 0.4)])
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_slope_exponent_needs_finite_pairs(bad):
+    """A channel scale or a slope that is not finite is refused as one that
+    is not positive is."""
+    with pytest.raises(OutOfRange, match="positive and finite"):
+        slope_exponent([(1.0, 1.0), (bad, 0.5), (0.5, 0.4)])
+    with pytest.raises(NonPositiveSlope, match="positive and finite"):
+        slope_exponent([(1.0, 1.0), (0.75, bad), (0.5, 0.4)])
 
 
 def test_line_fits_match_numpy_polyfit(standard_sweeps):
