@@ -6,12 +6,17 @@ digamma function that its integer-difference connection at w = 1 needs
 (reflection for Re z < 0, DLMF 5.5.4; recurrence to Re z >= 10, then
 DLMF 5.11.2).
 
-The 2F1 evaluator picks among the defining series and the standard argument
-transformations (w/(w-1), 1-w, 1/w) by smallest mapped modulus.  Degenerate
-parameter differences (third parameter minus the upper pair an integer; the
-upper parameters separated by an integer) are handled by dedicated
-logarithmic connection series or, as a last resort, by Taylor steps of the
-hypergeometric equation from |w| = 1/2 to w.
+The 2F1 evaluator picks among the defining series (in w), the w/(w-1)
+series and the 1 - 1/w and 1/w connections by smallest mapped modulus.
+The middle two are the defining series and the 1/w connection of the Pfaff
+function G = 2F1(a, c-b; c; .) at w/(w-1) (DLMF 15.8.1), so there is one
+connection formula, the 1/w one (DLMF 15.8.2), and one connection at
+w = 1, with c - a - b as G's upper parameter difference.  An integer
+upper parameter difference takes the connection's logarithmic form
+(DLMF 15.8.8), for the 1/w region (b - a) and the 1 - 1/w region
+(c - a - b, of either sign) alike.  Where no region is in reach, or every
+one in reach fails to sum, Taylor steps of the hypergeometric equation
+from |w| = 1/2 to w are the last resort.
 
 All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
 keeps every parameter-only constant (Gamma products, digammas, route
@@ -27,22 +32,22 @@ One class forms and keeps those rows of the hypergeometric term ratio for
 every plain sum: the defining series and the connections' series, and the
 fixed-length polynomial and logarithmic-connection head.
 Each route on the cut keeps all its constants and series in one entry of
-its own, which shares none with another: the 1-w connection (for every
-c - a - b: the plain pair, the logarithmic connection, or that of the
-Euler transform), the 1/w connection, and the DLMF 15.2.3 reflected series.
-For a conjugate pair b = conj(a) with real c, the 1/w connection on the
-real axis sums one of its two series and conjugates it for the other.  The
-floating-point operations on the argument are the same either way, so no
-value depends on what the instance summed before.  :meth:`Hyp2F1.cut` is
-the on-cut entry point; :meth:`Hyp2F1.cut_imag` returns its imaginary part
-alone, bit for bit, and up to x = 1 + v = 11 sums only the reflected
-series for it, never the connection value whose real part a rate
-discards.  Both go through one private method, the only place that tells
-the cut from the rest of the real axis, checks the side and orders the
-cut's two regions; past their tie at x = 1.618 it calls the 1/w
-connection directly, with what each point needs from the parameters
-(whether it applies, the conjugate-pair test, -a and -b) kept with the
-route.  The reflected series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
+its own, which shares none with another: the 1 - 1/w connection (the 1/w
+entry of the Pfaff function's instance), the 1/w connection, and the
+DLMF 15.2.3 reflected series.  For a conjugate pair b = conj(a) with real
+c, the 1/w connection on the real axis sums one of its two series and
+conjugates it for the other.  The floating-point operations on the
+argument are the same either way, so no value depends on what the
+instance summed before.  :meth:`Hyp2F1.cut` is the on-cut entry point;
+:meth:`Hyp2F1.cut_imag` returns its imaginary part alone, bit for bit, and
+up to x = 1 + v = 11 sums only the reflected series for it, never the
+connection value whose real part a rate discards.  Both go through one
+private method, the only place that tells the cut from the rest of the
+real axis, checks the side and hands Re F over from the 1 - 1/w
+connection, whose series sum at z = v/x in (0, 1), to the 1/w connection
+at v = max(1, Re(c-a-b)/6); for parameters real on the axis it evaluates
+the upper side and conjugates it for the lower one.
+The reflected series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
 is the defining series up to z = 1/2 and above it a Taylor expansion of
 the hypergeometric equation about the nearest anchor below z (z = 1/2,
 2/3, 7/9, ...; Johansson, arXiv:1606.06977; van der Hoeven, Theor. Comput.
@@ -81,8 +86,7 @@ SERIES_RTOL = 1e-16
 
 _RHO_MAX = 0.90           # largest mapped modulus any series region accepts
 _CUT_IMAG = 1e-300        # branch-side nudge for arguments on [1, inf)
-_NEAR_INT_AB = 1e-8       # a-b this close to an integer blocks the 1/w path
-_NEAR_INT_MU = 1e-9       # c-a-b this close to an integer uses the log series
+_NEAR_INT = 1e-8          # b-a this close to an integer: the log connection
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -212,11 +216,15 @@ class _Series:
     place that forms the ratio.
     """
 
-    __slots__ = ("a", "b", "c", "rows")
+    __slots__ = ("a", "b", "c", "rows", "settle")
 
     def __init__(self, a, b, c):
         self.a, self.b, self.c = a, b, c
         self.rows = []
+        # for Re c < 0 the terms can fall and then grow again up to
+        # k ~ -Re c, where c + k is least: a sum adds the terms before that
+        # without the stop test, if there are fewer than MAX_TERMS
+        self.settle = max(0, int(-c.real) + 1)
 
     def _grow(self, length):
         """Forms, keeps and yields the rows up to ``length``, one at a time."""
@@ -230,7 +238,13 @@ class _Series:
         rows = self.rows
         term = total = complex(1.0)
         small = 0
-        kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
+        settle = self.settle
+        if 0 < settle < MAX_TERMS:
+            for term in self.terms(w, settle + 1, term)[1:]:
+                total += term
+            kept = islice(rows, settle, MAX_TERMS)
+        else:
+            kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
         while True:
             for ak, bk, dk in kept:
                 term = term * ak * bk * w / dk
@@ -269,55 +283,63 @@ class _Series:
 
 
 class _LogTail:
-    """The logarithmic tail of the connection at w = 1 for integer
-    c - a - b = m >= 0 (DLMF 15.8.10): the sum over k of
-    c_k xi^k (log xi - psi(k+1) - psi(k+m+1) + psi(a+m+k) + psi(b+m+k)),
-    c_k = (a+m)_k (b+m)_k / (k! (k+m)!), at xi = 1 - w.
+    """The logarithmic tail of the 1/w connection for an integer
+    b - a = m >= 0 (DLMF 15.8.8): the sum over k of
+    (t_k (log(-w) + psi(1+m+k) + psi(1+k) - psi(a+m+k)) - u_k) w^-k, with
+    t_k = (-1)^k (a+m)_k / (k! (k+m)! Gamma(s-k)), u_k = t_k psi(s-k) and
+    s = c - a - m.
 
-    Everything but the powers of xi depends on the parameters alone.  The
-    rows (c_k, psi(k+1), psi(k+m+1), psi(a+m+k), psi(b+m+k)), each advanced
-    from the last by the term ratio and the digamma recurrence in
-    :meth:`_grow`, are kept and grow to the longest sum so far; a sum runs
+    Everything but the powers of 1/w and log(-w) depends on the parameters
+    alone.  The rows (t_k, t_k p_k - u_k), p_k = psi(1+m+k) + psi(1+k) -
+    psi(a+m+k), are kept and grow to the longest sum so far; a sum runs
     over the kept rows and then over new ones as :meth:`_grow` forms them,
-    as :class:`_Series` does.
+    as :class:`_Series` does.  :meth:`_grow` advances (t_k, u_k, p_k) from
+    the last row's: t_k as one running product, since (a+m)_k / (k! (k+m)!)
+    alone, from 1/m!, underflows long before the sum converges, as
+    1/Gamma(s-k) grows like k!; u_k by u_(k+1) = r_k ((k+1-s) u_k + t_k),
+    r_k = (a+m+k)/((k+1)(k+m+1)), which holds where s - k passes a pole
+    too; p_k by the digamma recurrence.
     """
 
-    __slots__ = ("am", "bm", "m", "rows")
+    __slots__ = ("am", "s", "m", "rows", "last")
 
-    def __init__(self, a, b, m, psi_a, psi_b):
-        self.am, self.bm, self.m = a + m, b + m, m
+    def __init__(self, a, m, s, psi_am, psi_s):
+        self.am, self.s, self.m = a + m, s, m
         # H_m left to right: from Python 3.12 sum() rounds H_30 differently
         harmonic = 0.0
         for j in range(1, m + 1):
             harmonic += 1.0 / j
-        self.rows = [(complex(1.0 / math.factorial(m)), -_EULER_GAMMA,
-                      -_EULER_GAMMA + harmonic, psi_a, psi_b)]
+        t = _rgamma(s) / math.factorial(m)
+        u, p = t * psi_s, harmonic - 2.0 * _EULER_GAMMA - psi_am
+        self.last = t, u, p
+        self.rows = [(t, t * p - u)]
 
     def _grow(self, length):
         """Forms, keeps and yields the rows up to ``length``, one at a time,
-        each from the last, whose index k is one below its own."""
+        each from the last one's (t, u, p), kept in ``last``, whose index k
+        is one below its own."""
         rows = self.rows
-        am, bm, m = self.am, self.bm, self.m
-        coeff, psi_k, psi_km, psi_a, psi_b = rows[-1]
+        am, s, m = self.am, self.s, self.m
+        t, u, p = self.last
         for k in range(len(rows) - 1, length - 1):
-            ak, bk = am + k, bm + k
-            coeff, psi_k, psi_km, psi_a, psi_b = row = (
-                coeff * ak * bk / ((k + 1) * (k + m + 1)),
-                psi_k + 1.0 / (k + 1), psi_km + 1.0 / (k + m + 1),
-                psi_a + 1.0 / ak, psi_b + 1.0 / bk)
+            ak = am + k
+            r = ak / ((k + 1) * (k + m + 1))
+            t, u, p = self.last = (
+                t * r * (k + 1 - s), r * ((k + 1 - s) * u + t),
+                p + 1.0 / (k + 1) + 1.0 / (k + m + 1) - 1.0 / ak)
+            row = t, t * p - u
             rows.append(row)
             yield row
 
-    def __call__(self, xi) -> complex:
+    def __call__(self, iw, log_w) -> complex:
         rows = self.rows
-        log_xi = cmath.log(xi)
-        pow_xi = complex(1.0)
+        pow_w = complex(1.0)
         total = complex(0.0)
         small = 0
         kept = rows if len(rows) <= MAX_TERMS else rows[:MAX_TERMS]
         while True:
-            for coeff, psi_k, psi_km, psi_a, psi_b in kept:
-                contrib = coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
+            for t, rest in kept:
+                contrib = pow_w * (t * log_w + rest)
                 total += contrib
                 if abs(contrib) <= SERIES_RTOL * abs(total):
                     small += 1
@@ -325,7 +347,7 @@ class _LogTail:
                         return total
                 else:
                     small = 0
-                pow_xi = pow_xi * xi
+                pow_w = pow_w * iw
             if len(rows) >= MAX_TERMS:
                 raise NonConvergent(
                     f"logarithmic tail exhausted {MAX_TERMS} terms")
@@ -476,44 +498,44 @@ class Hyp2F1:
     Calling an instance evaluates it at w (see :func:`gauss_2f1`);
     :meth:`cut` evaluates it at w = 1 + v.
     Region choice is by smallest mapped modulus among the defining series
-    and the w/(w-1), 1-w and 1/w transformations.  On the cut, :meth:`cut`
-    and :meth:`cut_imag` take the generic value at the nudge (Re w > 1,
-    Im w = +-_CUT_IMAG) and order only |1-w| and |1/w|, a tie going to 1-w:
-    there |w| and |w/(w-1)| exceed 1 > _RHO_MAX, so the full ordering, which
-    a call at the nudge itself takes, would never try those two regions and
-    picks the same one.
+    (|w|), the w/(w-1) series (|w/(w-1)|), the 1 - 1/w connection
+    (|1 - 1/w|) and the 1/w connection (|1/w|).  The middle two are the
+    defining series and the 1/w connection of the Pfaff function
+    G = 2F1(a, c-b; c; .), F(w) = (1-w)^(-a) G(w/(w-1)), kept as one
+    instance (``_pfaff``): G's upper parameters differ by c - a - b, so its
+    1/w connection is the one connection at w = 1, for every c - a - b.  On
+    the cut w = 1 + v its series sum at z = v/(1+v), in (0, 1) for every
+    v > 0.  There :meth:`cut` and :meth:`cut_imag` take Re F from the
+    1 - 1/w connection up to v = max(1, Re(c-a-b)/6) and from the 1/w
+    connection past it (see :meth:`_on_cut`), where a call at the cut's
+    nudge itself orders the two by modulus, so hands over at v = 1.
 
-    What depends on (a, b, c) alone -- the Gamma products of the 1-w and 1/w
-    connections, the Gammas, digammas and harmonic sum of the logarithmic
-    connection, the Gamma factors of the DLMF 15.2.3 discontinuity, and the
-    checks that pick among these -- is computed on the first evaluation
-    that needs it and kept.  So are the per-term parameter values of every
-    series the instance sums (the defining series, which also gives a
-    polynomial's terms, the w/(w-1) series, the 1/w and non-integer 1-w
-    pairs, the logarithmic connection's finite head and its tail, the
-    reflected series; see :class:`_Series` and :class:`_LogTail`) and the
-    reflected series' anchors with their Taylor coefficients
-    (:class:`_AnchoredSeries`), as lists that grow to the longest sum so
-    far and go with the instance.  Each of the three routes on the cut is
-    one kept entry that holds all it reads; with Gauss's sum and the
-    defining and w/(w-1) series these are six cached names.  No entry reads
-    another's constants: each forms the c - a - b and Gamma(c) it needs
-    itself, by the same operations, so with the same bits.  ``_unit_route``
-    holds the 1-w connection for every c - a - b, led by the integer m it
-    rounds to (None away from an integer) and c - a - b itself: then its
-    two Gamma prefixes and two series away from an integer; at an integer,
-    the logarithmic connection's integer difference, head and tail, of the
-    function itself or, for a negative integer, of its Euler transform,
-    which :meth:`_unit` multiplies by (1-w)^(c-a-b).  ``_inf_route`` holds
-    the 1/w connection's two prefixes and series, then the conjugate-pair
-    test and the powers -a, -b (it is None where b - a is near an
-    integer); and ``_reflection`` holds (a - c, mu, Gamma(c),
-    1/Gamma(mu+1), Gamma(a) Gamma(b), anchored series), or None where the
-    discontinuity formula does not apply.  Whether an upper parameter makes
-    the function a polynomial is decided once, when the instance is made.
-    A kept product is always the left-most part of the product the formula
-    multiplies out, and an anchor is built from the same sums whenever it
-    is built, so every value is bit-identical to computing it afresh.
+    What depends on (a, b, c) alone -- the Gamma products of the 1/w
+    connection, the digammas, harmonic sum and head coefficients of its
+    logarithmic form, the Gamma factors of the DLMF 15.2.3 discontinuity,
+    and the checks that pick among these -- is computed on the first
+    evaluation that needs it and kept.  So are the per-term parameter
+    values of every series the instance sums (the defining series, which
+    also gives a polynomial's terms, the 1/w connection's pair of series or
+    its log tail, the reflected series; see :class:`_Series` and
+    :class:`_LogTail`) and the reflected series' anchors with their Taylor
+    coefficients (:class:`_AnchoredSeries`), as lists that grow to the
+    longest sum so far and go with the instance.  Each connection is one
+    kept entry that holds all it reads; with Gauss's sum, the defining
+    series and the Pfaff function these are five cached names.
+    ``_inf_route`` is led by the integer m that b - a rounds to, None away
+    from an integer: then its two Gamma prefixes and two series, the
+    conjugate-pair test and the powers -a, -b; at an integer (a and b are
+    ordered by real part, so m >= 0), the finite head's coefficients, the
+    log tail's prefix and tail, and the power -a (DLMF 15.8.8).
+    ``_reflection`` holds (a - c, mu, Gamma(c), 1/Gamma(mu+1), Gamma(a)
+    Gamma(b), anchored series), or None where the discontinuity formula
+    does not apply.  Whether an upper parameter makes the function a
+    polynomial, the cut's hand-over and whether its sides are conjugates
+    are decided once, when the instance is made.  A kept product is always
+    the left-most part of the product the formula multiplies out, and an
+    anchor is built from the same sums whenever it is built, so every value
+    is bit-identical to computing it afresh.
 
     For b = conj(a) and real c the second 1/w series has the conjugate
     parameters of the first, so on the real axis (the cut's i0 nudge
@@ -532,6 +554,11 @@ class Hyp2F1:
         # non-positive integer (a polynomial has no cut), else None
         self._degree = next((int(-p.real) for p in (b, a)
                              if _nonpositive_integer(p)), None)
+        # what :meth:`_on_cut` reads at every point: where Re F hands over
+        # from the 1 - 1/w to the 1/w connection, and whether the sides of
+        # the cut are conjugates
+        self._hand_over = max(1.0, (c - a - b).real / 6.0)
+        self._real_on_axis = real_on_axis(a, b, c)
 
     # -- parameter-only constants ------------------------------------------
 
@@ -551,73 +578,56 @@ class Hyp2F1:
 
     @cached_property
     def _inf_route(self):
-        """The 1/w connection's two Gamma prefixes, its two series, whether
-        b = conj(a) with real c, and the powers -a, -b of -w: (k1, k2,
-        series_a, series_b, conjugate, -a, -b); None where it does not
-        apply: b - a near an integer, where it is degenerate."""
+        """The 1/w connection's one kept entry, led by m: b - a rounded to
+        an integer when within _NEAR_INT of it, else None.  Away from an
+        integer (DLMF 15.8.2), (None, k1, k2, series_a, series_b,
+        conjugate, -a, -b): its two Gamma prefixes and two series, whether
+        b = conj(a) with real c, and the powers of -w.  At an integer m >= 0
+        (a and b are ordered by real part; DLMF 15.8.8), (m, head, tail
+        prefix, tail, -a): head holds the finite head's m coefficients of
+        powers of 1/w, the highest first, none at m = 0: the first m terms
+        at 1, from Gamma(m) times its Gamma prefix, of the
+        :class:`_Series` of 2F1(a, a-c+1; 1-m; .); tail is a
+        :class:`_LogTail`.  The integer case is None where a digamma of the
+        tail is a pole or overflows, with a + m or c - b next to 0 or a
+        negative integer."""
         a, b, c = self.a, self.b, self.c
-        if _near_integer(b - a, _NEAR_INT_AB):
-            return None
         gamma_c = complex_gamma(c)
-        return (
-            gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
-            gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
-            _Series(a, a - c + 1.0, a - b + 1.0),
-            _Series(b, b - c + 1.0, b - a + 1.0),
-            b == a.conjugate() and c.imag == 0.0, -a, -b,
-        )
-
-    @cached_property
-    def _unit_route(self):
-        """The 1-w connection's one kept entry, led by (m, mu): m is
-        mu = c - a - b rounded to an integer when within _NEAR_INT_MU of it,
-        else None.  Away from an integer, (None, mu, k1, k2, series_1,
-        series_2), its two Gamma prefixes and two series.  At an integer m,
-        the logarithmic connection (DLMF 15.8.10) of 2F1(a', b'; a'+b'+m'; .)
-        as (m, mu, m', head, tail prefix, tail): for m >= 0 this function
-        (a' = a, b' = b, m' = m), for m < 0 its Euler transform
-        2F1(c-a, c-b; c; .) (a' = c-a, b' = c-b, m' = -m).  head is
-        (Gamma prefix, Gamma(m'), series) of the finite analytic head, None
-        at m' = 0: the head's terms are the first m' terms at 1 - w, times
-        Gamma(m'), of series, the :class:`_Series` of 2F1(a', b'; 1-m'; .).
-        tail is a :class:`_LogTail`.  None where a digamma of the tail
-        overflows, with a' + m' or b' + m' next to 0."""
-        a, b, c = self.a, self.b, self.c
-        mu = c - a - b
-        if not _near_integer(mu, _NEAR_INT_MU):
-            gamma_c = complex_gamma(c)
+        if not _near_integer(b - a, _NEAR_INT):
             return (
-                None, mu,
-                gamma_c * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b),
-                gamma_c * complex_gamma(-mu) * _rgamma(a) * _rgamma(b),
-                _Series(a, b, 1.0 - mu), _Series(c - a, c - b, 1.0 + mu),
+                None,
+                gamma_c * complex_gamma(b - a) * _rgamma(b) * _rgamma(c - a),
+                gamma_c * complex_gamma(a - b) * _rgamma(a) * _rgamma(c - b),
+                _Series(a, a - c + 1.0, a - b + 1.0),
+                _Series(b, b - c + 1.0, b - a + 1.0),
+                b == a.conjugate() and c.imag == 0.0, -a, -b,
             )
-        m = n = int(round(mu.real))
-        if m < 0:
-            a, b, n = c - a, c - b, -m
-        psi_a, psi_b = digamma(a + n), digamma(b + n)
-        if not (cmath.isfinite(psi_a) and cmath.isfinite(psi_b)):
+        m = int(round((b - a).real))
+        s = c - a - m
+        try:
+            psi_am, psi_s = digamma(a + m), digamma(s)
+        except PoleError:
             return None
-        gamma_c = complex_gamma(a + b + n)
-        head = None
-        if n:
-            head = (gamma_c * _rgamma(a + n) * _rgamma(b + n),
-                    complex_gamma(float(n)), _Series(a, b, 1.0 - n))
-        return (m, mu, n, head, -gamma_c * _rgamma(a) * _rgamma(b),
-                _LogTail(a, b, n, psi_a, psi_b))
+        if not (cmath.isfinite(psi_am) and cmath.isfinite(psi_s)):
+            return None
+        head = tuple(_Series(a, a - c + 1.0, 1.0 - m).terms(1.0, m, (
+            gamma_c * _rgamma(a + m) * _rgamma(c - a)
+            * complex_gamma(float(m))))[::-1]) if m else ()
+        return (m, head, gamma_c * _rgamma(a),
+                _LogTail(a, m, s, psi_am, psi_s), -a)
 
     @cached_property
     def _reflection(self):
         """(a - c, mu, Gamma(c), 1/Gamma(mu+1), Gamma(a) Gamma(b), S) of the
         DLMF 15.2.3 discontinuity, S the :class:`_AnchoredSeries` of
         2F1(c-a, 1-a; mu+1; .); None unless :func:`real_on_axis` holds and
-        mu + 1 is not a pole."""
+        mu + 1 is neither a pole nor within _NEAR_INT of one."""
         a, b, c = self.a, self.b, self.c
         if not real_on_axis(a, b, c):
             return None
         mu = c - a - b
-        if _nonpositive_integer(complex(mu.real + 1.0)):
-            return None
+        if mu.real < -0.5 and _near_integer(mu, _NEAR_INT):
+            return None  # mu + 1 at or next to a pole
         return (a - c, mu.real, complex_gamma(c), _rgamma(mu.real + 1.0),
                 complex_gamma(a) * complex_gamma(b),
                 _AnchoredSeries(c - a, 1.0 - a, mu + 1.0))
@@ -629,58 +639,52 @@ class Hyp2F1:
         return _Series(self.a, self.b, self.c)
 
     @cached_property
-    def _pfaff_series(self):
-        return _Series(self.a, self.c - self.b, self.c)
+    def _pfaff(self):
+        """The Pfaff function G = 2F1(a, c-b; c; .), with
+        F(w) = (1-w)^(-a) G(w/(w-1)) (DLMF 15.8.1)."""
+        return Hyp2F1(self.a, self.c - self.b, self.c)
 
     # -- regions ------------------------------------------------------------
 
-    def _pfaff(self, w) -> complex:
-        return (1.0 - w) ** (-self.a) * self._pfaff_series(w / (w - 1.0))
+    def _pfaff_direct(self, w) -> complex:
+        return (1.0 - w) ** (-self.a) * self._pfaff._direct_series(w / (w - 1.0))
+
+    def _pfaff_inf(self, w):
+        """The 1/w connection of the Pfaff function at w/(w-1), whose series
+        sum at 1 - 1/w; None where it does not apply."""
+        value = self._pfaff._inf(w / (w - 1.0))
+        return value if value is None else (1.0 - w) ** (-self.a) * value
 
     def _inf(self, w):
-        """The 1/w connection at w; None where it does not apply."""
+        """The 1/w connection at w from :attr:`_inf_route`; None where it
+        does not apply.  For an integer b - a = m, the finite head of m
+        terms, empty at m = 0, plus the log tail starting at w^-m."""
         route = self._inf_route
         if route is None:
             return None
-        k1, k2, series_a, series_b, conjugate, power_a, power_b = route
         iw = 1.0 / w
-        f_a = series_a(iw)
-        # b = conj(a), real c: the second series has the conjugate
-        # parameters, so at a real argument, or the cut's nudge of one, it
-        # is the conjugate sum
-        f_b = (f_a.conjugate() if conjugate and abs(w.imag) <= _CUT_IMAG
-               else series_b(iw))
         minus_w = -w
-        return k1 * minus_w ** power_a * f_a + k2 * minus_w ** power_b * f_b
-
-    def _unit(self, w):
-        """The 1-w connection at w from :attr:`_unit_route`; None where it
-        does not apply.  The logarithmic connection's finite head of m'
-        terms, empty at m' = 0, plus its tail starting at (w-1)^m'; for a
-        negative integer c - a - b that is the Euler transform's value,
-        times (1-w)^(c-a-b)."""
-        route = self._unit_route
-        if route is None:
-            return None
-        xi = 1.0 - w
         if route[0] is None:
-            _, mu, k1, k2, series_1, series_2 = route
-            return k1 * series_1(xi) + k2 * xi ** mu * series_2(xi)
-        m, mu, n, head_consts, tail_pref, tail = route
-        v = w - 1.0
+            _, k1, k2, series_a, series_b, conjugate, power_a, power_b = route
+            f_a = series_a(iw)
+            # b = conj(a), real c: the second series has the conjugate
+            # parameters, so at a real argument, or the cut's nudge of one,
+            # it is the conjugate sum
+            f_b = (f_a.conjugate() if conjugate and abs(w.imag) <= _CUT_IMAG
+                   else series_b(iw))
+            return k1 * minus_w ** power_a * f_a + k2 * minus_w ** power_b * f_b
+        m, coeffs, tail_pref, tail, power = route
         head = complex(0.0)
-        if n:
-            head_pref, gamma_n, head_series = head_consts
-            terms = head_series.terms(-v, n, gamma_n)
-            # left to right: sum() of floats compensates from Python 3.12
-            head = reduce(add, terms, head) * head_pref
-        value = head + tail_pref * v ** n * tail(xi)
-        return value if m >= 0 else xi ** mu * value
+        for coeff in coeffs:  # Horner
+            head = head * iw + coeff
+        return minus_w ** power * (
+            head + tail_pref * iw ** m * tail(iw, cmath.log(minus_w)))
 
-    # (method, formula named in error messages), indexed by region
+    # (method, formula named in error messages; for a connection, the
+    # argument of its series), indexed by region
     _REGIONS = (("_direct_series", "defining series"),
-                ("_pfaff", "w/(w-1) series"), ("_unit", "1-w connection"),
-                ("_inf", "1/w connection"))
+                ("_pfaff_direct", "w/(w-1) series"),
+                ("_pfaff_inf", "1-1/w"), ("_inf", "1/w"))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -688,8 +692,8 @@ class Hyp2F1:
         w = complex(w)
         if self._degree is not None:
             # a polynomial has no cut: its terms at w itself, added left to
-            # right (see :meth:`_unit`), which cancel near w = 1 (see
-            # :func:`gauss_2f1`)
+            # right (sum() of floats compensates from Python 3.12), which
+            # cancel near w = 1 (see :func:`gauss_2f1`)
             return reduce(add, self._direct_series.terms(
                 w, self._degree + 1, complex(1.0)), complex(0.0))
         if w == 0:
@@ -702,36 +706,38 @@ class Hyp2F1:
                 return self._at_one
             if x > 1.0:
                 return self.cut(x - 1.0, cut_side)
-        return self._first_region(w, sorted((
+        iw = 1.0 / w
+        return self._first_region(w, [region for rho, region in sorted((
             (abs(w), 0), (abs(w / (w - 1.0)), 1),
-            (abs(1.0 - w), 2), (abs(1.0 / w), 3))))
+            (abs(1.0 - iw), 2), (abs(iw), 3))) if rho <= _RHO_MAX])
 
-    def _first_region(self, w, candidates) -> complex:
-        """2F1 at w from the first of ``candidates``, (mapped modulus,
-        region) pairs in order, that is within _RHO_MAX and applies (a
-        region that does not returns None); else from :meth:`_stepped`,
-        which also stands in for a region whose series raises (see
-        :meth:`_rescue`)."""
-        for rho, region in candidates:
-            if rho > _RHO_MAX:
-                break
+    def _first_region(self, w, regions) -> complex:
+        """2F1 at w from the first of ``regions`` that applies (a region
+        that does not returns None) and whose series sum; else from
+        :meth:`_stepped`, through :meth:`_rescue` if a region raised."""
+        failed = None
+        for region in regions:
             try:
                 value = getattr(self, self._REGIONS[region][0])(w)
             except NumericalError as exc:
-                return self._rescue(w, exc, region)
+                failed = failed or (exc, region)
+                continue
             if value is not None:
                 return value
-        return self._stepped(w)
+        return self._stepped(w) if failed is None else self._rescue(w, *failed)
 
     def _rescue(self, w, exc, region) -> complex:
-        """2F1 at w from :meth:`_stepped`, as the region whose series raised
-        ``exc`` cannot give it; if that fails too, ``exc`` is raised naming
-        the region's formula."""
+        """2F1 at w from :meth:`_stepped`, as the first region whose series
+        raised ``exc`` cannot give it and no later one could; if that fails
+        too, ``exc`` is raised naming the region's formula, and for a
+        connection's log entry its m."""
         route = self._REGIONS[region][1]
-        # the 1-w entry, absent where building it raised
-        entry = vars(self).get("_unit_route") if region == 2 else None
-        if entry is not None and entry[0] is not None:
-            route = f"log connection (m={entry[0]})"
+        if region >= 2:
+            # the connection's entry, absent where building it raised
+            entry = vars(self._pfaff if region == 2 else self).get("_inf_route")
+            m = entry and entry[0]
+            route = (f"{route} connection" if m is None
+                     else f"log connection (m={m}) at {route}")
         try:
             return self._stepped(w)
         except NumericalError:
@@ -760,8 +766,10 @@ class Hyp2F1:
 
     def cut(self, v, cut_side=None) -> complex:
         """2F1(a, b; c; 1 + v) for real v; on the cut, v > 0, ``cut_side``
-        picks the side as in :func:`gauss_2f1`.  Re F is the generic value
-        at the rounded 1 + v.  Up to x = 1 + v = 11 (a real function below
+        picks the side as in :func:`gauss_2f1`.  Re F is the value of the
+        1 - 1/w connection up to v = max(1, Re(c-a-b)/6) and of the 1/w
+        connection past it, at the rounded 1 + v.  Up to x = 1 + v = 11 (a
+        real function below
         the cut) Im F is the DLMF 15.2.3 discontinuity at v itself, so a tiny
         Im F keeps full relative accuracy even where 1 + v rounds to 1: the
         defining series up to x = 2, anchored Taylor steps of the
@@ -781,14 +789,20 @@ class Hyp2F1:
     def _on_cut(self, v, cut_side, need_real) -> complex:
         """:meth:`cut` at v, the one place that tells the cut from the rest
         of the axis, checks ``cut_side`` and nudges 1 + v to that side by
-        _CUT_IMAG.  Its Re F is the generic value at the nudge, where |w|
-        and |w/(w-1)| exceed 1 > _RHO_MAX: only the 1-w and 1/w regions are
-        ordered, a tie going to 1-w, which is the region that sorting all
-        four picks (see :class:`Hyp2F1`); where 1/w comes first it is called
-        directly, and the ordered pair takes over if it does not apply
-        (returns None).  Without ``need_real`` the generic value is not
-        formed where :meth:`_cut_imag_part` gives Im F, and the value
-        returned has Re F = 0 there."""
+        _CUT_IMAG.  Its Re F is the value at the nudge of one of the two
+        connections, where |w| and |w/(w-1)| exceed 1 > _RHO_MAX: the
+        1 - 1/w connection up to the hand-over v = max(1, Re(c-a-b)/6),
+        the 1/w connection past it, each with the other as the next region
+        if it does not apply or its series does not sum.  The 1 is where
+        |1 - 1/w| and |1/w| tie, and so where a call at the nudge itself
+        hands over; up to the l/6 the 1 - 1/w connection keeps digits that
+        the 1/w one loses at large l, and past it the 1/w connection keeps
+        those that the 1 - 1/w one loses at small l and large |a|, |b|.
+        For parameters real on the axis the lower side is the upper one's
+        conjugate, so the sides mirror each other bit for bit.  Without
+        ``need_real`` the generic value is not formed where
+        :meth:`_cut_imag_part` gives Im F, and the value returned has
+        Re F = 0 there."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
@@ -801,19 +815,14 @@ class Hyp2F1:
         if im is not None and not need_real:
             return complex(0.0, cut_side * im)
         if x > 1.0:
-            w = complex(x, cut_side * _CUT_IMAG)
-            unit, inf = abs(1.0 - w), abs(1.0 / w)
-            value = None
-            if inf < unit and inf <= _RHO_MAX:
-                # past the tie, x > 1.618: the 1/w region, called directly
-                try:
-                    value = self._inf(w)
-                except NumericalError as exc:
-                    value = self._rescue(w, exc, 3)
-            if value is None:
-                value = self._first_region(w, ((unit, 2), (inf, 3))
-                                           if unit <= inf else
-                                           ((inf, 3), (unit, 2)))
+            # parameters real on the axis: one side evaluated, the other its
+            # conjugate, so that the two sides mirror each other bit for bit
+            mirror = cut_side < 0 and self._real_on_axis
+            w = complex(x, _CUT_IMAG if mirror else cut_side * _CUT_IMAG)
+            value = self._first_region(
+                w, (2, 3) if v <= self._hand_over else (3, 2))
+            if mirror:
+                value = value.conjugate()
         else:
             value = self(x)  # 1 + v rounds to 1: Gauss's sum
         return value if im is None else complex(value.real, cut_side * im)
@@ -855,22 +864,22 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     a side: ``cut_side=+1`` evaluates the limit from Im w > 0, ``-1`` from
     Im w < 0; :meth:`Hyp2F1.cut` evaluates it at v = w - 1 and picks the
     route for Im F there.  Values off the cut need no side.  Accuracy
-    degrades in the 1-w region when c - a - b sits near a nonzero integer
-    without being within 1e-9 of it (there the logarithmic connection
-    takes over).  The resummation layer meets that band at l just off an
-    integer: Delta's worst relative error near v = 0.6 is 5.4 at
-    alpha = 20, l = 30 + 1.1e-9, 3.8e-2 at l = 30 + 1e-7 and 2.3e-6 at
-    l = 30 + 1e-3, and 2.3e-5 at alpha = 3, l = 30 + 1.1e-9; ``sweep
-    --alpha 20 --l 30.000000002`` gives Delta = -0.003749 for -0.005578
-    at F = 9e-6.  For a negative integer c - a - b with c < 0, the
-    logarithmic connection of the Euler transform loses digits: 7.2e-5
-    relative at (0.6, 0.8; -4.6), w = 1.45 + i0, and 4.5e-9 at m = -20
-    and up to 4.8e-5 at m = -30 near w = 1 + 0.45 e^(3.1i).  Where no
-    region serves w (near
-    w = e^(+-i pi/3), b - a an integer with only the 1/w region in reach,
-    or a series that runs out of terms), the value comes from Taylor steps
-    of the hypergeometric equation, within 1.1e-13 of 40-digit mpmath at
-    the tested points.
+    degrades where a connection's upper parameter difference -- b - a at
+    1/w, c - a - b at 1 - 1/w -- sits near an integer: within 1e-8 of it
+    the logarithmic form is summed at the integer, off by about the
+    distance, and just past 1e-8 the plain form's two terms cancel.  The
+    resummation layer meets that band at l just off an integer, worst at
+    the hand-over v = l/6: Delta's worst relative error is 2.1e-12 at
+    alpha = 3 and 5.8e-12 at alpha = 20 for l = 30 + 1e-9, 3.0e-4 and
+    3.5e-2 for l = 30 + 1e-8, 2.8e-6 and 1.2e-5 for l = 30 + 1e-7, and
+    1.0e-14 and 1.3e-12 for l = 30 + 1e-3; ``sweep --alpha 20 --l
+    30.000000002`` is within 1.2e-11 of a 60-digit reference.  A negative
+    integer c - a - b takes the same connection as a positive one: within
+    1e-13 of 80-digit mpmath at (0.6, 0.8; -4.6), w = 1.45 + i0, and at
+    m = -30 near w = 1 + 0.45 e^(3.1i).  Where no region serves w (near
+    w = e^(+-i pi/3), or where each series in reach runs out of terms),
+    the value comes from Taylor steps of the hypergeometric equation,
+    within 5.1e-15 of 40-digit mpmath at the tested points.
     A polynomial, an upper parameter -n a non-positive integer, is summed
     as its n + 1 terms at w itself, whose cancellation near w = 1 costs
     digits with no error raised: against 40-digit mpmath, 2F1(-40, 2.5;
@@ -879,8 +888,8 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     w = 1.5, and 1.4e-6 at (-17, 2.5; 1.7), w = 1.5.  The error stays
     within 2e-15 of the sum of the terms' moduli.
     Where the value is not finite, ``NumericalError`` names a, b, c and w:
-    at c = 100.5 the 1-w connection's Gamma products overflow (a = 0.5,
-    b = 0.7, w = 0.95).
+    at c = 100.5 the 1 - 1/w connection's Gamma products overflow
+    (a = 0.5, b = 0.7, w = 0.95).
     Repeated evaluation at one parameter set should go through one
     ``starkdim.specfun.Hyp2F1``, which keeps the parameter-only constants
     and per-term values that this call computes and discards.

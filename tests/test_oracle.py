@@ -139,9 +139,11 @@ def test_sampled_dimension_and_field(alpha, field):
     assert_matches(standard_model(alpha), (field,))
 
 
-# (alpha, l, v) where the 2F1 route switches, v = h3 (F/4)^2 near 0.618:
-# below it the m = l log connection, above it the 1/w connection; each v is
-# the worst one for Delta found on a scan at that alpha and l
+# (alpha, l, v) at v = h3 (F/4)^2 near 0.618, the tie of |1-w| and |1/w|,
+# where Re F once switched from the m = l log connection at 1 - w to the 1/w
+# connection and lost digits on both sides; each v is the worst one for
+# Delta found then on a scan at that alpha and l.  Re F now comes from the
+# 1 - 1/w connection on both sides of it.
 REGION_SEAM_POINTS = [
     (3.0, 45.0, 0.68), (3.0, 60.0, 0.62), (3.0, 90.0, 0.64),
     (2.0, 60.0, 0.62), (1.5, 60.0, 0.64), (5.0, 30.0, 0.64),
@@ -165,11 +167,9 @@ def test_gamma_at_region_seam(alpha, l, v):
     assert abs(point.gamma - gamma) <= REL_TOL * gamma
 
 
-@pytest.mark.xfail(strict=True, reason="both 2F1 routes lose digits of Re F"
-                   " near v = 0.618; the loss grows with l and alpha")
 @pytest.mark.parametrize("alpha,l,v", REGION_SEAM_POINTS)
 def test_delta_at_region_seam(alpha, l, v):
-    """Delta is off by 6e-12 (alpha = 5) to 3.6e-2 (alpha = 3, l = 90)."""
+    """Delta within 1e-12 at every point (worst 1.4e-16)."""
     _, delta, _, point = seam_point(alpha, l, v)
     assert abs(point.delta - delta) <= REL_TOL * abs(delta)
 
@@ -233,23 +233,11 @@ def test_rate_across_reflected_anchors(alpha, l):
         assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref), v
 
 
-# (alpha, l) whose Delta misses 1e-12 somewhere on ANCHOR_OFFSETS: the seam
-# defect of the 2F1 routes for Re F, worst at v = 0.9
-DELTA_OFF_AT_ANCHORS = {(5.0, 30.0), (10.0, 30.0), (20.0, 30.0)} | {
-    (alpha, l) for alpha in (3.0, 5.0, 10.0, 20.0) for l in (60.0, 90.0)}
-
-
-@pytest.mark.parametrize("alpha,l", [
-    pytest.param(alpha, l, marks=pytest.mark.xfail(
-        strict=True, reason="both 2F1 routes lose digits of Re F near the"
-        " seam: Delta is off by 1.2e-12 (alpha = 5, l = 30) up to 3.6"
-        " relative; at alpha = 20, l = 90, v = 0.9 (F = 5.8e-6) it is"
-        " +0.0144 where the reference gives -0.00556, a sign flip")
-        if (alpha, l) in DELTA_OFF_AT_ANCHORS else ())
-    for alpha in (3.0, 5.0, 10.0, 20.0) for l in (12.3, 30.0, 60.0, 90.0)])
+@pytest.mark.parametrize("l", [12.3, 30.0, 60.0, 90.0])
+@pytest.mark.parametrize("alpha", [3.0, 5.0, 10.0, 20.0])
 def test_delta_across_reflected_anchors(alpha, l):
     """Delta on the grid of test_rate_across_reflected_anchors: within 1e-12
-    at l = 12.3 and at alpha = 3, l = 30 (worst 1.1e-13)."""
+    (worst 9.9e-15, alpha = 20, l = 12.3, v = 2)."""
     model = standard_model(alpha, l=l)
     for v in ANCHOR_OFFSETS:
         field = field_at(model, 1.0 + v)
@@ -275,12 +263,13 @@ def test_rate_past_reflected_route(alpha, l):
         assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref), x
 
 
-@pytest.mark.xfail(strict=True, reason="_REFLECTION_MAX_X = 11 hands the rate"
-                   " to the 1/w connection, whose Im F at l = 90 just past it"
-                   " is off by 2.5e-11 to 3.0e-10")
 @pytest.mark.parametrize("x", PAST_REFLECTION_XS[:2])
 @pytest.mark.parametrize("alpha", [3.0, 5.0, 20.0])
 def test_rate_just_past_reflected_route_at_l90(alpha, x):
+    """Past x = 11 the rate is the imaginary part of the generic value, at
+    l = 90 that of the 1 - 1/w connection up to x = 1 + l/6 = 16: within
+    1e-12 of the exact discontinuity (worst 9.9e-13, alpha = 3,
+    x = 11.0001), where the 1/w connection was off by up to 3.0e-10."""
     model = standard_model(alpha, l=90.0)
     field = field_at(model, x)
     ref = reference_rate(model, field)

@@ -152,19 +152,25 @@ def test_digamma_far_left_against_mpmath(x):
 
 def test_log_connection_far_left_is_numerical_error():
     """The log connection's digamma(a) at Re a = -1e8 returns at once, and
-    the connection's Gamma overflow surfaces as NumericalError."""
+    the connection's Gamma overflow surfaces as NumericalError; the next
+    region in reach, the defining series at |w| = 0.7, then gives the value,
+    within 1e-12 of 30-digit mpmath."""
     a = -1e8 + 0.5j
     start = time.perf_counter()
     with pytest.raises(NumericalError):
-        gauss_2f1(a, 1, a + 1, 0.7)
+        Hyp2F1(a, 1, a + 1)._pfaff._inf_route
+    got = gauss_2f1(a, 1, a + 1, 0.7)
     assert time.perf_counter() - start < 0.5
+    ref = complex(mp.hyp2f1(mp.mpc(a), 1, mp.mpc(a + 1), 0.7))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("c", [100.5, 120.5])
 def test_2f1_not_finite_is_numerical_error(c):
-    """Where the 1-w connection's Gamma products overflow and its value is
-    NaN, gauss_2f1 raises NumericalError naming a, b, c and w; mpmath gives
-    1.00335 at c = 100.5 and 1.00279 at c = 120.5."""
+    """Where the 1 - 1/w connection's first Gamma product,
+    Gamma(c) Gamma(c - a - b) / (Gamma(c - b) Gamma(c - a)), overflows and
+    its value is NaN, gauss_2f1 raises NumericalError naming a, b, c and w;
+    mpmath gives 1.00335 at c = 100.5 and 1.00279 at c = 120.5."""
     with pytest.raises(NumericalError) as info:
         gauss_2f1(0.5, 0.7, c, 0.95)
     assert str(info.value) == (
@@ -204,6 +210,21 @@ def test_2f1_regions_against_mpmath(params, w):
     got = gauss_2f1(a, b, c, w)
     ref = ref2f1(a, b, c, w)
     assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_defining_series_sums_past_least_c_plus_k():
+    """With Re c < 0 the defining series' terms can fall below the stop
+    test's threshold and grow again up to k ~ -Re c, where c + k is least.
+    At (-0.175, 0.067-0.01i; -32.108-0.01i; 0.557+0.118i), where |w| is the
+    least mapped modulus, a sum stopped at the first small terms is 1.46
+    off; summed up to k = 33 before the test applies, it is within 1e-13 of
+    40-digit mpmath (3.4e-15)."""
+    a, b, c, w = -0.175, 0.067 - 0.01j, -32.108 - 0.01j, 0.557 + 0.118j
+    assert abs(w) < min(abs(w / (w - 1)), abs(1 - 1 / w), abs(1 / w))
+    assert specfun._Series(a, b, c).settle == 33
+    with mp.workdps(40):
+        ref = ref2f1(a, b, c, w)
+    assert abs(gauss_2f1(a, b, c, w) - ref) <= 1e-13 * abs(ref)
 
 
 def test_2f1_special_values():
@@ -288,7 +309,9 @@ def test_reflected_series_only_below_seam(models, monkeypatch):
 
 def test_reflected_series_failure_keeps_generic_value(monkeypatch):
     """If the reflected series does not converge, an on-cut value is the
-    generic one nudged to the chosen side, and nothing is raised."""
+    value of the cut's route, the 1 - 1/w connection up to v = l/6 and the
+    1/w connection past it, at the upper side's nudge, conjugated for the
+    lower side, and nothing is raised."""
     calls = []
 
     def fail(*args):
@@ -298,12 +321,14 @@ def test_reflected_series_failure_keeps_generic_value(monkeypatch):
     monkeypatch.setattr(specfun._AnchoredSeries, "__call__", fail)
     h1 = 0.57715234937124937 - 0.17707420101201338j
     c = 2 * h1.real + 30.0
-    for x in (1.3, 5.0):
+    hyp = Hyp2F1(h1, h1.conjugate(), c)
+    for x, route in ((1.3, hyp._pfaff_inf), (5.0, hyp._pfaff_inf),
+                     (8.0, hyp._inf)):
+        upper = route(complex(x, 1e-300))
         for side in (1, -1):
             got = gauss_2f1(h1, h1.conjugate(), c, x, cut_side=side)
-            generic = gauss_2f1(h1, h1.conjugate(), c, complex(x, side * 1e-300))
-            assert got == generic
-    assert len(calls) == 4
+            assert got == (upper if side > 0 else upper.conjugate())
+    assert len(calls) == 6
 
 
 CONJUGATE_H1 = 0.57715234937124937 - 0.17707420101201338j
@@ -316,11 +341,11 @@ CONJUGATE_H1 = 0.57715234937124937 - 0.17707420101201338j
 def test_cut_imag_is_im_of_cut(monkeypatch, params):
     """Hyp2F1.cut_imag(v, s) is cut(v, s).imag bit for bit on both sides,
     across x = 11 (v = 10 and its float neighbours) and off the cut.  On
-    the cut up to x = 11 it never evaluates the generic value, a 1-w or
-    1/w region."""
+    the cut up to x = 11 it never evaluates the generic value, a 1 - 1/w
+    or 1/w region."""
     hyp = Hyp2F1(*params)
     calls = []
-    for name in ("_unit", "_inf"):
+    for name in ("_pfaff_inf", "_inf"):
         def spy(self, *args, region=getattr(Hyp2F1, name)):
             calls.append(args)
             return region(self, *args)
@@ -341,10 +366,12 @@ def test_cut_imag_is_im_of_cut(monkeypatch, params):
 
 def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
     """With too few terms for the reflected series (but enough for the 1/w
-    connection), cut_imag keeps the generic value's imaginary part, as cut
-    does, and sums the reflected series once per call.  At 40 terms the
-    defining series at the first anchor, z = 1/2, runs out (it needs 48
-    at l = 30), so every point above it fails."""
+    connection, which serves past v = l/6 = 5), cut_imag keeps the generic
+    value's imaginary part, as cut does, and sums the reflected series once
+    per call; the generic value is that at the upper side's nudge,
+    conjugated for the lower side.  At 40 terms the defining series at the
+    first anchor, z = 1/2, runs out (it needs 48 at l = 30), so every point
+    above it fails."""
     outcomes = []
     original = specfun._AnchoredSeries.__call__
 
@@ -361,13 +388,14 @@ def test_cut_imag_falls_back_when_reflected_series_fails(monkeypatch):
     monkeypatch.setattr(specfun, "MAX_TERMS", 40)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)
-    for v in (2.0, 6.0, 9.5):
+    for v in (5.5, 6.0, 9.5):
         for side in (1, -1):
             outcomes.clear()
             got = hyp.cut_imag(v, side)
             assert outcomes == ["failed"]
             assert got.hex() == hyp.cut(v, side).imag.hex()
-            assert got.hex() == hyp(complex(1.0 + v, side * 1e-300)).imag.hex()
+            upper = hyp(complex(1.0 + v, 1e-300)).imag
+            assert got.hex() == (side * upper).hex()
 
 
 def bits(z):
@@ -376,13 +404,15 @@ def bits(z):
     return z.real.hex(), z.imag.hex()
 
 
-def summed(total, terms):
+def summed(total, terms, settle=0):
     """``total`` plus ``terms`` under the kept series' stop rule (two terms
-    in a row within SERIES_RTOL of the running sum), and the number of
-    terms that took."""
+    in a row within SERIES_RTOL of the running sum, not among the first
+    ``settle``), and the number of terms that took."""
     small = 0
     for used, term in enumerate(terms, 1):
         total += term
+        if used <= settle:
+            continue
         if abs(term) <= specfun.SERIES_RTOL * abs(total):
             small += 1
             if small >= 2:
@@ -401,8 +431,11 @@ def series_terms(a, b, c, w):
 
 
 def plain_series(a, b, c, w):
-    """The defining series, each term's parameter values formed afresh."""
-    return summed(complex(1.0), series_terms(a, b, c, w))[0]
+    """The defining series, each term's parameter values formed afresh; for
+    Re c < 0 the terms up to k = -Re c are summed without the stop test."""
+    settle = max(0, int(-complex(c).real) + 1)
+    return summed(complex(1.0), series_terms(a, b, c, w),
+                  settle if settle < specfun.MAX_TERMS else 0)[0]
 
 
 def test_reflected_series_is_the_defining_one_up_to_x_2():
@@ -425,7 +458,7 @@ def test_reflected_series_is_the_defining_one_up_to_x_2():
 def two_sum_inf(hyp, w):
     """The 1/w connection (DLMF 15.8.2) with both of its series summed."""
     a, b, c = hyp.a, hyp.b, hyp.c
-    k1, k2 = hyp._inf_route[:2]
+    k1, k2 = hyp._inf_route[1:3]
     iw = 1.0 / w
     return (k1 * (-w) ** (-a) * plain_series(a, a - c + 1.0, a - b + 1.0, iw)
             + k2 * (-w) ** (-b) * plain_series(b, b - c + 1.0, b - a + 1.0, iw))
@@ -454,16 +487,17 @@ def counting_series(monkeypatch):
 
 @pytest.mark.parametrize("h, l", CONJUGATE_PAIRS)
 def test_conjugate_pair_sums_one_inf_series(monkeypatch, h, l):
-    """For b = conj(a) and real c the 1/w connection on the cut sums one
-    series and takes its conjugate for the other: bit for bit the two-sum
-    formula, on both sides, where Im F comes from the reflected series
-    (x <= 11) and beyond.  Off the axis both series are summed, and at
+    """For b = conj(a) and real c the 1/w connection on the cut, past
+    v = max(1, l/6), sums one series and takes its conjugate for the other:
+    bit for bit the two-sum formula, on both sides, where Im F comes from
+    the reflected series (x <= 11) and beyond.  Off the axis both series are
+    summed, and at
     |w| >= 5 the value is within 1e-12 of mpmath (nearer the region seam see
     test_inf_connection_near_seam_off_axis)."""
     a, b, c = h, h.conjugate(), 2.0 * h.real + l
     hyp = Hyp2F1(a, b, c)
     calls = counting_series(monkeypatch)
-    for x in (1.7, 2.5, 10.5, 11.5, 40.0, 2000.0):
+    for x in (6.5, 8.0, 10.5, 11.5, 40.0, 2000.0):
         for side in (1, -1):
             w = complex(x, side * 1e-300)
             expected = two_sum_inf(hyp, w)
@@ -489,13 +523,17 @@ def test_conjugate_pair_sums_one_inf_series(monkeypatch, h, l):
     assert worst <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the 1/w connection cancels near the"
-                   " region seam for c ~ 31 (ROADMAP item 1)")
+@pytest.mark.xfail(strict=True, reason="the 1/w connection's first series"
+                   " grows as C(l, k) |w|^-k before it decays at c ~ 31: 1.2e-10"
+                   " and 2.7e-10 at |w| = 2, theta = 2.6 and -2.9, where"
+                   " |1 - 1/w| = 1.45 and 1.49 is out of reach and the smallest"
+                   " mapped modulus puts 1/w (0.5) before w/(w-1) (0.69, 0.67);"
+                   " _stepped is within 1.4e-14 (ROADMAP item 3(d))")
 @pytest.mark.parametrize("h, l", CONJUGATE_PAIRS[:2])
 def test_inf_connection_near_seam_off_axis(h, l):
     """Off the axis at |w| = 2 and 3 the resonance family's 1/w value is
-    1e-12 to 3e-10 from 40-digit mpmath: the digits the connection loses
-    near the seam, with both series summed."""
+    2.3e-14 to 2.7e-10 from 40-digit mpmath: the digits the connection
+    loses to cancelling terms, with both series summed."""
     a, b, c = h, h.conjugate(), 2.0 * h.real + l
     worst = 0.0
     for r in (2.0, 3.0):
@@ -552,33 +590,40 @@ def test_kept_terms_carry_no_state(logs, sides, alpha, order):
         assert bits(call(shared)) == bits(call(Hyp2F1(a, b, c)))
 
 
-def log_tail_terms(a, b, m, xi):
-    """The log tail's MAX_TERMS terms, its coefficient and digamma sums
-    advanced afresh; H_m left to right, as sum() rounds H_30 differently
-    from Python 3.12."""
-    psi_a, psi_b = specfun.digamma(a + m), specfun.digamma(b + m)
-    psi_k = -specfun._EULER_GAMMA
+def log_tail_terms(a, m, s, iw):
+    """The log tail's MAX_TERMS terms at 1/w = iw, its running product,
+    its digamma product and its digamma sum advanced afresh; H_m left to
+    right, as sum() rounds H_30 differently from Python 3.12."""
     harmonic = 0.0
     for j in range(1, m + 1):
         harmonic += 1.0 / j
-    psi_km = -specfun._EULER_GAMMA + harmonic
-    coeff = complex(1.0 / math.factorial(m))
-    log_xi = cmath.log(xi)
-    pow_xi = complex(1.0)
+    t = _rgamma(s) / math.factorial(m)
+    u = t * specfun.digamma(s)
+    p = harmonic - 2.0 * specfun._EULER_GAMMA - specfun.digamma(a + m)
+    log_w = cmath.log(-1.0 / iw)
+    pow_w = complex(1.0)
     for k in range(specfun.MAX_TERMS):
-        yield coeff * pow_xi * (log_xi - psi_k - psi_km + psi_a + psi_b)
-        coeff = coeff * (a + m + k) * (b + m + k) / ((k + 1) * (k + m + 1))
-        pow_xi = pow_xi * xi
-        psi_a += 1.0 / (a + m + k)
-        psi_b += 1.0 / (b + m + k)
-        psi_k += 1.0 / (k + 1)
-        psi_km += 1.0 / (k + m + 1)
+        yield pow_w * (t * log_w + (t * p - u))
+        ak = a + m + k
+        r = ak / ((k + 1) * (k + m + 1))
+        t, u, p = (t * r * (k + 1 - s), r * ((k + 1 - s) * u + t),
+                   p + 1.0 / (k + 1) + 1.0 / (k + m + 1) - 1.0 / ak)
+        pow_w = pow_w * iw
 
 
-def plain_log_tail(a, b, m, xi):
-    """The log tail of DLMF 15.8.10, its coefficient and digamma sums
-    advanced afresh in every call."""
-    return summed(complex(0.0), log_tail_terms(a, b, m, xi))[0]
+def plain_log_tail(a, m, s, iw):
+    """The log tail of DLMF 15.8.8, its running values advanced afresh in
+    every call."""
+    return summed(complex(0.0), log_tail_terms(a, m, s, iw))[0]
+
+
+def kept_log_tail(a, m, s):
+    return specfun._LogTail(a, m, s, specfun.digamma(a + m),
+                            specfun.digamma(s))
+
+
+def sum_log_tail(tail, iw):
+    return tail(iw, cmath.log(-1.0 / iw))
 
 
 @given(
@@ -602,15 +647,15 @@ def test_kept_series_match_plain_loops(ar, ai, br, m, points):
     a, b = complex(ar, ai), complex(br, -ai)
     series = specfun._Series(a, b, a + b + 1.5)
     try:
-        tail = specfun._LogTail(a, b, m, specfun.digamma(a + m),
-                                specfun.digamma(b + m))
+        tail = kept_log_tail(a, m, b)
     except PoleError:
         tail = None
     for r, th in points:
         w = cmath.rect(r, th)
         assert outcome(series, w) == outcome(plain_series, a, b, a + b + 1.5, w)
         if tail is not None:
-            assert outcome(tail, w) == outcome(plain_log_tail, a, b, m, w)
+            assert outcome(sum_log_tail, tail, w) == outcome(
+                plain_log_tail, a, m, b, w)
 
 
 def taylor_terms(expansion, h, derivative):
@@ -679,12 +724,9 @@ KEPT_CASES = {
         "hypergeometric series exhausted {} terms",
         [cmath.rect(x, 0.7) for x in SCAN]),
     "log tail": KeptCase(
-        lambda: specfun._LogTail(KEPT_A, KEPT_B, 2,
-                                 specfun.digamma(KEPT_A + 2),
-                                 specfun.digamma(KEPT_B + 2)),
-        lambda tail, xi: tail(xi),
-        lambda xi: summed(complex(0.0),
-                          log_tail_terms(KEPT_A, KEPT_B, 2, xi)),
+        lambda: kept_log_tail(KEPT_A, 2, KEPT_B),
+        sum_log_tail,
+        lambda iw: summed(complex(0.0), log_tail_terms(KEPT_A, 2, KEPT_B, iw)),
         lambda tail: len(tail.rows),
         lambda used: used,
         "logarithmic tail exhausted {} terms",
@@ -801,28 +843,27 @@ def test_polynomial_near_one_against_mpmath():
 
 
 def test_log_head_keeps_its_rows():
-    """The finite head of the logarithmic connection (m = 30 here) keeps
-    its 29 rows: a second low-field cut forms none, and gives the bits of a
-    fresh instance."""
+    """The finite head of the 1 - 1/w connection's log entry (m = 30 here)
+    keeps its 30 coefficients, formed once from 29 rows of its series: a
+    second low-field cut forms none, and gives the bits of a fresh
+    instance."""
     params = (CONJUGATE_H1, CONJUGATE_H1.conjugate(),
               2 * CONJUGATE_H1.real + 30.0)
     hyp = Hyp2F1(*params)
     hyp.cut(0.2, 1)
-    m, _, n, (_, _, head), _, _ = hyp._unit_route
-    assert m == n == 30
-    kept = list(head.rows)
-    assert len(kept) == 29
+    m, head = hyp._pfaff._inf_route[:2]
+    assert m == len(head) == 30
     for v in (0.05, 0.31, 0.2):
         assert bits(hyp.cut(v, -1)) == bits(Hyp2F1(*params).cut(v, -1))
-        assert len(head.rows) == 29
-        assert all(row is old for row, old in zip(head.rows, kept))
+        assert hyp._pfaff._inf_route[1] is head
 
 
 def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     """The series sums of ``reproduce --figure 1`` (alpha = 3, a conjugate
-    pair): 99 points on the 1/w route with one series each, 7 reflected
-    series (x <= 11) and 1 log tail.  Summing the second 1/w series again
-    would double the first count.  Of the reflected series, the two at
+    pair, l = 30): 95 points on the 1/w route with one series each, 7
+    reflected series (x <= 11) and 5 log tails, the points at v <= l/6 on
+    the 1 - 1/w connection.  Summing the second 1/w series again would
+    double the first count.  Of the reflected series, the two at
     z = v/x <= 1/2 sum the defining series; the five above step from the
     anchors z = 1/2 .. 0.901, built once, whose first one takes S and S'
     from one defining-series sum each.  The run starts from an empty
@@ -836,9 +877,9 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     tails = []
     original_tail = specfun._LogTail.__call__
 
-    def tail_spy(self, xi):
-        tails.append(xi)
-        return original_tail(self, xi)
+    def tail_spy(self, iw, log_w):
+        tails.append(iw)
+        return original_tail(self, iw, log_w)
 
     reflected = []
     original_reflected = specfun._AnchoredSeries.__call__
@@ -852,12 +893,12 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     assert run(["reproduce", "--figure", "1"]) == 0
     capsys.readouterr()
     assert Counter(kinds.get(series.c, "other") for series in calls) == {
-        "1/w": 99, "reflected": 3, "reflected slope": 1}
+        "1/w": 95, "reflected": 3, "reflected slope": 1}
     assert len(reflected) == 7
     assert sum(z <= 0.5 for _, z in reflected) == 2
     assert len({id(series) for series, _ in reflected}) == 1
     assert len(reflected[0][0].anchors) == 5
-    assert len(tails) == 1
+    assert len(tails) == 5
 
 
 @pytest.mark.parametrize("params", [(0.6, 0.8, 4.4),
@@ -877,13 +918,14 @@ def test_2f1_cut_sides(params, x):
 @pytest.mark.parametrize("alpha", [3.0, 5.2],
                          ids=["conjugate pair", "real pair"])
 def test_cut_region_at_unit_inf_tie(alpha):
-    """Around v = (sqrt 5 - 1)/2, where |1-w| and |1/w| cross on the cut,
-    cut takes Re F from the region that sorting all four mapped moduli
-    picks, bit for bit, on both sides, and the public call at the cut's
-    nudge gives that region's value; both regions serve among the seven
-    floats."""
+    """Around v = 1, where |1 - 1/w| and |1/w| tie on the cut, the public
+    call at the cut's nudge gives the value of the region that sorting all
+    four mapped moduli picks, and both regions serve among the seven
+    floats.  cut takes Re F from the 1 - 1/w connection up to
+    v = l/6 = (c - a - b)/6 and from the 1/w connection past it, bit for
+    bit that route's value at the upper side's nudge, on both sides."""
     hyp = continuation(alpha)
-    v = (math.sqrt(5.0) - 1.0) / 2.0
+    v = 1.0
     for _ in range(3):
         v = math.nextafter(v, 0.0)
     picked = set()
@@ -891,16 +933,20 @@ def test_cut_region_at_unit_inf_tie(alpha):
         for side in (1, -1):
             w = complex(1.0 + v, side * specfun._CUT_IMAG)
             rho, region = min((abs(w), 0), (abs(w / (w - 1.0)), 1),
-                              (abs(1.0 - w), 2), (abs(1.0 / w), 3))
+                              (abs(1.0 - 1.0 / w), 2), (abs(1.0 / w), 3))
             assert region in (2, 3) and rho <= specfun._RHO_MAX
             picked.add(region)
-            method = ("_unit", "_inf")[region - 2]
-            generic = getattr(hyp, method)(w)
-            assert bits(hyp(w)) == bits(generic)
-            want = complex(generic.real, side * hyp._cut_imag_part(v))
-            assert bits(hyp.cut(v, side)) == bits(want)
-        v = math.nextafter(v, 1.0)
+            method = ("_pfaff_inf", "_inf")[region - 2]
+            assert bits(hyp(w)) == bits(getattr(hyp, method)(w))
+        v = math.nextafter(v, 2.0)
     assert picked == {2, 3}
+    hand_over = (hyp.c - hyp.a - hyp.b).real / 6.0
+    for v, method in ((1.0, "_pfaff_inf"), (hand_over, "_pfaff_inf"),
+                      (math.nextafter(hand_over, 6.0), "_inf")):
+        upper = getattr(hyp, method)(complex(1.0 + v, specfun._CUT_IMAG))
+        for side in (1, -1):
+            want = complex(upper.real, side * hyp._cut_imag_part(v))
+            assert bits(hyp.cut(v, side)) == bits(want)
 
 
 def test_reflected_series_has_no_anchor_at_one(monkeypatch):
@@ -959,28 +1005,32 @@ def test_2f1_nonconjugate_real_params_on_cut():
 @pytest.mark.parametrize("upper", [(0.6, 0.8), (0.58 + 0.18j, 0.58 - 0.18j)])
 def test_log_connection_against_mpmath(monkeypatch, m, upper):
     """Integer c - a - b = m near w = 1 matches 40-digit mpmath, off the
-    cut and on both of its sides; a negative m through the log connection
-    of the Euler transform."""
+    cut and on both of its sides.  Where |1 - 1/w| is the least mapped
+    modulus (all but w = 1 + 0.45 e^(3.1i), where the defining series
+    comes first), the 1 - 1/w connection serves: the log entry of the
+    Pfaff function 2F1(a, c-b; c; .), whose upper parameters differ by
+    |m|, for either sign of m."""
     a, b = upper
     c = (a + b + m).real
     calls = []
-    original = Hyp2F1._unit
+    original = Hyp2F1._pfaff_inf
 
     def spy(self, w):
-        calls.append(self._unit_route[0])
-        return original(self, w)
+        value = original(self, w)
+        calls.append(self._pfaff._inf_route[0])
+        return value
 
-    monkeypatch.setattr(Hyp2F1, "_unit", spy)
+    monkeypatch.setattr(Hyp2F1, "_pfaff_inf", spy)
     points = [(1.0 + r * cmath.exp(1j * th), None)
               for r in (0.1, 0.3, 0.45) for th in (0.7, 2.0, 3.1, -1.2)]
     points += [(x, side) for x in (1.05, 1.25, 1.45) for side in (1, -1)]
     worst = 0.0
     for w, side in points:
         w = complex(w)
-        assert abs(1 - w) < min(abs(w), abs(w / (w - 1)), abs(1 / w))
+        first = abs(1 - 1 / w) < min(abs(w), abs(w / (w - 1)), abs(1 / w))
         calls.clear()
         got = gauss_2f1(a, b, c, w, cut_side=side)
-        assert calls == [m]
+        assert calls == ([abs(m)] if first else [])
         with mp.workdps(40):
             z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
             ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), c, z))
@@ -988,16 +1038,11 @@ def test_log_connection_against_mpmath(monkeypatch, m, upper):
     assert worst <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason="the log connection of the Euler"
-                   " transform loses digits for c < 0: 7.2e-5 relative at"
-                   " (0.6, 0.8; -4.6), x = 1.45 on the upper side (Im F 49%"
-                   " off), 1.7e-5 at (0.6, 0.8; -28.6) and 4.8e-5 at"
-                   " (0.58 +- 0.18i; -28.84), w = 1 + 0.45 e^(3.1i); 4.5e-9 at"
-                   " m = -20, and within 3.9e-15 at m = -30 for c = 1.4")
 def test_euler_log_connection_with_negative_c():
     """A negative integer c - a - b with c < 0 near w = 1 matches 80-digit
-    mpmath, against which Taylor steps of the equation agree to about
-    1e-10."""
+    mpmath within 1e-13: Re F from the 1 - 1/w connection, the log entry
+    of the Pfaff function (m = 6, 30 and 30), and Im F on the cut from the
+    same value, as mu + 1 = -5 is a pole of the DLMF 15.2.3 form."""
     w = 1.0 + 0.45 * cmath.exp(3.1j)
     errors = []
     for a, b, c, z, side in ((0.6, 0.8, -4.6, 1.45, 1),
@@ -1011,25 +1056,17 @@ def test_euler_log_connection_with_negative_c():
     assert max(errors) <= 1e-13, errors
 
 
-# (a, b, c, w, cut_side) that no series region serves, where each region
-# in reach is degenerate, or where the one in reach runs out of terms
-STEPPED_POINTS = [
-    # b - a an integer with only the 1/w region in reach
+# (a, b, c, w, cut_side) with b - a an integer, served by the log entry of
+# the 1/w connection (DLMF 15.8.8)
+LOG_INF_POINTS = [
+    # only the 1/w region in reach
     *((a, a + d, c, w, None)
       for a in (0.35, -0.6 + 0.5j, 2.2 + 0.3j) for d in range(4)
       for c, w in ((0.8, cmath.rect(2.1, 0.6)), (3.1, cmath.rect(1.9, -1.1)))),
     (2.316843515025479 + 0.785436630732733j,
      5.316843515025479 + 0.785436630732733j, 2.55910493136595,
      1.4212140055888838 + 1.0240953345681036j, None),
-    # the m = 30 log connection and the 1-w connection exhaust MAX_TERMS
-    (-1.2242, -1.2242, 27.5516, 1.1147 + 0.7707j, None),
-    (0.3818 - 1.1035j, 2.3818 - 1.1035j, 32.7636 - 2.2069j,
-     1.6622 - 0.5952j, None),
-    (-1.66, 0.34, 4.6233 + 0.3561j, 1.8997, 1),
-    # every mapped modulus above _RHO_MAX near w = e^(i pi/3)
-    (0.4209, 2.9114, 4.3102, 0.4743 + 0.8389j, None),
-    (2.5051, 4.5051, 1.2297, 0.4948 + 0.7702j, None),
-    # on the cut with b - a an integer, both sides
+    # on the cut, both sides
     *((a, a + d, c, x, side)
       for a, d, c in ((0.35, 1, 0.8), (0.3, 0, 1.7), (-0.6, 3, 2.5))
       for x in (3.0, 1e3, 1e6) for side in (1, -1)),
@@ -1039,11 +1076,80 @@ STEPPED_POINTS = [
 ]
 
 
+def test_log_inf_connection_against_mpmath(monkeypatch):
+    """b - a = m an integer with the 1/w region first: the log entry of
+    the 1/w connection with that m serves, within 1e-12 of 40-digit mpmath
+    (worst 3.0e-14), and |w| = 1e12 and 1e100 each take under 0.2 s."""
+    calls = []
+    original = Hyp2F1._inf
+
+    def spy(self, w):
+        calls.append(self._inf_route[0])
+        return original(self, w)
+
+    monkeypatch.setattr(Hyp2F1, "_inf", spy)
+    for a, b, c, w, side in LOG_INF_POINTS:
+        calls.clear()
+        start = time.perf_counter()
+        got = gauss_2f1(a, b, c, w, cut_side=side)
+        elapsed = time.perf_counter() - start
+        assert calls == [round((complex(b) - a).real)], (a, b, c, w)
+        with mp.workdps(40):
+            z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, w, side)
+        if abs(w) >= 1e12:
+            assert elapsed < 0.2, w
+
+
+# (a, b, c, w, cut_side) near w = 1 with c - a - b near 30, where the
+# 1 - 1/w connection, log (m = 30) or not, sums within MAX_TERMS
+PFAFF_INF_POINTS = [
+    (-1.2242, -1.2242, 27.5516, 1.1147 + 0.7707j, None),
+    (0.3818 - 1.1035j, 2.3818 - 1.1035j, 32.7636 - 2.2069j,
+     1.6622 - 0.5952j, None),
+    (-1.66, 0.34, 4.6233 + 0.3561j, 1.8997, 1),
+]
+
+
+def test_pfaff_inf_connection_against_mpmath(monkeypatch):
+    """At these points the 1 - 1/w connection serves, within 1e-12 of
+    40-digit mpmath (worst 3.8e-13), and the last resort is not taken."""
+    served = []
+    for name in ("_pfaff_inf", "_stepped"):
+        def spy(self, w, method=getattr(Hyp2F1, name), name=name):
+            served.append(name)
+            return method(self, w)
+
+        monkeypatch.setattr(Hyp2F1, name, spy)
+    for a, b, c, w, side in PFAFF_INF_POINTS:
+        served.clear()
+        got = gauss_2f1(a, b, c, w, cut_side=side)
+        assert served == ["_pfaff_inf"], (a, b, c, w)
+        with mp.workdps(40):
+            z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, w, side)
+
+
+# (a, b, c, w, cut_side) that no series region serves: every mapped
+# modulus above _RHO_MAX, or the one region in reach runs out of terms
+STEPPED_POINTS = [
+    # every mapped modulus above _RHO_MAX near w = e^(i pi/3)
+    (0.4209, 2.9114, 4.3102, 0.4743 + 0.8389j, None),
+    (2.5051, 4.5051, 1.2297, 0.4948 + 0.7702j, None),
+    # the 1/w connection, the only region in reach, exhausts MAX_TERMS
+    (33.3719 + 1.7583j, -6.7126 + 0.9585j, 12.6605 + 2.2963j,
+     0.5359 - 0.9785j, None),
+    (38.2278 + 0.4843j, -0.0827 - 2.1601j, 11.1948 + 2.9726j,
+     0.5074 + 1.1153j, None),
+]
+
+
 def test_stepped_last_resort(monkeypatch):
     """Points no series region serves are Taylor steps of the
     hypergeometric equation, within 1e-12 of 40-digit mpmath (worst
-    1.1e-13), and |w| = 1e12 and 1e100 each take under 0.2 s; the model
-    path never takes them."""
+    5.1e-15); the model path never takes them."""
     calls = []
     original = Hyp2F1._stepped
 
@@ -1054,22 +1160,109 @@ def test_stepped_last_resort(monkeypatch):
     monkeypatch.setattr(Hyp2F1, "_stepped", spy)
     for a, b, c, w, side in STEPPED_POINTS:
         calls.clear()
-        start = time.perf_counter()
         got = gauss_2f1(a, b, c, w, cut_side=side)
-        elapsed = time.perf_counter() - start
         assert len(calls) == 1, (a, b, c, w)
         with mp.workdps(40):
             z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-60") + w.imag)
             ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
         assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, w, side)
-        if abs(w) >= 1e12:
-            assert elapsed < 0.2, w
     calls.clear()
     alpha, top = STANDARD_SWEEP_RANGES[0]
     sweep(standard_model(alpha), [top * k / 100 for k in range(101)])
     series = energy_series(Fraction(3), 4)
     dispersion_report(fit_model(series), series)
     assert calls == []
+
+
+# (a, b, c, w, cut_side) served first by each region and each connection's
+# log entry, with the formula that a failing sum there is reported in
+ROUTE_MESSAGES = [
+    ((0.3, 1.2, 2.7, 0.4 + 0.2j, None),
+     "hypergeometric series exhausted 0 terms in the defining series"),
+    ((0.7, 1.1, 2.9, -1.0 + 0.5j, None),
+     "hypergeometric series exhausted 0 terms in the w/(w-1) series"),
+    ((0.3, 0.9, 4.75, 0.8 + 0.05j, None),
+     "hypergeometric series exhausted 0 terms in the 1-1/w connection"),
+    ((0.6, 0.8, 4.4, 1.5, -1), "logarithmic tail exhausted 0 terms"
+     " in the log connection (m=3) at 1-1/w"),
+    ((0.3, 1.7, 2.4, 5.0 + 3.0j, None),
+     "hypergeometric series exhausted 0 terms in the 1/w connection"),
+    ((0.35, 1.35, 0.8, cmath.rect(2.1, 0.6), None), "logarithmic tail"
+     " exhausted 0 terms in the log connection (m=1) at 1/w"),
+]
+
+
+@pytest.mark.parametrize("point,message", ROUTE_MESSAGES)
+def test_series_failure_names_its_route(monkeypatch, point, message):
+    """Where the serving region's sum runs out of terms and the last
+    resort's does too (MAX_TERMS = 0), the error names the region's formula,
+    and for a log entry its m."""
+    monkeypatch.setattr(specfun, "MAX_TERMS", 0)
+    a, b, c, w, side = point
+    with pytest.raises(NonConvergent) as info:
+        gauss_2f1(a, b, c, w, cut_side=side)
+    assert str(info.value) == message
+
+
+def public_points():
+    """(class, a, b, c, w, cut_side) drawn once (random.Random(41)): 60
+    generic points; c - a - b = m for every m from -35 to 35, exact and
+    1e-10 and 1e-6 past it; 30 with b - a an integer from 0 to 6.  Upper
+    parameters in [-2, 2] + [-1.5, 1.5]i, w near 1 for most of the first
+    two groups, off the axis up to |w| = 4 or on the cut."""
+    rng = random.Random(41)
+
+    def upper():
+        return complex(rng.uniform(-2, 2),
+                       rng.uniform(-1.5, 1.5) if rng.random() < 0.7 else 0.0)
+
+    def point(near_one):
+        if near_one and rng.random() < 0.6:
+            return 1 + cmath.rect(rng.uniform(0.03, 0.85),
+                                  rng.uniform(-math.pi, math.pi)), None
+        if rng.random() < 0.8:
+            return cmath.rect(rng.uniform(0.05, 4.0),
+                              rng.uniform(-math.pi, math.pi)), None
+        return complex(rng.uniform(1.01, 4.0)), rng.choice((1, -1))
+
+    points = []
+    for _ in range(60):
+        a, b = upper(), upper()
+        c = complex(rng.uniform(-3, 5), rng.uniform(-1.5, 1.5))
+        points.append(("generic", a, b, c, *point(True)))
+    for label, eps in (("exact", 0.0), ("+1e-10", 1e-10), ("+1e-6", 1e-6)):
+        for m in range(-35, 36):
+            a, b = upper(), upper()
+            points.append((f"c-a-b {label}", a, b, a + b + m + eps,
+                           *point(True)))
+    for _ in range(30):
+        a = upper()
+        c = complex(rng.uniform(-3, 5), rng.uniform(-1.5, 1.5))
+        points.append(("b-a exact", a, a + rng.randint(0, 6), c,
+                       *point(False)))
+    return points
+
+
+# the worst relative error per class of public_points() against 30-digit
+# mpmath, rounded up; with the 1 - w connection and the Euler transform in
+# place of the 1 - 1/w connection it was 3.3e-13, 3.0e-7, 1.7e-4, 2.0e-2
+# and 7.6e-10.  Near an integer c - a - b both forms cancel (+1e-10 and
+# +1e-6), and at c ~ -30 the series' terms grow large before they decay.
+PUBLIC_WORST = {"generic": 2e-13, "c-a-b exact": 1e-13, "c-a-b +1e-10": 2e-4,
+                "c-a-b +1e-6": 3e-3, "b-a exact": 2e-14}
+
+
+def test_public_points_against_mpmath():
+    """303 random public values, per class within PUBLIC_WORST of 30-digit
+    mpmath."""
+    worst = dict.fromkeys(PUBLIC_WORST, 0.0)
+    for cls, a, b, c, w, side in public_points():
+        got = gauss_2f1(a, b, c, w, cut_side=side)
+        with mp.workdps(30):
+            z = mp.mpc(w.real, (side or 0) * mp.mpf("1e-40") + w.imag)
+            ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
+        worst[cls] = max(worst[cls], abs(got - ref) / abs(ref))
+    assert all(worst[cls] <= PUBLIC_WORST[cls] for cls in worst), worst
 
 
 @given(
