@@ -339,9 +339,11 @@ def lower_side_rate(model: HypModel, field: float) -> float:
     ``2.0 * lower_side_energy(model, field).imag``, with the same errors.
 
     h4 and G are real, so Im E = e0 (h4 z G) Im F and Re F is never formed:
-    up to x = 1 + h3 z = 11 only the reflected series for Im F is summed
-    (:meth:`specfun.Hyp2F1.cut_imag`).  The closing ``+ 0.0`` gives a rate
-    that underflows to zero the sign the complex product gives it.
+    up to x = 1 + h3 z = 1 + max(10, 2H), H = max(1, min(l/6, 15)) the
+    Re F hand-over (x = 11 at l <= 30, 31 from l = 90), only the reflected
+    series for Im F is summed (:meth:`specfun.Hyp2F1.cut_imag`).  The
+    closing ``+ 0.0`` gives a rate that underflows to zero the sign the
+    complex product gives it.
     """
     return _lower_side(model, (field,), True)[0]
 

@@ -14,9 +14,10 @@ connection formula, the 1/w one (DLMF 15.8.2), and one connection at
 w = 1, with c - a - b as G's upper parameter difference.  An integer
 upper parameter difference takes the connection's logarithmic form
 (DLMF 15.8.8), for the 1/w region (b - a) and the 1 - 1/w region
-(c - a - b, of either sign) alike.  Where no region is in reach, or every
-one in reach fails to sum, Taylor steps of the hypergeometric equation
-from |w| = 1/2 to w are the last resort.
+(c - a - b, of either sign) alike.  Where no region is in reach, Taylor
+steps of the hypergeometric equation from |w| = 1/2 to w are the last
+resort; where a region in reach raises and no later one serves, its error
+is raised.
 
 All of this lives in :class:`Hyp2F1`, one instance per parameter set, which
 keeps every parameter-only constant (Gamma products, digammas, route
@@ -40,13 +41,14 @@ conjugates it for the other.  The floating-point operations on the
 argument are the same either way, so no value depends on what the
 instance summed before.  :meth:`Hyp2F1.cut` is the on-cut entry point;
 :meth:`Hyp2F1.cut_imag` returns its imaginary part alone, bit for bit, and
-up to x = 1 + v = 11 sums only the reflected series for it, never the
-connection value whose real part a rate discards.  Both go through one
-private method, the only place that tells the cut from the rest of the
-real axis, checks the side and hands Re F over from the 1 - 1/w
-connection, whose series sum at z = v/x in (0, 1), to the 1/w connection
-at v = max(1, Re(c-a-b)/6); for parameters real on the axis it evaluates
-the upper side and conjugates it for the lower one.
+up to x = 1 + v = 1 + max(10, 2H) sums only the reflected series for it,
+never the connection value whose real part a rate discards.  Both go
+through one private method, the only place that tells the cut from the
+rest of the real axis, checks the side and hands Re F over from the
+1 - 1/w connection, whose series sum at z = v/x in (0, 1), to the 1/w
+connection at v = H = max(1, min(Re(c-a-b)/6, 15)); for parameters real
+on the axis it evaluates the upper side and conjugates it for the lower
+one.  So one number per parameter set, H, routes both parts of F.
 The reflected series, S(z) = 2F1(c-a, 1-a; mu+1; z) at z = v/x,
 is the defining series up to z = 1/2 and above it a Taylor expansion of
 the hypergeometric equation about the nearest anchor below z (z = 1/2,
@@ -474,15 +476,6 @@ class _AnchoredSeries:
         return anchors[j](z - _ANCHORS[j])
 
 
-# Largest x = 1 + v at which Im F on the cut comes from the reflected series.
-# From x - 1 = 10 on, the generic connection value's own imaginary part is
-# within 3e-14 relative of a 60-digit DLMF 15.2.3 reference for the resonance
-# family at alpha in [1.5, 20] and l = 30; below it that error grows fast
-# (5e-9 at x - 1 = 2, up to 1e15 at x - 1 = 0.1).  It grows with l: just
-# past x = 11 it is 3e-13 at l = 60 and 3e-10 at l = 90.
-_REFLECTION_MAX_X = 11.0
-
-
 def real_on_axis(a, b, c) -> bool:
     """True when 2F1(a, b; c; x) is real for real x < 1: real c with the
     upper parameters real or a conjugate pair.  The two sides of the cut
@@ -506,9 +499,14 @@ class Hyp2F1:
     1/w connection is the one connection at w = 1, for every c - a - b.  On
     the cut w = 1 + v its series sum at z = v/(1+v), in (0, 1) for every
     v > 0.  There :meth:`cut` and :meth:`cut_imag` take Re F from the
-    1 - 1/w connection up to v = max(1, Re(c-a-b)/6) and from the 1/w
-    connection past it (see :meth:`_on_cut`), where a call at the cut's
-    nudge itself orders the two by modulus, so hands over at v = 1.
+    1 - 1/w connection up to v = H = max(1, min(Re(c-a-b)/6, 15)) and from
+    the 1/w connection past it (a call at the cut's nudge itself orders
+    the two by modulus, so hands over at v = 1), and Im F from the
+    DLMF 15.2.3 reflected series up to x = 1 + max(10, 2H) (see
+    :meth:`_on_cut`).  Off the cut a region is tried only where its
+    mapped modulus is at most _RHO_MAX; where none is, the last resort
+    serves (:meth:`_stepped`), and where one raised and no later one
+    served, its error stands.
 
     What depends on (a, b, c) alone -- the Gamma products of the 1/w
     connection, the digammas, harmonic sum and head coefficients of its
@@ -555,9 +553,10 @@ class Hyp2F1:
         self._degree = next((int(-p.real) for p in (b, a)
                              if _nonpositive_integer(p)), None)
         # what :meth:`_on_cut` reads at every point: where Re F hands over
-        # from the 1 - 1/w to the 1/w connection, and whether the sides of
-        # the cut are conjugates
-        self._hand_over = max(1.0, (c - a - b).real / 6.0)
+        # from the 1 - 1/w to the 1/w connection, H, which also sets the
+        # reflected series' reach x = 1 + max(10, 2H), and whether the
+        # sides of the cut are conjugates
+        self._hand_over = max(1.0, min((c - a - b).real / 6.0, 15.0))
         self._real_on_axis = real_on_axis(a, b, c)
 
     # -- parameter-only constants ------------------------------------------
@@ -713,8 +712,10 @@ class Hyp2F1:
 
     def _first_region(self, w, regions) -> complex:
         """2F1 at w from the first of ``regions`` that applies (a region
-        that does not returns None) and whose series sum; else from
-        :meth:`_stepped`, through :meth:`_rescue` if a region raised."""
+        that does not returns None) and whose series sum; from
+        :meth:`_stepped` only where none of them applies.  Where one raised
+        and no later one served, its error is raised, naming the region's
+        formula, and for a connection's log entry its m."""
         failed = None
         for region in regions:
             try:
@@ -724,13 +725,9 @@ class Hyp2F1:
                 continue
             if value is not None:
                 return value
-        return self._stepped(w) if failed is None else self._rescue(w, *failed)
-
-    def _rescue(self, w, exc, region) -> complex:
-        """2F1 at w from :meth:`_stepped`, as the first region whose series
-        raised ``exc`` cannot give it and no later one could; if that fails
-        too, ``exc`` is raised naming the region's formula, and for a
-        connection's log entry its m."""
+        if failed is None:
+            return self._stepped(w)
+        exc, region = failed
         route = self._REGIONS[region][1]
         if region >= 2:
             # the connection's entry, absent where building it raised
@@ -738,10 +735,7 @@ class Hyp2F1:
             m = entry and entry[0]
             route = (f"{route} connection" if m is None
                      else f"log connection (m={m}) at {route}")
-        try:
-            return self._stepped(w)
-        except NumericalError:
-            raise type(exc)(f"{exc} in the {route}") from exc
+        raise type(exc)(f"{exc} in the {route}") from exc
 
     def _stepped(self, w) -> complex:
         """2F1 at w by :meth:`_Taylor.step` (Johansson, arXiv:1606.06977)
@@ -767,23 +761,23 @@ class Hyp2F1:
     def cut(self, v, cut_side=None) -> complex:
         """2F1(a, b; c; 1 + v) for real v; on the cut, v > 0, ``cut_side``
         picks the side as in :func:`gauss_2f1`.  Re F is the value of the
-        1 - 1/w connection up to v = max(1, Re(c-a-b)/6) and of the 1/w
-        connection past it, at the rounded 1 + v.  Up to x = 1 + v = 11 (a
-        real function below
-        the cut) Im F is the DLMF 15.2.3 discontinuity at v itself, so a tiny
-        Im F keeps full relative accuracy even where 1 + v rounds to 1: the
-        defining series up to x = 2, anchored Taylor steps of the
-        hypergeometric equation above (see :meth:`_cut_imag_part`).  Beyond
-        x = 11, or if that route does not converge, the generic value's
-        imaginary part stands.  :meth:`cut_imag` gives Im F alone."""
+        1 - 1/w connection up to v = H = max(1, min(Re(c-a-b)/6, 15)) and
+        of the 1/w connection past it, at the rounded 1 + v.  Up to
+        x = 1 + v = 1 + max(10, 2H) (for a function real below the cut) Im F
+        is the DLMF 15.2.3 discontinuity at v itself, so a tiny Im F keeps
+        full relative accuracy even where 1 + v rounds to 1: the defining
+        series up to x = 2, anchored Taylor steps of the hypergeometric
+        equation above (see :meth:`_cut_imag_part`).  Beyond that reach, or
+        if that route does not converge, the generic value's imaginary part
+        stands.  :meth:`cut_imag` gives Im F alone."""
         return self._on_cut(v, cut_side, True)
 
     def cut_imag(self, v, cut_side=None) -> float:
         """The imaginary part of :meth:`cut`, bit for bit.  Where the
-        DLMF 15.2.3 discontinuity gives it (x = 1 + v <= 11 on the cut of a
-        function real below it), only that series is summed; elsewhere it is
-        the imaginary part of the generic value, and the series is not
-        summed a second time."""
+        DLMF 15.2.3 discontinuity gives it (x = 1 + v <= 1 + max(10, 2H) on
+        the cut of a function real below it, H the Re F hand-over), only
+        that series is summed; elsewhere it is the imaginary part of the
+        generic value, and the series is not summed a second time."""
         return self._on_cut(v, cut_side, False).imag
 
     def _on_cut(self, v, cut_side, need_real) -> complex:
@@ -791,13 +785,24 @@ class Hyp2F1:
         of the axis, checks ``cut_side`` and nudges 1 + v to that side by
         _CUT_IMAG.  Its Re F is the value at the nudge of one of the two
         connections, where |w| and |w/(w-1)| exceed 1 > _RHO_MAX: the
-        1 - 1/w connection up to the hand-over v = max(1, Re(c-a-b)/6),
-        the 1/w connection past it, each with the other as the next region
-        if it does not apply or its series does not sum.  The 1 is where
-        |1 - 1/w| and |1/w| tie, and so where a call at the nudge itself
-        hands over; up to the l/6 the 1 - 1/w connection keeps digits that
-        the 1/w one loses at large l, and past it the 1/w connection keeps
-        those that the 1 - 1/w one loses at small l and large |a|, |b|.
+        1 - 1/w connection up to the hand-over v = H =
+        max(1, min(Re(c-a-b)/6, 15)), the 1/w connection past it, each with
+        the other as the next region if it does not apply or its series
+        does not sum.  The 1 is where |1 - 1/w| and |1/w| tie, and so where
+        a call at the nudge itself hands over; up to the l/6 the 1 - 1/w
+        connection keeps digits that the 1/w one loses at large l, and past
+        it the 1/w connection keeps those that the 1 - 1/w one loses at
+        small l and large |a|, |b|.  The 15 is where l = 90 hands over:
+        past it, at l >= 95, the 1 - 1/w connection's log tail runs out of
+        MAX_TERMS short of l/6.  Im F comes from :meth:`_cut_imag_part` up
+        to x = 1 + max(10, 2H): x = 11 at every l <= 30, and up to x = 31
+        at large l.  Below their reach the connections' imaginary parts
+        lose digits as they build a small Im F from O(|F|) pieces: at
+        l = 30 and alpha = 1.5 to 20, up to 7e-8 at x = 2 and 6e-12 at
+        x = 3, and just past x = 11 up to 2.3e-11 at l = 95.
+        The floor at x = 11 serves small l: with a reach of 1 + 2H alone,
+        real pairs with b - a near an integer lost up to 1.5e-10 on
+        v in (2H, 10].
         For parameters real on the axis the lower side is the upper one's
         conjugate, so the sides mirror each other bit for bit.  Without
         ``need_real`` the generic value is not formed where
@@ -811,7 +816,8 @@ class Hyp2F1:
             raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
         # every connection formula builds Im F on the cut from cancelling
         # O(|F|) complex pieces; the reflection formula gives it directly
-        im = self._cut_imag_part(v) if x <= _REFLECTION_MAX_X else None
+        im = (self._cut_imag_part(v)
+              if x <= 11.0 or x <= 1.0 + 2.0 * self._hand_over else None)
         if im is not None and not need_real:
             return complex(0.0, cut_side * im)
         if x > 1.0:
@@ -840,10 +846,12 @@ class Hyp2F1:
         as accurate as summing S's defining series directly (worst 1.2e-13
         over alpha in [1.1, 20], l up to 90, set by the Gamma factors).
 
-        :meth:`_on_cut` takes it up to x = _REFLECTION_MAX_X, before any
-        other term is summed.  None where :func:`real_on_axis` fails, or if
-        the series raises ``NonConvergent``: the caller then keeps the
-        generic value's imaginary part.
+        :meth:`_on_cut` takes it up to x = 1 + max(10, 2H), H the Re F
+        hand-over, before any other term is summed; that is at most x = 31,
+        where v ** mu stays finite for mu up to 208.  None where
+        :func:`real_on_axis` fails, or if the series raises
+        ``NonConvergent``: the caller then keeps the generic value's
+        imaginary part.
         """
         if self._reflection is None:
             return None
@@ -876,10 +884,14 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     30.000000002`` is within 1.2e-11 of a 60-digit reference.  A negative
     integer c - a - b takes the same connection as a positive one: within
     1e-13 of 80-digit mpmath at (0.6, 0.8; -4.6), w = 1.45 + i0, and at
-    m = -30 near w = 1 + 0.45 e^(3.1i).  Where no region serves w (near
-    w = e^(+-i pi/3), or where each series in reach runs out of terms),
-    the value comes from Taylor steps of the hypergeometric equation,
-    within 5.1e-15 of 40-digit mpmath at the tested points.
+    m = -30 near w = 1 + 0.45 e^(3.1i).  Where no region is in reach
+    (near w = e^(+-i pi/3)), the value comes from Taylor steps of the
+    hypergeometric equation, within 5.1e-15 of 40-digit mpmath at the
+    tested points.  Where a region in reach raises (its series runs out of
+    terms, or its Gamma products overflow) and no later one serves, its
+    ``NumericalError`` is raised, naming the region's formula: at c = 150
+    the Taylor steps were far off (5.2e24 - 7.5e24i at w = 2 + i, where
+    the value is 1.0047 + 0.0024i).
     A polynomial, an upper parameter -n a non-positive integer, is summed
     as its n + 1 terms at w itself, whose cancellation near w = 1 costs
     digits with no error raised: against 40-digit mpmath, 2F1(-40, 2.5;

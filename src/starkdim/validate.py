@@ -58,8 +58,10 @@ u stops at 402, and the tail such a grid cuts off moves the moments by up
 to 6.8e-11 (alpha = 11/10, l = 30).
 
 Each node evaluates G alone (``resum.lower_side_rate``), never Re E: up to
-x = 1 + h3 (F/4)^2 = 11 it sums only the DLMF 15.2.3 reflected series for
-Im 2F1, and beyond it the 1/w connection, whose imaginary part stands.
+x = 1 + h3 (F/4)^2 = 1 + max(10, 2H), H = max(1, min(l/6, 15)) the Re 2F1
+hand-over (x = 11 at l <= 30, 21 at l = 60), it sums only the DLMF 15.2.3
+reflected series for Im 2F1, and beyond it the 1/w connection, whose
+imaginary part stands.
 Each scan step decides on the last node, so nodes are scalar rates; their
 per-moment bookkeeping runs in plain loops, each column's append bound
 once per report.

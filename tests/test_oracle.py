@@ -109,8 +109,9 @@ def test_log_grid(alpha):
 
 @pytest.mark.parametrize("l", [12.3, 60.0])
 def test_other_branch_powers(l):
-    """The generic value's imaginary part is least accurate just past the
-    route seam at x = 11 when l is large: 6.2e-13 at l = 60."""
+    """Across x = 11: at l = 12.3 the reflected series' reach, at l = 60
+    inside it (the reach is x = 21).  Gamma is within 1.2e-14 at both;
+    with the reach at x = 11 for every l it was 1.1e-13 at l = 60."""
     model = standard_model(3.0, l=l)
     seam = [field_at(model, x) for x in (10.5, 11.0, 11.5)]
     assert_matches(model, list(np.linspace(0.05, 1.0, 10)) + seam)
@@ -246,16 +247,17 @@ def test_delta_across_reflected_anchors(alpha, l):
             delta), v
 
 
-# x = 1 + h3 (F/4)^2 past _REFLECTION_MAX_X = 11, where the rate is the
-# imaginary part of the 1/w connection
+# x = 1 + h3 (F/4)^2 past the reflected series' reach, x = 11 at l = 30,
+# where the rate is the imaginary part of the 1/w connection
 PAST_REFLECTION_XS = (11.0001, 11.5, 13.0, 17.0, 30.0)
 
 
 @pytest.mark.parametrize("l", [30.0, 60.0])
 @pytest.mark.parametrize("alpha", [3.0, 5.0, 20.0])
 def test_rate_past_reflected_route(alpha, l):
-    """Within 1e-12 of the exact discontinuity (worst 4.6e-13, alpha = 5,
-    l = 60, x = 11.0001)."""
+    """Within 1e-12 of the exact discontinuity (worst 1.9e-13, alpha = 5,
+    l = 30, x = 11.0001; at l = 60 the reflected series serves up to
+    x = 21)."""
     model = standard_model(alpha, l=l)
     for x in PAST_REFLECTION_XS:
         field = field_at(model, x)
@@ -266,20 +268,43 @@ def test_rate_past_reflected_route(alpha, l):
 @pytest.mark.parametrize("x", PAST_REFLECTION_XS[:2])
 @pytest.mark.parametrize("alpha", [3.0, 5.0, 20.0])
 def test_rate_just_past_reflected_route_at_l90(alpha, x):
-    """Past x = 11 the rate is the imaginary part of the generic value, at
-    l = 90 that of the 1 - 1/w connection up to x = 1 + l/6 = 16: within
-    1e-12 of the exact discontinuity (worst 9.9e-13, alpha = 3,
-    x = 11.0001), where the 1/w connection was off by up to 3.0e-10."""
+    """At l = 90 the reflected series' reach is x = 1 + 2 (l/6) = 31, so just
+    past x = 11 the rate is the reflected series': within 1e-12 of the
+    exact discontinuity (worst 1.2e-14, alpha = 5, x = 11.0001), where the
+    imaginary part of the 1 - 1/w connection was off by up to 9.9e-13 and
+    that of the 1/w connection by up to 3.0e-10."""
     model = standard_model(alpha, l=90.0)
     field = field_at(model, x)
     ref = reference_rate(model, field)
     assert abs(lower_side_rate(model, field) - ref) <= REL_TOL * abs(ref)
 
 
+@pytest.mark.parametrize("l", [45.0, 60.0, 90.0, 95.0])
+@pytest.mark.parametrize("alpha", [1.01, 3.0, 5.0, 20.0])
+def test_rate_across_reflected_reach_at_large_l(alpha, l):
+    """Past x = 11 at large l the rate is within 1e-13 of the exact
+    discontinuity (worst 6.2e-14, alpha = 1.01, l = 95, x = 17.0), from
+    x = 11 to 1.3 times the reflected series' reach 1 + 2H, H = min(l/6, 15)
+    the Re F hand-over: the reflected series up to the reach, the 1/w
+    connection's imaginary part past it.  With the reach fixed at x = 11
+    the connections gave up to 2.3e-13, 8.8e-13, 8.8e-12 and 2.3e-11 at
+    l = 45, 60, 90 and 95."""
+    model = standard_model(alpha, l=l)
+    reach = 1.0 + 2.0 * min(l / 6.0, 15.0)
+    top = 1.3 * reach
+    xs = [11.0 * (top / 11.0) ** (k / 12) for k in range(13)]
+    for x in xs + [11.0001, reach * (1 - 1e-9), reach * (1 + 1e-9)]:
+        field = field_at(model, x)
+        ref = reference_rate(model, field)
+        assert abs(lower_side_rate(model, field) - ref) <= 1e-13 * abs(ref), x
+
+
 @pytest.mark.xfail(strict=True, reason="with a real pair whose h2 - h1 is"
                    " near an integer the 1/w connection loses digits of Im F"
-                   " past x = 11: up to 1.5e-12 (alpha = 5.2, h2 - h1 ="
-                   " 1.0029) and 2.7e-12 (alpha = 9.7, h2 - h1 = 2.0061)")
+                   " past the reflected series' reach, x = 11 at l = 30: up"
+                   " to 1.5e-12 (alpha = 5.2, h2 - h1 = 1.0029) and 2.7e-12"
+                   " (alpha = 9.7, h2 - h1 = 2.0061), both at x = 11.0001"
+                   " (ROADMAP item 14)")
 @pytest.mark.parametrize("alpha", [5.2, 9.7])
 def test_rate_past_reflected_route_near_integer_pair_difference(alpha):
     """The loss swings with the last bits of (h1, h2), so every x of

@@ -652,9 +652,15 @@ VALUE_SET_FIELDS = 60
 # only the 8 "report" keys changed, every rate and energy kept its bits.
 # Re-pinned when Re F on the cut up to v = max(1, l/6) moved to the 1 - 1/w
 # connection: 227 Delta cells moved (largest change 2.6e-4 relative, at
-# alpha = 20, l = 60, v = 0.70), every Gamma, rate and report kept its bits
+# alpha = 20, l = 60, v = 0.70), every Gamma, rate and report kept its bits.
+# Re-pinned when the reflected series' reach moved from x = 11 to
+# x = 1 + max(10, 2H), H the Re F hand-over (x = 21 at l = 60): 30 Gamma and
+# the same 30 rate cells moved, all at l = 60 with v in (10, 20], the largest
+# by 5.8e-13 relative (alpha = 7, v = 11.7); 23 moved toward the 60-digit
+# reference (worst 5.8e-13 before, 1.8e-14 after) and 7 away, each to within
+# 1.7e-14 of it; every Delta and report kept its bits
 VALUE_SET_DIGEST = (
-    "82e8cab1a8b37fefe524593a689b51a44db9c069f1fb899d1b9e074d30259bf3")
+    "7d8d6de49659521f649385062706b61304ec1c64b120a15bbfc66a2b90855094")
 
 
 def value_set():

@@ -340,9 +340,10 @@ CONJUGATE_H1 = 0.57715234937124937 - 0.17707420101201338j
 ], ids=["conjugate pair (alpha=3)", "real pair (alpha=5)"])
 def test_cut_imag_is_im_of_cut(monkeypatch, params):
     """Hyp2F1.cut_imag(v, s) is cut(v, s).imag bit for bit on both sides,
-    across x = 11 (v = 10 and its float neighbours) and off the cut.  On
-    the cut up to x = 11 it never evaluates the generic value, a 1 - 1/w
-    or 1/w region."""
+    across the reflected series' reach (x = 11 at l = 30, 11 plus one ulp
+    for the real pair, whose 2H is 10.000000000000002: v at the reach and
+    its float neighbours) and off the cut.  On the cut up to the reach it
+    never evaluates the generic value, a 1 - 1/w or 1/w region."""
     hyp = Hyp2F1(*params)
     calls = []
     for name in ("_pfaff_inf", "_inf"):
@@ -351,8 +352,9 @@ def test_cut_imag_is_im_of_cut(monkeypatch, params):
             return region(self, *args)
 
         monkeypatch.setattr(Hyp2F1, name, spy)
-    below = (1e-3, 0.3, 0.618, 0.7, 5.0, math.nextafter(10.0, 0.0), 10.0)
-    above = (math.nextafter(10.0, math.inf), 10.5, 40.0, 1e3)
+    edge = reflected_reach(hyp) - 1.0
+    below = (1e-3, 0.3, 0.618, 0.7, 5.0, math.nextafter(edge, 0.0), edge)
+    above = (math.nextafter(edge, math.inf), 10.5, 40.0, 1e3)
     for v in below + above:
         for side in (1, -1):
             calls.clear()
@@ -402,6 +404,12 @@ def bits(z):
     """The exact floats of a complex value, signed zeros included."""
     z = complex(z)
     return z.real.hex(), z.imag.hex()
+
+
+def reflected_reach(hyp):
+    """The largest x = 1 + v at which the cut's Im F comes from the
+    reflected series: 1 + max(10, 2H), H the instance's Re F hand-over."""
+    return 1.0 + max(10.0, 2.0 * hyp._hand_over)
 
 
 def summed(total, terms, settle=0):
@@ -490,9 +498,9 @@ def test_conjugate_pair_sums_one_inf_series(monkeypatch, h, l):
     """For b = conj(a) and real c the 1/w connection on the cut, past
     v = max(1, l/6), sums one series and takes its conjugate for the other:
     bit for bit the two-sum formula, on both sides, where Im F comes from
-    the reflected series (x <= 11) and beyond.  Off the axis both series are
-    summed, and at
-    |w| >= 5 the value is within 1e-12 of mpmath (nearer the region seam see
+    the reflected series (up to its reach, x = 11 at l = 30) and beyond.
+    Off the axis both series are summed, and at |w| >= 5 the value is
+    within 1e-12 of mpmath (nearer the region seam see
     test_inf_connection_near_seam_off_axis)."""
     a, b, c = h, h.conjugate(), 2.0 * h.real + l
     hyp = Hyp2F1(a, b, c)
@@ -506,7 +514,7 @@ def test_conjugate_pair_sums_one_inf_series(monkeypatch, h, l):
             assert len(calls) == 1
             cut = Hyp2F1(a, b, c).cut(x - 1.0, cut_side=side)
             assert bits(cut.real) == bits(expected.real)
-            if x > specfun._REFLECTION_MAX_X:
+            if x > reflected_reach(hyp):
                 assert bits(cut) == bits(expected)
     worst = 0.0
     for r in (2.0, 5.0, 60.0):
@@ -949,19 +957,56 @@ def test_cut_region_at_unit_inf_tie(alpha):
             assert bits(hyp.cut(v, side)) == bits(want)
 
 
+@pytest.mark.parametrize("l", [95.0, 98.0])
+def test_hand_over_capped_at_15(monkeypatch, l):
+    """Past l = 90 Re F hands over to the 1/w connection at v = 15, not at
+    l/6, as the 1 - 1/w connection's log tail runs out of MAX_TERMS short
+    of l/6 there (at alpha = 1.01 and 3, l = 95 and 98, on up to 23 of 41
+    points of v in [14, l/6], each after 500 terms).  On that stretch no
+    call of it raises now, and Re F is within 1e-12 of 60-digit mpmath
+    (worst 3.5e-13, alpha = 20, l = 98, from the 1/w connection)."""
+    raised = []
+    original = Hyp2F1._pfaff_inf
+
+    def spy(self, w):
+        try:
+            return original(self, w)
+        except NumericalError as exc:
+            raised.append((w, exc))
+            raise
+
+    monkeypatch.setattr(Hyp2F1, "_pfaff_inf", spy)
+    for alpha in (1.01, 3.0, 20.0):
+        model = standard_model(alpha, l=l)
+        a, b = model.h1, model.h2
+        hyp = Hyp2F1(a, b, a + b + l)
+        assert hyp._hand_over == 15.0
+        for v in np.linspace(14.0, l / 6.0, 13):
+            got = hyp.cut(float(v), -1).real
+            with mp.workdps(60):
+                ref = float(mp.re(mp.hyp2f1(
+                    mp.mpc(a), mp.mpc(b), mp.mpc(a + b + l),
+                    mp.mpc(1 + mp.mpf(float(v)), "-1e-50"))))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (alpha, v)
+    assert raised == []
+
+
 def test_reflected_series_has_no_anchor_at_one(monkeypatch):
     """The anchors end at the last one below 1.0, so z = v/x = 1.0 raises
-    NonConvergent at once, and a cut past the reflected route's limit keeps
-    the generic value's imaginary part."""
+    NonConvergent at once, and a cut whose reflected series raises keeps
+    the generic value's imaginary part.  The reach, 1 + max(10, 2H), is at
+    most 31; an instance whose hand-over H is set past every v takes the
+    reflected series at v = 1e17, where v/x rounds to 1.0."""
     reflected = continuation(3.0)._reflection[-1]
     with pytest.raises(NonConvergent):
         reflected(1.0)
     anchors = specfun._ANCHORS
     assert anchors[-1] < 1.0 == 1.0 - 0.5 * (2.0 / 3.0) ** len(anchors)
-    monkeypatch.setattr(specfun, "_REFLECTION_MAX_X", math.inf)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)
+    monkeypatch.setattr(hyp, "_hand_over", math.inf)
     v = 1e17  # v/x rounds to 1.0
+    assert 1.0 + v <= reflected_reach(hyp)
     for side in (1, -1):
         generic = hyp(complex(1.0 + v, side * specfun._CUT_IMAG))
         assert bits(hyp.cut(v, side)) == bits(generic)
@@ -1133,23 +1178,30 @@ def test_pfaff_inf_connection_against_mpmath(monkeypatch):
 
 
 # (a, b, c, w, cut_side) that no series region serves: every mapped
-# modulus above _RHO_MAX, or the one region in reach runs out of terms
+# modulus above _RHO_MAX near w = e^(i pi/3)
 STEPPED_POINTS = [
-    # every mapped modulus above _RHO_MAX near w = e^(i pi/3)
     (0.4209, 2.9114, 4.3102, 0.4743 + 0.8389j, None),
     (2.5051, 4.5051, 1.2297, 0.4948 + 0.7702j, None),
-    # the 1/w connection, the only region in reach, exhausts MAX_TERMS
+]
+
+# (a, b, c, w) where the 1/w connection, the only region in reach, exhausts
+# MAX_TERMS
+EXHAUSTED_POINTS = [
     (33.3719 + 1.7583j, -6.7126 + 0.9585j, 12.6605 + 2.2963j,
-     0.5359 - 0.9785j, None),
+     0.5359 - 0.9785j),
     (38.2278 + 0.4843j, -0.0827 - 2.1601j, 11.1948 + 2.9726j,
-     0.5074 + 1.1153j, None),
+     0.5074 + 1.1153j),
 ]
 
 
 def test_stepped_last_resort(monkeypatch):
     """Points no series region serves are Taylor steps of the
     hypergeometric equation, within 1e-12 of 40-digit mpmath (worst
-    5.1e-15); the model path never takes them."""
+    5.1e-15).  Where the one region in reach runs out of terms, its error
+    is raised, naming the 1/w connection, and the last resort is not
+    taken.  The model path never takes it: the standard alpha = 3 sweep at
+    l = 30, 60, 90 and 95 (v up to 7.1e3, across the hand-over and the
+    reflected series' reach) and a dispersion report."""
     calls = []
     original = Hyp2F1._stepped
 
@@ -1167,11 +1219,29 @@ def test_stepped_last_resort(monkeypatch):
             ref = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), z))
         assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, w, side)
     calls.clear()
+    for a, b, c, w in EXHAUSTED_POINTS:
+        with pytest.raises(NonConvergent) as info:
+            gauss_2f1(a, b, c, w)
+        assert str(info.value) == (f"hypergeometric series exhausted"
+                                   f" {specfun.MAX_TERMS} terms in the 1/w"
+                                   f" connection")
     alpha, top = STANDARD_SWEEP_RANGES[0]
-    sweep(standard_model(alpha), [top * k / 100 for k in range(101)])
+    for l in (30.0, 60.0, 90.0, 95.0):
+        sweep(standard_model(alpha, l=l), [top * k / 100 for k in range(101)])
     series = energy_series(Fraction(3), 4)
     dispersion_report(fit_model(series), series)
     assert calls == []
+
+
+def test_large_c_raises_where_no_region_serves():
+    """At c = 150 every Gamma product of a connection overflows.  Where no
+    region in reach gives a value, NumericalError is raised, not the last
+    resort's value, which is far off there: 5.2e24 - 7.5e24i at 2 + i and
+    4.0e69 - 6.5e69i at 16 + i0, where mpmath gives 1.0047 + 0.0024i and
+    1.0444 + 0.00014i."""
+    for w, side in ((2 + 1j, None), (16.0, 1), (16.0, -1)):
+        with pytest.raises(NumericalError):
+            gauss_2f1(0.5, 0.7, 150, w, cut_side=side)
 
 
 # (a, b, c, w, cut_side) served first by each region and each connection's
@@ -1194,10 +1264,12 @@ ROUTE_MESSAGES = [
 
 @pytest.mark.parametrize("point,message", ROUTE_MESSAGES)
 def test_series_failure_names_its_route(monkeypatch, point, message):
-    """Where the serving region's sum runs out of terms and the last
-    resort's does too (MAX_TERMS = 0), the error names the region's formula,
-    and for a log entry its m."""
+    """Where the serving region's sum runs out of terms (MAX_TERMS = 0)
+    and no later region serves, its error is raised, naming the region's
+    formula, and for a log entry its m; the last resort is not tried."""
     monkeypatch.setattr(specfun, "MAX_TERMS", 0)
+    monkeypatch.setattr(Hyp2F1, "_stepped",
+                        lambda self, w: pytest.fail("last resort taken"))
     a, b, c, w, side = point
     with pytest.raises(NonConvergent) as info:
         gauss_2f1(a, b, c, w, cut_side=side)

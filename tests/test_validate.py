@@ -251,12 +251,16 @@ def test_halvings_taken(monkeypatch, alpha, l):
 
 def test_second_halving_unchanged():
     """Where the second halving is taken (alpha = 20, l = 60), the report
-    keeps its bits."""
+    keeps its bits.  Re-pinned when the reflected series' reach moved from
+    x = 11 to x = 21 at l = 60: the integral values of n = 2, 3 and 4 moved
+    by 2.0e-15, 3.8e-15 and 4.8e-15 relative, each toward the same nodes'
+    sum with 60-digit rates (worst 1.2e-14 before, 8.7e-15 after); the
+    node count and upper cutoff kept their bits."""
     series = energy_series(Fraction(20), 4)
     report = dispersion_report(fit_model(series, 60.0), series)
     assert report.entries[0].node_count == 81
     assert hashlib.sha256(repr(report).encode()).hexdigest() == (
-        "cf032a002caeea098e42a0d302b1ef252b40f0f5bc8279da953e63cd1baa389a")
+        "f7fd8f562378ffbe31e7cfe513d2f1a8e7fa559dac65e8d46edefb9986d43da4")
 
 
 # every IntegrationFailure of the moment integrator, each forced at alpha = 3
