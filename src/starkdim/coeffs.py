@@ -23,12 +23,24 @@ the energy pass.  So the exact mode runs on plain ints that carry that one
 denominator implicitly.  A float alpha runs the identical recursion in double
 precision.  The known powers of p and q are put back once, where Fraction
 and RationalPolynomial results leave the engine.
+
+A dimension fixes its tables before any field is evaluated, so they are
+kept: ``energy_series`` keeps the 16 series it made last, keyed by order
+and by alpha, a Fraction for rational input and the float for float input,
+and ``symbolic_energy_series`` its 16 tables made last, keyed by order.  A
+repeated call returns the kept record itself without running the engine:
+callers share it, which is safe as records are immutable.  The order's cap
+is checked before the lookup and is not part of the key.  An error is never
+kept, so a failed run raises again on every call.  Threads share the
+tables without a lock: two that miss at once each run the engine and
+return equal records, one of which is kept.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 
 from . import DEFAULT_ORDER_CAP
@@ -554,9 +566,20 @@ def energy_series(alpha, order: int, cap: int = DEFAULT_ORDER_CAP) -> EnergySeri
     """Even energy coefficients E_{2n} for n = 0..order at fixed dimension.
 
     Rational ``alpha`` runs the recursion on ints and returns Fractions;
-    float ``alpha`` runs the identical algorithm in double precision.
+    float ``alpha`` runs the identical algorithm in double precision.  The
+    table is kept (see the module docstring): a repeated call returns the
+    same series without running the engine.
     """
     _check_order(order, cap)
+    _validate_alpha(alpha)
+    return _energy_table(
+        Fraction(alpha) if _is_exact(alpha) else float(alpha), order)
+
+
+# typed: Fraction(5, 2) and 2.5 are equal keys, but one is an exact table
+# and the other a float one
+@lru_cache(maxsize=16, typed=True)
+def _energy_table(alpha, order):
     params = unperturbed_params(alpha)
     exact = _is_exact(params.alpha)
     if exact:
@@ -588,9 +611,15 @@ def symbolic_energy_series(order: int, cap: int = DEFAULT_ORDER_CAP) -> Symbolic
     The recursion runs over integer polynomials in the channel scale p,
     evaluated at p = 2^W so that each is one int; the known factor p^(6n-2)
     of E_2n, the overall -1/(2 p^2) energy scale included, is a shift of the
-    digits read off, and p = (alpha - 1)/2 is substituted at the end.
+    digits read off, and p = (alpha - 1)/2 is substituted at the end.  The
+    table is kept, like :func:`energy_series`'s.
     """
     _check_order(order, cap)
+    return _symbolic_table(order)
+
+
+@lru_cache(maxsize=16)
+def _symbolic_table(order):
     width = _packing_width(order)
     _, beta_sq = _energy_pass(1 << width, 1, 1, order)
     polys = []

@@ -22,6 +22,16 @@ fitted again to the same series takes the continuation the last one left
 and only sums series.  No value depends on whether a continuation was
 built or taken (see ``specfun``).
 
+One layer earlier, the fit is kept the same way: :func:`fit_model` keeps
+the parameters of the 16 fits it made last, keyed by the floats of E_0..E_8
+it reads, l and the series' alpha (the last two as given, which an error
+names; equal values share an entry, as the model takes their floats), and
+builds a new ``HypModel`` from them on every call, so models share a
+continuation only through the registry.  A failed fit is not kept and
+raises again on every call.  The kept parameters are immutable numbers, so
+threads share them without a lock: two that miss at once each fit, and
+keep equal parameters.
+
 Every evaluation on the cut -- a scalar energy or rate, a resonance point,
 a sweep, the CLI's rate grids and the dispersion check's nodes -- runs one
 grid function (a scalar is a grid of one) that takes the continuation's
@@ -213,17 +223,27 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     result is verified by re-expansion before it is returned.  A fit with
     h3 < 0 never reaches the cut (Gamma = 0 at every field), which happens
     for l below about 4.45 at alpha = 1.01, 4.95 at 3 and 7.0 at 20; it
-    raises ``DegenerateSeries``.
+    raises ``DegenerateSeries``.  The parameters are kept (see the module
+    docstring); each call returns a new model.
     """
     if not 4 < l < math.inf:
         raise InvalidL("branch power l must be finite and exceed 4")
     if series.order < 4:
         raise InsufficientData("fit needs series coefficients through order 4")
     try:
-        e = [float(x) for x in series.e_coeffs[:5]]
+        e = tuple(float(x) for x in series.e_coeffs[:5])
     except OverflowError:
         raise DegenerateSeries("series coefficients overflow a float"
                                f" (alpha={format_alpha(series.alpha)})") from None
+    return HypModel(*_fitted(e, l, series.alpha))
+
+
+@lru_cache(maxsize=16)
+def _fitted(e, l, alpha):
+    """The fields of :func:`fit_model`'s model, from the floats ``e`` of
+    E_0..E_8 of a series at ``alpha``.  l and alpha stay as given, so that
+    a failure names them as given; values that compare equal share one
+    entry, as the model takes their floats."""
     e0 = e[0]
     if e0 == 0:
         raise DegenerateSeries("zero leading coefficient")
@@ -239,7 +259,7 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     if h3 < 0.0:
         raise DegenerateSeries(
             "fit has no branch cut at positive field"
-            f" (alpha={format_alpha(series.alpha)}, l={l}): h3 = {h3:.6g} < 0")
+            f" (alpha={format_alpha(alpha)}, l={l}): h3 = {h3:.6g} < 0")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
     # h1 comes first in (real, imag) order: the principal root is real and
@@ -247,22 +267,15 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     root = cmath.sqrt(complex(s_sum * s_sum - 4.0 * prod))
     h1 = 0.5 * (s_sum - root)
     h2 = 0.5 * (s_sum + root)
-    h4 = t[0] / _gamma_of_l(l, format_alpha(series.alpha))
-    model = HypModel(
-        h1=h1,
-        h2=h2,
-        h3=complex(h3),
-        h4=h4,
-        l=float(l),
-        e0=e0,
-        alpha=float(series.alpha),
-    )
-    residual = fit_round_trip_residual(model, series)
+    h4 = t[0] / _gamma_of_l(l, format_alpha(alpha))
+    fields = (h1, h2, complex(h3), h4, float(l), e0, float(alpha))
+    residual = fit_round_trip_residual(HypModel(*fields),
+                                       EnergySeries(alpha, 4, e))
     if not residual <= 1e-10:
         raise DegenerateSeries(
             f"fit round-trip residual {residual:.3g} exceeds 1e-10"
-            f" (alpha={format_alpha(series.alpha)}, l={l})")
-    return model
+            f" (alpha={format_alpha(alpha)}, l={l})")
+    return fields
 
 
 def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:
@@ -495,5 +508,7 @@ def slope_exponent(pairs) -> float:
 
 
 def standard_model(alpha, l: float = DEFAULT_L) -> HypModel:
-    """Exact series at ``alpha`` fitted to the default continuation model."""
+    """The order-4 series at ``alpha`` fitted at branch power ``l``: exact
+    for a rational alpha, double precision for a float one (see
+    :func:`coeffs.energy_series`)."""
     return fit_model(energy_series(alpha, 4), l)

@@ -851,12 +851,20 @@ class Hyp2F1:
         where v ** mu stays finite for mu up to 208.  None where
         :func:`real_on_axis` fails, or if the series raises
         ``NonConvergent``: the caller then keeps the generic value's
-        imaginary part.
+        imaginary part.  Where building its Gamma factors raises (Gamma(c)
+        overflows a float from Re c = 142.58), the ``NumericalError`` names
+        this formula and a, b, c.
         """
-        if self._reflection is None:
+        try:
+            reflection = self._reflection
+        except NumericalError as exc:
+            raise type(exc)(
+                f"{exc} in the DLMF 15.2.3 discontinuity (reflected series)"
+                f" at a={self.a}, b={self.b}, c={self.c}") from exc
+        if reflection is None:
             return None
         x = 1.0 + v
-        a_c, mu, gamma_c, rgamma_mu1, gamma_ab, series = self._reflection
+        a_c, mu, gamma_c, rgamma_mu1, gamma_ab, series = reflection
         try:
             value = x ** a_c * series(v / x)
         except NonConvergent:

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from starkdim import STANDARD_SWEEP_RANGES, energy_series, standard_model, sweep
+from starkdim.coeffs import _energy_table, _symbolic_table
+from starkdim.resum import _fitted
+
+# the kept series tables and fits
+TABLES = (_energy_table, _symbolic_table, _fitted)
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
 
@@ -28,3 +33,17 @@ def standard_sweeps(models):
         alpha: sweep(models[alpha], np.linspace(0.0, tops[alpha], 101))
         for alpha in ALPHAS
     }
+
+
+@pytest.fixture
+def empty_tables():
+    """The kept series tables and fits, emptied for one test, so that a test
+    that patches engine internals runs the code it patches.  Yields the
+    function that empties them, for a test that fits before it patches."""
+    def empty():
+        for table in TABLES:
+            table.cache_clear()
+
+    empty()
+    yield empty
+    empty()

@@ -219,7 +219,7 @@ def test_invalid_dimension_rejected():
         unperturbed_params(Fraction(1))
 
 
-def test_order_validation(monkeypatch):
+def test_order_validation(monkeypatch, empty_tables):
     """Both energy modes reject an order that is not an int >= 1, or one
     past the cap, before any engine run (the symbolic width bound is one)."""
     def no_engine(*args):
@@ -412,6 +412,65 @@ def test_symbolic_series_pinned_bit_for_bit():
     )
 
 
+# kept tables: a repeated call returns the series or table made first
+
+
+def test_kept_tables_keep_every_bit(empty_tables):
+    """From emptied tables, the series made on a miss and the one taken on
+    a hit are one record with the pinned bits, exact and float alike; 5/2
+    and 2.5, equal as numbers, keep an exact and a float table apart."""
+    pins = [(alpha, _ORDER20_PINS[alpha]) for alpha in (Fraction(5, 2),
+                                                        Fraction(41, 2))]
+    pins += [(alpha, _FLOAT_ORDER20_PINS[alpha]) for alpha in (2.5, 77 / 64)]
+    for alpha, pin in pins:
+        es = energy_series(alpha, 20)
+        assert energy_series(alpha, 20) is es
+        assert (_sha256(es.e_coeffs), _sha256(es.beta_series)) == pin
+    table = symbolic_energy_series(8)
+    assert symbolic_energy_series(8) is table
+    assert _sha256(table.e_polys) == (
+        "fe08d858592d0567ff178fbe263fcd73f8e663b6e0476a358b947628a97dfdae")
+    assert energy_series(3, 4) is energy_series(Fraction(3), 4)
+    assert coeffs._energy_table.cache_info().currsize == 5
+
+
+def test_tables_keep_no_error(empty_tables):
+    """An order past the cap is checked before the lookup, also where the
+    table is kept, and a float run that overflows raises the same message
+    on every call; neither keeps anything."""
+    energy_series(3, 6)
+    symbolic_energy_series(6)
+    kept = [table.cache_info().currsize for table in (coeffs._energy_table,
+                                                      coeffs._symbolic_table)]
+    message = ("energy coefficient n=40 overflows a float"
+               " (alpha=86.13147382777713)")
+    for _ in range(2):
+        for make in (lambda: energy_series(3, 21),
+                     lambda: energy_series(3, 6, cap=5),
+                     lambda: symbolic_energy_series(21),
+                     lambda: symbolic_energy_series(6, cap=5)):
+            with pytest.raises(OrderTooLarge):
+                make()
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            energy_series(86.13147382777713, 20)
+    assert [table.cache_info().currsize for table in (
+        coeffs._energy_table, coeffs._symbolic_table)] == kept == [1, 1]
+
+
+def test_tables_stay_within_their_bound(empty_tables):
+    """40 dimensions, exact and float, and 18 symbolic orders: each table
+    keeps the 16 used last."""
+    for k in range(40):
+        energy_series(Fraction(7 + k, 4), 4)
+        energy_series((7 + k) / 4 + 0.125, 4)
+        assert coeffs._energy_table.cache_info().currsize <= 16
+    for order in range(1, 19):
+        symbolic_energy_series(order)
+        assert coeffs._symbolic_table.cache_info().currsize <= 16
+    assert coeffs._energy_table.cache_info().currsize == 16
+    assert coeffs._symbolic_table.cache_info().currsize == 16
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -421,7 +480,7 @@ def test_symbolic_series_pinned_bit_for_bit():
     ],
     ids=["exact", "symbolic", "separation"],
 )
-def test_route_disagreement_is_detected(monkeypatch, run):
+def test_route_disagreement_is_detected(monkeypatch, empty_tables, run):
     """A wrong moment-route value must trip the origin/moment cross-check."""
     moment = coeffs._moment_route
     monkeypatch.setattr(
@@ -461,7 +520,7 @@ def test_sign_lemma_in_packed_run():
 
 
 @pytest.mark.parametrize("order", range(1, 13))
-def test_packed_digits_stay_inside_width(monkeypatch, order):
+def test_packed_digits_stay_inside_width(monkeypatch, empty_tables, order):
     """Every coefficient of d_n / p^(6n) read off at the computed width lies
     below 2^(W-2): two bits of headroom over the read-off's 2^(W-1)."""
     unpack, seen = coeffs._unpack, []
@@ -506,7 +565,7 @@ def test_symbolic_order12_matches_exact_series(alpha):
     assert [sym.evaluate(n, alpha) for n in range(1, 13)] == list(es.e_coeffs[1:])
 
 
-def test_packed_remainder_is_engine_defect(monkeypatch):
+def test_packed_remainder_is_engine_defect(monkeypatch, empty_tables):
     """A value with more digits than the read-off expects raises, rather
     than yielding a silently truncated table.  (A width only a little too
     small can carry into the middle digits and leave no remainder, which

@@ -132,6 +132,36 @@ def test_fit_without_cut_rejected(alpha):
     assert f"alpha={alpha}, l=4.5): h3 = -" in str(info.value)
 
 
+def test_kept_fit_gives_a_new_model(empty_tables):
+    """A fit kept for one series gives each call a new model with the same
+    fields; l and alpha that compare equal share the kept fit."""
+    series = energy_series(3, 4)
+    first = fit_model(series)
+    assert fit_model(series) == first and fit_model(series) is not first
+    assert fit_model(series, 30) == first
+    # at p = 1 the float series holds the exact one's floats
+    assert fit_model(energy_series(3.0, 4)) == first
+    assert starkdim.resum._fitted.cache_info()[:2] == (4, 1)
+
+
+def test_failed_fit_is_not_kept(empty_tables):
+    """A fit with no cut raises the same DegenerateSeries on every call,
+    naming alpha and l as given, and keeps nothing."""
+    series = energy_series(3, 4)
+    for l in (4.5, 4.5, Fraction(9, 2)):
+        with pytest.raises(DegenerateSeries) as info:
+            fit_model(series, l)
+        assert f"(alpha=3, l={l}): h3 = -551.075 < 0" in str(info.value)
+    assert starkdim.resum._fitted.cache_info().currsize == 0
+
+
+def test_kept_fits_stay_within_their_bound(empty_tables):
+    for k in range(40):
+        fit_model(energy_series(Fraction(7 + k, 4), 4))
+        assert starkdim.resum._fitted.cache_info().currsize <= 16
+    assert starkdim.resum._fitted.cache_info().currsize == 16
+
+
 def test_float_range_limits_raise_numerical_errors():
     """Valid input past the float range raises, naming the input, instead
     of a traceback or NaN: the Gamma prefactor G of the continuation
@@ -264,7 +294,7 @@ def test_gamma_of_l_overflow_names_the_fit(l):
         model_coefficients(_model_with_l(l))
 
 
-def test_nan_round_trip_fails_the_fit(monkeypatch):
+def test_nan_round_trip_fails_the_fit(monkeypatch, empty_tables):
     """A NaN in the re-expansion is a failed round trip, wherever it sits."""
     series = energy_series(3, 4)
     model = fit_model(series)
@@ -272,6 +302,7 @@ def test_nan_round_trip_fails_the_fit(monkeypatch):
     back[1] = complex(math.nan)
     monkeypatch.setattr(starkdim.resum, "model_coefficients",
                         lambda model, count: back)
+    empty_tables()  # the fit above is kept: fit again, with the patch
     assert math.isnan(fit_round_trip_residual(model, series))
     with pytest.raises(DegenerateSeries, match="round-trip residual nan"):
         fit_model(series)

@@ -1244,6 +1244,21 @@ def test_large_c_raises_where_no_region_serves():
             gauss_2f1(0.5, 0.7, 150, w, cut_side=side)
 
 
+@pytest.mark.parametrize("c, x, side", [(150, 16.0, 1), (150, 16.0, -1),
+                                        (145, 3.0, 1)])
+def test_reflected_series_gamma_overflow_names_formula_and_input(c, x, side):
+    """On the cut, where Gamma(c) of the DLMF 15.2.3 discontinuity
+    overflows (from Re c = 142.58), the error names that formula and a, b, c
+    as a failing region names its formula."""
+    message = (f"gamma overflows a float at z = {complex(c)} in the"
+               " DLMF 15.2.3 discontinuity (reflected series)"
+               f" at a=(0.5+0j), b=(0.7+0j), c={complex(c)}")
+    with pytest.raises(NumericalError) as info:
+        gauss_2f1(0.5, 0.7, c, x, cut_side=side)
+    assert type(info.value) is NumericalError
+    assert str(info.value) == message
+
+
 # (a, b, c, w, cut_side) served first by each region and each connection's
 # log entry, with the formula that a failing sum there is reported in
 ROUTE_MESSAGES = [

@@ -3,12 +3,14 @@
 import copy
 import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import starkdim.validate
-from starkdim import specfun
+from starkdim import coeffs, specfun
 from starkdim import (
     DispersionEntry,
     DispersionReport,
@@ -21,7 +23,7 @@ from starkdim import (
 )
 from starkdim.errors import (DomainError, IntegrationFailure, NotValid,
                              NumericalError, OutOfRange)
-from starkdim.resum import lower_side_rate
+from starkdim.resum import _fitted, _kept_continuation, lower_side_rate
 
 
 def entry(n, rel=0.01):
@@ -374,3 +376,57 @@ def test_report_digest_pinned(alpha):
     report = dispersion_report(fit_model(series), series)
     assert hashlib.sha256(repr(report).encode()).hexdigest() == (
         REPORT_DIGESTS[alpha])
+
+
+# kept series tables and fits (see the coeffs and resum module docstrings)
+
+
+def test_repeated_check_skips_the_engine_and_the_fit(monkeypatch,
+                                                     empty_tables):
+    """A second series, fit and report at one alpha runs neither the series
+    engine nor the closed-form fit, and reports the same bits."""
+    runs = []
+    engine = coeffs._logderiv_run
+    monkeypatch.setattr(coeffs, "_logderiv_run",
+                        lambda *args: runs.append(args) or engine(*args))
+    work, reports = [], []
+    for _ in range(2):
+        runs.clear()
+        fits = _fitted.cache_info().misses
+        series = energy_series(Fraction(7, 3), 4)
+        reports.append(repr(dispersion_report(fit_model(series), series)))
+        work.append((len(runs), _fitted.cache_info().misses - fits))
+    assert work == [(1, 1), (0, 0)]
+    assert reports[0] == reports[1]
+
+
+def test_threads_sharing_the_tables_keep_every_value(empty_tables):
+    """Four threads with a short switch interval make the series, fit and
+    report at three dimensions from emptied tables: each gets the bits
+    (the reprs) of one thread working alone."""
+    def check():
+        values = []
+        for alpha in (Fraction(3), Fraction(7, 3), 2.5):
+            series = energy_series(alpha, 4)
+            model = fit_model(series)
+            values.append((repr(series), repr(model),
+                           repr(dispersion_report(model, series))))
+        return values
+
+    expected = check()
+    empty_tables()
+    _kept_continuation.cache_clear()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.append(check()))
+                   for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [expected] * 4
