@@ -15,12 +15,14 @@ one with Im E <= 0.
 Everything in E(field) that does not depend on the field -- G, and the
 Gamma products, digammas, route checks, series rows and Taylor anchors of
 the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of (h1, h2, l)
-alone.  It is built by the first field point that needs it and kept, with
-a lock, in the model and for the 16 parameter sets used last: threads
-share it and evaluate it one at a time under that lock, and a model
-fitted again to the same series takes the continuation the last one left
-and only sums series.  No value depends on whether a continuation was
-built or taken (see ``specfun``).
+alone.  It is built by the first field point that needs it and kept in
+the model and for the 16 parameter sets used last: threads share it, and
+a model fitted again to the same series takes the continuation the last
+one left and only sums series.  The 2F1 grows its kept rows and anchors
+under its own lock, one point at a time, so this module keeps no lock for
+it; its one lock, the registry's, keeps one build per parameter set.  No
+value depends on whether a continuation was built or taken (see
+``specfun``).
 
 One layer earlier, the fit is kept the same way: :func:`fit_model` keeps
 the parameters of the 16 fits it made last, keyed by the floats of E_0..E_8
@@ -34,8 +36,8 @@ keep equal parameters.
 
 Every evaluation on the cut -- a scalar energy or rate, a resonance point,
 a sweep, the CLI's rate grids and the dispersion check's nodes -- runs one
-grid function (a scalar is a grid of one) that takes the continuation's
-lock once per grid, so each kept entry is built under that lock.
+grid function (a scalar is a grid of one) that takes the continuation at
+its first nonzero field and evaluates its 2F1 once per point.
 
 Also here: field sweeps, the linear high-field tail fit that defines the
 ionization onset (critical field), and the power-law exponent of tail
@@ -105,8 +107,8 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .), its lock) from the registry, under
-        the registry's lock: neither ``cached_property`` (from Python 3.12)
+        """(G, 2F1(h1, h2; h1+h2+l; .)) from the registry, under the
+        registry's lock: neither ``cached_property`` (from Python 3.12)
         nor ``lru_cache`` locks a miss, and threads that missed at once
         would each build an entry.  A failure names the model's alpha and l
         and is not kept."""
@@ -125,11 +127,10 @@ _REGISTRY_LOCK = allocate_lock()
 
 @lru_cache(maxsize=16)
 def _kept_continuation(*bits):
-    """The registry: (G, 2F1(h1, h2; h1+h2+l; .), a lock) for the
-    ``float.hex`` bits of Re h1, Im h1, Re h2, Im h2 and l, so that -0.0 and
-    0.0 never share; a failure is not kept.  A Hyp2F1 appends its kept rows
-    and anchors without a lock, so it is made with its own: no thread
-    reaches the one without the other."""
+    """The registry: (G, 2F1(h1, h2; h1+h2+l; .)) for the ``float.hex``
+    bits of Re h1, Im h1, Re h2, Im h2 and l, so that -0.0 and 0.0 never
+    share; a failure is not kept.  The Hyp2F1 appends its kept rows and
+    anchors under its own lock, so threads share the pair as it is."""
     h1r, h1i, h2r, h2i, l = map(float.fromhex, bits)
     h1, h2 = complex(h1r, h1i), complex(h2r, h2i)
     pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
@@ -142,7 +143,7 @@ def _kept_continuation(*bits):
             " overflows a float")
     # G is real for real or conjugate h1, h2; kept as a float, Im E takes
     # no part of Re F (see lower_side_rate)
-    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l), allocate_lock()
+    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
 
 
 class ResonancePoint(Record):
@@ -291,45 +292,42 @@ def _lower_side(model: HypModel, fields, rate: bool) -> list:
     """E(field - i0) at each of ``fields`` in order, or with ``rate`` the
     signed discontinuity 2 Im E(field - i0), each field checked in turn.
     Zero field gives e0 (rate 0.0) without the continuation; the first
-    other field takes it, and its lock to the end of the grid.  Each such
-    point is one ``Hyp2F1.cut`` (``cut_imag`` for a rate) at v = h3 z, a
-    ``NumericalError`` naming alpha and the field.  e0, h4 and G stay
-    separate factors: their product formed once would round differently."""
+    other field takes it, so an all-zero grid builds none.  Each such point
+    is one ``Hyp2F1.cut`` (``cut_imag`` for a rate) at v = h3 z, which holds
+    the 2F1's own lock for that point, a ``NumericalError`` naming alpha
+    and the field.  A negative field raises ``OutOfRange`` "field must be
+    nonnegative", an infinite or NaN one "field must be finite".  e0, h4
+    and G stay separate factors: their product formed once would round
+    differently."""
     e0, h4, h3 = model.e0, model.h4, model.h3.real
-    values, lock = [], None
-    try:
-        for field in fields:
-            field = float(field)
-            if not 0.0 <= field < math.inf:
-                raise OutOfRange("field must be finite" if field >= 0.0
-                                 else "field must be nonnegative")
-            if field == 0.0:
-                values.append(0.0 if rate else complex(e0))
-                continue
-            try:
-                z = (field / 4.0) ** 2
-            except OverflowError:
-                z = math.inf
-            v = h3 * z
-            if not math.isfinite(v):
-                raise NumericalError(
-                    "offset h3 (field/4)^2 past the branch point overflows"
-                    f" a float (alpha={model.alpha}, field={field})")
-            if lock is None:  # set once held: only a held lock is released
-                pref, hyp, held = model._continuation
-                evaluate = hyp.cut_imag if rate else hyp.cut
-                held.acquire()
-                lock = held
-            try:
-                f = evaluate(v, cut_side=-1)
-            except NumericalError as exc:
-                raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})"
-                                ) from exc
-            values.append(2.0 * (e0 * ((h4 * z * pref).real * f)) + 0.0
-                          if rate else e0 * (1.0 + h4 * z * pref * f))
-    finally:
-        if lock is not None:
-            lock.release()
+    values, evaluate = [], None
+    for field in fields:
+        field = float(field)
+        if not 0.0 <= field < math.inf:
+            raise OutOfRange("field must be nonnegative" if field < 0.0
+                             else "field must be finite")
+        if field == 0.0:
+            values.append(0.0 if rate else complex(e0))
+            continue
+        try:
+            z = (field / 4.0) ** 2
+        except OverflowError:
+            z = math.inf
+        v = h3 * z
+        if not math.isfinite(v):
+            raise NumericalError(
+                "offset h3 (field/4)^2 past the branch point overflows"
+                f" a float (alpha={model.alpha}, field={field})")
+        if evaluate is None:
+            pref, hyp = model._continuation
+            evaluate = hyp.cut_imag if rate else hyp.cut
+        try:
+            f = evaluate(v, cut_side=-1)
+        except NumericalError as exc:
+            raise type(exc)(f"{exc} (alpha={model.alpha}, field={field})"
+                            ) from exc
+        values.append(2.0 * (e0 * ((h4 * z * pref).real * f)) + 0.0
+                      if rate else e0 * (1.0 + h4 * z * pref * f))
     return values
 
 
@@ -377,9 +375,9 @@ def resonance(model: HypModel, field: float) -> ResonancePoint:
 def sweep(model: HypModel, fields) -> list:
     """:func:`resonance` over a strictly increasing nonnegative field grid,
     order preserved: :func:`lower_side_energy` at each field from one grid
-    evaluation, with the continuation's lock taken once, and Im E folded to
-    nonpositive in each point.  A field that is negative or not finite
-    raises ``OutOfRange`` as the scalar entries do."""
+    evaluation, and Im E folded to nonpositive in each point.  A field that
+    is negative or not finite raises ``OutOfRange`` as the scalar entries
+    do."""
     grid = [float(x) for x in fields]
     if not grid:
         raise OutOfRange("field grid is empty")

@@ -61,15 +61,18 @@ defining series' S and S' and one Taylor step (:class:`_Taylor`).
 keeps one per (h1, h2, l), in each model and for the 16 parameter sets
 used last (``resum._kept_continuation``), so field sweeps and refits of
 one series compute those constants and term values once.  An instance
-grows its kept values without a lock, so it is kept with one, which
-threads take to evaluate it.  A ``NumericalError`` from a series names
-the formula it came from.
+grows its kept values under its own re-entrant lock, which each public
+evaluation (a call, :meth:`Hyp2F1.cut`, :meth:`Hyp2F1.cut_imag`) holds
+for its point, so any holder may share one instance between threads.  A
+``NumericalError`` from a series names the formula it came from; an
+argument that is not finite raises ``OutOfRange``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from _thread import RLock
 from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import chain, islice
@@ -79,6 +82,7 @@ from .errors import (
     NonConvergent,
     NumericalError,
     OnBranchCut,
+    OutOfRange,
     ParameterPole,
     PoleError,
 )
@@ -121,15 +125,24 @@ def _nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
+def _finite(z, name) -> complex:
+    """complex(z), or ``OutOfRange`` naming the argument where it is not
+    finite."""
+    if cmath.isfinite(z := complex(z)):
+        return z
+    raise OutOfRange(f"argument {name} must be finite, got {z}")
+
+
 def complex_gamma(z) -> complex:
     """Gamma function for complex argument.
 
     Lanczos approximation on Re z >= 1/2, reflection elsewhere; relative
     accuracy ~1e-13 for |z| <= 100 away from the poles.  Where the Lanczos
     value is not finite, from Re z ~ 142.58, ``NumericalError`` is raised;
-    next to a pole the reflection's value may be infinite.
+    next to a pole the reflection's value may be infinite.  A z that is not
+    finite raises ``OutOfRange``.
     """
-    z = complex(z)
+    z = _finite(z, "z")
     if _nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z.real:g}")
     if z.real < 0.5:
@@ -161,8 +174,9 @@ def digamma(z) -> complex:
     psi(z) = psi(1 - z) - pi / tan(pi z) for Re z < 0 (DLMF 5.5.4), the
     recurrence psi(z) = psi(z + 1) - 1/z up to Re z >= 10, then the
     asymptotic series ln z - 1/(2z) - sum B_2k / (2k z^2k) (DLMF 5.11.2)
-    through k = 7.  So at most ten recurrence steps at any z."""
-    z = complex(z)
+    through k = 7.  So at most ten recurrence steps at any z.  A z that is
+    not finite raises ``OutOfRange``."""
+    z = _finite(z, "z")
     if _nonpositive_integer(z):
         raise PoleError(f"digamma pole at {z.real:g}")
     if z.real < 0.0:
@@ -183,8 +197,8 @@ def digamma(z) -> complex:
 
 def _rgamma(z) -> complex:
     """Reciprocal Gamma, zero at the poles; sin(pi z) Gamma(1-z) / pi where
-    Gamma(z) itself is not finite (z next to a pole, e.g. subnormal)."""
-    z = complex(z)
+    Gamma(z) itself is not finite (z next to a pole, e.g. subnormal); z is
+    a complex or a float."""
     if _nonpositive_integer(z):
         return complex(0.0)
     gamma = complex_gamma(z)
@@ -539,10 +553,18 @@ class Hyp2F1:
     parameters of the first, so on the real axis (the cut's i0 nudge
     included) it is the first one's conjugate and is not summed; real
     pairs and complex w off the axis sum both.
+
+    Every kept value, the Pfaff instance's included (it is reached only
+    through this one's private methods), grows under this instance's
+    re-entrant lock, which a call and :meth:`_on_cut` (so :meth:`cut` and
+    :meth:`cut_imag`) hold for one point: threads may share an instance,
+    and evaluate it one point at a time.  Re-entrant, as a call hands a
+    real w > 1 to :meth:`cut`, and :meth:`_on_cut` a v off the cut back.
+    a, b and c must be finite, else ``OutOfRange``, and so must w.
     """
 
     def __init__(self, a, b, c):
-        a, b, c = complex(a), complex(b), complex(c)
+        a, b, c = map(_finite, (a, b, c), "abc")
         if _nonpositive_integer(c):
             raise ParameterPole(f"third parameter {c} is a non-positive integer")
         if (a.real, a.imag) > (b.real, b.imag):
@@ -558,16 +580,18 @@ class Hyp2F1:
         # sides of the cut are conjugates
         self._hand_over = max(1.0, min((c - a - b).real / 6.0, 15.0))
         self._real_on_axis = real_on_axis(a, b, c)
+        self._lock = RLock()
 
     # -- parameter-only constants ------------------------------------------
 
     @cached_property
     def _at_one(self):
-        """Gauss's sum 2F1(a, b; c; 1); None where it diverges."""
+        """Gauss's sum 2F1(a, b; c; 1); ``NonConvergent`` where it diverges
+        (not kept: raised again on every call)."""
         a, b, c = self.a, self.b, self.c
         mu = c - a - b
         if mu.real <= 0:
-            return None
+            raise NonConvergent("2F1 diverges at w = 1 for Re(c-a-b) <= 0")
         value = complex_gamma(c) * complex_gamma(mu) * _rgamma(c - a) * _rgamma(c - b)
         # Im F on the cut goes as (x-1)^mu and vanishes here; a product
         # of conjugate Gammas keeps only a rounding residue
@@ -688,27 +712,26 @@ class Hyp2F1:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, w, cut_side=None) -> complex:
-        w = complex(w)
-        if self._degree is not None:
-            # a polynomial has no cut: its terms at w itself, added left to
-            # right (sum() of floats compensates from Python 3.12), which
-            # cancel near w = 1 (see :func:`gauss_2f1`)
-            return reduce(add, self._direct_series.terms(
-                w, self._degree + 1, complex(1.0)), complex(0.0))
-        if w == 0:
-            return complex(1.0)
-        if w.imag == 0.0:
-            x = w.real
-            if x == 1.0:
-                if self._at_one is None:
-                    raise NonConvergent("2F1 diverges at w = 1 for Re(c-a-b) <= 0")
-                return self._at_one
-            if x > 1.0:
-                return self.cut(x - 1.0, cut_side)
-        iw = 1.0 / w
-        return self._first_region(w, [region for rho, region in sorted((
-            (abs(w), 0), (abs(w / (w - 1.0)), 1),
-            (abs(1.0 - iw), 2), (abs(iw), 3))) if rho <= _RHO_MAX])
+        w = _finite(w, "w")
+        with self._lock:
+            if self._degree is not None:
+                # a polynomial has no cut: its terms at w itself, added
+                # left to right (sum() of floats compensates from Python
+                # 3.12), which cancel near w = 1 (see :func:`gauss_2f1`)
+                return reduce(add, self._direct_series.terms(
+                    w, self._degree + 1, complex(1.0)), complex(0.0))
+            if w == 0:
+                return complex(1.0)
+            if w.imag == 0.0:
+                x = w.real
+                if x == 1.0:
+                    return self._at_one
+                if x > 1.0:
+                    return self.cut(x - 1.0, cut_side)
+            iw = 1.0 / w
+            return self._first_region(w, [region for rho, region in sorted((
+                (abs(w), 0), (abs(w / (w - 1.0)), 1),
+                (abs(1.0 - iw), 2), (abs(iw), 3))) if rho <= _RHO_MAX])
 
     def _first_region(self, w, regions) -> complex:
         """2F1 at w from the first of ``regions`` that applies (a region
@@ -807,31 +830,36 @@ class Hyp2F1:
         conjugate, so the sides mirror each other bit for bit.  Without
         ``need_real`` the generic value is not formed where
         :meth:`_cut_imag_part` gives Im F, and the value returned has
-        Re F = 0 there."""
+        Re F = 0 there.  A v off the cut goes to the instance's call, which
+        checks it; a point on the cut is evaluated under the instance's
+        lock, and its v is not checked."""
         v = float(v)
         x = 1.0 + v
         if not v > 0.0 or self._degree is not None:
             return self(x)  # off the cut, or a polynomial: no cut
         if cut_side not in (1, -1):
             raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
-        # every connection formula builds Im F on the cut from cancelling
-        # O(|F|) complex pieces; the reflection formula gives it directly
-        im = (self._cut_imag_part(v)
-              if x <= 11.0 or x <= 1.0 + 2.0 * self._hand_over else None)
-        if im is not None and not need_real:
-            return complex(0.0, cut_side * im)
-        if x > 1.0:
-            # parameters real on the axis: one side evaluated, the other its
-            # conjugate, so that the two sides mirror each other bit for bit
-            mirror = cut_side < 0 and self._real_on_axis
-            w = complex(x, _CUT_IMAG if mirror else cut_side * _CUT_IMAG)
-            value = self._first_region(
-                w, (2, 3) if v <= self._hand_over else (3, 2))
-            if mirror:
-                value = value.conjugate()
-        else:
-            value = self(x)  # 1 + v rounds to 1: Gauss's sum
-        return value if im is None else complex(value.real, cut_side * im)
+        with self._lock:
+            # every connection formula builds Im F on the cut from
+            # cancelling O(|F|) complex pieces; the reflection formula
+            # gives it directly
+            im = (self._cut_imag_part(v)
+                  if x <= 11.0 or x <= 1.0 + 2.0 * self._hand_over else None)
+            if im is not None and not need_real:
+                return complex(0.0, cut_side * im)
+            if x > 1.0:
+                # parameters real on the axis: one side evaluated, the
+                # other its conjugate, so that the two sides mirror each
+                # other bit for bit
+                mirror = cut_side < 0 and self._real_on_axis
+                w = complex(x, _CUT_IMAG if mirror else cut_side * _CUT_IMAG)
+                value = self._first_region(
+                    w, (2, 3) if v <= self._hand_over else (3, 2))
+                if mirror:
+                    value = value.conjugate()
+            else:
+                value = self(x)  # 1 + v rounds to 1: Gauss's sum
+            return value if im is None else complex(value.real, cut_side * im)
 
     def _cut_imag_part(self, v):
         """Im 2F1(a, b; c; 1 + v + i0) from the DLMF 15.2.3 discontinuity,
@@ -912,7 +940,10 @@ def gauss_2f1(a, b, c, w, cut_side=None) -> complex:
     (a = 0.5, b = 0.7, w = 0.95).
     Repeated evaluation at one parameter set should go through one
     ``starkdim.specfun.Hyp2F1``, which keeps the parameter-only constants
-    and per-term values that this call computes and discards.
+    and per-term values that this call computes and discards; a kept
+    instance may be shared between threads, as it grows those values under
+    its own lock.  An a, b, c or w that is not finite raises
+    ``OutOfRange``.
     """
     value = Hyp2F1(a, b, c)(w, cut_side)
     if not cmath.isfinite(value):

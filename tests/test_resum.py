@@ -657,9 +657,12 @@ def test_resonance_is_a_one_field_sweep(route):
 @pytest.mark.parametrize("field", (-1.0, math.inf, math.nan))
 def test_resonance_raises_like_a_sweep(models, field):
     """A negative or non-finite field raises the same error from resonance
-    and from the sweep of that field alone."""
+    and from the sweep of that field alone: a NaN, which is not negative,
+    as not finite."""
     model = models[3.0]
-    with pytest.raises(OutOfRange) as scalar:
+    message = ("field must be nonnegative" if field < 0.0
+               else "field must be finite")
+    with pytest.raises(OutOfRange, match=f"^{message}$") as scalar:
         resonance(model, field)
     with pytest.raises(OutOfRange) as grid:
         sweep(model, [field])
@@ -771,7 +774,7 @@ def test_fit_in_another_thread_shares_the_continuation(empty_registry):
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    (pref, hyp, _), rate = theirs[0]
+    (pref, hyp), rate = theirs[0]
     assert hyp is mine._continuation[1]
     assert pref == mine._continuation[0]
     assert lower_side_rate(mine, 0.5).hex() == rate.hex()
@@ -779,8 +782,9 @@ def test_fit_in_another_thread_shares_the_continuation(empty_registry):
 
 
 def test_continuation_is_evaluated_under_its_lock(empty_registry):
-    """A rate waits while another thread holds the continuation's lock and,
-    once it is released, has the bits of one thread alone."""
+    """A rate waits while another thread holds the lock of the
+    continuation's 2F1 and, once it is released, has the bits of one thread
+    alone."""
     series = energy_series(3, 4)
     expected = lower_side_rate(fit_model(series), 0.5)
     empty_registry.cache_clear()
@@ -788,7 +792,7 @@ def test_continuation_is_evaluated_under_its_lock(empty_registry):
     rates = []
     worker = threading.Thread(
         target=lambda: rates.append(lower_side_rate(model, 0.5)))
-    with model._continuation[2]:
+    with model._continuation[1]._lock:
         worker.start()
         worker.join(timeout=0.2)
         assert worker.is_alive() and not rates

@@ -5,6 +5,8 @@ import functools
 import math
 import random
 import re
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -33,6 +35,7 @@ from starkdim.errors import (
     NonConvergent,
     NumericalError,
     OnBranchCut,
+    OutOfRange,
     ParameterPole,
     PoleError,
 )
@@ -257,6 +260,40 @@ def test_2f1_parameter_errors():
         gauss_2f1(0.5, 0.7, -2.0, 0.3)
     with pytest.raises(NonConvergent):
         gauss_2f1(0.5, 0.7, 1.0, 1.0)
+
+
+NON_FINITE_INPUTS = {
+    "complex_gamma(-inf)": (complex_gamma, (complex(-math.inf, 0.0),), "z"),
+    "complex_gamma(3+inf*1j)":
+        (complex_gamma, (complex(3.0, math.inf),), "z"),
+    "complex_gamma(nan)": (complex_gamma, (math.nan,), "z"),
+    "digamma(nan)": (specfun.digamma, (math.nan,), "z"),
+    "digamma(-inf)": (specfun.digamma, (-math.inf,), "z"),
+    "gauss_2f1(0.3, 0.7, nan, 0.5)":
+        (gauss_2f1, (0.3, 0.7, math.nan, 0.5), "c"),
+    "gauss_2f1(inf, 0.7, 1.9, 0.5)":
+        (gauss_2f1, (math.inf, 0.7, 1.9, 0.5), "a"),
+    "gauss_2f1(0.3, 0.7, 1.9, 0.5+nan*1j)":
+        (gauss_2f1, (0.3, 0.7, 1.9, complex(0.5, math.nan)), "w"),
+    "gauss_2f1(0.3, 0.7, 1.9, inf, 1)":
+        (gauss_2f1, (0.3, 0.7, 1.9, math.inf, 1), "w"),
+    "Hyp2F1(0.3, 0.7, -inf)": (Hyp2F1, (0.3, 0.7, -math.inf), "c"),
+    "Hyp2F1(0.3, 0.7+nan*1j, 1.9)":
+        (Hyp2F1, (0.3, complex(0.7, math.nan), 1.9), "b"),
+    # off the cut, cut hands v to the instance's call, which checks it
+    "Hyp2F1(0.3, 0.7, 1.9).cut(nan, -1)":
+        (Hyp2F1(0.3, 0.7, 1.9).cut, (math.nan, -1), "w"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_is_out_of_range(case):
+    """A special function rejects an argument that is not finite as bad
+    input, naming it: not a bare builtin error, a NaN result, or a
+    numerical failure."""
+    function, args, name = NON_FINITE_INPUTS[case]
+    with pytest.raises(OutOfRange, match=f"^argument {name} must be finite"):
+        function(*args)
 
 
 def test_2f1_cut_requires_side():
@@ -864,6 +901,46 @@ def test_log_head_keeps_its_rows():
     for v in (0.05, 0.31, 0.2):
         assert bits(hyp.cut(v, -1)) == bits(Hyp2F1(*params).cut(v, -1))
         assert hyp._pfaff._inf_route[1] is head
+
+
+def test_threads_sharing_one_2f1_keep_every_value():
+    """Twenty times, four threads with a short switch interval evaluate one
+    new Hyp2F1 on its cut, each at the same 60 points in its own order:
+    both connections, the reflected series and its anchors.  Then the same
+    instance is evaluated in one thread.  Every value has the bits of a
+    fresh instance's: the instance grows its kept rows and anchors under
+    its own lock.  Without it, rows grown by two threads at once gave
+    wrong values in nearly every round, and kept giving them after."""
+    a, b = 0.5 - 0.2725j, 0.5 + 0.2725j
+    c = a + b + 30.0
+    points = [0.3 + 0.37 * k for k in range(60)]
+
+    def bits(values):
+        return [(f.real.hex(), f.imag.hex()) for f in values]
+
+    expected = bits(Hyp2F1(a, b, c).cut(v, -1) for v in points)
+    interval = sys.getswitchinterval()
+    for _ in range(20):
+        shared, results = Hyp2F1(a, b, c), {}
+
+        def evaluate(seed):
+            order = random.Random(seed).sample(range(60), 60)
+            results[seed] = {k: shared.cut(points[k], -1) for k in order}
+
+        workers = [threading.Thread(target=evaluate, args=(seed,))
+                   for seed in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [bits(results[seed][k] for k in range(60))
+                for seed in range(4)] == [expected] * 4
+        assert bits(shared.cut(v, -1) for v in points) == expected
 
 
 def test_reproduce_figure_one_series_work(capsys, monkeypatch):
