@@ -12,27 +12,24 @@ the cut for every positive field, the continuation acquires an imaginary
 part at all field strengths; its physical branch (decaying states) is the
 one with Im E <= 0.
 
+Each stage keeps its last 16 results.  :func:`fit_model` keeps the 16
+models it fitted last, keyed by the floats of E_0..E_8 it reads, l and the
+series' alpha (the last two as given, which an error names; equal values
+share an entry, as the model takes their floats), and returns the kept
+model itself.  A failed fit is not kept and raises again on every call.
+Two threads that miss at once each fit, and get equal models, one of
+which is kept.
+
 Everything in E(field) that does not depend on the field -- G, and the
 Gamma products, digammas, route checks, series rows and Taylor anchors of
-the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of (h1, h2, l)
-alone.  It is built by the first field point that needs it and kept in
-the model and for the 16 parameter sets used last: threads share it, and
-a model fitted again to the same series takes the continuation the last
-one left and only sums series.  The 2F1 grows its kept rows and anchors
-under its own lock, one point at a time, so this module keeps no lock for
-it; its one lock, the registry's, keeps one build per parameter set.  No
-value depends on whether a continuation was built or taken (see
-``specfun``).
-
-One layer earlier, the fit is kept the same way: :func:`fit_model` keeps
-the parameters of the 16 fits it made last, keyed by the floats of E_0..E_8
-it reads, l and the series' alpha (the last two as given, which an error
-names; equal values share an entry, as the model takes their floats), and
-builds a new ``HypModel`` from them on every call, so models share a
-continuation only through the registry.  A failed fit is not kept and
-raises again on every call.  The kept parameters are immutable numbers, so
-threads share them without a lock: two that miss at once each fit, and
-keep equal parameters.
+the 2F1 continuation (a ``specfun.Hyp2F1``) -- is a function of the
+model's (h1, h2, l) alone.  The model builds it at the first field point
+that needs it, once, under this module's one lock, held only for the
+build, and keeps it: every evaluation of the model, in any thread, and
+every later fit that returns the kept model take it and only sum series.
+The 2F1 grows its kept rows and anchors under its own lock, one point at
+a time.  No value depends on whether a continuation was built or taken
+(see ``specfun``).
 
 Every evaluation on the cut -- a scalar energy or rate, a resonance point,
 a sweep, the CLI's rate grids and the dispersion check's nodes -- runs one
@@ -81,19 +78,23 @@ class HypModel(Record):
     """Fitted continuation parameters plus the series context they encode.
 
     The parameters come from a real series, so h3, h4, e0 and l are real
-    and h1, h2 are real or a conjugate pair; a model breaking this is
-    rejected with ``OutOfRange``.  Then 2F1(h1, h2; h1+h2+l; w) is real
-    below the cut and its two cut sides are complex conjugates
-    (DLMF 15.2.3), which is what lets :func:`resonance` evaluate one side.
+    and h1, h2 are real or a conjugate pair; a model breaking this, or
+    with an h1..h4 or e0 that is not finite, is rejected with
+    ``OutOfRange``, and an l outside (4, inf) with ``InvalidL``.  Then
+    2F1(h1, h2; h1+h2+l; w) is real below the cut and its two cut sides
+    are complex conjugates (DLMF 15.2.3), which is what lets
+    :func:`resonance` evaluate one side.
     """
 
     def __init__(self, h1: complex, h2: complex, h3: complex, h4: complex,
                  l: float, e0: float, alpha: float):
-        for name, value in (("h3", h3), ("h4", h4)):
-            if complex(value).imag != 0.0:
-                raise OutOfRange(f"model parameter {name} must be real")
         for name, value in (("e0", e0), ("l", l)):
             if not isinstance(value, numbers.Real):
+                raise OutOfRange(f"model parameter {name} must be real")
+        for name, value in dict(h1=h1, h2=h2, h3=h3, h4=h4, e0=e0).items():
+            if not cmath.isfinite(value):
+                raise OutOfRange(f"model parameter {name} must be finite")
+            if name in ("h3", "h4") and complex(value).imag != 0.0:
                 raise OutOfRange(f"model parameter {name} must be real")
         if not 4 < l < math.inf:
             raise InvalidL("branch power l must be finite and exceed 4")
@@ -107,43 +108,36 @@ class HypModel(Record):
 
     @cached_property
     def _continuation(self):
-        """(G, 2F1(h1, h2; h1+h2+l; .)) from the registry, under the
-        registry's lock: neither ``cached_property`` (from Python 3.12)
-        nor ``lru_cache`` locks a miss, and threads that missed at once
-        would each build an entry.  A failure names the model's alpha and l
+        """(G, 2F1(h1, h2; h1+h2+l; .)), built by the first field point that
+        needs it and kept in the model.  The build holds ``_BUILD_LOCK`` and
+        keeps the pair before it lets go: from Python 3.12
+        ``cached_property`` does not lock a miss, and threads that missed at
+        once would each build one.  A failure names the model's alpha and l
         and is not kept."""
-        h1, h2 = complex(self.h1), complex(self.h2)
-        try:
-            with _REGISTRY_LOCK:
-                return _kept_continuation(
-                    h1.real.hex(), h1.imag.hex(), h2.real.hex(),
-                    h2.imag.hex(), float(self.l).hex())
-        except NumericalError as exc:
-            raise type(exc)(f"{exc} (alpha={self.alpha}, l={self.l})") from exc
+        with _BUILD_LOCK:
+            if "_continuation" not in vars(self):
+                h1, h2, l = complex(self.h1), complex(self.h2), float(self.l)
+                try:
+                    pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
+                            / complex_gamma(l + h1 + h2))
+                    if not cmath.isfinite(pref):
+                        # the product of the two upper Gammas overflows
+                        # first, from l = 98.58 at alpha = 3, 98.72 at 2,
+                        # 98.79 at 3/2, 97.49 at 20
+                        raise NumericalError(
+                            "continuation prefactor Gamma(l+h1)*Gamma(l+h2)"
+                            "/Gamma(l+h1+h2) overflows a float")
+                except NumericalError as exc:
+                    raise type(exc)(f"{exc} (alpha={self.alpha}, l={self.l})"
+                                    ) from exc
+                # G is real for real or conjugate h1, h2; kept as a float,
+                # Im E takes no part of Re F (see lower_side_rate)
+                vars(self)["_continuation"] = (
+                    pref.real, Hyp2F1(h1, h2, h1 + h2 + l))
+            return vars(self)["_continuation"]
 
 
-_REGISTRY_LOCK = allocate_lock()
-
-
-@lru_cache(maxsize=16)
-def _kept_continuation(*bits):
-    """The registry: (G, 2F1(h1, h2; h1+h2+l; .)) for the ``float.hex``
-    bits of Re h1, Im h1, Re h2, Im h2 and l, so that -0.0 and 0.0 never
-    share; a failure is not kept.  The Hyp2F1 appends its kept rows and
-    anchors under its own lock, so threads share the pair as it is."""
-    h1r, h1i, h2r, h2i, l = map(float.fromhex, bits)
-    h1, h2 = complex(h1r, h1i), complex(h2r, h2i)
-    pref = (complex_gamma(l + h1) * complex_gamma(l + h2)
-            / complex_gamma(l + h1 + h2))
-    if not cmath.isfinite(pref):
-        # the product of the two upper Gammas overflows first, from
-        # l = 98.58 at alpha = 3, 98.72 at 2, 98.79 at 3/2, 97.49 at 20
-        raise NumericalError(
-            "continuation prefactor Gamma(l+h1)*Gamma(l+h2)/Gamma(l+h1+h2)"
-            " overflows a float")
-    # G is real for real or conjugate h1, h2; kept as a float, Im E takes
-    # no part of Re F (see lower_side_rate)
-    return pref.real, Hyp2F1(h1, h2, h1 + h2 + l)
+_BUILD_LOCK = allocate_lock()
 
 
 class ResonancePoint(Record):
@@ -224,8 +218,8 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     result is verified by re-expansion before it is returned.  A fit with
     h3 < 0 never reaches the cut (Gamma = 0 at every field), which happens
     for l below about 4.45 at alpha = 1.01, 4.95 at 3 and 7.0 at 20; it
-    raises ``DegenerateSeries``.  The parameters are kept (see the module
-    docstring); each call returns a new model.
+    raises ``DegenerateSeries``.  The model is kept (see the module
+    docstring): a repeated call returns it, with its continuation.
     """
     if not 4 < l < math.inf:
         raise InvalidL("branch power l must be finite and exceed 4")
@@ -236,31 +230,31 @@ def fit_model(series: EnergySeries, l: float = DEFAULT_L) -> HypModel:
     except OverflowError:
         raise DegenerateSeries("series coefficients overflow a float"
                                f" (alpha={format_alpha(series.alpha)})") from None
-    return HypModel(*_fitted(e, l, series.alpha))
+    return _fitted(e, l, series.alpha)
 
 
 @lru_cache(maxsize=16)
 def _fitted(e, l, alpha):
-    """The fields of :func:`fit_model`'s model, from the floats ``e`` of
-    E_0..E_8 of a series at ``alpha``.  l and alpha stay as given, so that
-    a failure names them as given; values that compare equal share one
-    entry, as the model takes their floats."""
-    e0 = e[0]
+    """:func:`fit_model`'s model, from the floats ``e`` of E_0..E_8 of a
+    series at ``alpha``: the one its round trip checked.  l and alpha stay
+    as given, so that a failure names them as given; values that compare
+    equal share one entry, as the model takes their floats."""
+    e0, where = e[0], f"(alpha={format_alpha(alpha)}, l={l})"
     if e0 == 0:
-        raise DegenerateSeries("zero leading coefficient")
+        raise DegenerateSeries(f"zero leading coefficient {where}")
     t = [e[k + 1] * 16.0 ** (k + 1) / e0 for k in range(4)]
     if any(tk == 0 for tk in t):
-        raise DegenerateSeries("vanishing series coefficient: ratios undefined")
+        raise DegenerateSeries(
+            f"vanishing series coefficient: ratios undefined {where}")
     rho = [t[k + 1] / t[k] for k in range(3)]
     r = [(k + 1) * rho[k] * (l - k - 1) for k in range(3)]
     h3 = 0.5 * (r[0] - 2.0 * r[1] + r[2])
     scale = max(abs(x) for x in r)
     if abs(h3) <= 1e-14 * scale:
-        raise DegenerateSeries("ratio system is singular (h3 ~ 0)")
+        raise DegenerateSeries(f"ratio system is singular (h3 ~ 0) {where}")
     if h3 < 0.0:
-        raise DegenerateSeries(
-            "fit has no branch cut at positive field"
-            f" (alpha={format_alpha(alpha)}, l={l}): h3 = {h3:.6g} < 0")
+        raise DegenerateSeries("fit has no branch cut at positive field"
+                               f" {where}: h3 = {h3:.6g} < 0")
     s_sum = (r[1] - r[0] - h3) / h3
     prod = r[0] / h3
     # h1 comes first in (real, imag) order: the principal root is real and
@@ -269,14 +263,12 @@ def _fitted(e, l, alpha):
     h1 = 0.5 * (s_sum - root)
     h2 = 0.5 * (s_sum + root)
     h4 = t[0] / _gamma_of_l(l, format_alpha(alpha))
-    fields = (h1, h2, complex(h3), h4, float(l), e0, float(alpha))
-    residual = fit_round_trip_residual(HypModel(*fields),
-                                       EnergySeries(alpha, 4, e))
+    model = HypModel(h1, h2, complex(h3), h4, float(l), e0, float(alpha))
+    residual = fit_round_trip_residual(model, EnergySeries(alpha, 4, e))
     if not residual <= 1e-10:
         raise DegenerateSeries(
-            f"fit round-trip residual {residual:.3g} exceeds 1e-10"
-            f" (alpha={format_alpha(alpha)}, l={l})")
-    return fields
+            f"fit round-trip residual {residual:.3g} exceeds 1e-10 {where}")
+    return model
 
 
 def fit_round_trip_residual(model: HypModel, series: EnergySeries) -> float:

@@ -58,8 +58,8 @@ about 30 x; the anchors' coefficients are kept like the term values.
 The anchors and the last resort's path share one Taylor start from the
 defining series' S and S' and one Taylor step (:class:`_Taylor`).
 :func:`gauss_2f1` builds an instance per call; the resummation layer
-keeps one per (h1, h2, l), in each model and for the 16 parameter sets
-used last (``resum._kept_continuation``), so field sweeps and refits of
+keeps one in each fitted model (``resum.HypModel._continuation``), and
+keeps the models of its 16 fits made last, so field sweeps and refits of
 one series compute those constants and term values once.  An instance
 grows its kept values under its own re-entrant lock, which each public
 evaluation (a call, :meth:`Hyp2F1.cut`, :meth:`Hyp2F1.cut_imag`) holds
@@ -575,10 +575,11 @@ class Hyp2F1:
         self._degree = next((int(-p.real) for p in (b, a)
                              if _nonpositive_integer(p)), None)
         # what :meth:`_on_cut` reads at every point: where Re F hands over
-        # from the 1 - 1/w to the 1/w connection, H, which also sets the
-        # reflected series' reach x = 1 + max(10, 2H), and whether the
-        # sides of the cut are conjugates
+        # from the 1 - 1/w to the 1/w connection, H, the reflected series'
+        # reach x = max(11, 1 + 2H) that H sets, and whether the sides of
+        # the cut are conjugates
         self._hand_over = max(1.0, min((c - a - b).real / 6.0, 15.0))
+        self._reach = max(11.0, 1.0 + 2.0 * self._hand_over)
         self._real_on_axis = real_on_axis(a, b, c)
         self._lock = RLock()
 
@@ -792,7 +793,8 @@ class Hyp2F1:
         series up to x = 2, anchored Taylor steps of the hypergeometric
         equation above (see :meth:`_cut_imag_part`).  Beyond that reach, or
         if that route does not converge, the generic value's imaginary part
-        stands.  :meth:`cut_imag` gives Im F alone."""
+        stands.  :meth:`cut_imag` gives Im F alone.  A v that is not finite
+        raises ``OutOfRange``, as w = 1 + v does in a call."""
         return self._on_cut(v, cut_side, True)
 
     def cut_imag(self, v, cut_side=None) -> float:
@@ -830,21 +832,22 @@ class Hyp2F1:
         conjugate, so the sides mirror each other bit for bit.  Without
         ``need_real`` the generic value is not formed where
         :meth:`_cut_imag_part` gives Im F, and the value returned has
-        Re F = 0 there.  A v off the cut goes to the instance's call, which
-        checks it; a point on the cut is evaluated under the instance's
-        lock, and its v is not checked."""
+        Re F = 0 there.  A v off the cut or not finite goes to the
+        instance's call, which checks it (``OutOfRange`` for one that is
+        not finite); a point on the cut is evaluated under the instance's
+        lock.  Its Im F reach, max(11, 1 + 2H), is formed once per
+        instance, so a point compares x with it once."""
         v = float(v)
         x = 1.0 + v
-        if not v > 0.0 or self._degree is not None:
-            return self(x)  # off the cut, or a polynomial: no cut
+        if not 0.0 < v < math.inf or self._degree is not None:
+            return self(x)  # off the cut, not finite, or a polynomial
         if cut_side not in (1, -1):
             raise OnBranchCut("argument on the cut [1, inf): pass cut_side=+1 or -1")
         with self._lock:
             # every connection formula builds Im F on the cut from
             # cancelling O(|F|) complex pieces; the reflection formula
             # gives it directly
-            im = (self._cut_imag_part(v)
-                  if x <= 11.0 or x <= 1.0 + 2.0 * self._hand_over else None)
+            im = self._cut_imag_part(v) if x <= self._reach else None
             if im is not None and not need_real:
                 return complex(0.0, cut_side * im)
             if x > 1.0:

@@ -44,8 +44,7 @@ from starkdim.errors import (
     NumericalError,
     OutOfRange,
 )
-from starkdim.resum import (_kept_continuation, lower_side_energy,
-                            lower_side_rate)
+from starkdim.resum import _fitted, lower_side_energy, lower_side_rate
 from starkdim.specfun import Hyp2F1, complex_gamma
 from test_oracle import reference_rate
 
@@ -132,16 +131,16 @@ def test_fit_without_cut_rejected(alpha):
     assert f"alpha={alpha}, l=4.5): h3 = -" in str(info.value)
 
 
-def test_kept_fit_gives_a_new_model(empty_tables):
-    """A fit kept for one series gives each call a new model with the same
-    fields; l and alpha that compare equal share the kept fit."""
+def test_kept_fit_gives_the_kept_model(empty_tables):
+    """A fit kept for one series gives each call the kept model itself; l
+    and alpha that compare equal share it."""
     series = energy_series(3, 4)
     first = fit_model(series)
-    assert fit_model(series) == first and fit_model(series) is not first
-    assert fit_model(series, 30) == first
+    assert fit_model(series) is first
+    assert fit_model(series, 30) is first
     # at p = 1 the float series holds the exact one's floats
-    assert fit_model(energy_series(3.0, 4)) == first
-    assert starkdim.resum._fitted.cache_info()[:2] == (4, 1)
+    assert fit_model(energy_series(3.0, 4)) is first
+    assert _fitted.cache_info()[:2] == (3, 1)
 
 
 def test_failed_fit_is_not_kept(empty_tables):
@@ -152,14 +151,32 @@ def test_failed_fit_is_not_kept(empty_tables):
         with pytest.raises(DegenerateSeries) as info:
             fit_model(series, l)
         assert f"(alpha=3, l={l}): h3 = -551.075 < 0" in str(info.value)
-    assert starkdim.resum._fitted.cache_info().currsize == 0
+    assert _fitted.cache_info().currsize == 0
 
 
 def test_kept_fits_stay_within_their_bound(empty_tables):
     for k in range(40):
         fit_model(energy_series(Fraction(7 + k, 4), 4))
-        assert starkdim.resum._fitted.cache_info().currsize <= 16
-    assert starkdim.resum._fitted.cache_info().currsize == 16
+        assert _fitted.cache_info().currsize <= 16
+    assert _fitted.cache_info().currsize == 16
+
+
+@pytest.mark.parametrize("e,message", (
+    ((0.0, 1e-3, 1e-4, 1e-5, 1e-6), "zero leading coefficient"),
+    ((-0.5, 1e-3, 0.0, 1e-5, 1e-6),
+     "vanishing series coefficient: ratios undefined"),
+    # t_(k+1) = t_k / (l - k - 1): the ratios r_k = k + 1 are linear in k
+    ((-0.5, -0.5 / 16, -0.5 / 16 ** 2 / 29, -0.5 / 16 ** 3 / (29 * 28),
+      -0.5 / 16 ** 4 / (29 * 28 * 27)), "ratio system is singular (h3 ~ 0)"),
+), ids=("zero E_0", "zero E_4", "linear ratios"))
+def test_degenerate_series_names_alpha_and_l(empty_tables, e, message):
+    """A series the closed form cannot fit raises ``DegenerateSeries``
+    naming alpha and l, on every call, and keeps no fit."""
+    for _ in range(2):
+        with pytest.raises(DegenerateSeries) as info:
+            fit_model(EnergySeries(3, 4, e), 30)
+        assert str(info.value) == f"{message} (alpha=3, l=30)"
+    assert _fitted.cache_info().currsize == 0
 
 
 def test_float_range_limits_raise_numerical_errors():
@@ -409,8 +426,8 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     the alpha = 3 model make as many for a 101-point sweep as for a
     1001-point one (about 9 Gamma calls per field point if each point
     built its own).  Both grids reach every 2F1 region the model uses, so
-    the lazily built constants are the same.  Each copy starts from an
-    empty registry of kept continuations, so that it builds its own."""
+    the lazily built constants are the same.  Each copy builds its own
+    continuation."""
     counts = Counter()
     for module, name in ((specfun, "complex_gamma"), (specfun, "digamma"),
                          (starkdim.resum, "complex_gamma")):
@@ -422,7 +439,6 @@ def test_sweep_constants_do_not_grow_with_grid(models, monkeypatch):
     made = []
     for n in (101, 1001):
         counts.clear()
-        _kept_continuation.cache_clear()
         m = models[3.0]
         model = HypModel(m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
         sweep(model, np.linspace(0.0, 1.0, n))
@@ -700,33 +716,30 @@ VALUE_SET_DIGEST = (
 def value_set():
     """Delta, Gamma and the signed rate of every fit over VALUE_SET_ALPHAS x
     VALUE_SET_LS, at fields with v = h3 (F/4)^2 log-spaced over [1e-3, 1e3],
-    each from a new model per call, in three shuffled passes; plus the
-    moment integrals of 8 dispersion reports.  30 parameter sets, more than
-    the registry keeps, so the passes both take and rebuild continuations.
-    Returns the set of value bits seen per key."""
-    params = {}
-    for alpha in VALUE_SET_ALPHAS:
-        series = energy_series(alpha, 4)
-        for l in VALUE_SET_LS:
-            m = fit_model(series, l)
-            params[alpha, l] = (m.h1, m.h2, m.h3, m.h4, m.l, m.e0, m.alpha)
+    each from the model of a fit per call, in three shuffled passes; plus
+    the moment integrals of 8 dispersion reports.  30 parameter sets, more
+    than the fits kept, so the passes both take kept models with their
+    continuations and fit and build them again.  Returns the set of value
+    bits seen per key."""
+    series = {alpha: energy_series(alpha, 4) for alpha in VALUE_SET_ALPHAS}
     calls = []
-    for (alpha, l), p in params.items():
-        for k in range(VALUE_SET_FIELDS):
-            v = 10.0 ** (-3.0 + 6.0 * k / (VALUE_SET_FIELDS - 1))
-            calls.append((alpha, l, k, 4.0 * math.sqrt(v / p[2].real)))
+    for alpha in VALUE_SET_ALPHAS:
+        for l in VALUE_SET_LS:
+            h3 = fit_model(series[alpha], l).h3.real
+            for k in range(VALUE_SET_FIELDS):
+                v = 10.0 ** (-3.0 + 6.0 * k / (VALUE_SET_FIELDS - 1))
+                calls.append((alpha, l, k, 4.0 * math.sqrt(v / h3)))
     values = defaultdict(set)
     rng = random.Random(28)
     for _ in range(3):
         rng.shuffle(calls)
         for alpha, l, k, field in calls:
-            point = resonance(HypModel(*params[alpha, l]), field)
-            rate = lower_side_rate(HypModel(*params[alpha, l]), field)
+            point = resonance(fit_model(series[alpha], l), field)
+            rate = lower_side_rate(fit_model(series[alpha], l), field)
             values[alpha, l, k].add(
                 (point.delta.hex(), point.gamma.hex(), rate.hex()))
     for alpha in (1.1, 1.5, 2.0, 2.5, 3.0, 5.0, 7.0, 20.0):
-        series = energy_series(alpha, 4)
-        report = dispersion_report(fit_model(series), series)
+        report = dispersion_report(fit_model(series[alpha]), series[alpha])
         values["report", alpha] = {tuple(e.integral_value.hex()
                                          for e in report.entries)}
     return values
@@ -743,51 +756,48 @@ def test_kept_continuations_keep_every_value():
     assert hashlib.sha256(text.encode()).hexdigest() == VALUE_SET_DIGEST
 
 
-@pytest.fixture
-def empty_registry():
-    """The registry of kept continuations, emptied for one test."""
-    _kept_continuation.cache_clear()
-    yield _kept_continuation
-    _kept_continuation.cache_clear()
-
-
-def test_fits_of_one_series_share_a_continuation(empty_registry):
+def test_fits_of_one_series_share_a_continuation(empty_tables):
+    """A second fit of a series returns the kept model, whose continuation
+    the first fit's rates built: nothing is set up again."""
     series = energy_series(3, 4)
-    first, second = fit_model(series), fit_model(series)
-    assert first is not second
-    assert first._continuation is second._continuation
-    assert empty_registry.cache_info().currsize == 1
+    first = fit_model(series)
+    rate = lower_side_rate(first, 0.5)
+    second = fit_model(series)
+    assert second is first
+    assert "_continuation" in vars(second)
+    assert lower_side_rate(second, 0.5).hex() == rate.hex()
 
 
-def test_fit_in_another_thread_shares_the_continuation(empty_registry):
-    """A fit of the same series in another thread takes the same 2F1; the
-    values are the same bits."""
+def test_fit_in_another_thread_shares_the_continuation(empty_tables):
+    """A fit of the same series in another thread takes the same model and
+    2F1; the values are the same bits."""
     series = energy_series(3, 4)
     mine = fit_model(series)
     theirs = []
 
     def fit_and_rate():
         model = fit_model(series)
-        theirs.append((model._continuation, lower_side_rate(model, 0.5)))
+        theirs.append((model, model._continuation,
+                       lower_side_rate(model, 0.5)))
 
     worker = threading.Thread(target=fit_and_rate)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    (pref, hyp), rate = theirs[0]
+    model, (pref, hyp), rate = theirs[0]
+    assert model is mine
     assert hyp is mine._continuation[1]
     assert pref == mine._continuation[0]
     assert lower_side_rate(mine, 0.5).hex() == rate.hex()
-    assert empty_registry.cache_info().currsize == 1
 
 
-def test_continuation_is_evaluated_under_its_lock(empty_registry):
+def test_continuation_is_evaluated_under_its_lock(empty_tables):
     """A rate waits while another thread holds the lock of the
     continuation's 2F1 and, once it is released, has the bits of one thread
     alone."""
     series = energy_series(3, 4)
     expected = lower_side_rate(fit_model(series), 0.5)
-    empty_registry.cache_clear()
+    empty_tables()
     model = fit_model(series)
     rates = []
     worker = threading.Thread(
@@ -801,11 +811,11 @@ def test_continuation_is_evaluated_under_its_lock(empty_registry):
     assert rates[0].hex() == expected.hex()
 
 
-def test_threads_sharing_the_registry_keep_every_value(empty_registry):
+def test_threads_sharing_the_registry_keep_every_value(empty_tables):
     """Four threads with a short switch interval refit three series and
-    sum rates on new models, sharing continuations while they insert and
-    evict them: every rate has the bits of one thread working alone, and
-    the registry stays within its bound."""
+    sum rates on the models, sharing the kept fits and their continuations
+    while they fit and build them: every rate has the bits of one thread
+    working alone, and the kept fits stay within their bound."""
     fields = [0.05 * k for k in range(1, 21)]
     series = [energy_series(alpha, 4) for alpha in (3, 2, 5)]
     params = [(l, s) for l in (12.3, 30.0, 60.0) for s in series]
@@ -815,7 +825,7 @@ def test_threads_sharing_the_registry_keep_every_value(empty_registry):
                 for l, s in params for f in fields]
 
     expected = rates()
-    empty_registry.cache_clear()
+    empty_tables()
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -830,15 +840,14 @@ def test_threads_sharing_the_registry_keep_every_value(empty_registry):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert results == [expected] * 4
-    assert empty_registry.cache_info().currsize <= 16
+    assert _fitted.cache_info().currsize <= 16
 
 
-def test_threads_sharing_a_model_keep_every_value(empty_registry):
+def test_threads_sharing_a_model_keep_every_value(empty_tables):
     """Twice, four threads with a short switch interval evaluate the same
     fitted models, which no thread has evaluated before: they share each
     model's continuation, so the 16 models hold one 2F1 each, 16 in all,
-    and the registry 16 entries, and every rate and shift has the bits of
-    one thread working alone."""
+    and every rate and shift has the bits of one thread working alone."""
     fields = [0.05 * k for k in range(1, 60)]
     params = [(energy_series(alpha, 4), l) for alpha in (3, 2, 5, 7)
               for l in (12.3, 30.0, 60.0, 90.0)]
@@ -853,7 +862,7 @@ def test_threads_sharing_a_model_keep_every_value(empty_registry):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(2):
-            empty_registry.cache_clear()
+            empty_tables()
             models = [fit_model(s, l) for s, l in params]
             round_workers = [threading.Thread(
                 target=lambda: results.append(values(models)))
@@ -866,21 +875,22 @@ def test_threads_sharing_a_model_keep_every_value(empty_registry):
             kept.append((
                 {type(m._continuation[1]) for m in models},
                 len({id(m._continuation[1]) for m in models}),
-                empty_registry.cache_info().currsize))
+                all(fit_model(s, l) is m
+                    for (s, l), m in zip(params, models))))
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert results == [expected] * 8
-    assert kept == [({Hyp2F1}, 16, 16)] * 2
+    assert kept == [({Hyp2F1}, 16, True)] * 2
 
 
-def test_registry_miss_is_built_once(empty_registry, monkeypatch):
+def test_continuation_miss_is_built_once(empty_tables, monkeypatch):
     """Two threads that read the continuation of one new model at once get
-    one 2F1, which the registry keeps.  Each build waits, up to 0.5 s, for
-    the other thread to start one: from Python 3.12 neither cached_property
-    nor lru_cache locks a miss, so without the registry's own lock both
-    threads built, each its own 2F1.  On 3.10 and 3.11 cached_property
-    locks, and the test passes either way."""
+    one 2F1, which the model keeps.  Each build waits, up to 0.5 s, for the
+    other thread to start one: from Python 3.12 cached_property does not
+    lock a miss, so without the build's own lock both threads built, each
+    its own 2F1.  On 3.10 and 3.11 cached_property locks, and the test
+    passes either way."""
     barrier = threading.Barrier(2, timeout=0.5)
     builds = []
 
@@ -903,10 +913,7 @@ def test_registry_miss_is_built_once(empty_registry, monkeypatch):
         worker.join(timeout=60)
     assert not any(worker.is_alive() for worker in workers)
     assert len(builds) == 1
-    kept = empty_registry(*(x.hex() for x in (
-        model.h1.real, model.h1.imag, model.h2.real, model.h2.imag,
-        model.l)))
-    assert taken[0] is taken[1] is kept and model._continuation is kept
+    assert taken[0] is taken[1] is model._continuation
 
 
 @pytest.mark.parametrize("l", (4.0, math.inf, -math.inf, math.nan))
@@ -920,33 +927,10 @@ def test_l_outside_the_open_range_is_bad_input(l):
         HypModel(0.5, 0.75, 2.0, 1.0, l, -0.5, 3.0)
 
 
-def test_registry_drops_the_least_recently_used(empty_registry):
-    """The registry keeps 16 continuations; taking one again makes it the
-    most recently used, so the 17th parameter set drops the next oldest."""
-    ls = [30.0 + 0.5 * k for k in range(17)]
-    kept = [_model_with_l(l)._continuation for l in ls[:16]]
-    assert _model_with_l(ls[0])._continuation is kept[0]
-    _model_with_l(ls[16])._continuation
-    assert empty_registry.cache_info().currsize == 16
-    assert _model_with_l(ls[0])._continuation is kept[0]
-    assert _model_with_l(ls[1])._continuation is not kept[1]
-    assert empty_registry.cache_info().currsize == 16
-
-
-def test_registry_tells_signed_zeros_apart(empty_registry):
-    """Parameter sets equal as numbers but differing in the sign of a zero
-    do not share a continuation."""
-    models = [HypModel(complex(0.4, imag), 0.9 + 0j, complex(2.0),
-                       complex(1e-3), 30.0, -0.5, 3.0)
-              for imag in (0.0, -0.0)]
-    assert models[0] == models[1]
-    assert models[0]._continuation[1] is not models[1]._continuation[1]
-    assert empty_registry.cache_info().currsize == 2
-
-
-def test_prefactor_overflow_is_not_kept(empty_registry):
+def test_prefactor_overflow_is_not_kept():
     """An overflowing prefactor (alpha = 3, l = 140) raises on every call,
-    naming the alpha of the model that made it."""
+    naming the alpha of the model that made it, and the model keeps no
+    continuation."""
     model = standard_model(3.0, 140.0)
     for _ in range(2):
         with pytest.raises(NumericalError, match=re.escape(
@@ -956,7 +940,19 @@ def test_prefactor_overflow_is_not_kept(empty_registry):
                     model.e0, 7.0)
     with pytest.raises(NumericalError, match=re.escape("(alpha=7.0, l=140.0)")):
         lower_side_rate(copy, 0.5)
-    assert empty_registry.cache_info().currsize == 0
+    assert "_continuation" not in vars(model)
+    assert "_continuation" not in vars(copy)
+
+
+@pytest.mark.parametrize("name", ("h1", "h2", "h3", "h4", "e0"))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_non_finite_model_parameter_is_out_of_range(name, value):
+    """A model parameter that is not finite is bad input, named when the
+    model is made, not a NaN or a numerical failure at a field point."""
+    fields = dict(h1=0.4, h2=0.9, h3=2.0, h4=1e-3, l=30.0, e0=-0.5, alpha=3.0)
+    with pytest.raises(OutOfRange,
+                       match=f"model parameter {name} must be finite"):
+        resonance(HypModel(**{**fields, name: value}), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import starkdim.resum
 from starkdim import (
     STANDARD_SWEEP_RANGES,
     complex_gamma,
@@ -280,9 +279,24 @@ NON_FINITE_INPUTS = {
     "Hyp2F1(0.3, 0.7, -inf)": (Hyp2F1, (0.3, 0.7, -math.inf), "c"),
     "Hyp2F1(0.3, 0.7+nan*1j, 1.9)":
         (Hyp2F1, (0.3, complex(0.7, math.nan), 1.9), "b"),
-    # off the cut, cut hands v to the instance's call, which checks it
+    # off the cut or not finite, cut and cut_imag hand v to the instance's
+    # call, which checks it (at v = inf the route past the reflected
+    # series' reach gave 0j, an OverflowError or a ZeroDivisionError)
     "Hyp2F1(0.3, 0.7, 1.9).cut(nan, -1)":
         (Hyp2F1(0.3, 0.7, 1.9).cut, (math.nan, -1), "w"),
+    "Hyp2F1(0.3, 0.7, 1.9).cut(inf, 1)":
+        (Hyp2F1(0.3, 0.7, 1.9).cut, (math.inf, 1), "w"),
+    "Hyp2F1(0.3, 0.7, 1.9).cut_imag(inf, -1)":
+        (Hyp2F1(0.3, 0.7, 1.9).cut_imag, (math.inf, -1), "w"),
+    "Hyp2F1(-0.5, 0.7, 1.9).cut(inf, -1)":
+        (Hyp2F1(-0.5, 0.7, 1.9).cut, (math.inf, -1), "w"),
+    "Hyp2F1(-0.5, 0.7, 1.9).cut_imag(inf, 1)":
+        (Hyp2F1(-0.5, 0.7, 1.9).cut_imag, (math.inf, 1), "w"),
+    "Hyp2F1(0.5-0.2725j, 0.5+0.2725j, 31).cut(inf, -1)":
+        (Hyp2F1(0.5 - 0.2725j, 0.5 + 0.2725j, 31.0).cut, (math.inf, -1), "w"),
+    "Hyp2F1(0.5-0.2725j, 0.5+0.2725j, 31).cut_imag(inf, 1)":
+        (Hyp2F1(0.5 - 0.2725j, 0.5 + 0.2725j, 31.0).cut_imag,
+         (math.inf, 1), "w"),
 }
 
 
@@ -943,7 +957,7 @@ def test_threads_sharing_one_2f1_keep_every_value():
         assert bits(shared.cut(v, -1) for v in points) == expected
 
 
-def test_reproduce_figure_one_series_work(capsys, monkeypatch):
+def test_reproduce_figure_one_series_work(capsys, monkeypatch, empty_tables):
     """The series sums of ``reproduce --figure 1`` (alpha = 3, a conjugate
     pair, l = 30): 95 points on the 1/w route with one series each, 7
     reflected series (x <= 11) and 5 log tails, the points at v <= l/6 on
@@ -951,9 +965,8 @@ def test_reproduce_figure_one_series_work(capsys, monkeypatch):
     double the first count.  Of the reflected series, the two at
     z = v/x <= 1/2 sum the defining series; the five above step from the
     anchors z = 1/2 .. 0.901, built once, whose first one takes S and S'
-    from one defining-series sum each.  The run starts from an empty
-    registry of kept continuations, so that it builds its own."""
-    starkdim.resum._kept_continuation.cache_clear()
+    from one defining-series sum each.  The run starts from emptied kept
+    fits, so that it builds its own continuation."""
     hyp = continuation(3)
     mu = hyp.c - hyp.a - hyp.b
     kinds = {hyp.a - hyp.b + 1.0: "1/w", hyp.b - hyp.a + 1.0: "1/w",
@@ -1072,7 +1085,7 @@ def test_reflected_series_has_no_anchor_at_one(monkeypatch):
     """The anchors end at the last one below 1.0, so z = v/x = 1.0 raises
     NonConvergent at once, and a cut whose reflected series raises keeps
     the generic value's imaginary part.  The reach, 1 + max(10, 2H), is at
-    most 31; an instance whose hand-over H is set past every v takes the
+    most 31; an instance whose reach is set past every v takes the
     reflected series at v = 1e17, where v/x rounds to 1.0."""
     reflected = continuation(3.0)._reflection[-1]
     with pytest.raises(NonConvergent):
@@ -1081,9 +1094,9 @@ def test_reflected_series_has_no_anchor_at_one(monkeypatch):
     assert anchors[-1] < 1.0 == 1.0 - 0.5 * (2.0 / 3.0) ** len(anchors)
     hyp = Hyp2F1(CONJUGATE_H1, CONJUGATE_H1.conjugate(),
                  2 * CONJUGATE_H1.real + 30.0)
-    monkeypatch.setattr(hyp, "_hand_over", math.inf)
+    monkeypatch.setattr(hyp, "_reach", math.inf)
     v = 1e17  # v/x rounds to 1.0
-    assert 1.0 + v <= reflected_reach(hyp)
+    assert 1.0 + v <= hyp._reach
     for side in (1, -1):
         generic = hyp(complex(1.0 + v, side * specfun._CUT_IMAG))
         assert bits(hyp.cut(v, side)) == bits(generic)

@@ -23,7 +23,7 @@ from starkdim import (
 )
 from starkdim.errors import (DomainError, IntegrationFailure, NotValid,
                              NumericalError, OutOfRange)
-from starkdim.resum import _fitted, _kept_continuation, lower_side_rate
+from starkdim.resum import _fitted, lower_side_rate
 
 
 def entry(n, rel=0.01):
@@ -415,7 +415,6 @@ def test_threads_sharing_the_tables_keep_every_value(empty_tables):
 
     expected = check()
     empty_tables()
-    _kept_continuation.cache_clear()
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
