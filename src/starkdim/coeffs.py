@@ -148,7 +148,9 @@ def _validate_alpha(alpha) -> None:
 def format_alpha(alpha) -> str:
     """alpha for an error message: its own text up to 20 characters, else 6
     significant digits taken in Decimal, as alpha may lie past the float
-    range or the int-to-str digit limit."""
+    range or the int-to-str digit limit.  Where those read 1, the invalid
+    dimension, alpha is named by its excess over 1 to 6 digits, as
+    1+1e-12."""
     try:
         if len(text := str(alpha)) <= 20:
             return text
@@ -156,9 +158,15 @@ def format_alpha(alpha) -> str:
         pass
     from decimal import Context
 
-    value, context = Fraction(alpha), Context(prec=6)
-    return format(context.divide(value.numerator, value.denominator)
-                  .normalize(context), "g")
+    context = Context(prec=6)
+
+    def digits(value, spec):
+        return format(context.divide(value.numerator, value.denominator)
+                      .normalize(context), spec)
+
+    value = Fraction(alpha)
+    text = digits(value, "g")
+    return text + digits(value - 1, "+g") if text == "1" else text
 
 
 def unperturbed_params(alpha) -> DimensionParams:

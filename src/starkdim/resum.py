@@ -247,6 +247,8 @@ def _fitted(e, l, alpha):
         raise DegenerateSeries(
             f"vanishing series coefficient: ratios undefined {where}")
     rho = [t[k + 1] / t[k] for k in range(3)]
+    if not all(map(math.isfinite, rho)):
+        raise DegenerateSeries(f"series ratios overflow a float {where}")
     r = [(k + 1) * rho[k] * (l - k - 1) for k in range(3)]
     h3 = 0.5 * (r[0] - 2.0 * r[1] + r[2])
     scale = max(abs(x) for x in r)
@@ -263,6 +265,9 @@ def _fitted(e, l, alpha):
     h1 = 0.5 * (s_sum - root)
     h2 = 0.5 * (s_sum + root)
     h4 = t[0] / _gamma_of_l(l, format_alpha(alpha))
+    # a failed fit, not bad input: HypModel rejects these as OutOfRange
+    if not all(map(cmath.isfinite, (h1, h2, h3, h4))):
+        raise DegenerateSeries(f"fit parameters overflow a float {where}")
     model = HypModel(h1, h2, complex(h3), h4, float(l), e0, float(alpha))
     residual = fit_round_trip_residual(model, EnergySeries(alpha, 4, e))
     if not residual <= 1e-10:

@@ -65,12 +65,24 @@ imaginary part stands.
 Each scan step decides on the last node, so nodes are scalar rates; their
 per-moment bookkeeping runs in plain loops, each column's append bound
 once per report.
+
+The moments depend on the model and the orders n alone, so they are kept,
+as the series tables and fits are: the 16 last results, keyed by the model
+record and the tuple of orders (equal models share an entry).  A repeated
+``dispersion_report`` or ``dispersion_coefficient`` evaluates no rate; a
+report rebuilds its entries from the kept values, and ``node_count``
+reports the evaluations that produced them.  An error is never kept, so a
+failed integration raises again on every call.  The key of each kept
+result holds its model, and with it the model's continuation, alive.  Two
+threads that miss at once each integrate and get equal values, one of
+which is kept.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 from ._record import Record
 from .coeffs import EnergySeries
@@ -96,7 +108,8 @@ _MAX_HALVINGS = 6
 class DispersionEntry(Record):
     """One moment comparison: series value against rate integral.  All
     entries of a report share one grid: ``upper_cutoff`` is its end in field
-    units and ``node_count`` its rate evaluations, cutoff scans included."""
+    units and ``node_count`` its rate evaluations, cutoff scans included,
+    made once for the kept moments (see the module docstring)."""
 
     def __init__(self, n: int, series_value: float, integral_value: float,
                  relative_error: float, upper_cutoff: float, node_count: int):
@@ -118,9 +131,11 @@ class DispersionReport(Record):
         d["alpha"], d["entries"] = alpha, entries
 
 
-def _dispersion_moments(model: HypModel, ns):
-    """Moment integrals for every n in ``ns``; returns (list of values, upper
-    cutoff in field units, number of rate evaluations)."""
+@lru_cache(maxsize=16)
+def _dispersion_moments(model: HypModel, ns: tuple):
+    """Moment integrals for every n in the tuple ``ns``; returns (tuple of
+    values, upper cutoff in field units, number of rate evaluations).  Kept
+    (see the module docstring): callers share the result."""
     two_n = [2.0 * n for n in ns]
     # ss holds the nodes in s; columns[i] the integrand of moment ns[i] there
     ss, columns = [], [[] for _ in ns]
@@ -219,7 +234,7 @@ def _dispersion_moments(model: HypModel, ns):
         refined = moments(step)
         if all(abs(r - t) <= math.sqrt(_TAIL_REL) * abs(r)
                for r, t in zip(refined, total)):
-            return ([-r / math.pi for r in refined],
+            return (tuple(-r / math.pi for r in refined),
                     math.exp(at(ss[down + up])), len(ss))
         total = refined
     raise IntegrationFailure(

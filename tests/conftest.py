@@ -6,9 +6,10 @@ import pytest
 from starkdim import STANDARD_SWEEP_RANGES, energy_series, standard_model, sweep
 from starkdim.coeffs import _energy_table, _symbolic_table
 from starkdim.resum import _fitted
+from starkdim.validate import _dispersion_moments
 
-# the kept series tables and fits
-TABLES = (_energy_table, _symbolic_table, _fitted)
+# the kept series tables, fits and dispersion moments
+TABLES = (_energy_table, _symbolic_table, _fitted, _dispersion_moments)
 
 ALPHAS = (3.0, 2.5, 2.0, 1.5)
 
@@ -37,8 +38,9 @@ def standard_sweeps(models):
 
 @pytest.fixture
 def empty_tables():
-    """The kept series tables and fits, emptied for one test, so that a test
-    that patches engine internals runs the code it patches.  Yields the
+    """The kept series tables, fits and dispersion moments, emptied for one
+    test, so that a test that patches engine or integrator internals, or
+    counts rate evaluations, runs the code it patches or counts.  Yields the
     function that empties them, for a test that fits before it patches."""
     def empty():
         for table in TABLES:

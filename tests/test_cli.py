@@ -181,8 +181,9 @@ def test_series_failure_is_numerical_error_with_context(capsys, monkeypatch):
     (("wkb", "--alpha", "3", "--fields", "0.05:0.3:6"), wkb,
      "barrier integral did not converge to 1e-10 at p=1.0, field=0.05"),
 ], ids=("dispersion", "wkb"))
-def test_integration_failure_is_numerical_error(capsys, monkeypatch, argv,
-                                                module, message):
+def test_integration_failure_is_numerical_error(capsys, monkeypatch,
+                                                empty_tables, argv, module,
+                                                message):
     # each integrator stops after its first level, before two can agree
     monkeypatch.setattr(module, "_MAX_HALVINGS", 0)
     code, out, err = invoke(capsys, *argv)
@@ -219,6 +220,9 @@ FLOAT_RANGE_LIMITS = {
     ("coeffs", "--alpha", "1e2200", "--order", "1"):
         "n=0 has too many digits to print exactly (alpha=1e+2200)",
     ("fit", "--alpha", "1e400"): "overflow a float (alpha=1e+400)",
+    # 6 digits of 1.000000000001 would read 1, an invalid dimension
+    ("fit", "--alpha", "1.000000000001", "--l", "1e3"):
+        "(alpha=1+1e-12, l=1000.0)",
     ("wkb", "--alpha", "1e400", "--fields", "0.1:0.3:3"):
         "overflow a float (alpha=1e+400)",
     ("sweep", "--alpha", "3", "--fields", "0:1e200:3"):
@@ -237,7 +241,8 @@ def test_float_range_limit_is_numerical_error(capsys, argv):
 
 
 def test_error_messages_shorten_long_alpha():
-    """alpha prints as given up to 20 characters, else to 6 digits."""
+    """alpha prints as given up to 20 characters, else to 6 digits, or as
+    its excess over 1 where 6 digits would read 1, the invalid dimension."""
     cases = [
         (Fraction(10 ** 11), "100000000000"),
         (Fraction(5, 2), "5/2"),
@@ -246,6 +251,8 @@ def test_error_messages_shorten_long_alpha():
         (Fraction(10 ** 30) + Fraction(1, 3), "1e+30"),
         (Fraction(10 ** 400), "1e+400"),
         (Fraction(10 ** 5000), "1e+5000"),  # past the int-to-str digit limit
+        (Fraction("1.000000000001"), "1+1e-12"),
+        (1 + Fraction(1, 3 * 10 ** 40), "1+3.33333e-41"),
     ]
     assert [format_alpha(alpha) for alpha, _ in cases] == [t for _, t in cases]
 

@@ -168,7 +168,14 @@ def test_kept_fits_stay_within_their_bound(empty_tables):
     # t_(k+1) = t_k / (l - k - 1): the ratios r_k = k + 1 are linear in k
     ((-0.5, -0.5 / 16, -0.5 / 16 ** 2 / 29, -0.5 / 16 ** 3 / (29 * 28),
       -0.5 / 16 ** 4 / (29 * 28 * 27)), "ratio system is singular (h3 ~ 0)"),
-), ids=("zero E_0", "zero E_4", "linear ratios"))
+    # scaled coefficients past the float range, which gave HypModel's
+    # OutOfRange "model parameter h1 must be finite" (bad input, exit 2)
+    ((1.0, 1e305, -1e305, 1e305, -1e305), "series ratios overflow a float"),
+    # finite ratios r = (1e308, -1e308, 81) whose h3 overflows
+    ((1.0, 6.25e-308, 0.013469827586206896, -1.5033289716748768e+303,
+      -9.39580607296798e+301), "fit parameters overflow a float"),
+), ids=("zero E_0", "zero E_4", "linear ratios", "ratios overflow",
+        "parameters overflow"))
 def test_degenerate_series_names_alpha_and_l(empty_tables, e, message):
     """A series the closed form cannot fit raises ``DegenerateSeries``
     naming alpha and l, on every call, and keeps no fit."""

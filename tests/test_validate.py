@@ -154,15 +154,8 @@ def test_dispersion_accuracy_pinned(models, series_map, alpha):
         assert e.relative_error <= max(2.0 * pinned, 1e-9), e.n
 
 
-@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(5, 2), Fraction(2),
-                                   Fraction(3, 2), Fraction(11, 10),
-                                   Fraction(101, 100), Fraction(6),
-                                   Fraction(20)],
-                         ids=lambda a: f"{float(a):g}")
-def test_dispersion_identity(monkeypatch, alpha):
-    """The moments of the signed discontinuity reproduce the exact series
-    to the integrator's 1e-10 tolerance, also where Im E changes sign at
-    high field (alpha <= 3), and node_count is every rate evaluation made."""
+def counted_rates(monkeypatch):
+    """The fields of every rate the integrator evaluates, in order."""
     calls = []
 
     def counting(model, field):
@@ -170,6 +163,19 @@ def test_dispersion_identity(monkeypatch, alpha):
         return lower_side_rate(model, field)
 
     monkeypatch.setattr(starkdim.validate, "lower_side_rate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(5, 2), Fraction(2),
+                                   Fraction(3, 2), Fraction(11, 10),
+                                   Fraction(101, 100), Fraction(6),
+                                   Fraction(20)],
+                         ids=lambda a: f"{float(a):g}")
+def test_dispersion_identity(monkeypatch, empty_tables, alpha):
+    """The moments of the signed discontinuity reproduce the exact series
+    to the integrator's 1e-10 tolerance, also where Im E changes sign at
+    high field (alpha <= 3), and node_count is every rate evaluation made."""
+    calls = counted_rates(monkeypatch)
     series = energy_series(alpha, 4)
     report = dispersion_report(fit_model(series), series)
     for e in report.entries:
@@ -240,7 +246,7 @@ HALVINGS = {
 
 @pytest.mark.parametrize("alpha, l", sorted(HALVINGS),
                          ids=lambda v: f"{float(v):g}")
-def test_halvings_taken(monkeypatch, alpha, l):
+def test_halvings_taken(monkeypatch, empty_tables, alpha, l):
     """node_count is the scan's nodes, a 0.5 grid in s from the first node
     at s = 0, plus the midpoints each halving adds."""
     report, us = traced_report(monkeypatch, alpha, l)
@@ -289,8 +295,8 @@ INTEGRATION_FAILURES = {
 
 
 @pytest.mark.parametrize("case", sorted(INTEGRATION_FAILURES))
-def test_integration_failure_names_alpha(monkeypatch, models, series_map,
-                                         case):
+def test_integration_failure_names_alpha(monkeypatch, empty_tables, models,
+                                         series_map, case):
     settings, message = INTEGRATION_FAILURES[case]
     for name, value in settings.items():
         monkeypatch.setattr(starkdim.validate, name, value)
@@ -299,7 +305,7 @@ def test_integration_failure_names_alpha(monkeypatch, models, series_map,
     assert str(info.value) == message
 
 
-def test_reflected_route_work_per_report(monkeypatch):
+def test_reflected_route_work_per_report(monkeypatch, empty_tables):
     """The reflected series behind Im F up to x = 11, in one
     dispersion_report at alpha = 3: its terms, counted as the anchors' kept
     Taylor coefficients plus every term summed (the defining series at
@@ -378,7 +384,8 @@ def test_report_digest_pinned(alpha):
         REPORT_DIGESTS[alpha])
 
 
-# kept series tables and fits (see the coeffs and resum module docstrings)
+# kept series tables, fits and moments (see the coeffs, resum and validate
+# module docstrings)
 
 
 def test_repeated_check_skips_the_engine_and_the_fit(monkeypatch,
@@ -398,6 +405,56 @@ def test_repeated_check_skips_the_engine_and_the_fit(monkeypatch,
         work.append((len(runs), _fitted.cache_info().misses - fits))
     assert work == [(1, 1), (0, 0)]
     assert reports[0] == reports[1]
+
+
+def entry_bits(report):
+    return [(e.n, e.series_value.hex(), e.integral_value.hex(),
+             e.relative_error.hex(), e.upper_cutoff.hex(), e.node_count)
+            for e in report.entries]
+
+
+def test_repeated_report_evaluates_no_rate(monkeypatch, empty_tables):
+    """A second report on one model and series takes the kept moments: it
+    evaluates no rate, and every entry keeps its bits, node_count (the
+    evaluations that produced the moments) included."""
+    series = energy_series(Fraction(5, 2), 4)
+    model = fit_model(series)
+    calls = counted_rates(monkeypatch)
+    first = dispersion_report(model, series)
+    assert len(calls) == first.entries[0].node_count == 37
+    calls.clear()
+    second = dispersion_report(model, series)
+    assert calls == []
+    assert entry_bits(second) == entry_bits(first)
+
+
+def test_repeated_coefficient_evaluates_once(monkeypatch, empty_tables):
+    """dispersion_coefficient(model, 5) evaluates its nodes on the first
+    call only, and n = 5.0 shares the kept moment of n = 5."""
+    model = fit_model(energy_series(Fraction(3), 4))
+    calls = counted_rates(monkeypatch)
+    value = dispersion_coefficient(model, 5)
+    nodes = len(calls)
+    assert nodes > 0
+    assert dispersion_coefficient(model, 5).hex() == value.hex()
+    assert dispersion_coefficient(model, 5.0).hex() == value.hex()
+    assert len(calls) == nodes
+
+
+def test_failed_integration_is_not_kept(monkeypatch, empty_tables):
+    """An integration that fails keeps nothing: it raises on every call,
+    and once the integrator is whole again the same call reports."""
+    series = energy_series(Fraction(3), 4)
+    model = fit_model(series)
+    with monkeypatch.context() as patch:
+        patch.setattr(starkdim.validate, "_MAX_HALVINGS", 0)
+        for _ in range(2):
+            with pytest.raises(IntegrationFailure, match="not settled"):
+                dispersion_report(model, series)
+    assert starkdim.validate._dispersion_moments.cache_info().currsize == 0
+    report = dispersion_report(model, series)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        REPORT_DIGESTS[Fraction(3)])
 
 
 def test_threads_sharing_the_tables_keep_every_value(empty_tables):
